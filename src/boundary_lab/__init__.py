@@ -6,10 +6,7 @@ rays."""
 from .annulus import (
     AnnulusSpace,
     SpiralMap,
-    ann_distance,
     ann_distance_coords,
-    ann_distance_with_rays,
-    log_spiral_map,
     spiral_coords,
 )
 from .boundary import (
@@ -51,20 +48,5 @@ from .points import AnnulusPoint, AttachedRayPoint, PathPolyline, RayComplexPoin
 from .ray_complex import GeodesicResult, RayComplex
 from .rays import UnitSpeedRay
 from .spacezoo import ZooSpace, build_X, build_Xcat0, build_Y, build_Ycat0, get_space
-
-def rc_distance(p, q, complex_):
-    """Exact shortest-path distance in a ray complex."""
-    return complex_.distance(p, q)
-
-
-def rc_geodesic(p, q, complex_):
-    """Exact distance plus a witness polyline."""
-    return complex_.geodesic(p, q)
-
-
-def rc_ray(label, complex_):
-    """Unit-speed ray along an unbounded edge from its glued origin."""
-    return complex_.edge_ray(label)
-
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .points import AnnulusPoint, AttachedRayPoint, Point, require_same_space
-from .rays import BoundaryArcLeg, ChordLeg, UnitSpeedRay
+from .rays import BoundaryArcLeg, ChordLeg
 
 Coords = tuple[float, float]
 
@@ -46,11 +46,6 @@ def ann_distance_coords(t1: float, r1: float, t2: float, r2: float) -> float:
             + (delta - phi1 - phi2)
         )
     return math.sqrt(max(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(delta), 0.0))
-
-
-def ann_distance(p: AnnulusPoint, q: AnnulusPoint) -> float:
-    """Distance between two annulus points (closed-form kernel)."""
-    return ann_distance_coords(p.t, p.r, q.t, q.r)
 
 
 def ann_distance_arrays(t1, r1, t2, r2):
@@ -166,12 +161,6 @@ class AnnulusSpace:
             raise DomainError(f"unknown attached ray {ray_id}")
         return AttachedRayPoint(self.space_id, ray_id, float(s))
 
-    def base_of(self, ray_id: str) -> AnnulusPoint:
-        if ray_id not in self.attached:
-            raise DomainError(f"unknown attached ray {ray_id}")
-        t, r = self.attached[ray_id]
-        return AnnulusPoint(self.space_id, t, r)
-
     def same_point(self, p: Point, q: Point) -> bool:
         require_same_space(self.space_id, p, q)
         return self.distance(p, q) <= 1e-12
@@ -193,18 +182,7 @@ class AnnulusSpace:
             if p.ray_id == q.ray_id:
                 return abs(p.s - q.s)
         (cp, sp), (cq, sq) = self._coords(p), self._coords(q)
-        if sp == 0.0 and sq == 0.0:
-            return ann_distance_coords(*cp, *cq)
         return sp + sq + ann_distance_coords(*cp, *cq)
-
-    # boundary-circle rays
-    def alpha_ray(self) -> UnitSpeedRay:
-        """The ray t -> (t, 1) along the boundary circle, t >= 0."""
-        return UnitSpeedRay(self, "alpha", (BoundaryArcLeg(0.0, +1, None),))
-
-    def beta_ray(self) -> UnitSpeedRay:
-        """The ray t -> (-t, 1) along the boundary circle."""
-        return UnitSpeedRay(self, "beta", (BoundaryArcLeg(0.0, -1, None),))
 
     def geodesic_polyline(self, p: AnnulusPoint, q: AnnulusPoint, samples: int = 33):
         """Polyline tracking the geodesic from p to q through annulus points."""
@@ -228,11 +206,6 @@ class AnnulusSpace:
 
     def __repr__(self):
         return f"AnnulusSpace({len(self.attached)} attached rays, id={self.space_id})"
-
-
-def ann_distance_with_rays(p: Point, q: Point, space: AnnulusSpace) -> float:
-    """Distance in an annulus with attached rays (wedge decomposition)."""
-    return space.distance(p, q)
 
 
 # -- the coordinate-shear quasi-isometry ------------------------------------
@@ -274,10 +247,3 @@ class SpiralMap:
             return AttachedRayPoint(dst.space_id, p.ray_id, p.s)
         t, r = spiral_coords(p.t, p.r, direction)
         return AnnulusPoint(dst.space_id, t, r)
-
-
-def log_spiral_map(
-    p: Point, direction: str, source: AnnulusSpace, target: AnnulusSpace
-) -> Point:
-    """Map a point through the shear quasi-isometry between two spaces."""
-    return SpiralMap(source, target).map_point(p, direction)

@@ -9,11 +9,20 @@ doubling terminates with the exact value.  The supremum over other
 representatives is not searched; when a contraction constant is known the
 50C bound is attached as the error bar instead, and the self-product is
 +infinity by convention (so eta always belongs to U(eta, r)).
+
+Queries that ask for the same product many times (convergence tables, the
+basis check) run inside ``shared_products()``: there every finite estimate
+is memoized, keyed by the ordered pair of canonical rays (by identity) and
+the estimation arguments, and a repeat returns the same frozen estimate.
+The memo is dropped when the query returns, so a query costs the same
+whatever ran before it; outside a query every call estimates afresh.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -63,7 +72,6 @@ def _canonical(x: Union[BoundaryPoint, UnitSpeedRay]) -> UnitSpeedRay:
 def boundary_gromov_product(
     eta: Union[BoundaryPoint, UnitSpeedRay],
     zeta: Union[BoundaryPoint, UnitSpeedRay],
-    space=None,
     tol=1e-6,
     max_horizon=None,
     min_horizon=0,
@@ -78,20 +86,58 @@ def boundary_gromov_product(
     should keep min_horizon at or above the largest scale of the space.
     """
     a, b = _canonical(eta), _canonical(zeta)
-    if space is None:
-        space = a.space
     if a.space.space_id != b.space.space_id:
         raise DomainError("boundary points live in different spaces")
     if max_horizon is None:
         raise DomainError("max_horizon is a required argument")
     label_a = eta.label if isinstance(eta, BoundaryPoint) else a.label
     label_b = zeta.label if isinstance(zeta, BoundaryPoint) else b.label
+    error_bar = None if c_eta is None else 50.0 * float(c_eta)
     if a is b or label_a == label_b:
-        return BoundaryProductEstimate(
-            math.inf, (), (), "converged",
-            None if c_eta is None else 50.0 * float(c_eta),
-        )
+        return BoundaryProductEstimate(math.inf, (), (), "converged", error_bar)
+    memo = _memo.get()
+    key = (a, b, tol, max_horizon, min_horizon, c_eta, grid)
+    if memo is not None and key in memo:
+        return memo[key]
+    status, schedule, minima = _doubling_schedule(
+        a, b, tol, max_horizon, min_horizon, grid
+    )
+    est = BoundaryProductEstimate(
+        float(minima[-1]),
+        tuple(float(s) for s in schedule),
+        tuple(float(m) for m in minima),
+        status,
+        error_bar,
+    )
+    if memo is not None:
+        memo[key] = est
+    return est
 
+
+# the memo of the open shared_products() block, if any
+_memo: ContextVar[Optional[dict]] = ContextVar("product_memo", default=None)
+
+
+@contextmanager
+def shared_products():
+    """Estimate each (ordered pair, arguments) at most once inside the block.
+
+    A nested block joins the outermost one, whose exit drops the memo.  Also
+    usable as a decorator, ``@shared_products()``.
+    """
+    if _memo.get() is not None:
+        yield
+        return
+    token = _memo.set({})
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+
+
+def _doubling_schedule(a, b, tol, max_horizon, min_horizon, grid):
+    """(status, horizons S, window minima E(S)) for one ordered ray pair."""
+    space = a.space
     exact = isinstance(space, RayComplex)
     o = space.basepoint
     S = Fraction(1) if exact else 1.0
@@ -100,28 +146,15 @@ def boundary_gromov_product(
     eff_tol = 0 if exact else tol
     while True:
         params = [S + (S * k) / (grid - 1) for k in range(grid)] if grid > 1 else [S]
-        window_min = _window_min(space, a, b, params, o, exact)
         schedule.append(S)
-        minima.append(window_min)
+        minima.append(_window_min(space, a, b, params, o, exact))
         if len(minima) >= 3 and S >= min_horizon:
             d1 = abs(minima[-1] - minima[-2])
             d2 = abs(minima[-2] - minima[-3])
             if d1 <= eff_tol and d2 <= eff_tol:
-                return BoundaryProductEstimate(
-                    float(minima[-1]),
-                    tuple(float(s) for s in schedule),
-                    tuple(float(m) for m in minima),
-                    "converged",
-                    None if c_eta is None else 50.0 * float(c_eta),
-                )
+                return "converged", schedule, minima
         if 2 * S > max_horizon:
-            return BoundaryProductEstimate(
-                float(minima[-1]),
-                tuple(float(s) for s in schedule),
-                tuple(float(m) for m in minima),
-                "inconclusive",
-                None if c_eta is None else 50.0 * float(c_eta),
-            )
+            return "inconclusive", schedule, minima
         S = 2 * S
 
 
@@ -169,18 +202,16 @@ def u_set_membership(
     tol=None,
     max_horizon=None,
     min_horizon=0,
-    estimate: Optional[BoundaryProductEstimate] = None,
 ) -> MembershipVerdict:
     """Is zeta in U(eta, r) = {xi : (eta.xi) >= r}?
 
     With tol = 0 (exact spaces) the comparison is sharp; otherwise values
     within tol of the threshold come back boundary-inconclusive.
     """
-    if estimate is None:
-        estimate = boundary_gromov_product(
-            eta, zeta, tol=tol if tol else 1e-6, max_horizon=max_horizon,
-            min_horizon=min_horizon,
-        )
+    estimate = boundary_gromov_product(
+        eta, zeta, tol=tol if tol else 1e-6, max_horizon=max_horizon,
+        min_horizon=min_horizon,
+    )
     if tol is None:
         tol = 0 if isinstance(_canonical(eta).space, RayComplex) else 1e-6
     if not estimate.converged:
@@ -208,6 +239,7 @@ class ConvergenceReport:
         raise DomainError(f"radius {r} not in tested schedule")
 
 
+@shared_products()
 def converges_in_gp(
     sequence: Sequence[BoundaryPoint],
     eta: BoundaryPoint,
@@ -218,21 +250,16 @@ def converges_in_gp(
 ) -> ConvergenceReport:
     """For each r, the first index past which every tested term is in
     U(eta, r); the verdict only speaks for the tested radii and indices."""
-    estimates = [
-        boundary_gromov_product(
-            eta, term, tol=tol if tol else 1e-6, max_horizon=max_horizon,
-            min_horizon=min_horizon,
-        )
-        for term in sequence
-    ]
     rows = []
     all_ok = True
     for r in r_schedule:
-        states = []
-        for term, est in zip(sequence, estimates):
-            states.append(
-                u_set_membership(term, eta, r, tol=tol, estimate=est).state
-            )
+        states = [
+            u_set_membership(
+                term, eta, r, tol=tol, max_horizon=max_horizon,
+                min_horizon=min_horizon,
+            ).state
+            for term in sequence
+        ]
         first = None
         for i in range(len(states)):
             if all(s == "in" for s in states[i:]):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -26,9 +25,10 @@ from .boundary import (
     converges_in_gp,
 )
 from .contraction import (
+    RESIDUAL_BOUNDS,
     claim_check,
     contraction_profile,
-    git_check,
+    far_segment_suite,
     neighborhood_basis_check,
     project,
     t_first_escape,
@@ -171,24 +171,9 @@ def cmd_git(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     if isinstance(zoo.space, RayComplex):
         raise BoundaryLabError("the far-segment suite runs on annulus spaces")
-    space = zoo.space
-    gamma = resolve_ray(zoo, args.ray)
     C = args.c
-    rng = random.Random(args.seed)
-    worst, done, rejected = 0.0, 0, 0
-    while done < args.n and rejected < 40 * args.n:
-        th1 = rng.uniform(-30.0, 30.0)
-        th2 = th1 + rng.uniform(-8.0, 8.0)
-        r1 = 1.0 + math.exp(rng.uniform(math.log(0.2), math.log(50.0)))
-        r2 = 1.0 + math.exp(rng.uniform(math.log(0.2), math.log(50.0)))
-        seg = space.geodesic_polyline(space.pt(th1, r1), space.pt(th2, r2), 48)
-        try:
-            res = git_check(gamma, seg, C, horizon=200.0)
-        except BoundaryLabError:
-            rejected += 1
-            continue
-        done += 1
-        worst = max(worst, res.diameter)
+    gamma = resolve_ray(zoo, args.ray)
+    done, worst, _ = far_segment_suite(gamma, C, args.n, args.seed)
     passed = done == args.n and worst <= 4 * C
     return (0 if passed else 1), {
         "schema": "git_suite@1",
@@ -228,16 +213,9 @@ def cmd_claim(args) -> tuple[int, dict]:
         C_eta, C_zeta, horizon,
     )
     rows = [
-        {"residual": "product_vs_t", "value": rep.residual_product_vs_t,
-         "bound": 12 * rep.constant},
-        {"residual": "t_under_eta_change", "value": rep.residual_t_under_eta_change,
-         "bound": 13 * rep.constant},
-        {"residual": "t_under_zeta_change", "value": rep.residual_t_under_zeta_change,
-         "bound": 13 * rep.constant},
-        {"residual": "product_spread", "value": rep.residual_product_spread,
-         "bound": 50 * rep.constant},
-        {"residual": "t_vs_boundary_product",
-         "value": rep.residual_t_vs_boundary_product, "bound": 62 * rep.constant},
+        {"residual": name, "value": getattr(rep, f"residual_{name}"),
+         "bound": k * rep.constant}
+        for name, k in RESIDUAL_BOUNDS.items()
     ]
     payload = {
         "schema": "claim_report@1",
@@ -258,7 +236,7 @@ def cmd_basis(args) -> tuple[int, dict]:
     table = class_constants(zoo, args.seed)
     rep = neighborhood_basis_check(
         zoo.boundary[args.eta], args.r, zoo.boundary_points(), table,
-        zoo.product_horizon,
+        zoo.product_horizon, min_horizon=zoo.product_min_horizon,
     )
     payload = {
         "schema": "basis_report@1",
@@ -538,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-canonical", action="store_true")
 
     p = add("paper-suite", cmd_paper_suite, help="run the acceptance suite")
-    p.add_argument("--space", default="all", help="accepted for compatibility")
     p.add_argument("--criteria", default="all")
     p.add_argument("--seed", type=int, default=7)
 

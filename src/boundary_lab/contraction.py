@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .annulus import AnnulusSpace, ann_distance_arrays, ann_distance_coords
+from .boundary import shared_products
 from .errors import DomainError, HorizonError
 from .metric import gromov_product
 from .points import AttachedRayPoint, PathPolyline, Point, RayComplexPoint
@@ -233,11 +234,6 @@ class ProjectionResult:
                 worst = max(worst, space.distance(a, b))
         return worst
 
-    def parameter_span(self) -> tuple:
-        los = [lo for _, lo, _ in self.intervals]
-        his = [hi for _, _, hi in self.intervals]
-        return min(los), max(his)
-
 
 def project(
     x: Point,
@@ -373,10 +369,6 @@ class ContractionProfile:
             running = max(running, self.bins[k])
             env.append((k, running))
         return env
-
-    def value_at_radius(self, radius) -> Optional[float]:
-        k = math.floor(math.log2(radius))
-        return self.bins.get(k)
 
     def classify(self) -> str:
         """Bounded gauges saturate (per-doubling envelope increments decay),
@@ -539,6 +531,33 @@ def git_check(
     return GitResult(diam <= 4 * C + (tol or 0), diam, float(min_gap), float(C))
 
 
+def far_segment_suite(gamma: UnitSpeedRay, C, n: int, seed: int):
+    """``git_check`` on seeded random geodesic segments of an annulus space.
+
+    Proposals that come within 2C of the ray are rejected (git_check's
+    precondition), not failed; sampling stops after n accepted segments or
+    40n rejections.  Returns (segments checked, worst image diameter,
+    rejected proposals).
+    """
+    space = gamma.space
+    rng = random.Random(seed)
+    worst, done, rejected = 0.0, 0, 0
+    while done < n and rejected < 40 * n:
+        th1 = rng.uniform(-30.0, 30.0)
+        th2 = th1 + rng.uniform(-8.0, 8.0)
+        r1 = 1.0 + math.exp(rng.uniform(math.log(0.2), math.log(50.0)))
+        r2 = 1.0 + math.exp(rng.uniform(math.log(0.2), math.log(50.0)))
+        seg = space.geodesic_polyline(space.pt(th1, r1), space.pt(th2, r2), 48)
+        try:
+            res = git_check(gamma, seg, C, horizon=200.0)
+        except DomainError:
+            rejected += 1
+            continue
+        done += 1
+        worst = max(worst, res.diameter)
+    return done, worst, rejected
+
+
 # -- asymptoty -----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -635,6 +654,16 @@ def t_first_escape(
 
 # -- residual checks for the escape-time/product comparison --------------------
 
+# residual name -> bound, in units of the contraction constant C
+RESIDUAL_BOUNDS = {
+    "product_vs_t": 12,
+    "t_under_eta_change": 13,
+    "t_under_zeta_change": 13,
+    "product_spread": 50,
+    "t_vs_boundary_product": 62,
+}
+
+
 @dataclass(frozen=True)
 class ClaimReport:
     constant: float
@@ -711,20 +740,16 @@ def claim_check(
     from .boundary import boundary_gromov_product
 
     est = boundary_gromov_product(
-        reps_eta[0], reps_zeta[0], space, tol=1e-6, max_horizon=16 * float(horizon)
+        reps_eta[0], reps_zeta[0], tol=1e-6, max_horizon=16 * float(horizon)
     )
     r_vs_product = max(abs(t - est.value) for t in T.values())
 
-    violations = []
-    for name, value, bound in (
-        ("product_vs_t", r2, 12 * C),
-        ("t_under_eta_change", r3, 13 * C),
-        ("t_under_zeta_change", r4, 13 * C),
-        ("product_spread", r_spread, 50 * C),
-        ("t_vs_boundary_product", r_vs_product, 62 * C),
-    ):
-        if value > bound:
-            violations.append((name, value, bound))
+    residuals = dict(zip(RESIDUAL_BOUNDS, (r2, r3, r4, r_spread, r_vs_product)))
+    violations = [
+        (name, residuals[name], k * C)
+        for name, k in RESIDUAL_BOUNDS.items()
+        if residuals[name] > k * C
+    ]
     return ClaimReport(
         C, {f"{i},{j}": v for (i, j), v in T.items()},
         r2, r3, r4, r_spread, r_vs_product, est.value, tuple(violations),
@@ -746,19 +771,22 @@ class BasisReport:
         return not self.violations
 
 
+@shared_products()
 def neighborhood_basis_check(
     eta,
     r: float,
     boundary: Sequence,
     c_table: dict,
     horizon,
-    product_fn=None,
+    min_horizon=0,
 ) -> BasisReport:
     """Instantiate the refinement-radius formulas and exhaustively verify
     U(zeta, R_zeta) is contained in U(eta, r) over a finite boundary.
 
     R_eta = r + 2*K_eta + 13*C_eta and
     R_zeta = (zeta.eta) + K_eta + K_zeta + 6*C_eta + 4*C_zeta, with K = 62C.
+    Products are estimated up to ``horizon``, with stability counted only
+    past ``min_horizon`` (see ``boundary_gromov_product``).
     """
     from .boundary import boundary_gromov_product
 
@@ -769,23 +797,12 @@ def neighborhood_basis_check(
     if eta.label not in labels:
         raise DomainError("eta must belong to the supplied boundary")
 
-    space = eta.canonical.space
-    cache: dict[tuple[str, str], float] = {}
-
     def prod(a, b) -> float:
-        if a.label == b.label:
-            return math.inf
-        key = (min(a.label, b.label), max(a.label, b.label))
-        if key not in cache:
-            if product_fn is not None:
-                cache[key] = float(product_fn(a, b))
-            else:
-                est = boundary_gromov_product(
-                    a.canonical, b.canonical, space, tol=1e-6,
-                    max_horizon=float(horizon),
-                )
-                cache[key] = est.value
-        return cache[key]
+        # label order makes each unordered pair one product, whoever asks first
+        lo, hi = sorted((a, b), key=lambda bp: bp.label)
+        return boundary_gromov_product(
+            lo, hi, tol=1e-6, max_horizon=float(horizon), min_horizon=min_horizon,
+        ).value
 
     C_eta = float(c_table[eta.label])
     K_eta = 62.0 * C_eta

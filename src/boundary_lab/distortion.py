@@ -25,7 +25,6 @@ from .ray_complex import RayComplex
 class DistortionReport:
     lam: float
     eps: float
-    max_additive_residual: float
     per_scale: tuple  # (bucket_log2, worst ratio in bucket)
     pairs: int
 
@@ -34,7 +33,6 @@ class DistortionReport:
             "schema": "distortion_report@1",
             "lambda": self.lam,
             "eps": self.eps,
-            "max_additive_residual": self.max_additive_residual,
             "per_scale": [list(row) for row in self.per_scale],
             "pairs": self.pairs,
         }
@@ -81,7 +79,7 @@ def qi_distortion_estimate(
         ratio = max(b / a, a / b)
         buckets[k] = max(buckets.get(k, 1.0), ratio)
     per_scale = tuple(sorted(buckets.items()))
-    return DistortionReport(lam, eps, eps, per_scale, n)
+    return DistortionReport(lam, eps, per_scale, n)
 
 
 def label_identity_map(space_from: RayComplex, space_to: RayComplex) -> Callable:

@@ -18,9 +18,7 @@ removes the staircase quantization bias.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,9 +27,6 @@ import numpy as np
 from .annulus import chord_valid, develop_pair
 from .errors import DomainError
 from .points import AnnulusPoint
-
-GRID_CACHE_VERSION = "mesh-grid@1"
-CACHE_ENV = "BOUNDARY_LAB_CACHE"
 
 
 def _chord_len(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -59,36 +54,13 @@ def _weights_for_step(rows: np.ndarray, a: float):
     return horiz, diag
 
 
-def build_grid(h: float, r_max: float, cache_dir: Optional[str] = None) -> GridSpec:
-    """Rows and standard-step weights up to radius r_max, optionally cached."""
-    if cache_dir is None:
-        cache_dir = os.environ.get(CACHE_ENV)
+def build_grid(h: float, r_max: float) -> GridSpec:
+    """Rows and standard-step weights up to radius r_max."""
     n_rows = max(1, math.ceil(math.log(max(r_max, 1.0)) / h)) + 1
-    key = None
-    if cache_dir:
-        digest = hashlib.sha256(f"{GRID_CACHE_VERSION}|{h!r}|{n_rows}".encode())
-        key = os.path.join(cache_dir, f"mesh_grid_{digest.hexdigest()[:16]}.npz")
-        if os.path.exists(key):
-            data = np.load(key)
-            if str(data["version"]) == GRID_CACHE_VERSION:
-                return GridSpec(
-                    h, data["rows"], data["horiz"], data["diag"], data["vstep"]
-                )
     rows = np.exp(h * np.arange(n_rows))
     rows[0] = 1.0
     horiz, diag = _weights_for_step(rows, h)
-    spec = GridSpec(h, rows, horiz, diag, np.diff(rows))
-    if key:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.savez(
-            key,
-            version=GRID_CACHE_VERSION,
-            rows=rows,
-            horiz=horiz,
-            diag=diag,
-            vstep=spec.vstep,
-        )
-    return spec
+    return GridSpec(h, rows, horiz, diag, np.diff(rows))
 
 
 def _vertical_relax(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -135,7 +107,6 @@ def mesh_oracle_distance(
     q: AnnulusPoint,
     h: float = 0.01,
     window: Optional[tuple[float, float, float]] = None,
-    cache_dir: Optional[str] = None,
 ) -> float:
     """Shortest grid-path distance between two annulus points.
 
@@ -157,7 +128,7 @@ def mesh_oracle_distance(
     if pc == qc:
         return 0.0
 
-    spec = build_grid(h, max(pc[1], qc[1]), cache_dir)
+    spec = build_grid(h, max(pc[1], qc[1]))
     rows = spec.rows
     n_rows = len(rows)
 

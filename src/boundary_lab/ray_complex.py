@@ -294,12 +294,6 @@ class RayComplex:
         dist = self.vertex_distances(p)
         return self.point_distance_from_table(dist, p, q)
 
-    def multi_distance(
-        self, p: RayComplexPoint, targets: Sequence[RayComplexPoint]
-    ) -> list[Fraction]:
-        dist = self.vertex_distances(p)
-        return [self.point_distance_from_table(dist, p, q) for q in targets]
-
     def base_distance(self, q: RayComplexPoint) -> Fraction:
         """d(basepoint, q) through a cached single-source table."""
         if not hasattr(self, "_base_table"):

@@ -147,11 +147,5 @@ class UnitSpeedRay:
     def basepoint(self) -> Point:
         return self.eval(0)
 
-    @property
-    def total_length(self):
-        return None if self.legs[-1].length is None else (
-            self.leg_offsets()[-1] + self.legs[-1].length
-        )
-
     def __repr__(self):
         return f"UnitSpeedRay({self.label!r}, {len(self.legs)} legs)"

@@ -42,9 +42,6 @@ class ZooSpace:
         so product schedules must pass this before stability counts."""
         return 4 * self.scale
 
-    def gamma_labels(self) -> list[str]:
-        return [f"g{i}" for i in self.gamma_indices]
-
     def boundary_points(self) -> list[BoundaryPoint]:
         return list(self.boundary.values())
 

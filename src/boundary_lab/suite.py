@@ -26,18 +26,19 @@ from .boundary import (
     boundary_map_continuity_test,
     converges_in_gp,
     hausdorff_violation_witness,
+    shared_products,
     u_set_membership,
 )
 from .contraction import (
     claim_check,
     contraction_profile,
-    git_check,
+    far_segment_suite,
     neighborhood_basis_check,
     project,
     strong_contraction_constant,
 )
 from .dsl import compile_space, parse_space, serialize_space
-from .errors import DomainError, SpaceParseError
+from .errors import SpaceParseError
 from .mesh_oracle import mesh_oracle_distance
 from .metric import metric_axiom_check
 from .samplers import annulus_point_sampler, profile_pair_sampler, rc_point_sampler
@@ -372,6 +373,7 @@ def criterion_claim_residuals(ctx: SuiteContext) -> CriterionResult:
     )
 
 
+@shared_products()
 def criterion_basis_condition(ctx: SuiteContext) -> CriterionResult:
     t0 = time.time()
     failures = []
@@ -379,21 +381,11 @@ def criterion_basis_condition(ctx: SuiteContext) -> CriterionResult:
         z = ctx.zoo(name)
         table = class_constants(z, ctx.seed)
         pts = z.boundary_points()
-        cache: dict = {}
-
-        def product_fn(a, b, _z=z, _cache=cache):
-            key = (min(a.label, b.label), max(a.label, b.label))
-            if key not in _cache:
-                _cache[key] = boundary_gromov_product(
-                    a, b, max_horizon=_z.product_horizon,
-                    min_horizon=_z.product_min_horizon,
-                ).value
-            return _cache[key]
-
         for eta in pts:
             for r in (1.0, 2.0, 4.0, 8.0):
                 rep = neighborhood_basis_check(
-                    eta, r, pts, table, z.product_horizon, product_fn=product_fn
+                    eta, r, pts, table, z.product_horizon,
+                    min_horizon=z.product_min_horizon,
                 )
                 if not rep.passed:
                     failures.append((name, eta.label, r, rep.violations))
@@ -405,33 +397,9 @@ def criterion_basis_condition(ctx: SuiteContext) -> CriterionResult:
 
 def criterion_git_suite(ctx: SuiteContext) -> CriterionResult:
     t0 = time.time()
-    z = ctx.zoo("Xcat0:12")
-    space = z.space
-    alpha = z.boundary["alpha"].canonical
+    alpha = ctx.zoo("Xcat0:12").boundary["alpha"].canonical
     C = math.pi
-    rng = random.Random(ctx.seed)
-    passed = 0
-    worst = 0.0
-    rejected = 0
-    while passed < 1000 and rejected < 40_000:
-        th1 = rng.uniform(-30.0, 30.0)
-        th2 = th1 + rng.uniform(-8.0, 8.0)
-        r1 = 1.0 + math.exp(rng.uniform(math.log(0.2), math.log(50.0)))
-        r2 = 1.0 + math.exp(rng.uniform(math.log(0.2), math.log(50.0)))
-        seg = space.geodesic_polyline(space.pt(th1, r1), space.pt(th2, r2), 48)
-        try:
-            res = git_check(alpha, seg, C, horizon=200.0)
-        except DomainError:
-            rejected += 1
-            continue
-        passed += 1
-        worst = max(worst, res.diameter)
-        if not res.passed:
-            return CriterionResult(
-                "git-suite", "far segments project to diameter <= 4C",
-                False, time.time() - t0,
-                {"diam": res.diameter, "bound": 4 * C},
-            )
+    passed, worst, rejected = far_segment_suite(alpha, C, 1000, ctx.seed)
     return CriterionResult(
         "git-suite", "far segments project to diameter <= 4C",
         passed == 1000 and worst <= 4 * C, time.time() - t0,

@@ -1,5 +1,4 @@
 import math
-import os
 import random
 
 import numpy as np
@@ -19,7 +18,7 @@ from boundary_lab.distortion import (
     qi_distortion_estimate,
     shared_edge_pair_sampler,
 )
-from boundary_lab.mesh_oracle import build_grid, mesh_oracle_distance
+from boundary_lab.mesh_oracle import mesh_oracle_distance
 
 
 # frozen closed-form values, cross-checked against the mesh oracle
@@ -109,15 +108,6 @@ def test_mesh_oracle_window_flag():
         mesh_oracle_distance(S.pt(0, 5), S.pt(2, 8), h=0.05, window=(-1, 3, 6))
     with pytest.raises(bl.DomainError):
         mesh_oracle_distance(S.pt(0, 5), S.pt(10, 5), h=0.05, window=(-1, 3, 50))
-
-
-def test_mesh_grid_cache_roundtrip(tmp_path):
-    spec1 = build_grid(0.02, 30.0, cache_dir=str(tmp_path))
-    assert any(f.startswith("mesh_grid_") for f in os.listdir(tmp_path))
-    spec2 = build_grid(0.02, 30.0, cache_dir=str(tmp_path))
-    assert np.array_equal(spec1.rows, spec2.rows)
-    assert np.array_equal(spec1.horiz, spec2.horiz)
-    assert np.array_equal(spec1.diag, spec2.diag)
 
 
 def test_chord_validity():

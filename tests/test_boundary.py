@@ -8,6 +8,7 @@ from boundary_lab.boundary import (
     boundary_map_continuity_test,
     converges_in_gp,
     hausdorff_violation_witness,
+    shared_products,
     u_set_membership,
 )
 from boundary_lab.contraction import asymptotic_check
@@ -52,6 +53,36 @@ def test_product_symmetry_and_monotone_consistency(zoo_x16):
     assert ab.value == ba.value
     # converged value equals the final two window minima
     assert ab.window_minima[-1] == ab.window_minima[-2] == ab.value
+    # outside a query every call estimates afresh
+    again = boundary_gromov_product(
+        z.boundary["alpha"], z.boundary["g7"], max_horizon=mh, min_horizon=mn
+    )
+    assert again is not ab and again.value == ab.value
+    # inside one, a repeat returns the same estimate; the reversed pair and
+    # other arguments are entries of their own; the memo ends with the block
+    with shared_products():
+        first = boundary_gromov_product(
+            z.boundary["alpha"], z.boundary["g7"], max_horizon=mh, min_horizon=mn
+        )
+        with shared_products():
+            nested = boundary_gromov_product(
+                z.boundary["alpha"], z.boundary["g7"], max_horizon=mh,
+                min_horizon=mn,
+            )
+        reversed_ = boundary_gromov_product(
+            z.boundary["g7"], z.boundary["alpha"], max_horizon=mh, min_horizon=mn
+        )
+        wider = boundary_gromov_product(
+            z.boundary["alpha"], z.boundary["g7"], max_horizon=2 * mh,
+            min_horizon=mn,
+        )
+    assert nested is first and first is not ab and first.value == ab.value
+    assert reversed_ is not first and abs(reversed_.value - first.value) <= 1e-9
+    assert wider is not first and wider.value == first.value
+    after = boundary_gromov_product(
+        z.boundary["alpha"], z.boundary["g7"], max_horizon=mh, min_horizon=mn
+    )
+    assert after is not first and after.value == first.value
 
 
 def test_self_product_is_infinite(zoo_x16):

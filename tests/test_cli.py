@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from boundary_lab import boundary, spacezoo
 from boundary_lab.cli import main
 
 
@@ -155,7 +156,16 @@ def test_csv_output_and_artifact(capsys, tmp_path):
     assert out_path.read_text() == out
 
 
-def test_basis_command(capsys):
+def test_basis_command(capsys, monkeypatch):
+    calls = []
+    original = boundary.boundary_gromov_product
+
+    def recording(*args, **kwargs):
+        est = original(*args, **kwargs)
+        calls.append((args[0].label, args[1].label, est.value))
+        return est
+
+    monkeypatch.setattr(boundary, "boundary_gromov_product", recording)
     code, out = run_cli(
         capsys, "basis", "--space", "Xcat0:6", "--eta", "alpha", "--r", "2",
         "--seed", "3",
@@ -163,6 +173,22 @@ def test_basis_command(capsys):
     payload = json.loads(out)
     assert code == 0
     assert payload["violations"] == []
+    # every product the command uses is the estimate past the zoo's
+    # construction scale, as in the basis-condition criterion
+    zoo = spacezoo.get_space("Xcat0:6")
+
+    def product(a, b):
+        return original(
+            zoo.boundary[a], zoo.boundary[b], max_horizon=zoo.product_horizon,
+            min_horizon=zoo.product_min_horizon,
+        ).value
+
+    assert calls
+    with boundary.shared_products():
+        for a, b, value in calls:
+            assert value == product(a, b)
+        for zeta, value, _, _ in payload["rows"]:
+            assert value == product(*sorted(("alpha", zeta)))
 
 
 def test_suite_single_criterion(capsys):
