@@ -45,35 +45,39 @@ from .suite import class_constants, run_suite
 PROFILE_CHUNK = 250
 
 
+def _number(conv, text: str, literal: str):
+    """conv(text), or a syntax error naming the literal it came from."""
+    try:
+        return conv(text)
+    except (ValueError, ZeroDivisionError):
+        raise SpaceParseError("E_SYNTAX", f"bad number {text!r} in {literal!r}") from None
+
+
 def parse_point(space, text: str) -> Point:
     """Point literals: `base`, `<edge>:<param>` (rationals as p/q), or
     `ann:<t>,<r>` for raw annulus coordinates."""
     if text == "base":
         return space.basepoint
-    if isinstance(space, RayComplex):
-        if ":" not in text:
-            raise SpaceParseError("E_SYNTAX", f"bad point literal {text!r}")
-        eid, par = text.split(":", 1)
-        return space.point(eid, Fraction(par))
-    if text.startswith("ann:"):
-        t, r = text[4:].split(",", 1)
-        return space.pt(float(t), float(r))
-    if ":" not in text:
+    name, colon, par = text.partition(":")
+    if not colon:
         raise SpaceParseError("E_SYNTAX", f"bad point literal {text!r}")
-    name, par = text.split(":", 1)
+    if isinstance(space, RayComplex):
+        return space.point(name, _number(Fraction, par, text))
+    if name == "ann":
+        t, _, r = par.partition(",")
+        return space.pt(_number(float, t, text), _number(float, r, text))
+    s = _number(float, par, text)
     if name == "alpha":
-        return space.pt(float(par), 1.0)
+        return space.pt(s, 1.0)
     if name == "beta":
-        return space.pt(-float(par), 1.0)
-    return space.ray_pt(name, float(par))
+        return space.pt(-s, 1.0)
+    return space.ray_pt(name, s)
 
 
 def resolve_ray(zoo, label: str):
     if isinstance(zoo.space, RayComplex):
         return zoo.space.edge_ray(label)
-    if label in zoo.boundary:
-        return zoo.boundary[label].canonical
-    raise BoundaryLabError(f"unknown ray label {label!r}")
+    return zoo.boundary[label].canonical
 
 
 def _num(value):
@@ -203,13 +207,14 @@ def cmd_escape(args) -> tuple[int, dict]:
 
 def cmd_claim(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
+    eta, zeta = zoo.boundary[args.eta], zoo.boundary[args.zeta]
     table = class_constants(zoo, args.seed)
     C_eta = args.c_eta if args.c_eta else table[args.eta]
     C_zeta = args.c_zeta if args.c_zeta else table[args.zeta]
     horizon = args.horizon if args.horizon else 50.0 * C_eta + 100.0
     rep = claim_check(
-        zoo.boundary[args.eta].representatives(),
-        zoo.boundary[args.zeta].representatives(),
+        eta.representatives(),
+        zeta.representatives(),
         C_eta, C_zeta, horizon,
     )
     rows = [
@@ -289,8 +294,9 @@ def cmd_oracle(args) -> tuple[int, dict]:
         raise BoundaryLabError("the mesh oracle compares annulus points")
     window = None
     if args.window:
-        t_lo, t_hi, r_max = (float(v) for v in args.window.split(","))
-        window = (t_lo, t_hi, r_max)
+        window = tuple(_number(float, v, args.window) for v in args.window.split(","))
+        if len(window) != 3:
+            raise SpaceParseError("E_SYNTAX", f"bad window {args.window!r}")
     oracle = mesh_oracle_distance(p, q, h=args.h, window=window)
     exact = zoo.space.distance(p, q)
     rel = (oracle - exact) / exact if exact else 0.0
@@ -307,7 +313,7 @@ def cmd_oracle(args) -> tuple[int, dict]:
 def cmd_converge(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     seq = [zoo.boundary[lab] for lab in args.sequence.split(",")]
-    radii = [float(r) for r in args.radii.split(",")]
+    radii = [_number(float, r, args.radii) for r in args.radii.split(",")]
     rep = converges_in_gp(
         seq, zoo.boundary[args.eta], radii,
         max_horizon=zoo.product_horizon, min_horizon=zoo.product_min_horizon,

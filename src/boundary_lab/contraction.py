@@ -86,7 +86,6 @@ def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
 
 
 def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
-    table = space.vertex_distances(x)
     offsets = ray.leg_offsets()
     best: Optional[Fraction] = None
     hits: list = []
@@ -107,7 +106,7 @@ def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
             cands.add(x.offset)
         for par in cands:
             pt = RayComplexPoint(space.space_id, leg.edge_id, par)
-            d = space.point_distance_from_table(table, x, pt)
+            d = space.distance(x, pt)
             g = g0 + abs(par - leg.start)
             if best is None or d < best:
                 best, hits = d, [g]
@@ -539,6 +538,8 @@ def far_segment_suite(gamma: UnitSpeedRay, C, n: int, seed: int):
     40n rejections.  Returns (segments checked, worst image diameter,
     rejected proposals).
     """
+    if not 0 < C < math.inf:
+        raise DomainError(f"the constant C must be positive and finite, got {C}")
     space = gamma.space
     rng = random.Random(seed)
     worst, done, rejected = 0.0, 0, 0
@@ -613,11 +614,13 @@ def t_first_escape(
     horizon,
     step=None,
 ) -> EscapeTime:
-    """Find max{t : d(beta(t), alpha) = 2C} by coarse sweep plus bisection.
+    """Estimate max{t : d(beta(t), alpha) = 2C} by coarse sweep plus bisection.
 
-    The crossing is certified as final by checking that every sampled
-    parameter past it stays above the level out to the horizon.
+    Finality is only checked at the sweep's samples, ``step`` (C/4 by
+    default) apart: a dip back under 2C between two of them goes unseen.
     """
+    if not 0 < float(C) < math.inf:
+        raise DomainError(f"the constant C must be positive and finite, got {C}")
     level = 2.0 * float(C)
     if step is None:
         step = float(C) / 4.0

@@ -8,6 +8,7 @@ are floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
@@ -35,10 +36,10 @@ class RayComplexPoint:
 
 @dataclass(frozen=True)
 class AnnulusPoint:
-    """A location (t, r) on the unrolled plane-minus-disk, r >= 1.
+    """A location (t, r) on the unrolled plane-minus-disk: finite, r >= 1.
 
-    The angle coordinate t is unbounded: the space is the universal cover,
-    no mod-2pi reduction is ever applied.
+    The angle coordinate t takes any real value: the space is the universal
+    cover, no mod-2pi reduction is ever applied.
     """
 
     space_id: str
@@ -46,8 +47,8 @@ class AnnulusPoint:
     r: float
 
     def __post_init__(self):
-        if not self.r >= 1.0:
-            raise DomainError(f"annulus point needs r >= 1, got r={self.r}")
+        if not (-math.inf < self.t < math.inf and 1.0 <= self.r < math.inf):
+            raise DomainError(f"annulus point needs finite t, r >= 1: {self.t}, {self.r}")
 
     def __repr__(self):
         return f"({self.t:.6g},{self.r:.6g})"
@@ -55,15 +56,15 @@ class AnnulusPoint:
 
 @dataclass(frozen=True)
 class AttachedRayPoint:
-    """A location at arc length s >= 0 along an attached ray."""
+    """A location at finite arc length s >= 0 along an attached ray."""
 
     space_id: str
     ray_id: str
     s: float
 
     def __post_init__(self):
-        if not self.s >= 0.0:
-            raise DomainError(f"attached-ray point needs s >= 0, got s={self.s}")
+        if not 0.0 <= self.s < math.inf:
+            raise DomainError(f"attached-ray point needs finite s >= 0, got s={self.s}")
 
     def __repr__(self):
         return f"{self.ray_id}+{self.s:.6g}"

@@ -5,8 +5,9 @@ positive rational lengths) plus gluings identifying finitely many edge
 locations.  Distances are computed in the quotient path metric via a derived
 vertex graph: vertices are gluing classes, segment endpoints, and ray
 origins; consecutive marked locations along an edge contribute a weighted
-graph edge.  Query points are seeded into Dijkstra as virtual sources, so
-all arithmetic stays in exact rationals.
+graph edge.  Dijkstra runs on integer weights from each vertex at most once,
+when a query first needs that vertex's row; a point distance is the least
+offset-plus-row sum over the vertices bracketing the two points.
 
 A shortest path never travels out and back along an unbranched ray tail,
 so ray edges contribute no vertex beyond their last marked location.
@@ -16,7 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-from bisect import bisect_left
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -156,16 +158,36 @@ class RayComplex:
             self._marks[loc[0]].append(loc[1])
         for eid in self._marks:
             self._marks[eid] = sorted(set(self._marks[eid]))
+        # the vertex at each mark, parallel to _marks
+        self._mark_vertices: dict[str, list[int]] = {
+            eid: [self._vertex_of[(eid, m)] for m in marks]
+            for eid, marks in self._marks.items()
+        }
 
         self.adjacency: list[list[tuple[int, Fraction, str]]] = [
             [] for _ in self.vertex_locs
         ]
         for eid, marks in self._marks.items():
-            for a, b in zip(marks, marks[1:]):
-                u, v = self._vertex_of[(eid, a)], self._vertex_of[(eid, b)]
+            verts = self._mark_vertices[eid]
+            for a, b, u, v in zip(marks, marks[1:], verts, verts[1:]):
                 w = b - a
                 self.adjacency[u].append((v, w, eid))
                 self.adjacency[v].append((u, w, eid))
+
+        # Shortest paths run on integers, in units of 1 / _scale; every mark
+        # is a sum of weights from the origin mark 0, so an integer too.
+        self._scale = math.lcm(
+            *(w.denominator for nbrs in self.adjacency for _, w, _ in nbrs)
+        )
+        self._int_marks = {
+            eid: [int(m * self._scale) for m in marks]
+            for eid, marks in self._marks.items()
+        }
+        self._int_adjacency = [
+            [(v, int(w * self._scale)) for v, w, _ in nbrs] for nbrs in self.adjacency
+        ]
+        # per-vertex (distances, predecessors), filled by _row on first use
+        self._rows: list[Optional[tuple[list, list]]] = [None] * len(self.vertex_locs)
 
     def _lint(self) -> list[str]:
         notes = []
@@ -178,17 +200,7 @@ class RayComplex:
         return notes
 
     def is_connected(self) -> bool:
-        n = len(self.vertex_locs)
-        seen = [False] * n
-        stack = [self._vertex_of[self._basepoint_loc]]
-        seen[stack[0]] = True
-        while stack:
-            u = stack.pop()
-            for v, _, _ in self.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return all(seen)
+        return None not in self._row(self._vertex_of[self._basepoint_loc])[0]
 
     # -- points ----------------------------------------------------------
 
@@ -217,120 +229,99 @@ class RayComplex:
         eid, par = self.vertex_locs[v][0]
         return RayComplexPoint(self.space_id, eid, par)
 
-    def _seeds(self, p: RayComplexPoint) -> list[tuple[int, Fraction]]:
-        """Bracketing vertices of p with along-edge offsets."""
-        marks = self._marks[p.edge_id]
-        exact = self._vertex_of.get((p.edge_id, p.offset))
-        if exact is not None:
-            return [(exact, Fraction(0))]
-        i = bisect_left(marks, p.offset)
-        seeds = []
-        if i > 0:
-            lo = marks[i - 1]
-            seeds.append((self._vertex_of[(p.edge_id, lo)], p.offset - lo))
+    def _seeds(self, p: RayComplexPoint) -> tuple[int, list[tuple[int, int]]]:
+        """(den, [(vertex, num)]): the vertices bracketing p on its edge, each
+        at along-edge distance num / (den * _scale) from p."""
+        den = p.offset.denominator
+        x = p.offset.numerator * self._scale
+        marks = self._int_marks[p.edge_id]
+        verts = self._mark_vertices[p.edge_id]
+        k, r = divmod(x, den)
+        # every edge is marked at its origin, so 1 <= i
+        i = bisect_right(marks, k)
+        if r == 0 and marks[i - 1] == k:
+            return den, [(verts[i - 1], 0)]
+        seeds = [(verts[i - 1], x - marks[i - 1] * den)]
         if i < len(marks):
-            hi = marks[i]
-            seeds.append((self._vertex_of[(p.edge_id, hi)], hi - p.offset))
-        if not seeds:
-            raise UnreachableError(f"edge {p.edge_id} has no marked location")
-        return seeds
+            seeds.append((verts[i], marks[i] * den - x))
+        return den, seeds
 
     # -- shortest paths ---------------------------------------------------
 
-    def vertex_distances(
-        self, p: RayComplexPoint, with_pred: bool = False
-    ) -> Union[list[Optional[Fraction]], tuple[list, list]]:
-        """Exact single-source distances from p to every graph vertex."""
-        require_same_space(self.space_id, p)
+    def vertex_distances(self, source: int) -> tuple[list, list]:
+        """Distances from vertex ``source`` to every vertex, as integers in
+        units of 1 / _scale (None where unreachable), plus each vertex's
+        predecessor on a shortest path (None at the source)."""
         n = len(self.vertex_locs)
-        dist: list[Optional[Fraction]] = [None] * n
+        dist: list[Optional[int]] = [None] * n
         pred: list[Optional[int]] = [None] * n
-        heap: list[tuple[Fraction, int, int]] = []
-        seq = 0
-        for v, off in self._seeds(p):
-            if dist[v] is None or off < dist[v]:
-                dist[v] = off
-                heapq.heappush(heap, (off, seq, v))
-                seq += 1
-        done = [False] * n
+        dist[source] = 0
+        heap = [(0, 0, source)]
+        seq = 1
         while heap:
             d, _, u = heapq.heappop(heap)
-            if done[u]:
+            if d > dist[u]:  # stale entry
                 continue
-            done[u] = True
-            for v, w, _ in self.adjacency[u]:
+            for v, w in self._int_adjacency[u]:
                 nd = d + w
                 if dist[v] is None or nd < dist[v]:
                     dist[v] = nd
                     pred[v] = u
                     heapq.heappush(heap, (nd, seq, v))
                     seq += 1
-        if with_pred:
-            return dist, pred
-        return dist
+        return dist, pred
 
-    def point_distance_from_table(
-        self, dist: list[Optional[Fraction]], p_source: RayComplexPoint,
-        q: RayComplexPoint,
-    ) -> Fraction:
-        """d(source, q) given the source's vertex-distance table."""
-        best: Optional[Fraction] = None
-        if p_source.edge_id == q.edge_id:
-            best = abs(p_source.offset - q.offset)
-        for v, off in self._seeds(q):
-            if dist[v] is None:
-                continue
-            cand = dist[v] + off
-            if best is None or cand < best:
-                best = cand
+    def _row(self, v: int) -> tuple[list, list]:
+        """vertex_distances(v), computed at most once per vertex."""
+        if self._rows[v] is None:
+            self._rows[v] = self.vertex_distances(v)
+        return self._rows[v]
+
+    def _route(self, p: RayComplexPoint, q: RayComplexPoint):
+        """(d(p, q), u, v): a shortest route leaves p's edge at vertex u and
+        enters q's at vertex v; u = v = None when it stays on the edge.
+
+        Candidates are compared as integer numerators over the common
+        denominator dp * dq * _scale.
+        """
+        dp, p_seeds = self._seeds(p)
+        dq, q_seeds = self._seeds(q)
+        best: Optional[int] = None
+        ends = (None, None)
+        if p.edge_id == q.edge_id:
+            best = abs(p.offset.numerator * dq - q.offset.numerator * dp) * self._scale
+        for u, a in p_seeds:
+            dist = self._row(u)[0]
+            for v, b in q_seeds:
+                if dist[v] is None:
+                    continue
+                cand = a * dq + dist[v] * dp * dq + b * dp
+                if best is None or cand < best:
+                    best, ends = cand, (u, v)
         if best is None:
             raise UnreachableError("query pair not connected")
-        return best
+        return (Fraction(best, dp * dq * self._scale), *ends)
 
     def distance(self, p: Point, q: Point) -> Fraction:
         require_same_space(self.space_id, p, q)
         if not isinstance(p, RayComplexPoint) or not isinstance(q, RayComplexPoint):
             raise DomainError("ray-complex distance needs ray-complex points")
-        dist = self.vertex_distances(p)
-        return self.point_distance_from_table(dist, p, q)
-
-    def base_distance(self, q: RayComplexPoint) -> Fraction:
-        """d(basepoint, q) through a cached single-source table."""
-        if not hasattr(self, "_base_table"):
-            self._base_table = self.vertex_distances(self.basepoint)
-        return self.point_distance_from_table(self._base_table, self.basepoint, q)
+        return self._route(p, q)[0]
 
     def geodesic(self, p: RayComplexPoint, q: RayComplexPoint) -> GeodesicResult:
         """Distance plus a witness polyline through the vertex sequence."""
         require_same_space(self.space_id, p, q)
-        if p.edge_id == q.edge_id and p.offset == q.offset:
-            pl = PathPolyline((p,), (Fraction(0),))
-            return GeodesicResult(Fraction(0), pl)
-        dist, pred = self.vertex_distances(p, with_pred=True)
-
-        best: Optional[Fraction] = None
-        best_entry: Optional[int] = None
-        if p.edge_id == q.edge_id:
-            best = abs(p.offset - q.offset)
-        for v, off in self._seeds(q):
-            if dist[v] is None:
-                continue
-            cand = dist[v] + off
-            if best is None or cand < best:
-                best = cand
-                best_entry = v
-        if best is None:
-            raise UnreachableError("query pair not connected")
+        best, u, v = self._route(p, q)
 
         chain: list[RayComplexPoint] = [p]
-        if best_entry is not None:
+        if u is not None:
+            pred = self._row(u)[1]
             vchain: list[int] = []
-            v: Optional[int] = best_entry
             while v is not None:
                 vchain.append(v)
                 v = pred[v]
             vchain.reverse()
-            chain += [self.vertex_point(v) for v in vchain]
+            chain += [self.vertex_point(w) for w in vchain]
         chain.append(q)
         chain = self._compress(chain)
         cum = [Fraction(0)]

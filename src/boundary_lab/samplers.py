@@ -15,6 +15,7 @@ from typing import Callable
 
 from .annulus import AnnulusSpace
 from .contraction import ray_distance
+from .errors import BoundaryLabError
 from .points import Point
 from .ray_complex import RayComplex
 from .rays import UnitSpeedRay
@@ -112,7 +113,7 @@ def profile_pair_sampler(
             x = space.pt(anchor_t - scale / max(anchor_r, 1.0), max(1.0, anchor_r))
         try:
             dxg, _ = ray_distance(x, gamma, None)
-        except Exception:
+        except BoundaryLabError:
             return None
         if dxg <= 0:
             return None

@@ -21,6 +21,13 @@ from .ray_complex import RAY, SEGMENT, Edge, RayComplex
 from .rays import AttachedLeg, BoundaryArcLeg, EdgeLeg, UnitSpeedRay
 
 
+class Labels(dict):
+    """Boundary points by label; an unknown label is a DomainError."""
+
+    def __missing__(self, label):
+        raise DomainError(f"unknown boundary label {label!r}")
+
+
 @dataclass(eq=False)
 class ZooSpace:
     name: str
@@ -31,6 +38,9 @@ class ZooSpace:
     sweep_horizon: float
     gamma_indices: tuple[int, ...] = ()
     c_table_cache: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.boundary = Labels(self.boundary)
 
     @property
     def space_id(self) -> str:
@@ -233,7 +243,7 @@ def get_space(spec: str) -> ZooSpace:
         return ZooSpace(spec, rc, {}, 1.0, 1024.0, 512.0, ())
     if ":" in spec:
         name, _, num = spec.partition(":")
-        if name in _BUILDERS:
+        if name in _BUILDERS and num.isdecimal():
             return _BUILDERS[name](int(num))
     raise DomainError(
         f"unknown space spec {spec!r} (use X:<n>, Y:<n>, Xcat0:<n>, Ycat0:<n>,"

@@ -46,3 +46,19 @@ def test_tracer_install_and_uninstall_restore_originals():
     assert boundary.boundary_gromov_product is product
     assert cli.t_first_escape is escape
     assert spacezoo._BUILDERS == builders
+
+
+def test_tracer_counts_dijkstra_runs_not_row_lookups():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        X = spacezoo.build_X(4).space
+        built = tracer.calls["ray_complex.dijkstra"]  # the connectivity check
+        p, q = X.point("g2", 3), X.point("beta", 1)
+        X.distance(p, q)
+        runs = tracer.calls["ray_complex.dijkstra"]
+        assert runs > built
+        X.distance(p, q)
+        assert tracer.calls["ray_complex.dijkstra"] == runs
+    finally:
+        tracer.uninstall()

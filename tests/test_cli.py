@@ -115,6 +115,33 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["dist", "--space", "X:abc", "--from", "base", "--to", "base"],
+    ["dist", "--space", "Xcat0:4", "--from", "alpha:xyz", "--to", "base"],
+    ["dist", "--space", "X:4", "--from", "g1:1/0", "--to", "base"],
+    ["dist", "--space", "Xcat0:4", "--from", "ann:1", "--to", "base"],
+    ["dist", "--space", "Xcat0:4", "--from", "ann:nan,2", "--to", "base"],
+    ["dist", "--space", "Xcat0:4", "--from", "ann:inf,2", "--to", "base"],
+    ["dist", "--space", "Xcat0:4", "--from", "g1:inf", "--to", "base"],
+    ["bproduct", "--space", "X:4", "--eta", "alpha", "--zeta", "nope"],
+    ["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,zz",
+     "--radii", "1"],
+    ["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1",
+     "--radii", "x"],
+    ["continuity", "--from-space", "X:4", "--to-space", "Y:4", "--eta", "nope",
+     "--sequence", "g3"],
+    ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "beta",
+     "--c", "0"],
+    ["git", "--space", "Xcat0:4", "--c", "-1", "--n", "3", "--seed", "1"],
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
+     "--window", "1,2"],
+])
+def test_bad_input_is_rejected_with_exit_2(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+
+
 def test_property_failure_exit_code(capsys):
     # an artificially small constant breaks the residual bounds -> exit 1
     code, out = run_cli(

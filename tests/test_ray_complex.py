@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 import boundary_lab as bl
+from boundary_lab.boundary import boundary_gromov_product
 from boundary_lab.ray_complex import RAY, SEGMENT, Edge, RayComplex
 from oracles import brute_rc_distance
 
@@ -75,6 +77,106 @@ def test_geodesic_witness_route(zoo_x16):
     for got, want in zip(res.witness.points, route):
         assert X.same_point(got, want)
     res.witness.check(X)
+
+
+def _random_rational_complex(rng):
+    """A connected complex of 2-5 edges with lengths and gluing parameters
+    in thirds and fifths, possibly with cycles; the first segment's length
+    is not an integer."""
+    edges = [Edge("e0", RAY, None)]
+    gluings = [(("e1", Fraction(0)), ("e0", Fraction(rng.randint(0, 9), 3)))]
+    edges.append(Edge("e1", SEGMENT, Fraction(rng.choice([1, 2, 4, 5, 7]), 3)))
+
+    def location():
+        e = rng.choice(edges)
+        top = e.length if e.length is not None else Fraction(6)
+        return e.edge_id, top * Fraction(rng.randint(0, 15), 15)
+
+    for k in range(2, rng.randint(2, 5)):
+        eid = f"e{k}"
+        if rng.random() < 0.6:
+            edge = Edge(eid, SEGMENT, Fraction(rng.randint(1, 12), rng.choice([3, 5])))
+        else:
+            edge = Edge(eid, RAY, None)
+        gluings.append(((eid, Fraction(0)), location()))
+        if edge.length is not None and rng.random() < 0.5:
+            gluings.append(((eid, edge.length), location()))
+        edges.append(edge)
+    return RayComplex(edges, gluings, ("e0", Fraction(0)))
+
+
+def _test_points(rng, rc):
+    """Points at marks, inside edges between marks, and on ray tails past
+    the last mark."""
+    pts = []
+    for eid, edge in rc.edges.items():
+        marks = rc.marks_on(eid)
+        pts += [rc.point(eid, m) for m in marks]
+        for lo, hi in zip(marks, marks[1:]):
+            pts.append(rc.point(eid, lo + (hi - lo) * Fraction(rng.randint(1, 6), 7)))
+        if edge.length is None:
+            pts.append(rc.point(eid, marks[-1] + Fraction(rng.randint(1, 20), 7)))
+    return pts
+
+
+def test_distance_matches_oracle_on_rational_complexes():
+    rng = random.Random(11)
+    for _ in range(25):
+        rc = _random_rational_complex(rng)
+        marks = [m for eid in rc.edges for m in rc.marks_on(eid)]
+        assert math.lcm(*(m.denominator for m in marks)) > 1
+        pts = _test_points(rng, rc)
+        pairs = [(p, q) for p in pts for q in pts if p.edge_id == q.edge_id]
+        pairs += [(rng.choice(pts), rng.choice(pts)) for _ in range(30)]
+        for p, q in pairs:
+            d = rc.distance(p, q)
+            assert isinstance(d, Fraction)
+            assert d == brute_rc_distance(rc, p, q)
+
+
+def test_products_compute_each_vertex_row_once(monkeypatch):
+    z = bl.build_X(16)
+    runs = []
+    original = RayComplex.vertex_distances
+
+    def counted(self, source):
+        runs.append(source)
+        return original(self, source)
+
+    monkeypatch.setattr(RayComplex, "vertex_distances", counted)
+    mh, mnh = z.product_horizon, z.product_min_horizon
+    pairs = [(side, f"g{i}") for i in range(1, 17) for side in ("alpha", "beta")]
+    for eta, zeta in pairs + [("alpha", "beta")]:
+        est = boundary_gromov_product(
+            z.boundary[eta], z.boundary[zeta], max_horizon=mh, min_horizon=mnh
+        )
+        assert est.converged and est.value == (0.0 if zeta == "beta" else float(zeta[1:]))
+    assert len(z.space.vertex_locs) == 49
+    assert 1 <= len(runs) <= 49
+    assert len(set(runs)) == len(runs)
+
+
+def test_geodesic_witness_routes_from_edge_interiors(zoo_x16):
+    X, Y = zoo_x16.space, bl.build_Y(8).space
+    cases = [
+        (X, ("ca3", 1), ("beta", 5), 11, [("ca3", 0), ("beta", 3)]),
+        (X, ("alpha", Fraction(7, 2)), ("g5", 2), Fraction(71, 2),
+         [("alpha", 5), ("g5", 0)]),
+        (X, ("g4", 3), ("g6", Fraction(1, 2)), Fraction(171, 2),
+         [("g4", 0), ("alpha", 4), ("alpha", 6), ("g6", 0)]),
+        (Y, ("ca5", Fraction(5, 2)), ("beta", 1), Fraction(57, 2),
+         [("g5", 0), ("beta", 5)]),
+        (X, ("cb2", 1), ("ca2", 3), 4, [("g2", 0)]),
+    ]
+    for S, a, b, dist, via in cases:
+        p, q = S.point(*a), S.point(*b)
+        res = S.geodesic(p, q)
+        assert res.distance == dist == S.distance(p, q)
+        route = [p] + [S.point(*loc) for loc in via] + [q]
+        assert len(res.witness.points) == len(route)
+        for got, want in zip(res.witness.points, route):
+            assert S.same_point(got, want)
+        res.witness.check(S)
 
 
 def test_geodesic_zero_length(zoo_x8):
