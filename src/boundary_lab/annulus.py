@@ -85,11 +85,11 @@ def segment_origin_distance(a: Coords, b: Coords) -> float:
     return math.hypot(ax + u * vx, ay + u * vy)
 
 
-def chord_valid(a: Coords, b: Coords, slack: float = 1e-12) -> bool:
+def chord_valid(a: Coords, b: Coords) -> bool:
     """True when the straight segment ab stays out of the open unit disk."""
     if abs(b[0] - a[0]) >= math.pi:
         return False
-    return segment_origin_distance(a, b) >= 1.0 - slack
+    return segment_origin_distance(a, b) >= 1.0 - 1e-12
 
 
 def geodesic_legs(pc: Coords, qc: Coords):
@@ -133,6 +133,8 @@ class AnnulusSpace:
     The basepoint is fixed at (0, 1).  Attached rays are named and meet the
     annulus only at their (pairwise distinct) base points.
     """
+
+    TOL = 1e-6  # float tolerance of projections, product stability and U-sets
 
     def __init__(self, attached: Optional[dict[str, Coords]] = None):
         self.attached: dict[str, Coords] = dict(attached or {})

@@ -3,8 +3,9 @@ convergence diagnostics, and continuity tests for induced boundary maps.
 
 The extended product of two boundary classes is estimated from their
 canonical representatives: E(S) is the minimum finite-scale product over a
-grid in [S, 2S]^2, and S doubles until the last two increments fall within
-tolerance.  On ray complexes the products are eventually constant, so the
+3 x 3 grid in [S, 2S]^2, and S doubles until the last two increments fall
+within the space's tolerance (``TOL``: 0 on ray complexes, 1e-6 on the
+annulus).  On ray complexes the products are eventually constant, so the
 doubling terminates with the exact value.  The supremum over other
 representatives is not searched; when a contraction constant is known the
 50C bound is attached as the error bar instead, and the self-product is
@@ -12,8 +13,9 @@ representatives is not searched; when a contraction constant is known the
 
 Queries that ask for the same product many times (convergence tables, the
 basis check) run inside ``shared_products()``: there every finite estimate
-is memoized, keyed by the ordered pair of canonical rays (by identity) and
-the estimation arguments, and a repeat returns the same frozen estimate.
+is memoized, keyed by the ordered pair of canonical rays (by identity) plus
+``max_horizon``, ``min_horizon`` and ``c_eta``, and a repeat returns the
+same frozen estimate.
 The memo is dropped when the query returns, so a query costs the same
 whatever ran before it; outside a query every call estimates afresh.
 """
@@ -72,11 +74,9 @@ def _canonical(x: Union[BoundaryPoint, UnitSpeedRay]) -> UnitSpeedRay:
 def boundary_gromov_product(
     eta: Union[BoundaryPoint, UnitSpeedRay],
     zeta: Union[BoundaryPoint, UnitSpeedRay],
-    tol=1e-6,
     max_horizon=None,
     min_horizon=0,
     c_eta=None,
-    grid: int = 3,
 ) -> BoundaryProductEstimate:
     """Window-minimum estimate of the extended Gromov product.
 
@@ -96,12 +96,10 @@ def boundary_gromov_product(
     if a is b or label_a == label_b:
         return BoundaryProductEstimate(math.inf, (), (), "converged", error_bar)
     memo = _memo.get()
-    key = (a, b, tol, max_horizon, min_horizon, c_eta, grid)
+    key = (a, b, max_horizon, min_horizon, c_eta)
     if memo is not None and key in memo:
         return memo[key]
-    status, schedule, minima = _doubling_schedule(
-        a, b, tol, max_horizon, min_horizon, grid
-    )
+    status, schedule, minima = _doubling_schedule(a, b, max_horizon, min_horizon)
     est = BoundaryProductEstimate(
         float(minima[-1]),
         tuple(float(s) for s in schedule),
@@ -135,23 +133,21 @@ def shared_products():
         _memo.reset(token)
 
 
-def _doubling_schedule(a, b, tol, max_horizon, min_horizon, grid):
+def _doubling_schedule(a, b, max_horizon, min_horizon):
     """(status, horizons S, window minima E(S)) for one ordered ray pair."""
     space = a.space
-    exact = isinstance(space, RayComplex)
     o = space.basepoint
-    S = Fraction(1) if exact else 1.0
+    S = Fraction(1) if isinstance(space, RayComplex) else 1.0
     schedule = []
     minima = []
-    eff_tol = 0 if exact else tol
     while True:
-        params = [S + (S * k) / (grid - 1) for k in range(grid)] if grid > 1 else [S]
+        params = [S, S + S / 2, 2 * S]
         schedule.append(S)
         minima.append(_window_min(space, a, b, params, o))
         if len(minima) >= 3 and S >= min_horizon:
             d1 = abs(minima[-1] - minima[-2])
             d2 = abs(minima[-2] - minima[-3])
-            if d1 <= eff_tol and d2 <= eff_tol:
+            if d1 <= space.TOL and d2 <= space.TOL:
                 return "converged", schedule, minima
         if 2 * S > max_horizon:
             return "inconclusive", schedule, minima
@@ -187,25 +183,21 @@ def u_set_membership(
     zeta: BoundaryPoint,
     eta: BoundaryPoint,
     r: float,
-    tol=None,
     max_horizon=None,
     min_horizon=0,
 ) -> MembershipVerdict:
     """Is zeta in U(eta, r) = {xi : (eta.xi) >= r}?
 
-    With tol = 0 (exact spaces) the comparison is sharp; otherwise values
-    within tol of the threshold come back boundary-inconclusive.
+    Values within the space's ``TOL`` of the threshold come back
+    boundary-inconclusive; on ray complexes TOL is 0, so the comparison is
+    sharp.
     """
     estimate = boundary_gromov_product(
-        eta, zeta, tol=tol if tol else 1e-6, max_horizon=max_horizon,
-        min_horizon=min_horizon,
+        eta, zeta, max_horizon=max_horizon, min_horizon=min_horizon
     )
-    if tol is None:
-        tol = 0 if isinstance(_canonical(eta).space, RayComplex) else 1e-6
+    tol = _canonical(eta).space.TOL
     if not estimate.converged:
         return MembershipVerdict("boundary-inconclusive", estimate)
-    if tol == 0:
-        return MembershipVerdict("in" if estimate.value >= r else "out", estimate)
     if estimate.value >= r + tol:
         return MembershipVerdict("in", estimate)
     if estimate.value < r - tol:
@@ -232,7 +224,6 @@ def converges_in_gp(
     sequence: Sequence[BoundaryPoint],
     eta: BoundaryPoint,
     r_schedule: Sequence[float],
-    tol=None,
     max_horizon=None,
     min_horizon=0,
 ) -> ConvergenceReport:
@@ -243,8 +234,7 @@ def converges_in_gp(
     for r in r_schedule:
         states = [
             u_set_membership(
-                term, eta, r, tol=tol, max_horizon=max_horizon,
-                min_horizon=min_horizon,
+                term, eta, r, max_horizon=max_horizon, min_horizon=min_horizon
             ).state
             for term in sequence
         ]
@@ -265,14 +255,13 @@ def hausdorff_violation_witness(
     boundary: Sequence[BoundaryPoint],
     sequence: Sequence[BoundaryPoint],
     r_schedule: Sequence[float],
-    tol=None,
     max_horizon=None,
     min_horizon=0,
 ) -> Optional[tuple[BoundaryPoint, BoundaryPoint]]:
     """Two distinct limits of the same sequence, if the topology offers them."""
     limits = []
     for eta in boundary:
-        rep = converges_in_gp(sequence, eta, r_schedule, tol, max_horizon, min_horizon)
+        rep = converges_in_gp(sequence, eta, r_schedule, max_horizon, min_horizon)
         if rep.converges:
             limits.append(eta)
     if len(limits) >= 2:
@@ -298,6 +287,10 @@ class ContinuityCertificate:
         return self.verdict == "discontinuous"
 
 
+# the radii at which the upstream sequence must converge to eta
+UPSTREAM_SCHEDULE = (1.0, 2.0, 4.0)
+
+
 def boundary_map_continuity_test(
     correspondence: Optional[dict],
     bundle_from,
@@ -305,8 +298,6 @@ def boundary_map_continuity_test(
     sequence_labels: Sequence[str],
     eta_label: str,
     r: float,
-    upstream_schedule: Sequence[float] = (1.0, 2.0, 4.0),
-    tol=None,
     max_horizon_from=None,
     max_horizon_to=None,
     min_horizon_from=0,
@@ -314,8 +305,9 @@ def boundary_map_continuity_test(
 ) -> ContinuityCertificate:
     """Test continuity of a label bijection at one boundary point.
 
-    Discontinuity certificate: the sequence converges to eta upstream, yet
-    arbitrarily late tested image terms stay outside U(image(eta), r).
+    Discontinuity certificate: the sequence converges to eta upstream (at
+    the radii ``UPSTREAM_SCHEDULE``), yet arbitrarily late tested image terms
+    stay outside U(image(eta), r).
     """
     pairing = correspondence or {}
 
@@ -328,7 +320,7 @@ def boundary_map_continuity_test(
     seq_to = [bundle_to.boundary[image(lab)] for lab in sequence_labels]
 
     upstream = converges_in_gp(
-        seq_from, eta_from, upstream_schedule, tol=tol,
+        seq_from, eta_from, UPSTREAM_SCHEDULE,
         max_horizon=max_horizon_from, min_horizon=min_horizon_from,
     )
     image_products = []
@@ -336,8 +328,7 @@ def boundary_map_continuity_test(
     inconclusive = False
     for i, term in enumerate(seq_to):
         verdict = u_set_membership(
-            term, eta_to, r, tol=tol, max_horizon=max_horizon_to,
-            min_horizon=min_horizon_to,
+            term, eta_to, r, max_horizon=max_horizon_to, min_horizon=min_horizon_to
         )
         image_products.append((term.label, verdict.estimate.value))
         if verdict.state == "boundary-inconclusive":
@@ -364,5 +355,5 @@ def boundary_map_continuity_test(
         tuple(outside),
         bundle_from.space.space_id,
         bundle_to.space.space_id,
-        tuple(float(x) for x in upstream_schedule),
+        UPSTREAM_SCHEDULE,
     )

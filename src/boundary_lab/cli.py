@@ -34,7 +34,7 @@ from .contraction import (
     t_first_escape,
 )
 from .dsl import compile_space, parse_space, serialize_space
-from .errors import BoundaryLabError, SpaceParseError
+from .errors import BoundaryLabError, DomainError, SpaceParseError
 from .metric import gromov_product
 from .points import AnnulusPoint, Point
 from .ray_complex import RayComplex
@@ -46,11 +46,14 @@ PROFILE_CHUNK = 250
 
 
 def _number(conv, text: str, literal: str):
-    """conv(text), or a syntax error naming the literal it came from."""
+    """conv(text), finite, or a syntax error naming the literal it came from."""
     try:
-        return conv(text)
+        value = conv(text)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(text)
     except (ValueError, ZeroDivisionError):
         raise SpaceParseError("E_SYNTAX", f"bad number {text!r} in {literal!r}") from None
+    return value
 
 
 def parse_point(space, text: str) -> Point:
@@ -140,6 +143,8 @@ def _profile_chunk(payload):
 
 
 def cmd_profile(args) -> tuple[int, dict]:
+    if args.n < 1:
+        raise DomainError(f"--n must be >= 1, got {args.n}")
     zoo = spacezoo.get_space(args.space)
     horizon = args.horizon if args.horizon else zoo.sweep_horizon
     chunks = []
@@ -529,13 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _CSV_ROWS = {
-    "contraction_profile@1": ("rows", None),
-    "convergence_report@1": ("rows", None),
-    "suite_report@1": ("results", None),
-    "continuity_certificate@1": ("image_products", None),
-    "claim_report@1": ("rows", None),
-    "product_matrix@1": ("rows", None),
-    "product_estimate@1": ("rows", None),
+    "contraction_profile@1": "rows",
+    "convergence_report@1": "rows",
+    "suite_report@1": "results",
+    "continuity_certificate@1": "image_products",
+    "claim_report@1": "rows",
+    "product_matrix@1": "rows",
+    "product_estimate@1": "rows",
 }
 
 
@@ -546,6 +551,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
+        for name, value in vars(args).items():  # float options accept nan, inf
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
         code, payload = args.fn(args)
     except BoundaryLabError as err:
         print(write_json({"error": str(err)}, None))
@@ -555,12 +563,11 @@ def main(argv=None) -> int:
         return 2
     if args.format == "csv":
         schema = payload.get("schema")
-        spec = _CSV_ROWS.get(schema)
-        if spec is None:
+        key = _CSV_ROWS.get(schema)
+        if key is None:
             print(write_json({"error": f"no CSV form for {schema}"}, None))
             return 2
-        rows = payload[spec[0]]
-        print(write_csv(rows, args.out), end="")
+        print(write_csv(payload[key], args.out), end="")
     else:
         print(write_json(payload, args.out))
     return code

@@ -5,8 +5,9 @@ product-vs-escape-time comparison, and the neighborhood-basis condition.
 
 Projections are set-valued and returned as maximal parameter intervals;
 ties (a point projecting to two far-apart feet) are reported as separate
-intervals, never collapsed.  Ray complexes use exact arithmetic (tol 0),
-the annulus uses floats with a default tolerance of 1e-6.
+intervals, never collapsed.  A projection keeps every parameter within a
+tolerance of the distance: by default the space's ``TOL``, which is 0 on
+ray complexes (exact arithmetic) and 1e-6 on the annulus (floats).
 """
 
 from __future__ import annotations
@@ -241,14 +242,17 @@ def project(
     tol=None,
 ) -> ProjectionResult:
     """All parameters realizing the distance from x to the target rays,
-    within tol, as maximal intervals per ray."""
+    within tol (the space's ``TOL`` by default, finite and >= 0), as maximal
+    intervals per ray."""
     rays = [target] if isinstance(target, UnitSpeedRay) else list(target)
     if not rays:
         raise DomainError("projection needs at least one target ray")
     space = rays[0].space
     exact = isinstance(space, RayComplex)
     if tol is None:
-        tol = 0 if exact else 1e-6
+        tol = space.TOL
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"the tolerance must be finite and >= 0, got {tol}")
 
     per_ray = [ray_distance(x, ray, horizon) for ray in rays]
     dmin = min(d for d, _ in per_ray)
@@ -506,9 +510,7 @@ class GitResult:
     constant: float
 
 
-def git_check(
-    gamma: UnitSpeedRay, segment: PathPolyline, C, horizon, tol=None
-) -> GitResult:
+def git_check(gamma: UnitSpeedRay, segment: PathPolyline, C, horizon) -> GitResult:
     """Project a far segment onto the ray and measure the image diameter.
 
     Precondition (rejected, not failed): every sampled point of the segment
@@ -527,7 +529,7 @@ def git_check(
             f"segment comes within {min_gap} < 2C = {2 * C} of the ray"
         )
     diam = float(max(feet) - min(feet))
-    return GitResult(diam <= 4 * C + (tol or 0), diam, float(min_gap), float(C))
+    return GitResult(diam <= 4 * C, diam, float(min_gap), float(C))
 
 
 def far_segment_suite(gamma: UnitSpeedRay, C, n: int, seed: int):
@@ -540,6 +542,8 @@ def far_segment_suite(gamma: UnitSpeedRay, C, n: int, seed: int):
     """
     if not 0 < C < math.inf:
         raise DomainError(f"the constant C must be positive and finite, got {C}")
+    if n < 1:
+        raise DomainError(f"the segment count n must be >= 1, got {n}")
     space = gamma.space
     rng = random.Random(seed)
     worst, done, rejected = 0.0, 0, 0
@@ -570,7 +574,7 @@ class AsymptoticVerdict:
 
 
 def asymptotic_check(
-    gamma1: UnitSpeedRay, gamma2: UnitSpeedRay, C, horizon, samples: int = 256
+    gamma1: UnitSpeedRay, gamma2: UnitSpeedRay, C, horizon
 ) -> AsymptoticVerdict:
     """Asymptotic iff gamma2 stays in the closed 6C-neighborhood of gamma1
     over the horizon with a non-increasing tail; divergent iff it exceeds 6C
@@ -578,6 +582,7 @@ def asymptotic_check(
     base_gap = gamma1.space.distance(gamma1.eval(0), gamma2.eval(0))
     if base_gap > 6 * C:
         raise DomainError("rays must be based at (or near) the same basepoint")
+    samples = 256
     ts = [horizon * k / samples for k in range(samples + 1)]
     ds = [float(d) for d in ray_distance_profile(gamma2, gamma1, ts)]
     sup = max(ds)
@@ -607,23 +612,16 @@ class EscapeTime:
         return 2.0 * self.constant
 
 
-def t_first_escape(
-    alpha: UnitSpeedRay,
-    beta: UnitSpeedRay,
-    C,
-    horizon,
-    step=None,
-) -> EscapeTime:
+def t_first_escape(alpha: UnitSpeedRay, beta: UnitSpeedRay, C, horizon) -> EscapeTime:
     """Estimate max{t : d(beta(t), alpha) = 2C} by coarse sweep plus bisection.
 
-    Finality is only checked at the sweep's samples, ``step`` (C/4 by
-    default) apart: a dip back under 2C between two of them goes unseen.
+    Finality is only checked at the sweep's samples, at most C/4 apart: a
+    dip back under 2C between two of them goes unseen.
     """
     if not 0 < float(C) < math.inf:
         raise DomainError(f"the constant C must be positive and finite, got {C}")
     level = 2.0 * float(C)
-    if step is None:
-        step = float(C) / 4.0
+    step = float(C) / 4.0
     n = max(8, int(math.ceil(float(horizon) / step)))
     ts = np.linspace(0.0, float(horizon), n + 1)
     ds = np.asarray(ray_distance_profile(beta, alpha, ts), dtype=float)
@@ -690,10 +688,10 @@ def claim_check(
     C_eta,
     C_zeta,
     horizon,
-    grid: Sequence[float] = (4.0, 6.0, 8.0),
 ) -> ClaimReport:
     """Escape times and finite-scale products for two boundary classes,
-    checked against the 12C/13C/13C/50C/62C residual bounds."""
+    checked against the 12C/13C/13C/50C/62C residual bounds.  The products
+    are taken at (f T, f' T) for f, f' in 4, 6, 8 and each escape time T."""
     if len(reps_eta) < 2 or len(reps_zeta) < 2:
         raise DomainError("need at least two representatives per class")
     space = reps_eta[0].space
@@ -707,11 +705,12 @@ def claim_check(
 
     products: dict[tuple[int, int], list[float]] = {}
     r2 = 0.0
+    scales = (4.0, 6.0, 8.0)
     for (i, j), t_ij in T.items():
         a, b = reps_eta[i], reps_zeta[j]
         vals = []
-        for fs in grid:
-            for ft in grid:
+        for fs in scales:
+            for ft in scales:
                 gp = float(
                     gromov_product(a.eval(fs * t_ij), b.eval(ft * t_ij), o, space)
                 )
@@ -743,7 +742,7 @@ def claim_check(
     from .boundary import boundary_gromov_product
 
     est = boundary_gromov_product(
-        reps_eta[0], reps_zeta[0], tol=1e-6, max_horizon=16 * float(horizon)
+        reps_eta[0], reps_zeta[0], max_horizon=16 * float(horizon)
     )
     r_vs_product = max(abs(t - est.value) for t in T.values())
 
@@ -804,7 +803,7 @@ def neighborhood_basis_check(
         # label order makes each unordered pair one product, whoever asks first
         lo, hi = sorted((a, b), key=lambda bp: bp.label)
         return boundary_gromov_product(
-            lo, hi, tol=1e-6, max_horizon=float(horizon), min_horizon=min_horizon,
+            lo, hi, max_horizon=float(horizon), min_horizon=min_horizon
         ).value
 
     C_eta = float(c_table[eta.label])
@@ -848,8 +847,6 @@ def morse_witness(
     lam: float,
     eps: float,
     horizon,
-    max_pairs: int = 2000,
-    tol: float = 1e-9,
 ) -> MorseResult:
     """Sup over polyline samples of the distance to the ray, after verifying
     the polyline really is a (lam, eps)-quasi-geodesic with endpoints on it.
@@ -866,6 +863,7 @@ def morse_witness(
 
     n = len(pts)
     idx = range(n)
+    max_pairs = 2000
     if n * (n - 1) // 2 > max_pairs:
         stride = max(1, int(n / math.sqrt(2 * max_pairs)))
         idx = list(range(0, n, stride)) + [n - 1]
@@ -874,7 +872,7 @@ def morse_witness(
         for j in list(idx)[ii + 1:]:
             du = float(cum[j] - cum[i])
             d = float(space.distance(pts[i], pts[j]))
-            if d < du / lam - eps - tol or d > lam * du + eps + tol:
+            if d < du / lam - eps - 1e-9 or d > lam * du + eps + 1e-9:
                 raise DomainError(
                     f"polyline is not a ({lam},{eps})-quasi-geodesic "
                     f"(params {cum[i]},{cum[j]}: length {du}, distance {d})"

@@ -110,11 +110,14 @@ def mesh_oracle_distance(
 ) -> float:
     """Shortest grid-path distance between two annulus points.
 
-    ``window`` is (t_min, t_max, r_max); both query points must lie inside
-    it and it must leave room for a witness path, otherwise the call is
-    rejected.  Without a window the pair's own bounding box is used, which
-    always contains the geodesic.
+    The step ``h`` must be finite and positive.  ``window`` is (t_min,
+    t_max, r_max); both query points must lie inside it and it must leave
+    room for a witness path, otherwise the call is rejected.  Without a
+    window the pair's own bounding box is used, which always contains the
+    geodesic.
     """
+    if not 0 < h < math.inf:
+        raise DomainError(f"the grid step h must be positive and finite, got {h}")
     pc, qc = (p.t, p.r), (q.t, q.r)
     if window is not None:
         t_min, t_max, r_max = window

@@ -66,6 +66,8 @@ def _frac(x: RationalLike) -> Fraction:
 class RayComplex:
     """Immutable glued-edge space with exact shortest paths."""
 
+    TOL = 0  # exact: projections, product stability and U-sets compare sharply
+
     def __init__(
         self,
         edges: Iterable[Edge],

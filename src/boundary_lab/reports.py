@@ -1,7 +1,7 @@
 """JSON/CSV emission with stable, versioned schemas.
 
 JSON output is deterministic: keys sorted, rationals rendered as exact
-strings, floats through repr.  CSV writers take explicit field orders.
+strings, floats through repr.  CSV columns follow the first row's keys.
 Schema names are versioned with ``@1`` suffixes and documented in the
 README.
 """
@@ -43,10 +43,10 @@ def write_json(payload: dict, path: Optional[str]) -> str:
     return text
 
 
-def rows_to_csv(rows: list[dict], fields: Optional[list[str]] = None) -> str:
+def rows_to_csv(rows: list[dict]) -> str:
     if not rows:
         return ""
-    fields = fields or list(rows[0].keys())
+    fields = list(rows[0].keys())
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
@@ -55,8 +55,8 @@ def rows_to_csv(rows: list[dict], fields: Optional[list[str]] = None) -> str:
     return buf.getvalue()
 
 
-def write_csv(rows: list[dict], path: Optional[str], fields=None) -> str:
-    text = rows_to_csv(rows, fields)
+def write_csv(rows: list[dict], path: Optional[str]) -> str:
+    text = rows_to_csv(rows)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

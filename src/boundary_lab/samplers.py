@@ -40,20 +40,16 @@ def rc_point_sampler(space: RayComplex, horizon) -> Callable:
 
 
 def annulus_point_sampler(
-    space: AnnulusSpace,
-    t_lo: float,
-    t_hi: float,
-    r_max: float,
-    p_attached: float = 0.15,
-    s_max: float = 20.0,
+    space: AnnulusSpace, t_lo: float, t_hi: float, r_max: float
 ) -> Callable:
-    """Uniform angle, log-uniform radius, occasional attached-ray point."""
+    """Uniform angle, log-uniform radius; with probability 0.15 a point on
+    an attached ray instead, at arc length uniform in [0, 20]."""
     ray_ids = sorted(space.attached)
 
     def sample(rng: random.Random) -> Point:
-        if ray_ids and rng.random() < p_attached:
+        if ray_ids and rng.random() < 0.15:
             rid = ray_ids[rng.randrange(len(ray_ids))]
-            return space.ray_pt(rid, rng.uniform(0.0, s_max))
+            return space.ray_pt(rid, rng.uniform(0.0, 20.0))
         t = rng.uniform(t_lo, t_hi)
         r = math.exp(rng.uniform(0.0, math.log(r_max)))
         return space.pt(t, max(1.0, r))

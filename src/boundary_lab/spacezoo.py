@@ -10,13 +10,13 @@ scale (never less than twice the largest scale).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .annulus import AnnulusSpace, geodesic_legs
 from .boundary import BoundaryPoint
-from .errors import BuildError, DomainError
+from .errors import DomainError
 from .ray_complex import RAY, SEGMENT, Edge, RayComplex
 from .rays import AttachedLeg, BoundaryArcLeg, EdgeLeg, UnitSpeedRay
 
@@ -37,7 +37,6 @@ class ZooSpace:
     product_horizon: float
     sweep_horizon: float
     gamma_indices: tuple[int, ...] = ()
-    c_table_cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.boundary = Labels(self.boundary)
@@ -109,21 +108,16 @@ def build_X(n: int) -> ZooSpace:
     )
 
 
-def build_Y(n: int, start: int = 3) -> ZooSpace:
+def build_Y(n: int) -> ZooSpace:
     """The re-metrized complex: the connector to the second boundary ray is
-    shortened to 2^i - 2i.  Indices whose shortened length would be
-    nonpositive are rejected; the family therefore starts at 3 by default
-    (2^1 - 2 = 0 degenerates)."""
-    if n < start:
-        raise DomainError(f"n must be >= {start}")
+    shortened to 2^i - 2i.  The family starts at index 3, the first whose
+    shortened length is positive (2^1 - 2 = 2^2 - 4 = 0)."""
+    if n < 3:
+        raise DomainError("n must be >= 3")
     edges = [Edge("alpha", RAY, None), Edge("beta", RAY, None)]
     gluings = [(("alpha", Fraction(0)), ("beta", Fraction(0)))]
-    for i in range(start, n + 1):
+    for i in range(3, n + 1):
         short = _two(i) - 2 * i
-        if short <= 0:
-            raise BuildError(
-                f"connector to beta for index {i} has nonpositive length {short}"
-            )
         edges.append(Edge(f"g{i}", RAY, None))
         edges.append(Edge(f"ca{i}", SEGMENT, _two(i)))
         edges.append(Edge(f"cb{i}", SEGMENT, short))
@@ -138,7 +132,7 @@ def build_Y(n: int, start: int = 3) -> ZooSpace:
         "alpha": BoundaryPoint("alpha", rc.edge_ray("alpha")),
         "beta": BoundaryPoint("beta", rc.edge_ray("beta")),
     }
-    for i in range(start, n + 1):
+    for i in range(3, n + 1):
         short = _two(i) - 2 * i
         via_b = UnitSpeedRay(
             rc,
@@ -153,7 +147,7 @@ def build_Y(n: int, start: int = 3) -> ZooSpace:
     scale = float(2 ** n)
     return ZooSpace(
         f"Y:{n}", rc, boundary, scale, 16 * scale, 8 * scale,
-        tuple(range(start, n + 1)),
+        tuple(range(3, n + 1)),
     )
 
 

@@ -61,12 +61,18 @@ class CriterionResult:
 class SuiteContext:
     seed: int = 7
     spaces: dict = field(default_factory=dict)
+    c_tables: dict = field(default_factory=dict)
 
     def zoo(self, name: str):
         if name not in self.spaces:
-            builder, n = name.split(":")
-            self.spaces[name] = getattr(spacezoo, f"build_{builder}")(int(n))
+            self.spaces[name] = spacezoo.get_space(name)
         return self.spaces[name]
+
+    def constants(self, name: str) -> dict:
+        """``class_constants`` of one space at the suite seed, once per run."""
+        if name not in self.c_tables:
+            self.c_tables[name] = class_constants(self.zoo(name), self.seed)
+        return self.c_tables[name]
 
 
 # -- contraction constants for boundary classes --------------------------------
@@ -81,12 +87,10 @@ def alpha_extremal_pairs(space: AnnulusSpace, k_max: int = 9):
     return pairs
 
 
-def class_constants(zoo: spacezoo.ZooSpace, seed: int, n: int = 500) -> dict:
+def class_constants(zoo: spacezoo.ZooSpace, seed: int) -> dict:
     """Strong-contraction constants per boundary class: max over stored
-    representatives of the bounded profile constant, padded by 10%."""
-    key = ("c_table", seed, n)
-    if key in zoo.c_table_cache:
-        return zoo.c_table_cache[key]
+    representatives of the bounded profile constant (500 sampled pairs
+    each), padded by 10%."""
     space = zoo.space
     table: dict[str, float] = {}
     for label, bp in zoo.boundary.items():
@@ -104,7 +108,7 @@ def class_constants(zoo: spacezoo.ZooSpace, seed: int, n: int = 500) -> dict:
                 space, rep, horizon=40.0 + 4.0 * scale, r_min=0.02, r_max=r_max
             )
             res = strong_contraction_constant(
-                rep, space, sampler, n, horizon=16.0 * r_max, seed=seed,
+                rep, space, sampler, 500, horizon=16.0 * r_max, seed=seed,
                 extra_pairs=extra,
             )
             if res.status == "bounded":
@@ -113,7 +117,6 @@ def class_constants(zoo: spacezoo.ZooSpace, seed: int, n: int = 500) -> dict:
                 ok = False
         table[label] = 1.1 * max(best, 0.25)
         table[f"{label}__bounded"] = ok
-    zoo.c_table_cache[key] = table
     return table
 
 
@@ -345,7 +348,7 @@ def criterion_isolation_Ycat0(ctx: SuiteContext) -> CriterionResult:
 def criterion_claim_residuals(ctx: SuiteContext) -> CriterionResult:
     t0 = time.time()
     z = ctx.zoo("Xcat0:12")
-    table = class_constants(z, ctx.seed)
+    table = ctx.constants("Xcat0:12")
     labels = ["alpha", "beta"] + [f"g{i}" for i in range(1, 13)]
     violations = []
     checked = 0
@@ -379,7 +382,7 @@ def criterion_basis_condition(ctx: SuiteContext) -> CriterionResult:
     failures = []
     for name in ("Xcat0:12", "Ycat0:12"):
         z = ctx.zoo(name)
-        table = class_constants(z, ctx.seed)
+        table = ctx.constants(name)
         pts = z.boundary_points()
         for eta in pts:
             for r in (1.0, 2.0, 4.0, 8.0):

@@ -110,6 +110,14 @@ def test_mesh_oracle_window_flag():
         mesh_oracle_distance(S.pt(0, 5), S.pt(10, 5), h=0.05, window=(-1, 3, 50))
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
+def test_mesh_oracle_rejects_bad_step(h):
+    # h = -1 used to return an underestimate, h = 0 a ZeroDivisionError
+    S = AnnulusSpace()
+    with pytest.raises(bl.DomainError):
+        mesh_oracle_distance(S.pt(0, 2), S.pt(5, 2), h=h)
+
+
 def test_chord_validity():
     assert chord_valid((0.0, 2.0), (0.1, 3.0))
     assert not chord_valid((0.0, 1.0), (0.5, 1.0))  # boundary chord dips

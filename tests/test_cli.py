@@ -135,6 +135,33 @@ def test_usage_error_exit_code(capsys):
     ["git", "--space", "Xcat0:4", "--c", "-1", "--n", "3", "--seed", "1"],
     ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
      "--window", "1,2"],
+    # non-finite numbers
+    ["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,g2",
+     "--radii", "nan"],
+    ["basis", "--space", "Xcat0:4", "--eta", "alpha", "--r", "nan"],
+    ["continuity", "--from-space", "X:4", "--to-space", "Y:4", "--eta", "alpha",
+     "--sequence", "g3,g4", "--r", "nan"],
+    ["project", "--space", "X:8", "--point", "g3:0", "--target", "alpha",
+     "--horizon", "nan"],
+    ["project", "--space", "X:8", "--point", "g3:0", "--target", "alpha",
+     "--tol", "nan"],
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
+     "--h", "nan"],
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
+     "--h", "inf"],
+    ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "beta",
+     "--c", "3", "--horizon", "nan"],
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
+     "--window", "0,inf,3"],
+    # out-of-domain values
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
+     "--h", "-1"],
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
+     "--h", "0"],
+    ["project", "--space", "X:8", "--point", "g3:0", "--target", "alpha",
+     "--tol", "-1"],
+    ["git", "--space", "Xcat0:4", "--n", "0", "--seed", "1"],
+    ["profile", "--space", "Xcat0:4", "--ray", "alpha", "--n", "0", "--seed", "1"],
 ])
 def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     code, out = run_cli(capsys, *argv)

@@ -9,6 +9,7 @@ from boundary_lab.contraction import (
     asymptotic_check,
     claim_check,
     contraction_profile,
+    far_segment_suite,
     git_check,
     morse_witness,
     neighborhood_basis_check,
@@ -55,6 +56,16 @@ def test_project_horizon_error(zoo_x8):
     X = zoo_x8.space
     with pytest.raises(bl.HorizonError):
         project(X.point("g3", 0), X.edge_ray("alpha"), horizon=2)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_project_rejects_bad_tolerance(zoo_x8, zoo_xcat8, tol):
+    # a negative tolerance used to return no intervals at all
+    X, A = zoo_x8.space, zoo_xcat8.space
+    for x, ray in ((X.point("g3", 0), X.edge_ray("alpha")),
+                   (A.pt(5.0, 32.0), zoo_xcat8.boundary["alpha"].canonical)):
+        with pytest.raises(bl.DomainError):
+            project(x, ray, horizon=300, tol=tol)
 
 
 def test_projection_clamps_to_ray_origin(zoo_xcat12):
@@ -163,6 +174,14 @@ def test_git_rejects_close_segments(zoo_xcat12):
     seg = A.geodesic_polyline(A.pt(1.0, 1.0), A.pt(3.0, 1.0), 8)
     with pytest.raises(bl.DomainError):
         git_check(alpha, seg, math.pi, horizon=50.0)
+
+
+def test_far_segment_suite_rejects_empty_count(zoo_xcat12):
+    # n = 0 used to "pass" with no segment checked
+    alpha = zoo_xcat12.boundary["alpha"].canonical
+    for n in (0, -3):
+        with pytest.raises(bl.DomainError):
+            far_segment_suite(alpha, math.pi, n, seed=1)
 
 
 def test_git_random_suite(zoo_xcat12):
