@@ -45,7 +45,7 @@ def ann_distance_coords(t1: float, r1: float, t2: float, r2: float) -> float:
             + math.sqrt(max(r2 * r2 - 1.0, 0.0))
             + (delta - phi1 - phi2)
         )
-    return math.sqrt(max(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * math.cos(delta), 0.0))
+    return math.hypot(r1 - r2, 2.0 * math.sqrt(r1 * r2) * math.sin(0.5 * delta))
 
 
 def ann_distance_arrays(t1, r1, t2, r2):
@@ -59,9 +59,7 @@ def ann_distance_arrays(t1, r1, t2, r2):
         + np.sqrt(np.maximum(r2 * r2 - 1.0, 0.0))
         + (delta - phi1 - phi2)
     )
-    chord = np.sqrt(
-        np.maximum(r1 * r1 + r2 * r2 - 2.0 * r1 * r2 * np.cos(delta), 0.0)
-    )
+    chord = np.hypot(r1 - r2, 2.0 * np.sqrt(r1 * r2) * np.sin(0.5 * delta))
     return np.where(delta >= phi1 + phi2, tangent, chord)
 
 

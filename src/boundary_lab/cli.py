@@ -103,7 +103,7 @@ def cmd_dist(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     p = parse_point(zoo.space, getattr(args, "from"))
     q = parse_point(zoo.space, args.to)
-    return 0, {"distance": _num(zoo.space.distance(p, q))}
+    return 0, {"schema": "distance@1", "distance": _num(zoo.space.distance(p, q))}
 
 
 def cmd_gromov(args) -> tuple[int, dict]:
@@ -111,7 +111,8 @@ def cmd_gromov(args) -> tuple[int, dict]:
     x = parse_point(zoo.space, args.x)
     y = parse_point(zoo.space, args.y)
     z = parse_point(zoo.space, args.z)
-    return 0, {"value": _num(gromov_product(x, y, z, zoo.space))}
+    value = _num(gromov_product(x, y, z, zoo.space))
+    return 0, {"schema": "gromov_product@1", "value": value}
 
 
 def cmd_project(args) -> tuple[int, dict]:
@@ -213,9 +214,11 @@ def cmd_escape(args) -> tuple[int, dict]:
 def cmd_claim(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     eta, zeta = zoo.boundary[args.eta], zoo.boundary[args.zeta]
-    table = class_constants(zoo, args.seed)
-    C_eta = args.c_eta if args.c_eta else table[args.eta]
-    C_zeta = args.c_zeta if args.c_zeta else table[args.zeta]
+    C_eta, C_zeta = args.c_eta, args.c_zeta
+    if not (C_eta and C_zeta):
+        table = class_constants(zoo, args.seed)
+        C_eta = C_eta or table[args.eta]
+        C_zeta = C_zeta or table[args.zeta]
     horizon = args.horizon if args.horizon else 50.0 * C_eta + 100.0
     rep = claim_check(
         eta.representatives(),

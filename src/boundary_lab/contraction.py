@@ -28,25 +28,44 @@ from .points import AttachedRayPoint, PathPolyline, Point, RayComplexPoint
 from .ray_complex import RayComplex
 from .rays import AttachedLeg, BoundaryArcLeg, ChordLeg, EdgeLeg, UnitSpeedRay
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 # -- distance from a point to a ray -----------------------------------------
 
-def _min_on_chord_leg(leg: ChordLeg, cx: tuple[float, float]) -> tuple[float, float]:
-    """(distance, local argmin) of the convex distance profile along a chord."""
-    lo, hi = 0.0, leg.length
-    for _ in range(64):
-        m1 = hi - GOLDEN * (hi - lo)
-        m2 = lo + GOLDEN * (hi - lo)
-        if ann_distance_coords(*cx, *leg.coords_at(m1)) <= ann_distance_coords(
-            *cx, *leg.coords_at(m2)
-        ):
-            hi = m2
-        else:
-            lo = m1
-    s = 0.5 * (lo + hi)
-    return ann_distance_coords(*cx, *leg.coords_at(s)), s
+def _chord_distance(leg: ChordLeg, cx: tuple[float, float]) -> tuple[float, float]:
+    """(distance, local argmin) from cover coordinates cx to a chord leg.
+
+    Exact, with no search: the annulus cover is CAT(0), so s -> d(x, c(s))
+    is convex along the chord c (Bridson-Haefliger II.2.2), and it is C^1
+    across the kernel's split between its chord and tangent branches.  Its
+    minimizer is therefore an endpoint or a critical point of the active
+    branch.  On the chord branch that is the Euclidean foot of dev x, where
+    x is developed at angle t_x - t_a (the developing map (r cos t,
+    r sin t) is a local isometry of the cover, so |t_x - t_a| may exceed
+    pi).  On the tangent branch d = const + T(c) - phi(c) +- t(c), with
+    T = sqrt(r^2 - 1) and phi = arccos(1/r); writing u for the chord
+    parameter measured from u0, the foot of the perpendicular from the disk
+    center at distance p, its derivative is (u T +- p) / r^2, which
+    vanishes exactly at u = -+1.  The true kernel is evaluated at these
+    candidates (0, length, the foot, u0 - 1, u0 + 1), each clamped to the
+    chord, and the least value is returned.
+    """
+    ell = leg.length
+    if ell == 0.0:
+        return ann_distance_coords(*cx, *leg.a), 0.0
+    ax, ay, bx, by = leg._developed
+    ux, uy = (bx - ax) / ell, (by - ay) / ell
+    tx, rx = cx
+    dt = tx - leg.a[0]
+    foot = (rx * math.cos(dt) - ax) * ux + (rx * math.sin(dt) - ay) * uy
+    u0 = -(ax * ux + ay * uy)
+    best = (math.inf, 0.0)
+    for c in (0.0, ell, foot, u0 - 1.0, u0 + 1.0):
+        s = min(max(c, 0.0), ell)
+        tc, rc = leg.coords_at(s)
+        d = ann_distance_coords(tx, rx, tc, max(rc, 1.0))
+        if d < best[0]:
+            best = (d, s)
+    return best
 
 
 def _annulus_leg_distance(
@@ -58,7 +77,7 @@ def _annulus_leg_distance(
         foot = min(max(cx[0], lo), hi)
         return wedge + ann_distance_coords(*cx, foot, 1.0), abs(foot - leg.t0)
     if isinstance(leg, ChordLeg):
-        d, s = _min_on_chord_leg(leg, cx)
+        d, s = _chord_distance(leg, cx)
         return wedge + d, s
     if isinstance(leg, AttachedLeg):
         base = space.attached[leg.ray_id]
@@ -69,7 +88,8 @@ def _annulus_leg_distance(
 def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
     """(distance from x to the ray, global argmin parameters).
 
-    Exact in ray complexes; closed-form/convex-search in the annulus.
+    Exact in ray complexes; closed form in the annulus (chords: see
+    ``_chord_distance``).
     Raises HorizonError when every minimizer sits at or beyond the horizon.
     """
     space = ray.space
@@ -87,7 +107,7 @@ def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
 
 
 def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
-    offsets = ray.leg_offsets()
+    offsets = ray.leg_offsets
     best: Optional[Fraction] = None
     hits: list = []
     for leg, g0 in zip(ray.legs, offsets):
@@ -117,7 +137,7 @@ def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
 
 
 def _annulus_ray_distance(space: AnnulusSpace, x: Point, ray: UnitSpeedRay):
-    offsets = ray.leg_offsets()
+    offsets = ray.leg_offsets
     if isinstance(x, AttachedRayPoint):
         for leg, g0 in zip(ray.legs, offsets):
             if isinstance(leg, AttachedLeg) and leg.ray_id == x.ray_id:
@@ -188,25 +208,22 @@ def _annulus_profile(space, ray_from, ray_to, ts: np.ndarray) -> np.ndarray:
 
 
 def _chord_distances_vec(leg: ChordLeg, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    ax, ay, bx, by = leg._developed()
-    ell = max(math.hypot(bx - ax, by - ay), 1e-300)
-
-    def g(u):
-        f = u / ell
-        px, py = ax + f * (bx - ax), ay + f * (by - ay)
-        return ann_distance_arrays(
-            tx, rx, leg.a[0] + np.arctan2(py, px), np.maximum(np.hypot(px, py), 1.0)
-        )
-
-    lo = np.zeros_like(tx)
-    hi = np.full_like(tx, leg.length)
-    for _ in range(48):
-        m1 = hi - GOLDEN * (hi - lo)
-        m2 = lo + GOLDEN * (hi - lo)
-        take = g(m1) <= g(m2)
-        hi = np.where(take, m2, hi)
-        lo = np.where(take, lo, m1)
-    return g(0.5 * (lo + hi))
+    """``_chord_distance`` over arrays of cover coordinates: the same five
+    candidates, evaluated in one call of the array kernel."""
+    ell = leg.length
+    if ell == 0.0:
+        return ann_distance_arrays(tx, rx, *leg.a)
+    ax, ay, bx, by = leg._developed
+    ux, uy = (bx - ax) / ell, (by - ay) / ell
+    dt = tx - leg.a[0]
+    foot = (rx * np.cos(dt) - ax) * ux + (rx * np.sin(dt) - ay) * uy
+    u0 = -(ax * ux + ay * uy)
+    cands = np.stack(np.broadcast_arrays(0.0, ell, u0 - 1.0, u0 + 1.0, foot))
+    f = np.clip(cands, 0.0, ell) / ell
+    px, py = ax + f * (bx - ax), ay + f * (by - ay)
+    return ann_distance_arrays(
+        tx, rx, leg.a[0] + np.arctan2(py, px), np.maximum(np.hypot(px, py), 1.0)
+    ).min(axis=0)
 
 
 # -- set-valued projection ---------------------------------------------------

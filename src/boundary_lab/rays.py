@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -68,19 +69,21 @@ class ChordLeg:
         if abs(self.b[0] - self.a[0]) >= math.pi:
             raise DomainError("chord legs must span less than a half turn")
 
-    @property
-    def length(self) -> float:
-        ax, ay, bx, by = self._developed()
-        return math.hypot(bx - ax, by - ay)
-
+    @cached_property
     def _developed(self) -> tuple[float, float, float, float]:
-        # develop with `a` on the positive x-axis; valid because |dt| < pi
+        """Cartesian endpoints (ax, ay, bx, by), developed with `a` on the
+        positive x-axis; valid because |dt| < pi."""
         dt = self.b[0] - self.a[0]
         return self.a[1], 0.0, self.b[1] * math.cos(dt), self.b[1] * math.sin(dt)
 
+    @cached_property
+    def length(self) -> float:
+        ax, ay, bx, by = self._developed
+        return math.hypot(bx - ax, by - ay)
+
     def coords_at(self, s: float) -> tuple[float, float]:
-        ax, ay, bx, by = self._developed()
-        ell = math.hypot(bx - ax, by - ay)
+        ax, ay, bx, by = self._developed
+        ell = self.length
         f = 0.0 if ell == 0 else s / ell
         x, y = ax + f * (bx - ax), ay + f * (by - ay)
         return self.a[0] + math.atan2(y, x), math.hypot(x, y)
@@ -110,18 +113,19 @@ class UnitSpeedRay:
             if leg.length is None:
                 raise DomainError("only the final leg of a ray may be unbounded")
 
-    def leg_offsets(self):
+    @cached_property
+    def leg_offsets(self) -> tuple:
         """Global arc-length offset at which each leg starts."""
         offs = [0]
         for leg in self.legs[:-1]:
             offs.append(offs[-1] + leg.length)
-        return offs
+        return tuple(offs)
 
     def locate(self, t):
         """(leg, local arc length) containing global parameter t >= 0."""
         if t < 0:
             raise DomainError(f"ray parameter must be nonnegative, got {t}")
-        offs = self.leg_offsets()
+        offs = self.leg_offsets
         for leg, off in zip(self.legs[:-1], offs[:-1]):
             if t <= off + leg.length:
                 return leg, t - off

@@ -1,7 +1,8 @@
 """JSON/CSV emission with stable, versioned schemas.
 
-JSON output is deterministic: keys sorted, rationals rendered as exact
-strings, floats through repr.  CSV columns follow the first row's keys.
+JSON output is deterministic and strict (RFC 8259): keys sorted, rationals
+rendered as exact strings, finite floats through repr, infinities as the
+strings "inf" and "-inf".  CSV columns follow the first row's keys.
 Schema names are versioned with ``@1`` suffixes and documented in the
 README.
 """
@@ -17,22 +18,32 @@ from fractions import Fraction
 from typing import Any, Optional
 
 
-def json_default(obj: Any):
+def _plain(obj: Any):
+    """``obj`` as JSON values: infinities as the strings "inf" and "-inf",
+    rationals as exact strings, dataclasses, sets and numpy values unpacked,
+    anything else as its repr."""
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
     if isinstance(obj, Fraction):
         return str(obj)
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.asdict(obj)
+        return _plain(dataclasses.asdict(obj))
     if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
+        return _plain(sorted(obj))
     if hasattr(obj, "tolist"):
-        return obj.tolist()
-    if obj is math.inf:
-        return "inf"
+        return _plain(obj.tolist())
     return repr(obj)
 
 
 def dumps(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, default=json_default, indent=2)
+    """Strict RFC 8259 JSON; a NaN raises ValueError."""
+    return json.dumps(_plain(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
 def write_json(payload: dict, path: Optional[str]) -> str:

@@ -253,9 +253,7 @@ def criterion_kernel_vs_oracle(ctx: SuiteContext) -> CriterionResult:
             math.sqrt(max(rp * rp - 1.0, 0.0))
             + math.sqrt(max(rq * rq - 1.0, 0.0))
         )
-        chord = math.sqrt(
-            max(rp * rp + rq * rq - 2.0 * rp * rq * math.cos(delta), 0.0)
-        )
+        chord = math.hypot(rp - rq, 2.0 * math.sqrt(rp * rq) * math.sin(0.5 * delta))
         max_gap = max(max_gap, abs(tangent - chord))
     elapsed = time.time() - t0
     ok = worst <= 0.02 and undershoot >= -1e-9 and max_gap <= 1e-9 and elapsed < 60.0

@@ -3,11 +3,17 @@
 The route enumerator below shares only the derived vertex graph with the
 engine; it finds shortest paths by exhaustive depth-first search over
 simple vertex routes, so on small complexes it certifies the Dijkstra
-engine exactly.
+engine exactly.  The golden-section search below is the reference for the
+closed-form chord projection of the annulus.
 """
 
+import math
 from bisect import bisect_left
 from fractions import Fraction
+
+from boundary_lab.annulus import ann_distance_coords
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _brackets(space, p):
@@ -60,3 +66,23 @@ def brute_rc_distance(space, p, q):
     for v, off in _brackets(space, p):
         dfs(v, off, {v})
     return best[0]
+
+
+def golden_chord_distance(leg, cx):
+    """(distance, local argmin) from cover coordinates cx to a chord leg, by a
+    64-step golden-section search of the convex distance profile."""
+
+    def g(s):
+        tc, rc = leg.coords_at(s)
+        return ann_distance_coords(*cx, tc, max(rc, 1.0))
+
+    lo, hi = 0.0, leg.length
+    for _ in range(64):
+        m1 = hi - GOLDEN * (hi - lo)
+        m2 = lo + GOLDEN * (hi - lo)
+        if g(m1) <= g(m2):
+            hi = m2
+        else:
+            lo = m1
+    s = 0.5 * (lo + hi)
+    return g(s), s

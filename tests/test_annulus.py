@@ -78,6 +78,19 @@ def test_vectorized_kernel_matches_scalar():
         )
 
 
+def test_kernel_accurate_at_small_distances():
+    # the chord branch has no cancellation: its old form
+    # sqrt(r1^2 + r2^2 - 2 r1 r2 cos(delta)) lost all digits of a distance
+    # below about 1e-8 r (5e-6 at r = 256)
+    for r in (2.0, 16.0, 256.0, 4096.0):
+        for eps in (1e-9, 1e-7, 1e-5):
+            t2, r2 = 3.0 + eps / r, r + eps
+            angular = 2.0 * r * math.sin(0.5 * (t2 - 3.0))
+            for kernel in (ann_distance_coords, ann_distance_arrays):
+                assert kernel(3.0, r, t2, r) == pytest.approx(angular, rel=1e-12)
+                assert kernel(3.0, r, 3.0, r2) == r2 - r
+
+
 def test_mesh_oracle_examples():
     S = AnnulusSpace()
     p = S.pt(0.3, 2.2)

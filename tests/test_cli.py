@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from boundary_lab import boundary, spacezoo
+from boundary_lab import boundary, cli, spacezoo
 from boundary_lab.cli import main
 
 
@@ -14,13 +14,22 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def strict_json(text):
+    """Parse as RFC 8259 JSON: bare NaN, Infinity and -Infinity are errors."""
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_gromov_value(capsys):
     code, out = run_cli(
         capsys, "gromov", "--space", "X:16", "--x", "alpha:5", "--y", "g3:1",
         "--z", "base",
     )
     assert code == 0
-    assert json.loads(out) == {"value": "3"}
+    assert json.loads(out) == {"schema": "gromov_product@1", "value": "3"}
 
 
 def test_dist_value(capsys):
@@ -28,7 +37,7 @@ def test_dist_value(capsys):
         capsys, "dist", "--space", "X:16", "--from", "g3:0", "--to", "alpha:3"
     )
     assert code == 0
-    assert json.loads(out)["distance"] == "8"
+    assert json.loads(out) == {"schema": "distance@1", "distance": "8"}
 
 
 def test_rational_point_literals(capsys):
@@ -66,6 +75,12 @@ def test_bproduct_and_converge(capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == 5.0
+    # a self-product is infinite, written as a string, not a bare Infinity
+    code, out = run_cli(
+        capsys, "bproduct", "--space", "X:4", "--eta", "alpha", "--zeta", "alpha"
+    )
+    assert code == 0
+    assert strict_json(out)["value"] == "inf"
     code, out = run_cli(
         capsys, "converge", "--space", "X:8", "--eta", "alpha",
         "--sequence", ",".join(f"g{i}" for i in range(1, 9)),
@@ -169,7 +184,10 @@ def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     assert set(json.loads(out)) == {"error"}
 
 
-def test_property_failure_exit_code(capsys):
+def test_property_failure_exit_code(capsys, monkeypatch):
+    # with both constants given, no class-constant table is computed
+    tables = []
+    monkeypatch.setattr(cli, "class_constants", lambda *a: tables.append(a))
     # an artificially small constant breaks the residual bounds -> exit 1
     code, out = run_cli(
         capsys, "claim", "--space", "Xcat0:6", "--eta", "alpha", "--zeta", "g5",
@@ -178,6 +196,7 @@ def test_property_failure_exit_code(capsys):
     payload = json.loads(out)
     assert code == 1
     assert payload["violations"]
+    assert tables == []
 
 
 def test_determinism_byte_identical(capsys):
@@ -224,7 +243,7 @@ def test_basis_command(capsys, monkeypatch):
         capsys, "basis", "--space", "Xcat0:6", "--eta", "alpha", "--r", "2",
         "--seed", "3",
     )
-    payload = json.loads(out)
+    payload = strict_json(out)
     assert code == 0
     assert payload["violations"] == []
     # every product the command uses is the estimate past the zoo's
@@ -242,7 +261,8 @@ def test_basis_command(capsys, monkeypatch):
         for a, b, value in calls:
             assert value == product(a, b)
         for zeta, value, _, _ in payload["rows"]:
-            assert value == product(*sorted(("alpha", zeta)))
+            expected = product(*sorted(("alpha", zeta)))
+            assert value == ("inf" if expected == math.inf else expected)
 
 
 def test_suite_single_criterion(capsys):

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import boundary_lab as bl
+from boundary_lab.annulus import AnnulusSpace, chord_valid, geodesic_legs
 from boundary_lab.contraction import (
+    _chord_distance,
+    _chord_distances_vec,
     asymptotic_check,
     claim_check,
     contraction_profile,
@@ -19,8 +22,10 @@ from boundary_lab.contraction import (
     t_first_escape,
 )
 from boundary_lab.points import PathPolyline
+from boundary_lab.rays import ChordLeg
 from boundary_lab.samplers import profile_pair_sampler
 from boundary_lab.suite import alpha_extremal_pairs, class_constants
+from oracles import golden_chord_distance
 
 
 # -- projections --------------------------------------------------------------
@@ -76,6 +81,62 @@ def test_projection_clamps_to_ray_origin(zoo_xcat12):
     (ray, lo, hi), = res.intervals
     assert lo == 0.0
     assert float(res.distance) == pytest.approx(A.distance(beta_side, A.basepoint), abs=1e-9)
+
+
+# -- closed-form chord projection ----------------------------------------------
+
+def _log_radius(rng):
+    return math.exp(rng.uniform(0.0, math.log(256.0)))
+
+
+def _chord_cases(zoo, seed):
+    """Seeded chords and query coordinates: tangent legs from r = 1, direct
+    chords spanning less than pi, the zoo's own chords and a zero-length one;
+    points with |t - t_a| up to 12, the bases of attached rays, points on the
+    chord and points within 1e-9..1e-5 of it, all at r <= 256."""
+    rng = random.Random(seed)
+    chords = [leg for bp in zoo.boundary.values() for rep in bp.representatives()
+              for leg in rep.legs if isinstance(leg, ChordLeg)]
+    while len(chords) < 120:
+        ta, ra = rng.uniform(-10.0, 10.0), _log_radius(rng)
+        tb, rb = ta + rng.uniform(-12.0, 12.0), _log_radius(rng)
+        chords += [leg for leg in geodesic_legs((ta, ra), (tb, rb))
+                   if isinstance(leg, ChordLeg)]
+        tb = ta + rng.uniform(-3.1, 3.1)
+        if chord_valid((ta, ra), (tb, rb)):
+            chords.append(ChordLeg((ta, ra), (tb, rb)))
+    chords.append(ChordLeg((2.0, 5.0), (2.0, 5.0)))
+    bases = list(zoo.space.attached.values())
+    for leg in chords:
+        pts = [(leg.a[0] + rng.uniform(-12.0, 12.0), _log_radius(rng))
+               for _ in range(6)]
+        pts += rng.sample(bases, 2)
+        for _ in range(3):
+            t, r = leg.coords_at(rng.uniform(0.0, leg.length))
+            eps = 10.0 ** rng.uniform(-9.0, -5.0)
+            pts += [(t, max(r, 1.0)), (t + eps / r, max(r, 1.0) + eps)]
+        yield leg, pts
+
+
+def test_chord_closed_form_matches_golden_search(zoo_xcat8):
+    worst_above = worst = 0.0
+    for leg, pts in _chord_cases(zoo_xcat8, seed=11):
+        for cx in pts:
+            d, s = _chord_distance(leg, cx)
+            ref, _ = golden_chord_distance(leg, cx)
+            assert 0.0 <= s <= leg.length
+            worst = max(worst, abs(d - ref))
+            worst_above = max(worst_above, d - ref)
+    assert worst <= AnnulusSpace.TOL
+    assert worst_above <= 1e-7
+
+
+def test_chord_vectorized_matches_scalar(zoo_xcat8):
+    for leg, pts in _chord_cases(zoo_xcat8, seed=12):
+        tx, rx = (np.array(col) for col in zip(*pts))
+        vec = _chord_distances_vec(leg, tx, rx)
+        scalar = [_chord_distance(leg, cx)[0] for cx in pts]
+        assert np.max(np.abs(vec - scalar)) <= 1e-9
 
 
 # -- profiles -------------------------------------------------------------------
