@@ -25,11 +25,9 @@ from .contraction import (
     claim_check,
     contraction_profile,
     git_check,
-    morse_witness,
     neighborhood_basis_check,
     project,
     ray_distance,
-    strong_contraction_constant,
     t_first_escape,
 )
 from .dsl import compile_space, load_space, parse_space, serialize_space
@@ -44,8 +42,8 @@ from .errors import (
 )
 from .mesh_oracle import mesh_oracle_distance
 from .metric import gromov_product, metric_axiom_check
-from .points import AnnulusPoint, AttachedRayPoint, PathPolyline, RayComplexPoint
-from .ray_complex import GeodesicResult, RayComplex
+from .points import AnnulusPoint, AttachedRayPoint, RayComplexPoint
+from .ray_complex import RayComplex
 from .rays import UnitSpeedRay
 from .spacezoo import ZooSpace, build_X, build_Xcat0, build_Y, build_Ycat0, get_space
 

@@ -161,10 +161,6 @@ class AnnulusSpace:
             raise DomainError(f"unknown attached ray {ray_id}")
         return AttachedRayPoint(self.space_id, ray_id, float(s))
 
-    def same_point(self, p: Point, q: Point) -> bool:
-        require_same_space(self.space_id, p, q)
-        return self.distance(p, q) <= 1e-12
-
     # metric
     def _coords(self, p: Point) -> tuple[Coords, float]:
         """(annulus coordinates, extra wedge length) of a point."""
@@ -184,10 +180,10 @@ class AnnulusSpace:
         (cp, sp), (cq, sq) = self._coords(p), self._coords(q)
         return sp + sq + ann_distance_coords(*cp, *cq)
 
-    def geodesic_polyline(self, p: AnnulusPoint, q: AnnulusPoint, samples: int = 33):
-        """Polyline tracking the geodesic from p to q through annulus points."""
-        from .points import PathPolyline
-
+    def geodesic_polyline(
+        self, p: AnnulusPoint, q: AnnulusPoint, samples: int = 33
+    ) -> tuple[AnnulusPoint, ...]:
+        """Points tracking the geodesic from p to q, starting at p."""
         require_same_space(self.space_id, p, q)
         legs = geodesic_legs((p.t, p.r), (q.t, q.r))
         pts = [p]
@@ -202,7 +198,7 @@ class AnnulusSpace:
                     pts.append(AnnulusPoint(self.space_id, leg.angle_at(s), 1.0))
         if not legs:
             pts.append(q)
-        return PathPolyline.from_points(pts, self)
+        return tuple(pts)
 
     def __repr__(self):
         return f"AnnulusSpace({len(self.attached)} attached rays, id={self.space_id})"

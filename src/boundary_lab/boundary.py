@@ -212,12 +212,6 @@ class ConvergenceReport:
     rows: tuple  # (r, first_stable_index or None, memberships per term)
     converges: bool  # at every tested radius
 
-    def first_index(self, r) -> Optional[int]:
-        for rr, idx, _ in self.rows:
-            if rr == r:
-                return idx
-        raise DomainError(f"radius {r} not in tested schedule")
-
 
 @shared_products()
 def converges_in_gp(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -43,6 +44,8 @@ from .samplers import profile_pair_sampler
 from .suite import class_constants, run_suite
 
 PROFILE_CHUNK = 250
+# options that fall back to a default when absent and must be > 0 when given
+POSITIVE_OPTIONS = ("horizon", "c_eta", "c_zeta", "jobs")
 
 
 def _number(conv, text: str, literal: str):
@@ -119,7 +122,7 @@ def cmd_project(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     x = parse_point(zoo.space, args.point)
     rays = [resolve_ray(zoo, lab) for lab in args.target.split(",")]
-    horizon = args.horizon if args.horizon else zoo.sweep_horizon
+    horizon = zoo.sweep_horizon if args.horizon is None else args.horizon
     res = project(x, rays, horizon, tol=args.tol)
     return 0, {
         "schema": "projection@1",
@@ -147,7 +150,7 @@ def cmd_profile(args) -> tuple[int, dict]:
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
     zoo = spacezoo.get_space(args.space)
-    horizon = args.horizon if args.horizon else zoo.sweep_horizon
+    horizon = zoo.sweep_horizon if args.horizon is None else args.horizon
     chunks = []
     remaining, idx = args.n, 0
     while remaining > 0:
@@ -155,8 +158,9 @@ def cmd_profile(args) -> tuple[int, dict]:
         chunks.append((args.space, args.ray, take, horizon, args.seed, idx))
         remaining -= take
         idx += 1
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(chunks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_profile_chunk, chunks))
     else:
         parts = [_profile_chunk(c) for c in chunks]
@@ -200,7 +204,7 @@ def cmd_escape(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     alpha = resolve_ray(zoo, args.alpha)
     beta = resolve_ray(zoo, args.beta)
-    horizon = args.horizon if args.horizon else zoo.sweep_horizon
+    horizon = zoo.sweep_horizon if args.horizon is None else args.horizon
     et = t_first_escape(alpha, beta, args.c, horizon)
     return 0, {
         "schema": "escape_time@1",
@@ -215,11 +219,11 @@ def cmd_claim(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     eta, zeta = zoo.boundary[args.eta], zoo.boundary[args.zeta]
     C_eta, C_zeta = args.c_eta, args.c_zeta
-    if not (C_eta and C_zeta):
+    if C_eta is None or C_zeta is None:
         table = class_constants(zoo, args.seed)
-        C_eta = C_eta or table[args.eta]
-        C_zeta = C_zeta or table[args.zeta]
-    horizon = args.horizon if args.horizon else 50.0 * C_eta + 100.0
+        C_eta = table[args.eta] if C_eta is None else C_eta
+        C_zeta = table[args.zeta] if C_zeta is None else C_zeta
+    horizon = 50.0 * C_eta + 100.0 if args.horizon is None else args.horizon
     rep = claim_check(
         eta.representatives(),
         zeta.representatives(),
@@ -555,8 +559,11 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         for name, value in vars(args).items():  # float options accept nan, inf
+            flag = f"--{name.replace('_', '-')}"
             if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"--{name.replace('_', '-')} must be finite, got {value}")
+                raise DomainError(f"{flag} must be finite, got {value}")
+            if name in POSITIVE_OPTIONS and value is not None and value <= 0:
+                raise DomainError(f"{flag} must be > 0, got {value}")
         code, payload = args.fn(args)
     except BoundaryLabError as err:
         print(write_json({"error": str(err)}, None))

@@ -1,7 +1,7 @@
 """Closest-point projections onto rays and everything built on them:
-contraction profiles, strong-contraction constants, the geodesic-image
-property check, asymptoty tests, escape times, residual checks for the
-product-vs-escape-time comparison, and the neighborhood-basis condition.
+contraction profiles, the geodesic-image property check, asymptoty tests,
+escape times, residual checks for the product-vs-escape-time comparison,
+and the neighborhood-basis condition.
 
 Projections are set-valued and returned as maximal parameter intervals;
 ties (a point projecting to two far-apart feet) are reported as separate
@@ -24,7 +24,7 @@ from .annulus import AnnulusSpace, ann_distance_arrays, ann_distance_coords
 from .boundary import shared_products
 from .errors import DomainError, HorizonError
 from .metric import gromov_product
-from .points import AttachedRayPoint, PathPolyline, Point, RayComplexPoint
+from .points import AttachedRayPoint, Point, RayComplexPoint
 from .ray_complex import RayComplex
 from .rays import AttachedLeg, BoundaryArcLeg, ChordLeg, EdgeLeg, UnitSpeedRay
 
@@ -154,7 +154,7 @@ def _annulus_ray_distance(space: AnnulusSpace, x: Point, ray: UnitSpeedRay):
             best, hits = d, [g]
         elif d <= best + 1e-12:
             hits.append(g)
-    return best, sorted(hits)
+    return best, sorted(set(hits))
 
 
 def ray_distance_profile(ray_from: UnitSpeedRay, ray_to: UnitSpeedRay, ts):
@@ -488,35 +488,6 @@ def contraction_profile(
     return profile
 
 
-@dataclass(frozen=True)
-class StrongContractionResult:
-    status: str  # "bounded" | "not_bounded" | "inconclusive"
-    constant: Optional[float] = None
-    witness: Optional[tuple] = None
-    profile: Optional[ContractionProfile] = None
-
-
-def strong_contraction_constant(
-    gamma: UnitSpeedRay, space, sampler, n: int, horizon, seed: int = 0,
-    extra_pairs=(),
-) -> StrongContractionResult:
-    """Bounded-gauge constant when the profile stabilizes bounded, or the
-    failure certificate (a witness pair with large diameter at large radius)."""
-    prof = contraction_profile(gamma, space, sampler, n, horizon, seed, extra_pairs)
-    if prof.classification == "bounded":
-        return StrongContractionResult("bounded", prof.constant, None, prof)
-    if prof.classification in ("sublinear", "violated") and prof.bins:
-        # certificate: the witness with the largest diameter at the largest radius
-        top = max(prof.bins, key=lambda k: (prof.bins[k], k))
-        return StrongContractionResult(
-            "not_bounded" if prof.stabilized else "inconclusive",
-            None,
-            prof.witnesses[top],
-            prof,
-        )
-    return StrongContractionResult("inconclusive", None, None, prof)
-
-
 # -- geodesic image property ---------------------------------------------------
 
 @dataclass(frozen=True)
@@ -527,17 +498,17 @@ class GitResult:
     constant: float
 
 
-def git_check(gamma: UnitSpeedRay, segment: PathPolyline, C, horizon) -> GitResult:
-    """Project a far segment onto the ray and measure the image diameter.
+def git_check(gamma: UnitSpeedRay, segment: Sequence[Point], C, horizon) -> GitResult:
+    """Project a far segment, given by points sampled along it, onto the ray
+    and measure the image diameter.
 
     Precondition (rejected, not failed): every sampled point of the segment
     stays at least 2C from the ray.  Passes when the projection image has
     diameter at most 4C.
     """
-    space = gamma.space
     feet = []
     min_gap = math.inf
-    for p in segment.points:
+    for p in segment:
         d, params = ray_distance(p, gamma, horizon)
         min_gap = min(min_gap, d)
         feet += list(params)
@@ -846,57 +817,3 @@ def neighborhood_basis_check(
                 violations.append((zeta.label, xi.label))
         rows.append((zeta.label, p_ez, R_zeta, tuple(members)))
     return BasisReport(eta.label, float(r), R_eta, tuple(rows), tuple(violations))
-
-
-# -- quasi-geodesic deviation ----------------------------------------------------
-
-@dataclass(frozen=True)
-class MorseResult:
-    deviation: float
-    lam: float
-    eps: float
-    max_pairs_checked: int
-
-
-def morse_witness(
-    gamma: UnitSpeedRay,
-    quasigeodesic: PathPolyline,
-    lam: float,
-    eps: float,
-    horizon,
-) -> MorseResult:
-    """Sup over polyline samples of the distance to the ray, after verifying
-    the polyline really is a (lam, eps)-quasi-geodesic with endpoints on it.
-
-    One data point toward a gauge; no gauge function is fitted.
-    """
-    space = gamma.space
-    pts = quasigeodesic.points
-    cum = quasigeodesic.cumulative
-    for endpoint in (pts[0], pts[-1]):
-        d, _ = ray_distance(endpoint, gamma, horizon)
-        if d > 1e-9:
-            raise DomainError("polyline endpoints must lie on the ray")
-
-    n = len(pts)
-    idx = range(n)
-    max_pairs = 2000
-    if n * (n - 1) // 2 > max_pairs:
-        stride = max(1, int(n / math.sqrt(2 * max_pairs)))
-        idx = list(range(0, n, stride)) + [n - 1]
-    checked = 0
-    for ii, i in enumerate(idx):
-        for j in list(idx)[ii + 1:]:
-            du = float(cum[j] - cum[i])
-            d = float(space.distance(pts[i], pts[j]))
-            if d < du / lam - eps - 1e-9 or d > lam * du + eps + 1e-9:
-                raise DomainError(
-                    f"polyline is not a ({lam},{eps})-quasi-geodesic "
-                    f"(params {cum[i]},{cum[j]}: length {du}, distance {d})"
-                )
-            checked += 1
-    deviation = 0.0
-    for p in pts:
-        d, _ = ray_distance(p, gamma, horizon)
-        deviation = max(deviation, float(d))
-    return MorseResult(deviation, lam, eps, checked)

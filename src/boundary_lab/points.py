@@ -1,4 +1,4 @@
-"""Point variants and polyline paths.
+"""Point variants.
 
 Every point carries the identity (``space_id``) of the space it lives in;
 operations mixing points from different spaces are rejected rather than
@@ -9,13 +9,11 @@ are floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 from .errors import DomainError
-
-Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -79,41 +77,3 @@ def require_same_space(space_id: str, *points: Point) -> None:
             raise DomainError(
                 f"point {p!r} belongs to space {p.space_id}, not {space_id}"
             )
-
-
-@dataclass(frozen=True)
-class PathPolyline:
-    """An ordered chain of points with cumulative arc length.
-
-    Consecutive points are understood to be joined by geodesic pieces, so
-    cumulative[k+1] - cumulative[k] equals the distance between the points.
-    Lengths are exact rationals in ray complexes, floats otherwise.
-    """
-
-    points: tuple[Point, ...]
-    cumulative: tuple[Union[Fraction, float], ...] = field(default=())
-
-    @staticmethod
-    def from_points(points: Sequence[Point], space) -> "PathPolyline":
-        """Build a polyline, measuring each consecutive hop with ``space``."""
-        pts = tuple(points)
-        if not pts:
-            raise DomainError("polyline needs at least one point")
-        cum = [space.distance(pts[0], pts[0])]  # exact zero of the right type
-        for a, b in zip(pts, pts[1:]):
-            cum.append(cum[-1] + space.distance(a, b))
-        return PathPolyline(pts, tuple(cum))
-
-    @property
-    def length(self):
-        return self.cumulative[-1]
-
-    def check(self, space, tol=0) -> None:
-        """Verify the cumulative-length invariant against ``space``."""
-        for i, (a, b) in enumerate(zip(self.points, self.points[1:])):
-            step = self.cumulative[i + 1] - self.cumulative[i]
-            if step < 0:
-                raise DomainError("cumulative length decreases")
-            err = abs(step - space.distance(a, b))
-            if err > tol:
-                raise DomainError(f"polyline hop {i} off by {err}")

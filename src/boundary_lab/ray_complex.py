@@ -1,4 +1,4 @@
-"""Exact distance and geodesic engine for spaces glued from rays and segments.
+"""Exact distance engine for spaces glued from rays and segments.
 
 A complex is a finite list of edges (infinite rays or finite segments, with
 positive rational lengths) plus gluings identifying finitely many edge
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import BuildError, DomainError, UnreachableError
-from .points import PathPolyline, Point, RayComplexPoint, require_same_space
+from .points import Point, RayComplexPoint, require_same_space
 
 RationalLike = Union[int, str, Fraction]
 
@@ -53,18 +53,12 @@ class Edge:
 Location = tuple[str, Fraction]  # (edge_id, parameter)
 
 
-@dataclass(frozen=True)
-class GeodesicResult:
-    distance: Fraction
-    witness: PathPolyline
-
-
 def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class RayComplex:
-    """Immutable glued-edge space with exact shortest paths."""
+    """Immutable glued-edge space with exact distances."""
 
     TOL = 0  # exact: projections, product stability and U-sets compare sharply
 
@@ -188,8 +182,8 @@ class RayComplex:
         self._int_adjacency = [
             [(v, int(w * self._scale)) for v, w, _ in nbrs] for nbrs in self.adjacency
         ]
-        # per-vertex (distances, predecessors), filled by _row on first use
-        self._rows: list[Optional[tuple[list, list]]] = [None] * len(self.vertex_locs)
+        # per-vertex distance rows, filled by _row on first use
+        self._rows: list[Optional[list]] = [None] * len(self.vertex_locs)
 
     def _lint(self) -> list[str]:
         notes = []
@@ -202,7 +196,7 @@ class RayComplex:
         return notes
 
     def is_connected(self) -> bool:
-        return None not in self._row(self._vertex_of[self._basepoint_loc])[0]
+        return None not in self._row(self._vertex_of[self._basepoint_loc])
 
     # -- points ----------------------------------------------------------
 
@@ -218,18 +212,6 @@ class RayComplex:
         if off < 0 or (e.length is not None and off > e.length):
             raise DomainError(f"offset {off} outside edge {edge_id}")
         return RayComplexPoint(self.space_id, edge_id, off)
-
-    def same_point(self, p: RayComplexPoint, q: RayComplexPoint) -> bool:
-        require_same_space(self.space_id, p, q)
-        if p.edge_id == q.edge_id and p.offset == q.offset:
-            return True
-        a = self._vertex_of.get((p.edge_id, p.offset))
-        b = self._vertex_of.get((q.edge_id, q.offset))
-        return a is not None and a == b
-
-    def vertex_point(self, v: int) -> RayComplexPoint:
-        eid, par = self.vertex_locs[v][0]
-        return RayComplexPoint(self.space_id, eid, par)
 
     def _seeds(self, p: RayComplexPoint) -> tuple[int, list[tuple[int, int]]]:
         """(den, [(vertex, num)]): the vertices bracketing p on its edge, each
@@ -250,13 +232,11 @@ class RayComplex:
 
     # -- shortest paths ---------------------------------------------------
 
-    def vertex_distances(self, source: int) -> tuple[list, list]:
+    def vertex_distances(self, source: int) -> list:
         """Distances from vertex ``source`` to every vertex, as integers in
-        units of 1 / _scale (None where unreachable), plus each vertex's
-        predecessor on a shortest path (None at the source)."""
+        units of 1 / _scale (None where unreachable)."""
         n = len(self.vertex_locs)
         dist: list[Optional[int]] = [None] * n
-        pred: list[Optional[int]] = [None] * n
         dist[source] = 0
         heap = [(0, 0, source)]
         seq = 1
@@ -268,108 +248,42 @@ class RayComplex:
                 nd = d + w
                 if dist[v] is None or nd < dist[v]:
                     dist[v] = nd
-                    pred[v] = u
                     heapq.heappush(heap, (nd, seq, v))
                     seq += 1
-        return dist, pred
+        return dist
 
-    def _row(self, v: int) -> tuple[list, list]:
+    def _row(self, v: int) -> list:
         """vertex_distances(v), computed at most once per vertex."""
         if self._rows[v] is None:
             self._rows[v] = self.vertex_distances(v)
         return self._rows[v]
 
-    def _route(self, p: RayComplexPoint, q: RayComplexPoint):
-        """(d(p, q), u, v): a shortest route leaves p's edge at vertex u and
-        enters q's at vertex v; u = v = None when it stays on the edge.
+    def distance(self, p: Point, q: Point) -> Fraction:
+        """Least offset-plus-row sum over the vertices bracketing p and q,
+        or the along-edge distance when they share an edge.
 
         Candidates are compared as integer numerators over the common
         denominator dp * dq * _scale.
         """
+        require_same_space(self.space_id, p, q)
+        if not isinstance(p, RayComplexPoint) or not isinstance(q, RayComplexPoint):
+            raise DomainError("ray-complex distance needs ray-complex points")
         dp, p_seeds = self._seeds(p)
         dq, q_seeds = self._seeds(q)
         best: Optional[int] = None
-        ends = (None, None)
         if p.edge_id == q.edge_id:
             best = abs(p.offset.numerator * dq - q.offset.numerator * dp) * self._scale
         for u, a in p_seeds:
-            dist = self._row(u)[0]
+            dist = self._row(u)
             for v, b in q_seeds:
                 if dist[v] is None:
                     continue
                 cand = a * dq + dist[v] * dp * dq + b * dp
                 if best is None or cand < best:
-                    best, ends = cand, (u, v)
+                    best = cand
         if best is None:
             raise UnreachableError("query pair not connected")
-        return (Fraction(best, dp * dq * self._scale), *ends)
-
-    def distance(self, p: Point, q: Point) -> Fraction:
-        require_same_space(self.space_id, p, q)
-        if not isinstance(p, RayComplexPoint) or not isinstance(q, RayComplexPoint):
-            raise DomainError("ray-complex distance needs ray-complex points")
-        return self._route(p, q)[0]
-
-    def geodesic(self, p: RayComplexPoint, q: RayComplexPoint) -> GeodesicResult:
-        """Distance plus a witness polyline through the vertex sequence."""
-        require_same_space(self.space_id, p, q)
-        best, u, v = self._route(p, q)
-
-        chain: list[RayComplexPoint] = [p]
-        if u is not None:
-            pred = self._row(u)[1]
-            vchain: list[int] = []
-            while v is not None:
-                vchain.append(v)
-                v = pred[v]
-            vchain.reverse()
-            chain += [self.vertex_point(w) for w in vchain]
-        chain.append(q)
-        chain = self._compress(chain)
-        cum = [Fraction(0)]
-        for a, b in zip(chain, chain[1:]):
-            cum.append(cum[-1] + self.distance(a, b))
-        # drop stray zero hops introduced by seed vertices equal to p or q
-        pts, cms = [chain[0]], [cum[0]]
-        for pt, c in zip(chain[1:], cum[1:]):
-            if c == cms[-1] and self.same_point(pts[-1], pt):
-                continue
-            pts.append(pt)
-            cms.append(c)
-        return GeodesicResult(best, PathPolyline(tuple(pts), tuple(cms)))
-
-    def _compress(self, chain: list[RayComplexPoint]) -> list[RayComplexPoint]:
-        """Drop interior points lying on the same edge run as their neighbors."""
-        out = list(chain)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(1, len(out) - 1):
-                a, b, c = out[i - 1], out[i], out[i + 1]
-                for eid in self.edges:
-                    pa = self._param_on_edge(a, eid)
-                    pb = self._param_on_edge(b, eid)
-                    pc = self._param_on_edge(c, eid)
-                    if pa is None or pb is None or pc is None:
-                        continue
-                    if min(pa, pc) <= pb <= max(pa, pc):
-                        del out[i]
-                        changed = True
-                        break
-                if changed:
-                    break
-        return out
-
-    def _param_on_edge(self, p: RayComplexPoint, eid: str) -> Optional[Fraction]:
-        if p.edge_id == eid:
-            return p.offset
-        v = self._vertex_of.get((p.edge_id, p.offset))
-        if v is None:
-            return None
-        for loc_eid, par in self.vertex_locs[v]:
-            if loc_eid == eid:
-                return par
-        return None
+        return Fraction(best, dp * dq * self._scale)
 
     # -- rays -------------------------------------------------------------
 

@@ -36,7 +36,6 @@ class ZooSpace:
     scale: float
     product_horizon: float
     sweep_horizon: float
-    gamma_indices: tuple[int, ...] = ()
 
     def __post_init__(self):
         self.boundary = Labels(self.boundary)
@@ -102,10 +101,7 @@ def build_X(n: int) -> ZooSpace:
         )
         boundary[f"g{i}"] = BoundaryPoint(f"g{i}", via_a, (via_b,))
     scale = float(2 ** n)
-    return ZooSpace(
-        f"X:{n}", rc, boundary, scale, 16 * scale, 8 * scale,
-        tuple(range(1, n + 1)),
-    )
+    return ZooSpace(f"X:{n}", rc, boundary, scale, 16 * scale, 8 * scale)
 
 
 def build_Y(n: int) -> ZooSpace:
@@ -145,10 +141,7 @@ def build_Y(n: int) -> ZooSpace:
         )
         boundary[f"g{i}"] = BoundaryPoint(f"g{i}", via_b)
     scale = float(2 ** n)
-    return ZooSpace(
-        f"Y:{n}", rc, boundary, scale, 16 * scale, 8 * scale,
-        tuple(range(3, n + 1)),
-    )
+    return ZooSpace(f"Y:{n}", rc, boundary, scale, 16 * scale, 8 * scale)
 
 
 def _attached_class(
@@ -194,10 +187,7 @@ def build_Xcat0(n: int) -> ZooSpace:
             space, f"g{i}", f"g{i}", [(0.0, 1.0), (_PERTURB, 1.0)]
         )
     scale = float(2 ** n)
-    return ZooSpace(
-        f"Xcat0:{n}", space, boundary, scale, 32 * scale, 8 * scale,
-        tuple(range(1, n + 1)),
-    )
+    return ZooSpace(f"Xcat0:{n}", space, boundary, scale, 32 * scale, 8 * scale)
 
 
 def build_Ycat0(n: int) -> ZooSpace:
@@ -214,10 +204,7 @@ def build_Ycat0(n: int) -> ZooSpace:
             space, f"g{i}", f"g{i}", [(0.0, 1.0), (_PERTURB, 1.0)]
         )
     scale = float(2 ** n)
-    return ZooSpace(
-        f"Ycat0:{n}", space, boundary, scale, 32 * scale, 8 * scale,
-        tuple(range(1, n + 1)),
-    )
+    return ZooSpace(f"Ycat0:{n}", space, boundary, scale, 32 * scale, 8 * scale)
 
 
 _BUILDERS = {
@@ -234,7 +221,7 @@ def get_space(spec: str) -> ZooSpace:
         from .dsl import load_space
 
         rc = load_space(spec)
-        return ZooSpace(spec, rc, {}, 1.0, 1024.0, 512.0, ())
+        return ZooSpace(spec, rc, {}, 1.0, 1024.0, 512.0)
     if ":" in spec:
         name, _, num = spec.partition(":")
         if name in _BUILDERS and num.isdecimal():

@@ -35,7 +35,6 @@ from .contraction import (
     far_segment_suite,
     neighborhood_basis_check,
     project,
-    strong_contraction_constant,
 )
 from .dsl import compile_space, parse_space, serialize_space
 from .errors import SpaceParseError
@@ -107,12 +106,12 @@ def class_constants(zoo: spacezoo.ZooSpace, seed: int) -> dict:
             sampler = profile_pair_sampler(
                 space, rep, horizon=40.0 + 4.0 * scale, r_min=0.02, r_max=r_max
             )
-            res = strong_contraction_constant(
+            prof = contraction_profile(
                 rep, space, sampler, 500, horizon=16.0 * r_max, seed=seed,
                 extra_pairs=extra,
             )
-            if res.status == "bounded":
-                best = max(best, res.constant)
+            if prof.classification == "bounded":
+                best = max(best, prof.constant)
             else:
                 ok = False
         table[label] = 1.1 * max(best, 0.25)

@@ -139,9 +139,8 @@ def test_convergence_first_indices(zoo_x16):
         max_horizon=z.product_horizon, min_horizon=z.product_min_horizon,
     )
     assert rep.converges
-    assert rep.first_index(1) == 1
-    assert rep.first_index(2.5) == 3
-    assert rep.first_index(15) == 15
+    first = {r: idx for r, idx, _ in rep.rows}
+    assert first == {1: 1, 2: 2, 2.5: 3, 7: 7, 15: 15}
 
 
 def test_convergence_constant_sequence(zoo_x16):
@@ -161,7 +160,7 @@ def test_convergence_fails_in_Y(zoo_y16):
         max_horizon=z.product_horizon, min_horizon=z.product_min_horizon,
     )
     assert not rep.converges
-    assert rep.first_index(1.0) is None
+    assert [(r, idx) for r, idx, _ in rep.rows] == [(1.0, None)]
 
 
 def test_hausdorff_witness_in_X(zoo_x16):

@@ -1,11 +1,13 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import pytest
 
 from boundary_lab import boundary, cli, spacezoo
 from boundary_lab.cli import main
+from boundary_lab.contraction import ContractionProfile
 
 
 def run_cli(capsys, *argv):
@@ -130,6 +132,29 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+# a given option that must be positive: (argv, the flag the error names)
+NONPOSITIVE = [
+    (["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "beta",
+      "--c", "3", "--horizon", "0"], "--horizon"),
+    (["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "beta",
+      "--c", "3", "--horizon", "-1"], "--horizon"),
+    (["project", "--space", "X:8", "--point", "g3:0", "--target", "alpha",
+      "--horizon", "0"], "--horizon"),
+    (["project", "--space", "X:8", "--point", "g3:0", "--target", "alpha",
+      "--horizon", "-1"], "--horizon"),
+    (["profile", "--space", "Xcat0:4", "--ray", "alpha", "--n", "10", "--seed", "1",
+      "--horizon", "0"], "--horizon"),
+    (["claim", "--space", "Xcat0:4", "--eta", "alpha", "--zeta", "g3",
+      "--c-eta", "3.5", "--c-zeta", "3.5", "--horizon", "0"], "--horizon"),
+    (["claim", "--space", "Xcat0:4", "--eta", "alpha", "--zeta", "g3",
+      "--c-eta", "0", "--c-zeta", "3.5", "--horizon", "300"], "--c-eta"),
+    (["claim", "--space", "Xcat0:4", "--eta", "alpha", "--zeta", "g3",
+      "--c-eta", "3.5", "--c-zeta", "-2", "--horizon", "300"], "--c-zeta"),
+    (["profile", "--space", "Xcat0:4", "--ray", "alpha", "--n", "10", "--seed", "1",
+      "--jobs", "0"], "--jobs"),
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["dist", "--space", "X:abc", "--from", "base", "--to", "base"],
     ["dist", "--space", "Xcat0:4", "--from", "alpha:xyz", "--to", "base"],
@@ -177,11 +202,18 @@ def test_usage_error_exit_code(capsys):
      "--tol", "-1"],
     ["git", "--space", "Xcat0:4", "--n", "0", "--seed", "1"],
     ["profile", "--space", "Xcat0:4", "--ray", "alpha", "--n", "0", "--seed", "1"],
-])
+] + [argv for argv, _ in NONPOSITIVE])
 def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("argv, flag", NONPOSITIVE)
+def test_nonpositive_option_error_names_the_option(capsys, argv, flag):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out)["error"].startswith(f"{flag} must be > 0")
 
 
 def test_property_failure_exit_code(capsys, monkeypatch):
@@ -216,6 +248,47 @@ def test_jobs_merge_matches_serial(capsys):
     _, serial = run_cli(capsys, *base, "--jobs", "1")
     _, parallel = run_cli(capsys, *base, "--jobs", "2")
     assert serial == parallel
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("jobs, n, cpus, workers", [
+    (64, 2000, 2, 2),  # capped by the CPU count
+    (64, 600, 16, 3),  # capped by the chunk count (chunks of 250)
+    (3, 2000, 16, 3),
+    (4, 200, 16, None),  # one chunk runs in-process, without a pool
+    (1, 2000, 16, None),
+])
+def test_profile_worker_count(capsys, monkeypatch, jobs, n, cpus, workers):
+    sizes, chunks = [], []
+    monkeypatch.setattr(
+        cli, "ProcessPoolExecutor", lambda max_workers: _FakePool(sizes, max_workers)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(
+        cli, "_profile_chunk", lambda c: chunks.append(c) or ContractionProfile()
+    )
+    code, _ = run_cli(
+        capsys, "profile", "--space", "Xcat0:4", "--ray", "alpha", "--n", str(n),
+        "--seed", "1", "--jobs", str(jobs),
+    )
+    assert code == 0
+    assert sizes == ([] if workers is None else [workers])
+    assert sum(c[2] for c in chunks) == n
 
 
 def test_csv_output_and_artifact(capsys, tmp_path):

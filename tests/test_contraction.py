@@ -14,14 +14,11 @@ from boundary_lab.contraction import (
     contraction_profile,
     far_segment_suite,
     git_check,
-    morse_witness,
     neighborhood_basis_check,
     project,
     ray_distance,
-    strong_contraction_constant,
     t_first_escape,
 )
-from boundary_lab.points import PathPolyline
 from boundary_lab.rays import ChordLeg
 from boundary_lab.samplers import profile_pair_sampler
 from boundary_lab.suite import alpha_extremal_pairs, class_constants
@@ -81,6 +78,20 @@ def test_projection_clamps_to_ray_origin(zoo_xcat12):
     (ray, lo, hi), = res.intervals
     assert lo == 0.0
     assert float(res.distance) == pytest.approx(A.distance(beta_side, A.basepoint), abs=1e-9)
+
+
+def test_leg_junction_minimizer_reported_once(zoo_xcat8):
+    # g3's chord and attached legs meet at its base, so a point above the
+    # base is nearest to both legs at one parameter: it is reported once
+    A = zoo_xcat8.space
+    g3 = zoo_xcat8.boundary["g3"].canonical
+    t, r = A.attached["g3"]
+    x = A.pt(t, r + 5)
+    d, params = ray_distance(x, g3, 100.0)
+    assert d == pytest.approx(5.0, abs=1e-12)
+    assert params == [g3.leg_offsets[2]]
+    (ray, lo, hi), = project(x, g3, horizon=100.0).intervals
+    assert (lo, hi) == pytest.approx((9.491784429661681, 9.49178643756694), abs=1e-12)
 
 
 # -- closed-form chord projection ----------------------------------------------
@@ -202,21 +213,22 @@ def test_strong_contraction_results(zoo_x16, zoo_xcat12):
     X = zoo_x16.space
     alpha = X.edge_ray("alpha")
     witnesses = [(X.point(f"g{i}", 0), X.point("beta", i)) for i in range(4, 15)]
-    res = strong_contraction_constant(
+    prof = contraction_profile(
         alpha, X, profile_pair_sampler(X, alpha, horizon=2 ** 14), 200,
         horizon=2 ** 17, seed=3, extra_pairs=witnesses,
     )
-    assert res.status == "not_bounded"
-    x, y, diam = res.witness
-    assert diam >= 10  # large diameter witness at large radius
+    assert prof.classification == "sublinear" and prof.stabilized
+    assert prof.constant is None
+    top = max(prof.bins, key=lambda k: (prof.bins[k], k))
+    assert prof.bins[top] >= 10 and top >= 3  # large diameter at large radius
 
     g4 = zoo_xcat12.boundary["g4"].canonical
     A = zoo_xcat12.space
-    res2 = strong_contraction_constant(
+    prof2 = contraction_profile(
         g4, A, profile_pair_sampler(A, g4, horizon=100.0, r_max=512.0), 600,
         horizon=4096.0, seed=2,
     )
-    assert res2.status == "bounded" and res2.constant > 0
+    assert prof2.classification == "bounded" and prof2.constant > 0
 
 
 # -- geodesic image property ------------------------------------------------------
@@ -386,70 +398,3 @@ def test_basis_requires_constants(zoo_xcat12):
     pts = [zoo_xcat12.boundary["alpha"], zoo_xcat12.boundary["g3"]]
     with pytest.raises(bl.DomainError):
         neighborhood_basis_check(pts[0], 1.0, pts, {"alpha": 1.0}, horizon=100.0)
-
-
-# -- quasi-geodesic deviation ----------------------------------------------------------------
-
-def test_morse_subsegment(zoo_xcat12):
-    A = zoo_xcat12.space
-    alpha = zoo_xcat12.boundary["alpha"].canonical
-    poly = PathPolyline.from_points(
-        [A.pt(t, 1.0) for t in np.linspace(2, 9, 12)], A
-    )
-    res = morse_witness(alpha, poly, 1.0, 0.0, horizon=100.0)
-    assert res.deviation == 0.0
-
-
-def test_morse_detour_height(zoo_xcat12):
-    A = zoo_xcat12.space
-    alpha = zoo_xcat12.boundary["alpha"].canonical
-    D, T = 3.0, 12.0
-    pts = [A.pt(0, 1.0), A.pt(0, 1.0 + D)]
-    pts += [A.pt(t, 1.0 + D) for t in np.linspace(0.3, T - 0.3, 40)]
-    pts += [A.pt(T, 1.0 + D), A.pt(T, 1.0)]
-    poly = PathPolyline.from_points(pts, A)
-    lam = (2 * D + (1 + D) * T) / T + 0.5
-    res = morse_witness(alpha, poly, lam, 1.0, horizon=100.0)
-    assert res.deviation == pytest.approx(D, abs=1e-9)
-
-
-def test_morse_connector_detour(zoo_x8):
-    X = zoo_x8.space
-    i = 5
-    out = X.geodesic(X.point("alpha", 0), X.point("g5", 0)).witness
-    back = X.geodesic(X.point("g5", 0), X.point("alpha", 2 * i)).witness
-    pts = list(out.points) + list(back.points)[1:]
-    poly = PathPolyline.from_points(pts, X)
-    # certify constants from the polyline's own worst pairs
-    lam = 1.0
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            du = float(poly.cumulative[b] - poly.cumulative[a])
-            d = float(X.distance(pts[a], pts[b]))
-            if d >= 1:
-                lam = max(lam, du / d)
-    eps = 0.0
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            du = float(poly.cumulative[b] - poly.cumulative[a])
-            eps = max(eps, du / lam - float(X.distance(pts[a], pts[b])))
-    res = morse_witness(X.edge_ray("alpha"), poly, lam, eps + 0.1, horizon=500)
-    assert res.deviation == 2 ** i
-    assert lam >= (2 ** (i + 1) + 2 * i) / (4 * i)  # only huge constants certify it
-
-
-def test_morse_rejects_false_constants(zoo_xcat12):
-    A = zoo_xcat12.space
-    alpha = zoo_xcat12.boundary["alpha"].canonical
-    pts = [A.pt(0, 1.0), A.pt(0, 4.0), A.pt(6, 4.0), A.pt(6, 1.0)]
-    poly = PathPolyline.from_points(pts, A)
-    with pytest.raises(bl.DomainError):
-        morse_witness(alpha, poly, 1.0, 0.0, horizon=100.0)
-
-
-def test_morse_endpoints_must_lie_on_ray(zoo_xcat12):
-    A = zoo_xcat12.space
-    alpha = zoo_xcat12.boundary["alpha"].canonical
-    poly = PathPolyline.from_points([A.pt(0, 2.0), A.pt(3, 2.0)], A)
-    with pytest.raises(bl.DomainError):
-        morse_witness(alpha, poly, 4.0, 4.0, horizon=100.0)

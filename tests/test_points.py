@@ -4,7 +4,7 @@ import pytest
 
 import boundary_lab as bl
 from boundary_lab.contraction import ContractionProfile, project
-from boundary_lab.points import AnnulusPoint, PathPolyline, RayComplexPoint
+from boundary_lab.points import AnnulusPoint, RayComplexPoint
 
 
 def test_point_validation(zoo_xcat8):
@@ -20,17 +20,6 @@ def test_offset_bounds_checked(zoo_x8):
     X = zoo_x8.space
     with pytest.raises(bl.DomainError):
         X.point("ca3", 9)  # connector has length 8
-
-
-def test_polyline_invariants(zoo_x8):
-    X = zoo_x8.space
-    pts = [X.basepoint, X.point("alpha", 3), X.point("g3", 0)]
-    poly = PathPolyline.from_points(pts, X)
-    assert poly.length == 11
-    poly.check(X)
-    bad = PathPolyline(tuple(pts), (Fraction(0), Fraction(1), Fraction(2)))
-    with pytest.raises(bl.DomainError):
-        bad.check(X)
 
 
 def test_ray_locate_errors(zoo_xcat8):

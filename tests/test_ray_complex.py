@@ -67,16 +67,16 @@ def test_brute_force_oracle_on_looped_complex():
         assert rc.distance(p, q) == brute_rc_distance(rc, p, q)
 
 
+def _route_length(S, route):
+    return sum(S.distance(a, b) for a, b in zip(route, route[1:]))
+
+
 def test_geodesic_witness_route(zoo_x16):
     X = zoo_x16.space
-    res = X.geodesic(X.basepoint, X.point("g3", 1))
-    assert res.distance == 12
-    assert res.witness.length == 12
-    route = [X.point("alpha", 0), X.point("alpha", 3), X.point("g3", 0), X.point("g3", 1)]
-    assert len(res.witness.points) == len(route)
-    for got, want in zip(res.witness.points, route):
-        assert X.same_point(got, want)
-    res.witness.check(X)
+    p, q = X.basepoint, X.point("g3", 1)
+    assert X.distance(p, q) == 12
+    route = [p, X.point("alpha", 3), X.point("g3", 0), q]
+    assert _route_length(X, route) == 12
 
 
 def _random_rational_complex(rng):
@@ -170,27 +170,21 @@ def test_geodesic_witness_routes_from_edge_interiors(zoo_x16):
     ]
     for S, a, b, dist, via in cases:
         p, q = S.point(*a), S.point(*b)
-        res = S.geodesic(p, q)
-        assert res.distance == dist == S.distance(p, q)
+        assert S.distance(p, q) == dist == S.distance(q, p)
         route = [p] + [S.point(*loc) for loc in via] + [q]
-        assert len(res.witness.points) == len(route)
-        for got, want in zip(res.witness.points, route):
-            assert S.same_point(got, want)
-        res.witness.check(S)
+        assert _route_length(S, route) == dist
 
 
 def test_geodesic_zero_length(zoo_x8):
     X = zoo_x8.space
-    res = X.geodesic(X.point("alpha", 2), X.point("alpha", 2))
-    assert res.distance == 0
-    assert len(res.witness.points) == 1
+    assert X.distance(X.point("alpha", 2), X.point("alpha", 2)) == 0
 
 
 def test_geodesic_through_basepoint(zoo_x16):
     X = zoo_x16.space
-    res = X.geodesic(X.point("alpha", 5), X.point("beta", 5))
-    assert res.distance == 10
-    assert any(X.same_point(p, X.basepoint) for p in res.witness.points)
+    p, q = X.point("alpha", 5), X.point("beta", 5)
+    assert X.distance(p, q) == 10
+    assert _route_length(X, [p, X.basepoint, q]) == 10
 
 
 def test_edge_rays_unit_speed(zoo_x8):
@@ -252,8 +246,9 @@ def test_vertex_graph_symmetry(zoo_x8):
     n = len(X.vertex_locs)
     for _ in range(30):
         u, v = rng.randrange(n), rng.randrange(n)
-        pu, pv = X.vertex_point(u), X.vertex_point(v)
+        pu, pv = X.point(*X.vertex_locs[u][0]), X.point(*X.vertex_locs[v][0])
         assert X.distance(pu, pv) == X.distance(pv, pu)
+        assert (X.distance(pu, pv) == 0) == (u == v)
 
 
 def test_describe_is_stable_under_declaration_order():
@@ -277,4 +272,4 @@ def test_multiway_gluing():
         ("a", Fraction(0)),
     )
     assert rc.distance(rc.point("b", 2), rc.point("c", 3)) == 5
-    assert rc.same_point(rc.point("a", 0), rc.point("c", 0))
+    assert rc.distance(rc.point("a", 0), rc.point("c", 0)) == 0

@@ -23,7 +23,7 @@ def test_build_Y_default_family():
     with pytest.raises(bl.DomainError):
         bl.build_Y(2)  # indices 1 and 2 would have zero-length connectors
     z = bl.build_Y(5)
-    assert z.gamma_indices == (3, 4, 5)
+    assert sorted(z.boundary) == ["alpha", "beta", "g3", "g4", "g5"]
     Y = z.space
     assert Y.edges["cb3"].length == 2  # 2^3 - 2*3
     assert Y.distance(Y.basepoint, Y.point("g3", 0)) == 5
