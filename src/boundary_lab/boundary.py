@@ -6,10 +6,17 @@ canonical representatives: E(S) is the minimum finite-scale product over a
 3 x 3 grid in [S, 2S]^2, and S doubles until the last two increments fall
 within the space's tolerance (``TOL``: 0 on ray complexes, 1e-6 on the
 annulus).  On ray complexes the products are eventually constant, so the
-doubling terminates with the exact value.  The supremum over other
-representatives is not searched; when a contraction constant is known the
-50C bound is attached as the error bar instead, and the self-product is
-+infinity by convention (so eta always belongs to U(eta, r)).
+doubling terminates with the exact value.  There a window's nine products
+are formed as integers over one common denominator, and windows are queried
+only until the value is certified final: when each ray's final leg is an
+unbounded ``EdgeLeg`` on a ``RAY`` edge, on two different edges, the rays run
+from s* = leg offset + max(0, last mark - leg start) on hairs, and every
+window with S >= max(s*) has the same minimum, which the later windows
+repeat.  Schedules, minima, status and value are those of the full walk.
+The supremum over other representatives is not searched; when a
+contraction constant is known the 50C bound is attached as the error bar
+instead, and the self-product is +infinity by convention (so eta always
+belongs to U(eta, r)).
 
 Queries that ask for the same product many times (convergence tables, the
 basis check) run inside ``shared_products()``: there every finite estimate
@@ -31,8 +38,8 @@ from typing import Optional, Sequence, Union
 
 from .errors import DomainError
 from .metric import gromov_product  # noqa: F401  (bench/spans.py patches this name)
-from .ray_complex import RayComplex
-from .rays import UnitSpeedRay
+from .ray_complex import RAY, RayComplex
+from .rays import EdgeLeg, UnitSpeedRay
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,16 +141,31 @@ def shared_products():
 
 
 def _doubling_schedule(a, b, max_horizon, min_horizon):
-    """(status, horizons S, window minima E(S)) for one ordered ray pair."""
+    """(status, horizons S, window minima E(S)) for one ordered ray pair.
+
+    On a ray complex, once both rays run on their hairs (``_settles_at``)
+    every later window minimum equals the first one computed with
+    S >= S* = max(s_a*, s_b*): for s >= s_a* and t >= s_b*, d(a(s), o),
+    d(b(t), o) and d(a(s), b(t)) grow by exactly s - s_a*, t - s_b* and
+    their sum, which cancel in the product.  So that value is appended for
+    the later windows without querying; the schedule, the minima and the
+    stop rule are those of the full walk.
+    """
     space = a.space
     o = space.basepoint
+    settles_at = _settles_at(space, a, b)
     S = Fraction(1) if isinstance(space, RayComplex) else 1.0
     schedule = []
     minima = []
+    final = None  # E(S) of the first window with S >= settles_at
     while True:
-        params = [S, S + S / 2, 2 * S]
         schedule.append(S)
-        minima.append(_window_min(space, a, b, params, o))
+        if final is None:
+            minima.append(_window_min(space, a, b, [S, S + S / 2, 2 * S], o))
+            if settles_at is not None and S >= settles_at:
+                final = minima[-1]
+        else:
+            minima.append(final)
         if len(minima) >= 3 and S >= min_horizon:
             d1 = abs(minima[-1] - minima[-2])
             d2 = abs(minima[-2] - minima[-3])
@@ -154,15 +176,57 @@ def _doubling_schedule(a, b, max_horizon, min_horizon):
         S = 2 * S
 
 
+def _settles_at(space, a, b):
+    """S* = max(s_a*, s_b*) when both rays end on hairs of different edges,
+    else None.  A ray is on its hair from s* on when its final leg is an
+    unbounded ``EdgeLeg`` on a ``RAY`` edge: a hair is the part of a ray
+    edge past its last mark, attached to the rest of the complex only at
+    that mark."""
+    if not isinstance(space, RayComplex):
+        return None
+    hairs = []
+    for ray in (a, b):
+        leg = ray.legs[-1]
+        if not (
+            isinstance(leg, EdgeLeg)
+            and leg.end is None
+            and space.edges[leg.edge_id].kind == RAY
+        ):
+            return None
+        last_mark = space.marks_on(leg.edge_id)[-1]
+        s_star = ray.leg_offsets[-1] + max(0, last_mark - leg.start)
+        hairs.append((leg.edge_id, s_star))
+    (edge_a, s_a), (edge_b, s_b) = hairs
+    return None if edge_a == edge_b else max(s_a, s_b)
+
+
 def _window_min(space, a, b, params, o):
     """Min of finite-scale products over the window grid.
 
     The window points and their distances to o are computed once each, so
-    an n x n window costs 2n + n^2 distance queries; each product is formed
-    as in ``metric.gromov_product``, so the values are the same.
+    an n x n window costs 2n + n^2 distance queries; each product has the
+    value ``metric.gromov_product`` gives.  On a ray complex the doubled
+    products are formed as integers over one common denominator and the
+    minimum becomes one Fraction; on the annulus the floats are combined in
+    ``gromov_product``'s operand order.
     """
-    dxo = [(x, space.distance(x, o)) for x in (a.eval(s) for s in params)]
-    dyo = [(y, space.distance(y, o)) for y in (b.eval(t) for t in params)]
+    xs = [a.eval(s) for s in params]
+    ys = [b.eval(t) for t in params]
+    if isinstance(space, RayComplex):
+        ratio = space.distance_ratio
+        xo = [ratio(x, o) for x in xs]
+        yo = [ratio(y, o) for y in ys]
+        xy = [ratio(x, y) for x in xs for y in ys]
+        den = math.lcm(*(d for _, d in xo + yo + xy))
+        xo, yo, xy = ([n * (den // d) for n, d in r] for r in (xo, yo, xy))
+        doubled = min(
+            dx + dy - xy[i * len(yo) + j]
+            for i, dx in enumerate(xo)
+            for j, dy in enumerate(yo)
+        )
+        return Fraction(doubled, 2 * den)
+    dxo = [(x, space.distance(x, o)) for x in xs]
+    dyo = [(y, space.distance(y, o)) for y in ys]
     return min(
         (d_xo + d_yo - space.distance(x, y)) / 2
         for x, d_xo in dxo

@@ -428,8 +428,18 @@ def _eprint(*a):
     print(*a, file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise instead of exiting, so ``main`` reports them on
+    stdout as JSON like any other rejected input (usage still goes to
+    stderr)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise DomainError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="boundary-lab",
         description="exact and numerical lab for contracting rays, Gromov "
         "products, and boundary topology on two families of geodesic spaces",
@@ -552,12 +562,8 @@ _CSV_ROWS = {
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         for name, value in vars(args).items():  # float options accept nan, inf
             flag = f"--{name.replace('_', '-')}"
             if isinstance(value, float) and not math.isfinite(value):
@@ -565,21 +571,20 @@ def main(argv=None) -> int:
             if name in POSITIVE_OPTIONS and value is not None and value <= 0:
                 raise DomainError(f"{flag} must be > 0, got {value}")
         code, payload = args.fn(args)
-    except BoundaryLabError as err:
+        if args.format == "csv":
+            schema = payload.get("schema")
+            key = _CSV_ROWS.get(schema)
+            if key is None:
+                raise DomainError(f"no CSV form for {schema}")
+            text = write_csv(payload[key], args.out)
+        else:
+            text = write_json(payload, args.out) + "\n"
+    except SystemExit as exc:  # --help
+        return 2 if exc.code else 0
+    except (BoundaryLabError, OSError, UnicodeDecodeError) as err:
         print(write_json({"error": str(err)}, None))
         return 2
-    except FileNotFoundError as err:
-        print(write_json({"error": str(err)}, None))
-        return 2
-    if args.format == "csv":
-        schema = payload.get("schema")
-        key = _CSV_ROWS.get(schema)
-        if key is None:
-            print(write_json({"error": f"no CSV form for {schema}"}, None))
-            return 2
-        print(write_csv(payload[key], args.out), end="")
-    else:
-        print(write_json(payload, args.out))
+    print(text, end="")
     return code
 
 

@@ -258,12 +258,13 @@ class RayComplex:
             self._rows[v] = self.vertex_distances(v)
         return self._rows[v]
 
-    def distance(self, p: Point, q: Point) -> Fraction:
-        """Least offset-plus-row sum over the vertices bracketing p and q,
+    def distance_ratio(self, p: Point, q: Point) -> tuple[int, int]:
+        """d(p, q) as an unreduced (numerator, denominator) pair of integers:
+        the least offset-plus-row sum over the vertices bracketing p and q,
         or the along-edge distance when they share an edge.
 
         Candidates are compared as integer numerators over the common
-        denominator dp * dq * _scale.
+        denominator dp * dq * _scale, which is the denominator returned.
         """
         require_same_space(self.space_id, p, q)
         if not isinstance(p, RayComplexPoint) or not isinstance(q, RayComplexPoint):
@@ -283,7 +284,11 @@ class RayComplex:
                     best = cand
         if best is None:
             raise UnreachableError("query pair not connected")
-        return Fraction(best, dp * dq * self._scale)
+        return best, dp * dq * self._scale
+
+    def distance(self, p: Point, q: Point) -> Fraction:
+        """Exact d(p, q): the integer core ``distance_ratio`` as a Fraction."""
+        return Fraction(*self.distance_ratio(p, q))
 
     # -- rays -------------------------------------------------------------
 

@@ -37,7 +37,7 @@ from .contraction import (
     project,
 )
 from .dsl import compile_space, parse_space, serialize_space
-from .errors import SpaceParseError
+from .errors import DomainError, SpaceParseError
 from .mesh_oracle import mesh_oracle_distance
 from .metric import metric_axiom_check
 from .samplers import annulus_point_sampler, profile_pair_sampler, rc_point_sampler
@@ -91,6 +91,8 @@ def class_constants(zoo: spacezoo.ZooSpace, seed: int) -> dict:
     representatives of the bounded profile constant (500 sampled pairs
     each), padded by 10%."""
     space = zoo.space
+    if not isinstance(space, AnnulusSpace):
+        raise DomainError("class constants are sampled on annulus spaces")
     table: dict[str, float] = {}
     for label, bp in zoo.boundary.items():
         if label in ("alpha", "beta"):
@@ -604,8 +606,11 @@ CRITERIA: list[tuple[str, Callable[[SuiteContext], CriterionResult]]] = [
 
 
 def run_suite(seed: int = 7, keys: Optional[list[str]] = None, echo=print):
-    ctx = SuiteContext(seed=seed)
     wanted = set(keys) if keys else None
+    unknown = sorted(wanted - {key for key, _ in CRITERIA}) if wanted else []
+    if unknown:
+        raise DomainError(f"unknown criteria {', '.join(map(repr, unknown))}")
+    ctx = SuiteContext(seed=seed)
     results = []
     for key, fn in CRITERIA:
         if wanted and key not in wanted:

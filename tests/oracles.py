@@ -4,7 +4,9 @@ The route enumerator below shares only the derived vertex graph with the
 engine; it finds shortest paths by exhaustive depth-first search over
 simple vertex routes, so on small complexes it certifies the Dijkstra
 engine exactly.  The golden-section search below is the reference for the
-closed-form chord projection of the annulus.
+closed-form chord projection of the annulus.  The doubling walk below is
+the reference for the boundary-product schedule: it queries every window,
+one ``metric.gromov_product`` per grid point.
 """
 
 import math
@@ -12,6 +14,8 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from boundary_lab.annulus import ann_distance_coords
+from boundary_lab.metric import gromov_product
+from boundary_lab.ray_complex import RayComplex
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -86,3 +90,28 @@ def golden_chord_distance(leg, cx):
             lo = m1
     s = 0.5 * (lo + hi)
     return g(s), s
+
+
+def full_doubling_walk(a, b, max_horizon, min_horizon):
+    """(status, horizons S, window minima E(S)) of the doubling walk for rays
+    a and b, with E(S) the least product over the grid {S, 3S/2, 2S}^2 and
+    the stop rule of the boundary-product estimate."""
+    space = a.space
+    o = space.basepoint
+    S = Fraction(1) if isinstance(space, RayComplex) else 1.0
+    schedule, minima = [], []
+    while True:
+        params = (S, S + S / 2, 2 * S)
+        schedule.append(S)
+        minima.append(min(
+            gromov_product(a.eval(s), b.eval(t), o, space)
+            for s in params
+            for t in params
+        ))
+        if len(minima) >= 3 and S >= min_horizon:
+            steps = (abs(minima[-1] - minima[-2]), abs(minima[-2] - minima[-3]))
+            if max(steps) <= space.TOL:
+                return "converged", schedule, minima
+        if 2 * S > max_horizon:
+            return "inconclusive", schedule, minima
+        S = 2 * S

@@ -1,9 +1,12 @@
+import itertools
 import math
 
 import pytest
 
 import boundary_lab as bl
+from boundary_lab import boundary
 from boundary_lab.boundary import (
+    BoundaryProductEstimate,
     boundary_gromov_product,
     boundary_map_continuity_test,
     converges_in_gp,
@@ -12,6 +15,7 @@ from boundary_lab.boundary import (
     u_set_membership,
 )
 from boundary_lab.contraction import asymptotic_check
+from oracles import full_doubling_walk
 
 
 def test_products_exact_in_X(zoo_x16):
@@ -249,3 +253,74 @@ def test_product_requires_same_space(zoo_x16, zoo_y16):
         boundary_gromov_product(
             zoo_x16.boundary["alpha"], zoo_y16.boundary["alpha"], max_horizon=100
         )
+
+
+def _count_windows(monkeypatch):
+    """The horizons S of the windows queried from now on, in call order."""
+    horizons = []
+    original = boundary._window_min
+
+    def counted(space, a, b, params, o):
+        horizons.append(params[0])
+        return original(space, a, b, params, o)
+
+    monkeypatch.setattr(boundary, "_window_min", counted)
+    return horizons
+
+
+@pytest.mark.parametrize("spec", ["X:8", "Y:8", "X:16"])
+def test_finality_skip_equals_the_full_walk(spec):
+    # once both rays run on their hairs the later windows are appended, not
+    # queried: schedule, minima, status and value are those of the full walk
+    z = bl.get_space(spec)
+    mh, mn = z.product_horizon, z.product_min_horizon
+    for eta, zeta in itertools.permutations(sorted(z.boundary), 2):
+        a, b = z.boundary[eta].canonical, z.boundary[zeta].canonical
+        status, schedule, minima = full_doubling_walk(a, b, mh, mn)
+        assert boundary._doubling_schedule(a, b, mh, mn) == (
+            status, schedule, minima
+        ), (eta, zeta)
+        est = boundary_gromov_product(
+            z.boundary[eta], z.boundary[zeta], max_horizon=mh, min_horizon=mn
+        )
+        assert est == BoundaryProductEstimate(
+            float(minima[-1]),
+            tuple(float(S) for S in schedule),
+            tuple(float(m) for m in minima),
+            status,
+        ), (eta, zeta)
+
+
+def test_finality_skips_the_plateau_of_alpha_g_on_X16(zoo_x16, monkeypatch):
+    # g_i runs on its hair from s* = i + 2^i, alpha from its last mark, 16;
+    # the windows up to the first S >= i + 2^i are queried, 171 of 304
+    z = zoo_x16
+    horizons = _count_windows(monkeypatch)
+    for i in range(1, 17):
+        est = boundary_gromov_product(
+            z.boundary["alpha"], z.boundary[f"g{i}"],
+            max_horizon=z.product_horizon, min_horizon=z.product_min_horizon,
+        )
+        assert est.converged and est.value == i
+        assert len(est.schedule) == 19
+    assert len(horizons) == 171
+
+
+def test_finality_needs_two_distinct_hairs(zoo_x8, zoo_xcat8, monkeypatch):
+    # a class's canonical rep and its ~beta auxiliary end on the same hair,
+    # and annulus rays end on no hair at all: every window is queried
+    g3 = zoo_x8.boundary["g3"]
+    cases = [
+        (zoo_x8, g3.canonical, g3.auxiliaries[0]),
+        (zoo_xcat8, zoo_xcat8.boundary["alpha"].canonical,
+         zoo_xcat8.boundary["g3"].canonical),
+    ]
+    horizons = _count_windows(monkeypatch)
+    for z, a, b in cases:
+        horizons.clear()
+        mh, mn = z.product_horizon, z.product_min_horizon
+        est = boundary_gromov_product(a, b, max_horizon=mh, min_horizon=mn)
+        status, schedule, minima = full_doubling_walk(a, b, mh, mn)
+        assert horizons == schedule
+        assert est.status == status
+        assert est.window_minima == tuple(float(m) for m in minima)

@@ -202,11 +202,29 @@ NONPOSITIVE = [
      "--tol", "-1"],
     ["git", "--space", "Xcat0:4", "--n", "0", "--seed", "1"],
     ["profile", "--space", "Xcat0:4", "--ray", "alpha", "--n", "0", "--seed", "1"],
+    # class constants are sampled on the annulus only
+    ["basis", "--space", "X:4", "--eta", "alpha", "--r", "1"],
+    ["claim", "--space", "X:4", "--eta", "alpha", "--zeta", "g2"],
+    ["paper-suite", "--criteria", "parser,nope"],
+    # usage errors, and an artifact path that cannot be written
+    ["profile", "--space", "Xcat0:4", "--ray", "alpha", "--n", "2.5", "--seed", "1"],
+    ["dist", "--space", "X:4", "--from", "base"],
+    ["dist", "--space", "X:4", "--from", "base", "--to", "base", "--out",
+     "/nonexistent-boundary-lab-dir/out.json"],
 ] + [argv for argv, _ in NONPOSITIVE])
 def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert set(json.loads(out)) == {"error"}
+
+
+def test_unreadable_space_file_is_rejected_with_exit_2(capsys, tmp_path):
+    binary = tmp_path / "binary.space"
+    binary.write_bytes(bytes(range(128, 256)))
+    for path in (tmp_path, binary):
+        code, out = run_cli(capsys, "parse", "--file", str(path))
+        assert code == 2
+        assert set(json.loads(out)) == {"error"}
 
 
 @pytest.mark.parametrize("argv, flag", NONPOSITIVE)

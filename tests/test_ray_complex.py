@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 import boundary_lab as bl
+from boundary_lab import boundary
 from boundary_lab.boundary import boundary_gromov_product
+from boundary_lab.metric import gromov_product
 from boundary_lab.ray_complex import RAY, SEGMENT, Edge, RayComplex
 from oracles import brute_rc_distance
 
@@ -119,19 +122,49 @@ def _test_points(rng, rc):
     return pts
 
 
-def test_distance_matches_oracle_on_rational_complexes():
+def _rational_complexes():
+    """The 25 seeded complexes, each with its test points and 30 random pairs
+    of them, all drawn from one stream."""
     rng = random.Random(11)
     for _ in range(25):
         rc = _random_rational_complex(rng)
+        pts = _test_points(rng, rc)
+        yield rc, pts, [(rng.choice(pts), rng.choice(pts)) for _ in range(30)]
+
+
+def test_distance_matches_oracle_on_rational_complexes():
+    for rc, pts, random_pairs in _rational_complexes():
         marks = [m for eid in rc.edges for m in rc.marks_on(eid)]
         assert math.lcm(*(m.denominator for m in marks)) > 1
-        pts = _test_points(rng, rc)
         pairs = [(p, q) for p in pts for q in pts if p.edge_id == q.edge_id]
-        pairs += [(rng.choice(pts), rng.choice(pts)) for _ in range(30)]
+        pairs += random_pairs
         for p, q in pairs:
             d = rc.distance(p, q)
             assert isinstance(d, Fraction)
             assert d == brute_rc_distance(rc, p, q)
+
+
+def test_integer_window_min_matches_gromov_products():
+    # the window minimum is formed from integer doubled products over one
+    # common denominator; it must be the least gromov_product of the window,
+    # exactly, also for windows (S = 1: params 1, 3/2, 2) off the integers
+    denominators = set()
+    for rc, pts, _ in _rational_complexes():
+        rays = [rc.edge_ray(eid) for eid, e in rc.edges.items() if e.kind == RAY]
+        finest = max(pts, key=lambda p: p.offset.denominator)
+        for o in (rc.basepoint, finest):
+            for S in (Fraction(1), Fraction(7, 5), Fraction(4)):
+                params = [S, S + S / 2, 2 * S]
+                for a, b in itertools.product(rays, repeat=2):
+                    got = boundary._window_min(rc, a, b, params, o)
+                    want = min(
+                        gromov_product(a.eval(s), b.eval(t), o, rc)
+                        for s in params
+                        for t in params
+                    )
+                    assert isinstance(got, Fraction) and got == want
+                    denominators.add(got.denominator)
+    assert max(denominators) > 2
 
 
 def test_products_compute_each_vertex_row_once(monkeypatch):
