@@ -3,9 +3,11 @@
 Every command prints one deterministic JSON document (or CSV with
 --format csv where row output makes sense) and exits 0 on success/pass,
 1 when a checked property fails (the failure artifact is still printed),
-and 2 on usage or build errors.  Sampling commands require --seed and are
+and 2 on usage or build errors.  --help writes its text to stderr and a
+``help@1`` JSON stub to stdout.  Sampling commands require --seed and are
 reproducible from (argv, seed); --jobs only parallelizes trial chunks,
-the merged output is identical for any job count.
+the merged output is identical for any job count.  A call parses with the
+subparser of its command only (see ``build_parser``).
 """
 
 from __future__ import annotations
@@ -428,125 +430,118 @@ def _eprint(*a):
     print(*a, file=sys.stderr)
 
 
+class _Help(Exception):
+    """--help was given; args[0] is the prog whose help went to stderr."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise instead of exiting, so ``main`` reports them on
     stdout as JSON like any other rejected input (usage still goes to
-    stderr)."""
+    stderr).  Help also goes to stderr, and ``main`` prints a JSON stub."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise DomainError(f"{self.prog}: {message}")
 
+    def print_help(self, file=None):
+        super().print_help(file or sys.stderr)
 
-def build_parser() -> argparse.ArgumentParser:
+    def exit(self, status=0, message=None):  # reached only after --help
+        raise _Help(self.prog)
+
+
+REQUIRED = {"required": True}
+FLOAT = {"type": float}
+SEED = ("--seed", {"type": int, "required": True})
+
+# name -> (handler, help, options); an option is (flag, add_argument keywords)
+COMMANDS = {
+    "dist": (cmd_dist, "distance between two points", (
+        ("--space", REQUIRED), ("--from", REQUIRED), ("--to", REQUIRED),
+    )),
+    "gromov": (cmd_gromov, "three-point product at a basepoint", (
+        ("--space", REQUIRED), ("--x", REQUIRED), ("--y", REQUIRED),
+        ("--z", REQUIRED),
+    )),
+    "project": (cmd_project, "set-valued closest-point projection", (
+        ("--space", REQUIRED), ("--point", REQUIRED),
+        ("--target", {"required": True, "help": "comma-separated ray labels"}),
+        ("--horizon", FLOAT), ("--tol", FLOAT),
+    )),
+    "profile": (cmd_profile, "contraction profile of a ray", (
+        ("--space", REQUIRED), ("--ray", REQUIRED),
+        ("--n", {"type": int, "default": 1000}), ("--horizon", FLOAT), SEED,
+        ("--jobs", {"type": int, "default": 1}),
+    )),
+    "git": (cmd_git, "far-segment projection-diameter suite", (
+        ("--space", REQUIRED), ("--ray", {"default": "alpha"}),
+        ("--c", {"type": float, "default": math.pi}),
+        ("--n", {"type": int, "default": 1000}), SEED,
+    )),
+    "escape": (cmd_escape, "last 2C-contact parameter of a ray pair", (
+        ("--space", REQUIRED), ("--alpha", REQUIRED), ("--beta", REQUIRED),
+        ("--c", {"type": float, "required": True}), ("--horizon", FLOAT),
+    )),
+    "claim": (cmd_claim, "escape-time residual bounds for two classes", (
+        ("--space", REQUIRED), ("--eta", REQUIRED), ("--zeta", REQUIRED),
+        ("--c-eta", FLOAT), ("--c-zeta", FLOAT), ("--horizon", FLOAT),
+        ("--seed", {"type": int, "default": 7}),
+    )),
+    "basis": (cmd_basis, "neighborhood-basis refinement check", (
+        ("--space", REQUIRED), ("--eta", REQUIRED),
+        ("--r", {"type": float, "required": True}),
+        ("--seed", {"type": int, "default": 7}),
+    )),
+    "bproduct": (cmd_bproduct, "extended product of two classes", (
+        ("--space", REQUIRED), ("--eta", REQUIRED),
+        ("--zeta", {"required": True, "help": "a label, or `all` for a matrix row"}),
+    )),
+    "oracle": (cmd_oracle, "mesh-oracle cross-check of the kernel", (
+        ("--space", REQUIRED), ("--from", REQUIRED), ("--to", REQUIRED),
+        ("--h", {"type": float, "default": 0.01}),
+        ("--window", {"help": "t_min,t_max,r_max containment window"}),
+    )),
+    "converge": (cmd_converge, "first stable index per radius", (
+        ("--space", REQUIRED), ("--eta", REQUIRED), ("--sequence", REQUIRED),
+        ("--radii", REQUIRED),
+    )),
+    "continuity": (cmd_continuity, "boundary-map continuity test", (
+        ("--from-space", REQUIRED), ("--to-space", REQUIRED), ("--eta", REQUIRED),
+        ("--sequence", REQUIRED), ("--r", {"type": float, "default": 1.0}),
+    )),
+    "spiral": (cmd_spiral, "shear quasi-isometry on a point", (
+        ("--from-space", REQUIRED), ("--to-space", REQUIRED), ("--point", REQUIRED),
+        ("--direction", {"choices": ("forward", "inverse"), "default": "forward"}),
+    )),
+    "parse": (cmd_parse, "parse and compile a .space file", (
+        ("--file", REQUIRED), ("--emit-canonical", {"action": "store_true"}),
+    )),
+    "paper-suite": (cmd_paper_suite, "run the acceptance suite", (
+        ("--criteria", {"default": "all"}),
+        ("--seed", {"type": int, "default": 7}),
+    )),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The argument parser; given a known command name, with that command's
+    subparser only.  Without one (no argv, an unknown name, a top-level
+    --help), every command is added, so errors and help list them all."""
     ap = _Parser(
         prog="boundary-lab",
         description="exact and numerical lab for contracting rays, Gromov "
         "products, and boundary topology on two families of geodesic spaces",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    for name, (fn, help_, options) in COMMANDS.items():
+        if command in COMMANDS and name != command:
+            continue
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="write the JSON/CSV artifact here")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        return p
-
-    p = add("dist", cmd_dist, help="distance between two points")
-    p.add_argument("--space", required=True)
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
-
-    p = add("gromov", cmd_gromov, help="three-point product at a basepoint")
-    p.add_argument("--space", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--z", required=True)
-
-    p = add("project", cmd_project, help="set-valued closest-point projection")
-    p.add_argument("--space", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--target", required=True, help="comma-separated ray labels")
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--tol", type=float)
-
-    p = add("profile", cmd_profile, help="contraction profile of a ray")
-    p.add_argument("--space", required=True)
-    p.add_argument("--ray", required=True)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
-
-    p = add("git", cmd_git, help="far-segment projection-diameter suite")
-    p.add_argument("--space", required=True)
-    p.add_argument("--ray", default="alpha")
-    p.add_argument("--c", type=float, default=math.pi)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, required=True)
-
-    p = add("escape", cmd_escape, help="last 2C-contact parameter of a ray pair")
-    p.add_argument("--space", required=True)
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--beta", required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--horizon", type=float)
-
-    p = add("claim", cmd_claim, help="escape-time residual bounds for two classes")
-    p.add_argument("--space", required=True)
-    p.add_argument("--eta", required=True)
-    p.add_argument("--zeta", required=True)
-    p.add_argument("--c-eta", type=float)
-    p.add_argument("--c-zeta", type=float)
-    p.add_argument("--horizon", type=float)
-    p.add_argument("--seed", type=int, default=7)
-
-    p = add("basis", cmd_basis, help="neighborhood-basis refinement check")
-    p.add_argument("--space", required=True)
-    p.add_argument("--eta", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--seed", type=int, default=7)
-
-    p = add("bproduct", cmd_bproduct, help="extended product of two classes")
-    p.add_argument("--space", required=True)
-    p.add_argument("--eta", required=True)
-    p.add_argument("--zeta", required=True, help="a label, or `all` for a matrix row")
-
-    p = add("oracle", cmd_oracle, help="mesh-oracle cross-check of the kernel")
-    p.add_argument("--space", required=True)
-    p.add_argument("--from", required=True)
-    p.add_argument("--to", required=True)
-    p.add_argument("--h", type=float, default=0.01)
-    p.add_argument("--window", help="t_min,t_max,r_max containment window")
-
-    p = add("converge", cmd_converge, help="first stable index per radius")
-    p.add_argument("--space", required=True)
-    p.add_argument("--eta", required=True)
-    p.add_argument("--sequence", required=True)
-    p.add_argument("--radii", required=True)
-
-    p = add("continuity", cmd_continuity, help="boundary-map continuity test")
-    p.add_argument("--from-space", required=True)
-    p.add_argument("--to-space", required=True)
-    p.add_argument("--eta", required=True)
-    p.add_argument("--sequence", required=True)
-    p.add_argument("--r", type=float, default=1.0)
-
-    p = add("spiral", cmd_spiral, help="shear quasi-isometry on a point")
-    p.add_argument("--from-space", required=True)
-    p.add_argument("--to-space", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--direction", choices=("forward", "inverse"), default="forward")
-
-    p = add("parse", cmd_parse, help="parse and compile a .space file")
-    p.add_argument("--file", required=True)
-    p.add_argument("--emit-canonical", action="store_true")
-
-    p = add("paper-suite", cmd_paper_suite, help="run the acceptance suite")
-    p.add_argument("--criteria", default="all")
-    p.add_argument("--seed", type=int, default=7)
-
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
     return ap
 
 
@@ -562,8 +557,9 @@ _CSV_ROWS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         for name, value in vars(args).items():  # float options accept nan, inf
             flag = f"--{name.replace('_', '-')}"
             if isinstance(value, float) and not math.isfinite(value):
@@ -579,8 +575,9 @@ def main(argv=None) -> int:
             text = write_csv(payload[key], args.out)
         else:
             text = write_json(payload, args.out) + "\n"
-    except SystemExit as exc:  # --help
-        return 2 if exc.code else 0
+    except _Help as help_:
+        code = 0
+        text = write_json({"prog": help_.args[0], "schema": "help@1"}, None) + "\n"
     except (BoundaryLabError, OSError, UnicodeDecodeError) as err:
         print(write_json({"error": str(err)}, None))
         return 2

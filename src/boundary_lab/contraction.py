@@ -245,7 +245,7 @@ class ProjectionResult:
 
     def diameter(self, space):
         pts = self.points()
-        worst = 0
+        worst = Fraction(0) if isinstance(space, RayComplex) else 0.0
         for i, a in enumerate(pts):
             for b in pts[i + 1:]:
                 worst = max(worst, space.distance(a, b))

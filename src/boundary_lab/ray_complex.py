@@ -9,6 +9,14 @@ graph edge.  Dijkstra runs on integer weights from each vertex at most once,
 when a query first needs that vertex's row; a point distance is the least
 offset-plus-row sum over the vertices bracketing the two points.
 
+The build runs on integer marks.  ``_scale`` is the LCM of the denominators
+of every location (segment ends, gluing parameters, the basepoint; origins
+are 0).  Marks are sums of edge weights from 0 and weights are differences
+of marks, so this is also the LCM of the weight denominators.  Union-find,
+vertex order, adjacency and Dijkstra see the integers ``parameter *
+_scale``; ``Fraction``s exist only in the public ``vertex_locs`` and
+``marks_on`` and at the point and distance API.
+
 A shortest path never travels out and back along an unbranched ray tail,
 so ray edges contribute no vertex beyond their last marked location.
 """
@@ -51,6 +59,7 @@ class Edge:
 
 
 Location = tuple[str, Fraction]  # (edge_id, parameter)
+IntLocation = tuple[str, int]  # (edge_id, parameter * _scale)
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -77,19 +86,28 @@ class RayComplex:
         if not self.edges:
             raise BuildError("a complex needs at least one edge")
 
-        self._gluings = [
-            tuple((eid, _frac(par)) for eid, par in g) for g in gluings
-        ]
-        for g in self._gluings:
+        gluings = [tuple((eid, _frac(par)) for eid, par in g) for g in gluings]
+        self._basepoint_loc = (basepoint[0], _frac(basepoint[1]))
+        # every location is a multiple of 1 / _scale, so the build and the
+        # shortest paths run on integer marks
+        self._scale = math.lcm(
+            self._basepoint_loc[1].denominator,
+            *(par.denominator for g in gluings for _, par in g),
+            *(e.length.denominator for e in self.edges.values() if e.length is not None),
+        )
+        self._int_lengths = {
+            eid: None if e.length is None else self._int(e.length)
+            for eid, e in self.edges.items()
+        }
+        int_gluings = []
+        for g in gluings:
             if len(g) < 2:
                 raise BuildError("a gluing must identify at least two locations")
-            for eid, par in g:
-                self._check_location(eid, par)
-        self._basepoint_loc = (basepoint[0], _frac(basepoint[1]))
-        self._check_location(*self._basepoint_loc)
+            int_gluings.append([self._check_location(*loc) for loc in g])
+        base = self._check_location(*self._basepoint_loc)
 
-        self._build_vertex_graph()
-        self.lints: list[str] = self._lint()
+        self._build_vertex_graph(int_gluings, base)
+        self.lints: list[str] = self._lint(int_gluings)
         if check_connected and not self.is_connected():
             raise BuildError("complex is not connected")
 
@@ -99,104 +117,109 @@ class RayComplex:
 
     # -- construction ---------------------------------------------------
 
-    def _check_location(self, edge_id: str, par: Fraction) -> None:
+    def _int(self, par: Fraction) -> int:
+        return par.numerator * (self._scale // par.denominator)
+
+    def _check_location(self, edge_id: str, par: Fraction) -> IntLocation:
+        """The location as an integer mark, if it lies on a declared edge."""
         if edge_id not in self.edges:
             raise BuildError(f"location on undeclared edge {edge_id}")
-        e = self.edges[edge_id]
-        if par < 0 or (e.length is not None and par > e.length):
+        k, top = self._int(par), self._int_lengths[edge_id]
+        if k < 0 or (top is not None and k > top):
             raise BuildError(f"parameter {par} outside edge {edge_id}")
+        return edge_id, k
 
-    def _build_vertex_graph(self) -> None:
-        # union-find over locations named in gluings / endpoints / origins
-        parent: dict[Location, Location] = {}
+    def _build_vertex_graph(
+        self, gluings: list[list[IntLocation]], base: IntLocation
+    ) -> None:
+        """Vertex classes, marks and integer adjacency from integer marks.
 
-        def find(a: Location) -> Location:
+        Union-find, sorting and adjacency all run on ``(edge_id, k)`` keys,
+        the location at parameter k / _scale.  Scaling is monotone, so roots,
+        vertex order and members are those of the parameters themselves.
+        ``Fraction``s are made only for the public ``vertex_locs`` and
+        ``marks_on``.
+        """
+        parent: dict[IntLocation, IntLocation] = {}
+
+        def find(a: IntLocation) -> IntLocation:
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]
             return a
 
-        def add(a: Location) -> None:
+        def add(a: IntLocation) -> None:
             parent.setdefault(a, a)
 
-        def union(a: Location, b: Location) -> None:
+        def union(a: IntLocation, b: IntLocation) -> None:
             add(a)
             add(b)
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[max(ra, rb)] = min(ra, rb)
 
-        for eid, e in self.edges.items():
-            add((eid, Fraction(0)))
-            if e.length is not None:
-                add((eid, e.length))
-        for g in self._gluings:
+        for eid, top in self._int_lengths.items():
+            add((eid, 0))
+            if top is not None:
+                add((eid, top))
+        for g in gluings:
             for loc in g[1:]:
                 union(g[0], loc)
-        add(self._basepoint_loc)
+        add(base)
 
-        classes: dict[Location, list[Location]] = {}
+        classes: dict[IntLocation, list[IntLocation]] = {}
         for loc in parent:
             classes.setdefault(find(loc), []).append(loc)
 
-        self._vertex_of: dict[Location, int] = {}
+        fracs = {k: Fraction(k, self._scale) for _, k in parent}  # k -> k / _scale
+
+        vertex_of: dict[IntLocation, int] = {}
         self.vertex_locs: list[tuple[Location, ...]] = []
         for root in sorted(classes):
             idx = len(self.vertex_locs)
-            members = tuple(sorted(classes[root]))
-            self.vertex_locs.append(members)
+            members = sorted(classes[root])
+            self.vertex_locs.append(tuple((eid, fracs[k]) for eid, k in members))
             for loc in members:
-                self._vertex_of[loc] = idx
+                vertex_of[loc] = idx
+        self._base_vertex = vertex_of[base]
 
-        # per-edge sorted marked parameters
-        self._marks: dict[str, list[Fraction]] = {eid: [] for eid in self.edges}
-        for loc in parent:
-            self._marks[loc[0]].append(loc[1])
-        for eid in self._marks:
-            self._marks[eid] = sorted(set(self._marks[eid]))
-        # the vertex at each mark, parallel to _marks
+        # per-edge sorted marks, the vertex at each, and the public Fractions
+        self._int_marks: dict[str, list[int]] = {eid: [] for eid in self.edges}
+        for eid, k in parent:
+            self._int_marks[eid].append(k)
+        for marks in self._int_marks.values():
+            marks.sort()
         self._mark_vertices: dict[str, list[int]] = {
-            eid: [self._vertex_of[(eid, m)] for m in marks]
-            for eid, marks in self._marks.items()
+            eid: [vertex_of[(eid, k)] for k in marks]
+            for eid, marks in self._int_marks.items()
+        }
+        self._marks: dict[str, list[Fraction]] = {
+            eid: [fracs[k] for k in marks] for eid, marks in self._int_marks.items()
         }
 
-        self.adjacency: list[list[tuple[int, Fraction, str]]] = [
+        self._int_adjacency: list[list[tuple[int, int]]] = [
             [] for _ in self.vertex_locs
         ]
-        for eid, marks in self._marks.items():
+        for eid, marks in self._int_marks.items():
             verts = self._mark_vertices[eid]
             for a, b, u, v in zip(marks, marks[1:], verts, verts[1:]):
-                w = b - a
-                self.adjacency[u].append((v, w, eid))
-                self.adjacency[v].append((u, w, eid))
-
-        # Shortest paths run on integers, in units of 1 / _scale; every mark
-        # is a sum of weights from the origin mark 0, so an integer too.
-        self._scale = math.lcm(
-            *(w.denominator for nbrs in self.adjacency for _, w, _ in nbrs)
-        )
-        self._int_marks = {
-            eid: [int(m * self._scale) for m in marks]
-            for eid, marks in self._marks.items()
-        }
-        self._int_adjacency = [
-            [(v, int(w * self._scale)) for v, w, _ in nbrs] for nbrs in self.adjacency
-        ]
+                self._int_adjacency[u].append((v, b - a))
+                self._int_adjacency[v].append((u, b - a))
         # per-vertex distance rows, filled by _row on first use
         self._rows: list[Optional[list]] = [None] * len(self.vertex_locs)
 
-    def _lint(self) -> list[str]:
+    def _lint(self, gluings: list[list[IntLocation]]) -> list[str]:
         notes = []
-        glued = {loc for g in self._gluings for loc in g}
+        glued = {loc for g in gluings for loc in g}
         for eid, e in self.edges.items():
             if e.kind == SEGMENT:
-                for par in (Fraction(0), e.length):
-                    if (eid, par) not in glued:
+                for k, par in ((0, 0), (self._int_lengths[eid], e.length)):
+                    if (eid, k) not in glued:
                         notes.append(f"free segment endpoint {eid}:{par}")
         return notes
 
     def is_connected(self) -> bool:
-        return None not in self._row(self._vertex_of[self._basepoint_loc])
+        return None not in self._row(self._base_vertex)
 
     # -- points ----------------------------------------------------------
 
@@ -320,15 +343,14 @@ class RayComplex:
                 lines.append(f"ray {eid}")
             else:
                 lines.append(f"seg {eid} {e.length}")
-        classes = [locs for locs in self.vertex_locs if len(locs) > 1]
-        for locs in sorted(classes):
+        # vertices are in the order of their least members, so already sorted
+        for locs in self.vertex_locs:
             head = locs[0]
             for other in locs[1:]:
                 lines.append(
                     f"glue {head[0]}:{head[1]} {other[0]}:{other[1]}"
                 )
-        base_v = self._vertex_of[self._basepoint_loc]
-        base = self.vertex_locs[base_v][0]
+        base = self.vertex_locs[self._base_vertex][0]
         lines.append(f"base {base[0]}:{base[1]}")
         return "\n".join(lines) + "\n"
 

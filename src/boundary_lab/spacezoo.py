@@ -54,8 +54,11 @@ class ZooSpace:
         return list(self.boundary.values())
 
 
+_ZERO = Fraction(0)
+
+
 def _two(i: int) -> Fraction:
-    return Fraction(2) ** i
+    return Fraction(1 << i)
 
 
 def build_X(n: int) -> ZooSpace:
@@ -64,39 +67,41 @@ def build_X(n: int) -> ZooSpace:
     if n < 1:
         raise DomainError("n must be >= 1")
     edges = [Edge("alpha", RAY, None), Edge("beta", RAY, None)]
-    gluings = [(("alpha", Fraction(0)), ("beta", Fraction(0)))]
+    gluings = [(("alpha", _ZERO), ("beta", _ZERO))]
     for i in range(1, n + 1):
+        two, at = _two(i), Fraction(i)
         edges.append(Edge(f"g{i}", RAY, None))
-        edges.append(Edge(f"ca{i}", SEGMENT, _two(i)))
-        edges.append(Edge(f"cb{i}", SEGMENT, _two(i)))
+        edges.append(Edge(f"ca{i}", SEGMENT, two))
+        edges.append(Edge(f"cb{i}", SEGMENT, two))
         gluings += [
-            ((f"ca{i}", Fraction(0)), (f"g{i}", Fraction(0))),
-            ((f"ca{i}", _two(i)), ("alpha", Fraction(i))),
-            ((f"cb{i}", Fraction(0)), (f"g{i}", Fraction(0))),
-            ((f"cb{i}", _two(i)), ("beta", Fraction(i))),
+            ((f"ca{i}", _ZERO), (f"g{i}", _ZERO)),
+            ((f"ca{i}", two), ("alpha", at)),
+            ((f"cb{i}", _ZERO), (f"g{i}", _ZERO)),
+            ((f"cb{i}", two), ("beta", at)),
         ]
-    rc = RayComplex(edges, gluings, ("alpha", Fraction(0)))
+    rc = RayComplex(edges, gluings, ("alpha", _ZERO))
     boundary = {
         "alpha": BoundaryPoint("alpha", rc.edge_ray("alpha")),
         "beta": BoundaryPoint("beta", rc.edge_ray("beta")),
     }
     for i in range(1, n + 1):
+        two, at = _two(i), Fraction(i)
         via_a = UnitSpeedRay(
             rc,
             f"g{i}",
             (
-                EdgeLeg("alpha", Fraction(0), Fraction(i)),
-                EdgeLeg(f"ca{i}", _two(i), Fraction(0)),
-                EdgeLeg(f"g{i}", Fraction(0), None),
+                EdgeLeg("alpha", _ZERO, at),
+                EdgeLeg(f"ca{i}", two, _ZERO),
+                EdgeLeg(f"g{i}", _ZERO, None),
             ),
         )
         via_b = UnitSpeedRay(
             rc,
             f"g{i}~beta",
             (
-                EdgeLeg("beta", Fraction(0), Fraction(i)),
-                EdgeLeg(f"cb{i}", _two(i), Fraction(0)),
-                EdgeLeg(f"g{i}", Fraction(0), None),
+                EdgeLeg("beta", _ZERO, at),
+                EdgeLeg(f"cb{i}", two, _ZERO),
+                EdgeLeg(f"g{i}", _ZERO, None),
             ),
         )
         boundary[f"g{i}"] = BoundaryPoint(f"g{i}", via_a, (via_b,))
@@ -111,32 +116,32 @@ def build_Y(n: int) -> ZooSpace:
     if n < 3:
         raise DomainError("n must be >= 3")
     edges = [Edge("alpha", RAY, None), Edge("beta", RAY, None)]
-    gluings = [(("alpha", Fraction(0)), ("beta", Fraction(0)))]
+    gluings = [(("alpha", _ZERO), ("beta", _ZERO))]
     for i in range(3, n + 1):
-        short = _two(i) - 2 * i
+        two, short, at = _two(i), Fraction((1 << i) - 2 * i), Fraction(i)
         edges.append(Edge(f"g{i}", RAY, None))
-        edges.append(Edge(f"ca{i}", SEGMENT, _two(i)))
+        edges.append(Edge(f"ca{i}", SEGMENT, two))
         edges.append(Edge(f"cb{i}", SEGMENT, short))
         gluings += [
-            ((f"ca{i}", Fraction(0)), (f"g{i}", Fraction(0))),
-            ((f"ca{i}", _two(i)), ("alpha", Fraction(i))),
-            ((f"cb{i}", Fraction(0)), (f"g{i}", Fraction(0))),
-            ((f"cb{i}", short), ("beta", Fraction(i))),
+            ((f"ca{i}", _ZERO), (f"g{i}", _ZERO)),
+            ((f"ca{i}", two), ("alpha", at)),
+            ((f"cb{i}", _ZERO), (f"g{i}", _ZERO)),
+            ((f"cb{i}", short), ("beta", at)),
         ]
-    rc = RayComplex(edges, gluings, ("alpha", Fraction(0)))
+    rc = RayComplex(edges, gluings, ("alpha", _ZERO))
     boundary = {
         "alpha": BoundaryPoint("alpha", rc.edge_ray("alpha")),
         "beta": BoundaryPoint("beta", rc.edge_ray("beta")),
     }
     for i in range(3, n + 1):
-        short = _two(i) - 2 * i
+        short = Fraction((1 << i) - 2 * i)
         via_b = UnitSpeedRay(
             rc,
             f"g{i}",
             (
-                EdgeLeg("beta", Fraction(0), Fraction(i)),
-                EdgeLeg(f"cb{i}", short, Fraction(0)),
-                EdgeLeg(f"g{i}", Fraction(0), None),
+                EdgeLeg("beta", _ZERO, Fraction(i)),
+                EdgeLeg(f"cb{i}", short, _ZERO),
+                EdgeLeg(f"g{i}", _ZERO, None),
             ),
         )
         boundary[f"g{i}"] = BoundaryPoint(f"g{i}", via_b)

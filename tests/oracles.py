@@ -1,9 +1,12 @@
 """Independent oracles used to pin expected values in the tests.
 
-The route enumerator below shares only the derived vertex graph with the
-engine; it finds shortest paths by exhaustive depth-first search over
-simple vertex routes, so on small complexes it certifies the Dijkstra
-engine exactly.  The golden-section search below is the reference for the
+The vertex-graph builder below is the reference for the engine's
+integer-keyed construction: it runs union-find on ``(edge, Fraction)``
+locations, as the engine once did.  The route enumerator below builds its
+own ``Fraction`` graph from the engine's public vertex classes and marks
+and finds shortest paths by exhaustive depth-first search over simple
+vertex routes, so on small complexes it certifies the Dijkstra engine
+exactly.  The golden-section search below is the reference for the
 closed-form chord projection of the annulus.  The doubling walk below is
 the reference for the boundary-product schedule: it queries every window,
 one ``metric.gromov_product`` per grid point.
@@ -20,40 +23,96 @@ from boundary_lab.ray_complex import RayComplex
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _brackets(space, p):
+def fraction_vertex_graph(edges, gluings, basepoint):
+    """The vertex graph of a complex built on ``(edge, Fraction)`` keys.
+
+    Returns ``(classes, marks, scale, canonical)``: the gluing classes in
+    root order, each a sorted tuple of locations; the sorted marked
+    parameters per edge; the LCM of the edge-weight denominators; and the
+    canonical text, formed as ``RayComplex.describe`` specifies it.
+    """
+    edges = list(edges)
+    gluings = [tuple((eid, Fraction(par)) for eid, par in g) for g in gluings]
+    base = (basepoint[0], Fraction(basepoint[1]))
+    parent = {}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for e in edges:
+        parent.setdefault((e.edge_id, Fraction(0)), (e.edge_id, Fraction(0)))
+        if e.length is not None:
+            parent.setdefault((e.edge_id, e.length), (e.edge_id, e.length))
+    for g in gluings:
+        for loc in g[1:]:
+            union(g[0], loc)
+    parent.setdefault(base, base)
+
+    members = {}
+    for loc in parent:
+        members.setdefault(find(loc), []).append(loc)
+    classes = [tuple(sorted(members[root])) for root in sorted(members)]
+    marks = {e.edge_id: sorted({par for eid, par in parent if eid == e.edge_id})
+             for e in edges}
+    weights = [b - a for ms in marks.values() for a, b in zip(ms, ms[1:])]
+    scale = math.lcm(*(w.denominator for w in weights))
+
+    lines = ["# boundary-lab space 1"]
+    for e in sorted(edges, key=lambda e: e.edge_id):
+        lines.append(f"ray {e.edge_id}" if e.length is None
+                     else f"seg {e.edge_id} {e.length}")
+    for locs in sorted(c for c in classes if len(c) > 1):
+        for eid, par in locs[1:]:
+            lines.append(f"glue {locs[0][0]}:{locs[0][1]} {eid}:{par}")
+    head = next(c for c in classes if base in c)[0]
+    lines.append(f"base {head[0]}:{head[1]}")
+    return classes, marks, scale, "\n".join(lines) + "\n"
+
+
+def _fraction_graph(space):
+    """Adjacency lists {vertex: [(vertex, Fraction weight)]} between
+    consecutive marks, from the public vertex classes and marks only."""
+    vertex_at = {loc: v for v, locs in enumerate(space.vertex_locs) for loc in locs}
+    graph = {v: [] for v in range(len(space.vertex_locs))}
+    for eid in space.edges:
+        marks = space.marks_on(eid)
+        for a, b in zip(marks, marks[1:]):
+            u, v = vertex_at[(eid, a)], vertex_at[(eid, b)]
+            graph[u].append((v, b - a))
+            graph[v].append((u, b - a))
+    return vertex_at, graph
+
+
+def _brackets(space, vertex_at, p):
+    if (p.edge_id, p.offset) in vertex_at:
+        return [(vertex_at[(p.edge_id, p.offset)], Fraction(0))]
     marks = space.marks_on(p.edge_id)
-    exact = [
-        (v, Fraction(0))
-        for v, locs in enumerate(space.vertex_locs)
-        if (p.edge_id, p.offset) in locs
-    ]
-    if exact:
-        return exact
     i = bisect_left(marks, p.offset)
     out = []
     if i > 0:
-        lo = marks[i - 1]
-        out.append((_vertex_at(space, p.edge_id, lo), p.offset - lo))
+        out.append((vertex_at[(p.edge_id, marks[i - 1])], p.offset - marks[i - 1]))
     if i < len(marks):
-        hi = marks[i]
-        out.append((_vertex_at(space, p.edge_id, hi), hi - p.offset))
+        out.append((vertex_at[(p.edge_id, marks[i])], marks[i] - p.offset))
     return out
-
-
-def _vertex_at(space, edge_id, par):
-    for v, locs in enumerate(space.vertex_locs):
-        if (edge_id, par) in locs:
-            return v
-    raise AssertionError(f"no vertex at {edge_id}:{par}")
 
 
 def brute_rc_distance(space, p, q):
     """Shortest simple vertex route, by exhaustive search."""
+    vertex_at, graph = _fraction_graph(space)
     best = [None]
     if p.edge_id == q.edge_id:
         best[0] = abs(p.offset - q.offset)
     targets = dict()
-    for v, off in _brackets(space, q):
+    for v, off in _brackets(space, vertex_at, q):
         targets[v] = min(targets.get(v, off), off)
 
     def push(cand):
@@ -63,11 +122,11 @@ def brute_rc_distance(space, p, q):
     def dfs(v, cost, visited):
         if v in targets:
             push(cost + targets[v])
-        for w, weight, _ in space.adjacency[v]:
+        for w, weight in graph[v]:
             if w not in visited:
                 dfs(w, cost + weight, visited | {w})
 
-    for v, off in _brackets(space, p):
+    for v, off in _brackets(space, vertex_at, p):
         dfs(v, off, {v})
     return best[0]
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -6,8 +7,10 @@ from pathlib import Path
 import pytest
 
 from boundary_lab import boundary, cli, spacezoo
-from boundary_lab.cli import main
+from boundary_lab.cli import COMMANDS, build_parser, main
 from boundary_lab.contraction import ContractionProfile
+from boundary_lab.errors import DomainError
+from test_readme_cli import readme_argvs
 
 
 def run_cli(capsys, *argv):
@@ -155,7 +158,7 @@ NONPOSITIVE = [
 ]
 
 
-@pytest.mark.parametrize("argv", [
+BAD_INPUT = [
     ["dist", "--space", "X:abc", "--from", "base", "--to", "base"],
     ["dist", "--space", "Xcat0:4", "--from", "alpha:xyz", "--to", "base"],
     ["dist", "--space", "X:4", "--from", "g1:1/0", "--to", "base"],
@@ -211,7 +214,10 @@ NONPOSITIVE = [
     ["dist", "--space", "X:4", "--from", "base"],
     ["dist", "--space", "X:4", "--from", "base", "--to", "base", "--out",
      "/nonexistent-boundary-lab-dir/out.json"],
-] + [argv for argv, _ in NONPOSITIVE])
+] + [argv for argv, _ in NONPOSITIVE]
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT)
 def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
@@ -364,3 +370,128 @@ def test_suite_single_criterion(capsys):
     assert code == 0
     assert payload["passed"] is True
     assert payload["results"][0]["key"] == "parser"
+
+
+def test_project_exact_zero_diameter_is_a_string(capsys):
+    code, out = run_cli(
+        capsys, "project", "--space", "X:4", "--point", "g2:1",
+        "--target", "alpha,g2", "--horizon", "30",
+    )
+    payload = strict_json(out)
+    assert code == 0
+    assert payload["distance"] == "0"
+    assert payload["diameter"] == "0"
+
+
+# one valid call per command, the cheapest spelling of each
+ONE_PER_COMMAND = [
+    ["dist", "--space", "X:4", "--from", "base", "--to", "g1:1"],
+    ["gromov", "--space", "X:4", "--x", "alpha:1", "--y", "g1:1", "--z", "base"],
+    ["project", "--space", "X:4", "--point", "g1:0", "--target", "alpha",
+     "--horizon", "20", "--tol", "0"],
+    ["profile", "--space", "Xcat0:4", "--ray", "alpha", "--n", "5", "--seed", "1",
+     "--horizon", "20", "--jobs", "1"],
+    ["git", "--space", "Xcat0:4", "--ray", "beta", "--c", "2", "--n", "3",
+     "--seed", "1"],
+    ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "beta",
+     "--c", "3", "--horizon", "50"],
+    ["claim", "--space", "Xcat0:4", "--eta", "alpha", "--zeta", "g2",
+     "--c-eta", "3", "--c-zeta", "3", "--horizon", "50", "--seed", "3"],
+    ["basis", "--space", "Xcat0:4", "--eta", "alpha", "--r", "2", "--seed", "3"],
+    ["bproduct", "--space", "X:4", "--eta", "alpha", "--zeta", "all",
+     "--format", "csv"],
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
+     "--h", "0.1", "--window=-1,3,3"],
+    ["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,g2",
+     "--radii", "1"],
+    ["continuity", "--from-space", "X:4", "--to-space", "Y:4", "--eta", "alpha",
+     "--sequence", "g3,g4", "--r", "1"],
+    ["spiral", "--from-space", "Xcat0:4", "--to-space", "Ycat0:4",
+     "--point", "ann:1,2", "--direction", "inverse"],
+    ["parse", "--file", "src/boundary_lab/spaces/Y.space", "--emit-canonical",
+     "--out", "parse.json"],
+    ["paper-suite", "--criteria", "parser", "--seed", "7"],
+]
+
+
+def _parse(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except DomainError as err:
+        return str(err)
+
+
+def test_readme_examples_cover_every_command():
+    assert {argv[0] for argv in readme_argvs()} == set(COMMANDS)
+    assert [argv[0] for argv in ONE_PER_COMMAND] == list(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv", readme_argvs() + BAD_INPUT + ONE_PER_COMMAND + [
+        ["dist", "--space", "X:4", "--from", "base", "--to", "base", "--bogus", "1"],
+        ["dist", "--space", "X:4", "--from", "base"],
+        ["spiral", "--from-space", "a", "--to-space", "b", "--point", "c",
+         "--direction", "up"],
+    ],
+)
+def test_one_command_parser_parses_like_the_full_parser(capsys, argv):
+    # a Namespace for a valid argv, the usage error message for a bad one
+    one = _parse(build_parser(argv[0]), argv)
+    full = _parse(build_parser(), argv)
+    assert repr(one) == repr(full)  # repr: a parsed nan is not == itself
+    if argv in readme_argvs() + ONE_PER_COMMAND:
+        assert isinstance(one, argparse.Namespace)
+
+
+def test_one_command_parser_registers_no_other_command():
+    for name in COMMANDS:
+        (sub,) = [
+            act for act in build_parser(name)._actions
+            if isinstance(act, argparse._SubParsersAction)
+        ]
+        assert list(sub.choices) == [name]
+        assert [act.dest for act in sub._choices_actions] == [name]
+    (sub,) = [
+        act for act in build_parser()._actions
+        if isinstance(act, argparse._SubParsersAction)
+    ]
+    assert list(sub.choices) == list(COMMANDS)
+
+
+COMMAND_LIST = ", ".join(f"'{name}'" for name in COMMANDS)
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["nope", "--space", "X:4"],
+     f"boundary-lab: argument command: invalid choice: 'nope' (choose from {COMMAND_LIST})"),
+    ([], "boundary-lab: the following arguments are required: command"),
+    (["dist", "--space", "X:4", "--from", "base", "--to", "base", "--bogus", "1"],
+     "boundary-lab: unrecognized arguments: --bogus 1"),
+    (["dist", "--space", "X:4", "--from", "base"],
+     "boundary-lab dist: the following arguments are required: --to"),
+])
+def test_usage_errors_print_the_full_parser_messages(capsys, argv, error):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert strict_json(captured.out) == {"error": error}
+    assert captured.err.startswith("usage: boundary-lab")
+
+
+@pytest.mark.parametrize("argv, prog", [
+    (["--help"], "boundary-lab"),
+    (["-h", "dist"], "boundary-lab"),
+    (["dist", "--help"], "boundary-lab dist"),
+    (["paper-suite", "-h"], "boundary-lab paper-suite"),
+    (["project", "--space", "X:4", "--help", "--horizon", "0"], "boundary-lab project"),
+])
+def test_help_prints_a_json_stub_and_the_text_on_stderr(capsys, argv, prog):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == json.dumps(
+        {"prog": prog, "schema": "help@1"}, indent=2, sort_keys=True
+    ) + "\n"
+    assert captured.err.startswith(f"usage: {prog} ")
+    if prog == "boundary-lab":
+        assert all(name in captured.err for name in COMMANDS)

@@ -5,8 +5,11 @@ arguments drawn from pools of well-formed values; in half of the examples
 some are swapped for malformed ones.  Whatever is drawn, the exit
 code is 0, 1 or 2 and stdout is one strict JSON document (no bare NaN or
 Infinity); a malformed or non-finite value always gives 2 and an ``error``
-object.  Examples are derandomized, so a run is reproducible, and ``--jobs``
-is never drawn above 1.
+object.  Some examples put ``-h`` or ``--help`` first, before the command
+(top-level help) or right after it (the command's help): those exit 0 and
+print only the ``help@1`` stub naming the parser.  Examples are
+derandomized, so a run is reproducible, and ``--jobs`` is never drawn
+above 1.
 """
 
 import json
@@ -268,13 +271,21 @@ def test_cli_contract_under_fuzzed_arguments(capsys, space_files, command):
         if a.malformed and data.draw(st.integers(0, 5)) == 0:
             a.bad = True
             a.argv += ["--out", BAD_OUT]
+        # help before anything is parsed: top-level at 0, the command's at 1
+        help_at = data.draw(st.sampled_from([None] * 8 + [0, 1]))
+        if help_at is not None:
+            a.argv.insert(help_at, data.draw(st.sampled_from(["-h", "--help"])))
         capsys.readouterr()
         code = main(list(a.argv))
         out = capsys.readouterr().out
         assert code in (0, 1, 2), a.argv
         payload = strict_json(out)
         assert isinstance(payload, dict), a.argv
-        if a.bad:
+        if help_at is not None:
+            prog = "boundary-lab" if help_at == 0 else f"boundary-lab {command}"
+            assert code == 0, a.argv
+            assert payload == {"prog": prog, "schema": "help@1"}, a.argv
+        elif a.bad:
             assert code == 2, a.argv
         if code == 2:
             assert set(payload) == {"error"}, a.argv

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import boundary_lab as bl
 from boundary_lab.annulus import AnnulusSpace, chord_valid, geodesic_legs
 from boundary_lab.contraction import (
+    ProjectionResult,
     _chord_distance,
     _chord_distances_vec,
     asymptotic_check,
@@ -43,6 +45,16 @@ def test_project_branch_tie_two_intervals(zoo_x8):
     feet = {(ray.label, lo) for ray, lo, hi in res.intervals}
     assert feet == {("alpha", 3), ("beta", 3)}
     assert res.diameter(X) == 6
+
+
+def test_single_point_projection_diameter_is_the_space_zero(zoo_x8, zoo_xcat8):
+    # a zero diameter has the type of the space's distances
+    X = zoo_x8.space
+    res = ProjectionResult(Fraction(0), ((X.edge_ray("alpha"), Fraction(5), Fraction(5)),))
+    assert type(res.diameter(X)) is Fraction and res.diameter(X) == 0
+    alpha = zoo_xcat8.boundary["alpha"].canonical
+    res = ProjectionResult(0.0, ((alpha, 5.0, 5.0),))
+    assert type(res.diameter(zoo_xcat8.space)) is float
 
 
 def test_project_annulus_radial_foot(zoo_xcat12):

@@ -1,16 +1,19 @@
+import hashlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import boundary_lab as bl
-from boundary_lab import boundary
+from boundary_lab import boundary, dsl, spacezoo
 from boundary_lab.boundary import boundary_gromov_product
 from boundary_lab.metric import gromov_product
 from boundary_lab.ray_complex import RAY, SEGMENT, Edge, RayComplex
-from oracles import brute_rc_distance
+from oracles import brute_rc_distance, fraction_vertex_graph
 
 
 def test_distance_examples_from_construction(zoo_x8, zoo_x16):
@@ -142,6 +145,38 @@ def test_distance_matches_oracle_on_rational_complexes():
             d = rc.distance(p, q)
             assert isinstance(d, Fraction)
             assert d == brute_rc_distance(rc, p, q)
+
+
+class _Recorded(RayComplex):
+    """A RayComplex that keeps its constructor arguments."""
+
+    def __init__(self, edges, gluings, basepoint, **kw):
+        self.inputs = (list(edges), list(gluings), basepoint)
+        super().__init__(*self.inputs, **kw)
+
+
+def test_integer_build_matches_fraction_build(monkeypatch):
+    # the engine builds on integer marks; vertex classes, marks, scale and
+    # the canonical form must be those of the Fraction-keyed reference
+    for module in (spacezoo, dsl, sys.modules[__name__]):
+        monkeypatch.setattr(module, "RayComplex", _Recorded)
+    shipped = Path(bl.__file__).parent / "spaces"
+    complexes = [bl.build_X(n).space for n in range(1, 25)]
+    complexes += [bl.build_Y(n).space for n in range(3, 25)]
+    complexes += [dsl.load_space(shipped / name) for name in ("X.space", "Y.space")]
+    complexes += [rc for rc, _, _ in _rational_complexes()]
+    assert len(complexes) == 24 + 22 + 2 + 25
+    for rc in complexes:
+        classes, marks, scale, canonical = fraction_vertex_graph(*rc.inputs)
+        assert rc.vertex_locs == classes
+        assert all(type(par) is Fraction for locs in rc.vertex_locs for _, par in locs)
+        for eid in rc.edges:
+            assert rc.marks_on(eid) == marks[eid]
+            assert all(type(m) is Fraction for m in rc.marks_on(eid))
+        assert rc._scale == scale
+        assert rc.describe() == canonical
+        digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        assert rc.space_id == "rc:" + digest
 
 
 def test_integer_window_min_matches_gromov_products():
