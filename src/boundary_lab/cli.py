@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
@@ -434,10 +435,32 @@ class _Help(Exception):
     """--help was given; args[0] is the prog whose help went to stderr."""
 
 
+# Options whose value is a comma-separated list of numbers.  argparse takes
+# a value like "-1,3,3" for an option string, so the parser glues it to
+# its flag ("--window=-1,3,3") first.
+LIST_OPTIONS = ("--window", "--radii")
+_NEGATIVE = re.compile(r"-[\d.]")
+
+
+def _glue_lists(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in LIST_OPTIONS and _NEGATIVE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise instead of exiting, so ``main`` reports them on
     stdout as JSON like any other rejected input (usage still goes to
-    stderr).  Help also goes to stderr, and ``main`` prints a JSON stub."""
+    stderr).  Help also goes to stderr, and ``main`` prints a JSON stub.
+    A negative list value may follow its flag (see ``LIST_OPTIONS``)."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else args
+        return super().parse_known_args(_glue_lists(args), namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)

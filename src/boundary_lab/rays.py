@@ -28,7 +28,7 @@ class EdgeLeg:
     start: Fraction
     end: Optional[Fraction]
 
-    @property
+    @cached_property
     def length(self) -> Optional[Fraction]:
         return None if self.end is None else abs(self.end - self.start)
 

@@ -9,14 +9,25 @@ vertex routes, so on small complexes it certifies the Dijkstra engine
 exactly.  The golden-section search below is the reference for the
 closed-form chord projection of the annulus.  The doubling walk below is
 the reference for the boundary-product schedule: it queries every window,
-one ``metric.gromov_product`` per grid point.
+one ``metric.gromov_product`` per grid point.  The mesh-oracle reference
+below is the plain three-shift column sweep and the numpy-indexed greedy
+backtrack; the engine's in-place sweep must match it bit for bit.
 """
 
 import math
 from bisect import bisect_left
 from fractions import Fraction
 
+import numpy as np
+
 from boundary_lab.annulus import ann_distance_coords
+from boundary_lab.errors import DomainError
+from boundary_lab.mesh_oracle import (
+    _piece_length,
+    _shortcut,
+    _weights_for_step,
+    build_grid,
+)
 from boundary_lab.metric import gromov_product
 from boundary_lab.ray_complex import RayComplex
 
@@ -174,3 +185,97 @@ def full_doubling_walk(a, b, max_horizon, min_horizon):
         if 2 * S > max_horizon:
             return "inconclusive", schedule, minima
         S = 2 * S
+
+
+def _vertical_relax(base, rows):
+    """Allow a single radial run within the column (both directions)."""
+    up = np.minimum.accumulate(base - rows) + rows
+    down = (np.minimum.accumulate((base + rows)[::-1]) - rows[::-1])[::-1]
+    return np.minimum(up, down)
+
+
+def reference_mesh_oracle(p, q, h=0.01, window=None):
+    """(distance, witness path) of the mesh oracle, by the plain sweep: each
+    column is three shifted adds and a fresh vertical relax, and the
+    backtrack indexes the numpy table cell by cell.  The path is the
+    backtracked grid path from the endpoint with the smaller t, or None when
+    the points coincide."""
+    if not 0 < h < math.inf:
+        raise DomainError(f"the grid step h must be positive and finite, got {h}")
+    pc, qc = (p.t, p.r), (q.t, q.r)
+    if window is not None:
+        t_min, t_max, r_max = window
+        for c in (pc, qc):
+            if not (t_min <= c[0] <= t_max) or c[1] > r_max:
+                raise DomainError(f"query point {c} outside declared window")
+        if r_max < max(pc[1], qc[1]):
+            raise DomainError("window too small to contain a witness path")
+    if pc[0] > qc[0]:
+        pc, qc = qc, pc
+    if pc == qc:
+        return 0.0, None
+
+    spec = build_grid(h, max(pc[1], qc[1]))
+    rows = spec.rows
+    n_rows = len(rows)
+
+    dt = qc[0] - pc[0]
+    n_cols = max(1, math.ceil(dt / h)) + 1
+    last_step = dt - (n_cols - 2) * h if n_cols > 1 else 0.0
+
+    dist = np.empty((n_cols, n_rows))
+    dist[0] = _vertical_relax(np.abs(rows - pc[1]), rows)
+    for i in range(1, n_cols):
+        if i == n_cols - 1 and abs(last_step - h) > 1e-15:
+            horiz, diag = _weights_for_step(rows, max(last_step, 0.0))
+        else:
+            horiz, diag = spec.horiz, spec.diag
+        prev = dist[i - 1]
+        base = prev + horiz
+        base[1:] = np.minimum(base[1:], prev[:-1] + diag)
+        base[:-1] = np.minimum(base[:-1], prev[1:] + diag)
+        dist[i] = _vertical_relax(base, rows)
+
+    j_end = int(np.argmin(dist[-1] + np.abs(rows - qc[1])))
+    grid_value = dist[-1][j_end] + abs(rows[j_end] - qc[1])
+
+    path = _reference_backtrack(dist, rows, spec, pc, dt, h, last_step, j_end)
+    taut = _shortcut([pc] + path + [qc])
+
+    direct = _piece_length(pc, qc)
+    best = min(grid_value, taut)
+    if direct is not None:
+        best = min(best, direct)
+    return best, path
+
+
+def _reference_backtrack(dist, rows, spec, pc, dt, h, last_step, j_end):
+    """Greedy descent through the value table; any descent is a valid path."""
+    n_cols, n_rows = dist.shape
+    col_t = [pc[0] + i * h for i in range(n_cols - 1)]
+    col_t.append(pc[0] + dt)
+    i, j = n_cols - 1, j_end
+    path = [(col_t[i], rows[j])]
+    guard = 0
+    while i > 0 and guard < 4 * n_cols * (n_rows + 1):
+        guard += 1
+        if i == n_cols - 1 and abs(last_step - h) > 1e-15:
+            horiz, diag = _weights_for_step(rows, max(last_step, 0.0))
+        else:
+            horiz, diag = spec.horiz, spec.diag
+        cands = []
+        if j > 0:
+            cands.append((dist[i][j - 1] + spec.vstep[j - 1], i, j - 1))
+            cands.append((dist[i - 1][j - 1] + diag[j - 1], i - 1, j - 1))
+        if j < n_rows - 1:
+            cands.append((dist[i][j + 1] + spec.vstep[j], i, j + 1))
+            cands.append((dist[i - 1][j + 1] + diag[j], i - 1, j + 1))
+        cands.append((dist[i - 1][j] + horiz[j], i - 1, j))
+        tol = 1e-9 * (1.0 + dist[i][j])
+        good = [c for c in cands if c[0] <= dist[i][j] + tol and dist[c[1]][c[2]] < dist[i][j] + tol]
+        if not good:
+            good = [min(c for c in cands if c[1] == i - 1)]
+        _, i, j = min(good)
+        path.append((col_t[i], rows[j]))
+    path.reverse()
+    return path

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import boundary_lab as bl
+from boundary_lab import mesh_oracle
 from boundary_lab.annulus import (
     AnnulusSpace,
     SpiralMap,
@@ -19,6 +20,7 @@ from boundary_lab.distortion import (
     shared_edge_pair_sampler,
 )
 from boundary_lab.mesh_oracle import mesh_oracle_distance
+from oracles import reference_mesh_oracle
 
 
 # frozen closed-form values, cross-checked against the mesh oracle
@@ -129,6 +131,77 @@ def test_mesh_oracle_rejects_bad_step(h):
     S = AnnulusSpace()
     with pytest.raises(bl.DomainError):
         mesh_oracle_distance(S.pt(0, 2), S.pt(5, 2), h=h)
+
+
+def _oracle_cases():
+    """(p, q, h, window): seeded pairs, then the edge cases of the sweep."""
+    S = AnnulusSpace()
+    rng = random.Random(9)
+    cases = []
+    for k in range(40):
+        h = 0.01 if k % 10 == 0 else 0.05
+        span = 6.0 if h == 0.01 else 16.0
+        ta, tb = (rng.uniform(-span / 2, span / 2) for _ in range(2))
+        ra, rb = (math.exp(rng.uniform(0.0, math.log(30.0))) for _ in range(2))
+        cases.append((S.pt(ta, ra), S.pt(tb, rb), h, None))
+    cases += [
+        (S.pt(0.7, 1.5), S.pt(0.7, 6.0), 0.05, None),  # equal t: a zero last step
+        (S.pt(0.7, 6.0), S.pt(0.7, 1.5), 0.05, None),
+        (S.pt(-1.0, 1.0), S.pt(2.3, 1.0), 0.05, None),  # both on the circle
+        (S.pt(3.0, 1.0), S.pt(-0.4, 1.0), 0.01, None),
+        (S.pt(0.0, 2.0), S.pt(1.234, 3.0), 0.05, None),  # a squeezed last step
+        (S.pt(0.0, 2.0), S.pt(1.0, 3.0), 0.05, None),  # a whole number of steps
+        (S.pt(0.0, 2.0), S.pt(0.03, 2.5), 0.05, None),  # a one-step span
+        (S.pt(0.0, 1.0), S.pt(0.02, 1.0), 0.05, None),
+        (S.pt(0.0, 5.0), S.pt(2.0, 5.5), 0.05, (-1.0, 3.0, 6.0)),  # a window
+    ]
+    return cases
+
+
+def test_mesh_oracle_matches_the_plain_sweep_bit_for_bit():
+    for p, q, h, window in _oracle_cases():
+        want, want_path = reference_mesh_oracle(p, q, h=h, window=window)
+        got = mesh_oracle_distance(p, q, h=h, window=window)
+        assert got == want and type(got) is type(want), (p, q, h)
+        a, b = ((p.t, p.r), (q.t, q.r))
+        if a[0] > b[0]:
+            a, b = b, a
+        _, path = mesh_oracle._grid_path(a, b, h)
+        assert path == want_path, (p, q, h)
+        assert [type(r) for _, r in path] == [type(r) for _, r in want_path]
+
+
+@pytest.mark.parametrize("h", [1e-7, 800.0, 1e9])
+def test_mesh_oracle_checks_the_grid_before_allocating(monkeypatch, h):
+    # 1e-7: 7e13 cells; 800 and 1e9: the top row radius overflows
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached before the grid check")
+
+    S = AnnulusSpace()
+    monkeypatch.setattr(mesh_oracle, "np", NoNumpy())
+    limits = f"more than {mesh_oracle.MAX_CELLS} cells|MAX_RADIUS"
+    with pytest.raises(bl.DomainError, match=limits):
+        mesh_oracle_distance(S.pt(0, 2), S.pt(1, 2), h=h)
+
+
+def test_mesh_oracle_cell_limit_is_inclusive(monkeypatch):
+    S = AnnulusSpace()
+    p, q = S.pt(0, 2), S.pt(1, 3)
+    n_rows, n_cols = mesh_oracle._grid_shape(0.05, 3.0, 1.0)
+    monkeypatch.setattr(mesh_oracle, "MAX_CELLS", n_rows * n_cols)
+    assert mesh_oracle_distance(p, q, h=0.05) == pytest.approx(S.distance(p, q), rel=0.02)
+    monkeypatch.setattr(mesh_oracle, "MAX_CELLS", n_rows * n_cols - 1)
+    with pytest.raises(bl.DomainError, match="cells"):
+        mesh_oracle_distance(p, q, h=0.05)
+
+
+def test_mesh_oracle_rejects_radii_whose_squares_overflow():
+    S = AnnulusSpace()
+    far = 1e149
+    assert mesh_oracle_distance(S.pt(0, far), S.pt(0.02, far)) > 0
+    with pytest.raises(bl.DomainError, match="MAX_RADIUS"):
+        mesh_oracle_distance(S.pt(0, 1e155), S.pt(0.02, 1e155))
 
 
 def test_chord_validity():

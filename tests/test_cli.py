@@ -201,6 +201,15 @@ BAD_INPUT = [
      "--h", "-1"],
     ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
      "--h", "0"],
+    # oracle grids too large to allocate, or with overflowing radii
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
+     "--h", "1e-7"],
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
+     "--h", "800"],
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
+     "--h", "1e9"],
+    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,1e155", "--to",
+     "ann:0.02,1e155"],
     ["project", "--space", "X:8", "--point", "g3:0", "--target", "alpha",
      "--tol", "-1"],
     ["git", "--space", "Xcat0:4", "--n", "0", "--seed", "1"],
@@ -222,6 +231,21 @@ def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
+      "--h", "0.1"], "--window", "-1,3,3"),
+    (["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
+      "--h", "0.1"], "--window", "-.5,3,3"),
+    (["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,g2"],
+     "--radii", "-1,2"),
+])
+def test_negative_list_value_parses_after_a_space(capsys, argv, flag, value):
+    spaced = run_cli(capsys, *argv, flag, value)
+    glued = run_cli(capsys, *argv, f"{flag}={value}")
+    assert spaced == glued
+    assert spaced[0] == 0
 
 
 def test_unreadable_space_file_is_rejected_with_exit_2(capsys, tmp_path):
