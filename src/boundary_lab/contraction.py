@@ -47,7 +47,9 @@ def _chord_distance(leg: ChordLeg, cx: tuple[float, float]) -> tuple[float, floa
     center at distance p, its derivative is (u T +- p) / r^2, which
     vanishes exactly at u = -+1.  The true kernel is evaluated at these
     candidates (0, length, the foot, u0 - 1, u0 + 1), each clamped to the
-    chord, and the least value is returned.
+    chord, and the least value is returned.  A clamped candidate equal to
+    an earlier one is not evaluated again: its value could not win the
+    strict comparison, so the result is the same.
     """
     ell = leg.length
     if ell == 0.0:
@@ -59,8 +61,12 @@ def _chord_distance(leg: ChordLeg, cx: tuple[float, float]) -> tuple[float, floa
     foot = (rx * math.cos(dt) - ax) * ux + (rx * math.sin(dt) - ay) * uy
     u0 = -(ax * ux + ay * uy)
     best = (math.inf, 0.0)
+    seen = []
     for c in (0.0, ell, foot, u0 - 1.0, u0 + 1.0):
         s = min(max(c, 0.0), ell)
+        if s in seen:
+            continue
+        seen.append(s)
         tc, rc = leg.coords_at(s)
         d = ann_distance_coords(tx, rx, tc, max(rc, 1.0))
         if d < best[0]:
@@ -99,11 +105,16 @@ def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
         d, params = _annulus_ray_distance(space, x, ray)
     else:
         raise DomainError(f"unsupported space {space!r}")
+    _check_horizon(params, horizon)
+    return d, params
+
+
+def _check_horizon(params, horizon) -> None:
+    """Raise HorizonError when every minimizer sits at or beyond the horizon."""
     if horizon is not None and all(p >= horizon for p in params):
         raise HorizonError(
             f"projection minimizer at parameter {min(params)} >= horizon {horizon}"
         )
-    return d, params
 
 
 def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
@@ -170,26 +181,13 @@ def ray_distance_profile(ray_from: UnitSpeedRay, ray_to: UnitSpeedRay, ts):
 
 
 def _annulus_profile(space, ray_from, ray_to, ts: np.ndarray) -> np.ndarray:
-    n = len(ts)
-    t_arr = np.empty(n)
-    r_arr = np.empty(n)
-    wedge = np.zeros(n)
-    on_target = np.zeros(n, dtype=bool)
     target_attached = {
         leg.ray_id for leg in ray_to.legs if isinstance(leg, AttachedLeg)
     }
-    for k, t in enumerate(ts):
-        p = ray_from.eval(float(t))
-        if isinstance(p, AttachedRayPoint):
-            if p.ray_id in target_attached:
-                on_target[k] = True
-                t_arr[k], r_arr[k] = 0.0, 1.0
-                continue
-            base = space.attached[p.ray_id]
-            t_arr[k], r_arr[k], wedge[k] = base[0], base[1], p.s
-        else:
-            t_arr[k], r_arr[k] = p.t, p.r
-    best = np.full(n, np.inf)
+    t_arr, r_arr, wedge, on_target = _annulus_ray_coords(
+        space, ray_from, ts, target_attached
+    )
+    best = np.full(len(ts), np.inf)
     for leg in ray_to.legs:
         if isinstance(leg, BoundaryArcLeg):
             lo, hi = leg.angle_interval()
@@ -205,6 +203,57 @@ def _annulus_profile(space, ray_from, ray_to, ts: np.ndarray) -> np.ndarray:
         best = np.minimum(best, d + wedge)
     best[on_target] = 0.0
     return best
+
+
+def _annulus_ray_coords(space, ray: UnitSpeedRay, ts: np.ndarray, skip=()):
+    """``ray.eval`` over an array of parameters, one leg at a time.
+
+    Returns cover coordinates (t, r), the wedge (arc length up an attached
+    ray, added to any distance from its base) and a mask of the samples on
+    an attached ray listed in ``skip``, whose coordinates are left at
+    (0, 1).  Each sample goes to the leg ``ray.locate`` picks: a leg end
+    belongs to the earlier leg, and ``ts`` need not be sorted.
+    """
+    n = len(ts)
+    outside = ~((ts >= 0.0) & (ts < math.inf))
+    if outside.any():
+        t = float(ts[np.argmax(outside)])
+        if t < 0:
+            raise DomainError(f"ray parameter must be nonnegative, got {t}")
+        raise DomainError(f"ray parameter must be finite, got {t}")
+    offs = np.array(ray.leg_offsets, dtype=float)
+    idx = np.searchsorted(offs[1:], ts, side="left")
+    s_all = ts - offs[idx]
+    last = ray.legs[-1]
+    if last.length is not None:
+        beyond = (idx == len(offs) - 1) & (s_all > last.length)
+        if beyond.any():
+            t = float(ts[np.argmax(beyond)])
+            raise DomainError(f"parameter {t} beyond end of finite ray")
+    t_arr = np.zeros(n)
+    r_arr = np.ones(n)
+    wedge = np.zeros(n)
+    on_target = np.zeros(n, dtype=bool)
+    for i, leg in enumerate(ray.legs):
+        m = idx == i
+        s = s_all[m]
+        if isinstance(leg, BoundaryArcLeg):
+            t_arr[m] = leg.t0 + leg.direction * s
+        elif isinstance(leg, ChordLeg):
+            ax, ay, bx, by = leg._developed
+            f = s / leg.length if leg.length else np.zeros_like(s)
+            x, y = ax + f * (bx - ax), ay + f * (by - ay)
+            t_arr[m] = leg.a[0] + np.arctan2(y, x)
+            r_arr[m] = np.maximum(np.hypot(x, y), 1.0)
+        elif isinstance(leg, AttachedLeg):
+            if leg.ray_id in skip:
+                on_target[m] = True
+            else:
+                t_arr[m], r_arr[m] = space.attached[leg.ray_id]
+                wedge[m] = s
+        else:
+            raise DomainError(f"unsupported leg {leg!r} in annulus space")
+    return t_arr, r_arr, wedge, on_target
 
 
 def _chord_distances_vec(leg: ChordLeg, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
@@ -455,6 +504,9 @@ def contraction_profile(
     condition d(x, y) <= d(x, gamma) are discarded, so the profile only ever
     reflects pairs the contraction condition quantifies over.  Explicitly
     constructed witness pairs can be injected through ``extra_pairs``.
+    A sampler that has already projected x onto gamma may return
+    (x, y, (d(x, gamma), feet)) instead of (x, y); the profile then applies
+    the horizon test to those feet rather than projecting x again.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -467,14 +519,18 @@ def contraction_profile(
         attempts += 1
         if queue:
             x, y = queue.pop(0)
-            forced = True
+            known, forced = (), True
         else:
             pair = sampler(rng)
             if pair is None:
                 continue
-            x, y = pair
+            x, y, *known = pair
             forced = False
-        dxg, px = ray_distance(x, gamma, horizon)
+        if known:
+            dxg, px = known[0]
+            _check_horizon(px, horizon)
+        else:
+            dxg, px = ray_distance(x, gamma, horizon)
         if space.distance(x, y) > dxg:
             if forced:
                 raise DomainError("injected witness pair is not admissible")
@@ -600,17 +656,34 @@ class EscapeTime:
         return 2.0 * self.constant
 
 
+# Most samples one escape-time sweep may take.  At the cap a sweep onto a ray
+# with a chord leg peaks at about 640 MB RSS (numpy 2.4): the chord
+# projection works on five candidates per sample.
+MAX_SWEEP_SAMPLES = 2 ** 20
+
+
 def t_first_escape(alpha: UnitSpeedRay, beta: UnitSpeedRay, C, horizon) -> EscapeTime:
     """Estimate max{t : d(beta(t), alpha) = 2C} by coarse sweep plus bisection.
 
-    Finality is only checked at the sweep's samples, at most C/4 apart: a
-    dip back under 2C between two of them goes unseen.
+    The sweep evaluates d(beta(t), alpha) on the arrays form of the annulus
+    kernel at max(9, ceil(4 horizon / C) + 1) samples from 0 to the horizon.
+    More than ``MAX_SWEEP_SAMPLES`` samples is a DomainError, raised before
+    anything is allocated.  Finality is only checked at the sweep's samples,
+    at most C/4 apart: a dip back under 2C between two of them goes unseen.
     """
     if not 0 < float(C) < math.inf:
         raise DomainError(f"the constant C must be positive and finite, got {C}")
+    if not 0 < float(horizon) < math.inf:
+        raise DomainError(f"the horizon must be positive and finite, got {horizon}")
     level = 2.0 * float(C)
     step = float(C) / 4.0
-    n = max(8, int(math.ceil(float(horizon) / step)))
+    span = float(horizon) / step if step > 0.0 else math.inf
+    if not span <= MAX_SWEEP_SAMPLES - 1:
+        raise DomainError(
+            f"an escape sweep to horizon {horizon} at step C/4 = {step:.6g} needs "
+            f"more than {MAX_SWEEP_SAMPLES} samples"
+        )
+    n = max(8, math.ceil(span))
     ts = np.linspace(0.0, float(horizon), n + 1)
     ds = np.asarray(ray_distance_profile(beta, alpha, ts), dtype=float)
     if ds.max() < level:

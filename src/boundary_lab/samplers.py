@@ -69,7 +69,9 @@ def profile_pair_sampler(
     x is placed near the ray at a log-uniform offset scale, y inside a ball
     around x of radius roughly d(x, gamma); inadmissible proposals are
     filtered by the profiler, so this only has to be a decent proposal
-    distribution, not an exact one.
+    distribution, not an exact one.  Annulus proposals come as
+    (x, y, (d(x, gamma), feet)): the projection of x is computed here to
+    size the ball, and ``contraction_profile`` reuses it.
     """
     is_rc = isinstance(space, RayComplex)
     point_sampler = (
@@ -108,7 +110,7 @@ def profile_pair_sampler(
         else:
             x = space.pt(anchor_t - scale / max(anchor_r, 1.0), max(1.0, anchor_r))
         try:
-            dxg, _ = ray_distance(x, gamma, None)
+            dxg, feet = ray_distance(x, gamma, None)
         except BoundaryLabError:
             return None
         if dxg <= 0:
@@ -119,6 +121,6 @@ def profile_pair_sampler(
             x.t + rho * math.cos(ang) / max(x.r, 1.0),
             max(1.0, x.r + rho * math.sin(ang)),
         )
-        return x, y
+        return x, y, (dxg, feet)
 
     return sample

@@ -7,7 +7,9 @@ own ``Fraction`` graph from the engine's public vertex classes and marks
 and finds shortest paths by exhaustive depth-first search over simple
 vertex routes, so on small complexes it certifies the Dijkstra engine
 exactly.  The golden-section search below is the reference for the
-closed-form chord projection of the annulus.  The doubling walk below is
+closed-form chord projection of the annulus, and the five-candidate loop
+below is the reference for its candidate evaluation: it evaluates every
+clamped candidate, repeats included.  The doubling walk below is
 the reference for the boundary-product schedule: it queries every window,
 one ``metric.gromov_product`` per grid point.  The mesh-oracle reference
 below is the plain three-shift column sweep and the numpy-indexed greedy
@@ -160,6 +162,34 @@ def golden_chord_distance(leg, cx):
             lo = m1
     s = 0.5 * (lo + hi)
     return g(s), s
+
+
+def chord_candidates(leg, cx):
+    """The five chord parameters (0, length, the foot, u0 - 1, u0 + 1) for
+    cover coordinates cx, in that order, each clamped to [0, length]."""
+    ell = leg.length
+    ax, ay, bx, by = leg._developed
+    ux, uy = (bx - ax) / ell, (by - ay) / ell
+    tx, rx = cx
+    dt = tx - leg.a[0]
+    foot = (rx * math.cos(dt) - ax) * ux + (rx * math.sin(dt) - ay) * uy
+    u0 = -(ax * ux + ay * uy)
+    return [min(max(c, 0.0), ell) for c in (0.0, ell, foot, u0 - 1.0, u0 + 1.0)]
+
+
+def five_candidate_chord_distance(leg, cx):
+    """(distance, local argmin) from cover coordinates cx to a chord leg: the
+    kernel at every one of the five clamped candidates, in order, keeping
+    the first strict minimum."""
+    if leg.length == 0.0:
+        return ann_distance_coords(*cx, *leg.a), 0.0
+    best = (math.inf, 0.0)
+    for s in chord_candidates(leg, cx):
+        tc, rc = leg.coords_at(s)
+        d = ann_distance_coords(*cx, tc, max(rc, 1.0))
+        if d < best[0]:
+            best = (d, s)
+    return best
 
 
 def full_doubling_walk(a, b, max_horizon, min_horizon):

@@ -196,6 +196,13 @@ BAD_INPUT = [
      "--c", "3", "--horizon", "nan"],
     ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
      "--window", "0,inf,3"],
+    # escape sweeps past the sample cap, rejected before they allocate
+    ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "g2",
+     "--c", "1e-300", "--horizon", "100"],
+    ["escape", "--space", "Xcat0:40", "--alpha", "alpha", "--beta", "g2",
+     "--c", "1"],
+    ["claim", "--space", "Xcat0:4", "--eta", "alpha", "--zeta", "g2",
+     "--c-eta", "1", "--c-zeta", "1", "--horizon", "1e300"],
     # out-of-domain values
     ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
      "--h", "-1"],

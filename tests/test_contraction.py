@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import boundary_lab as bl
+from boundary_lab import contraction, samplers
 from boundary_lab.annulus import AnnulusSpace, chord_valid, geodesic_legs
 from boundary_lab.contraction import (
     ProjectionResult,
+    _annulus_ray_coords,
     _chord_distance,
     _chord_distances_vec,
     asymptotic_check,
@@ -19,12 +21,14 @@ from boundary_lab.contraction import (
     neighborhood_basis_check,
     project,
     ray_distance,
+    ray_distance_profile,
     t_first_escape,
 )
-from boundary_lab.rays import ChordLeg
+from boundary_lab.points import AttachedRayPoint
+from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, UnitSpeedRay
 from boundary_lab.samplers import profile_pair_sampler
 from boundary_lab.suite import alpha_extremal_pairs, class_constants
-from oracles import golden_chord_distance
+from oracles import chord_candidates, five_candidate_chord_distance, golden_chord_distance
 
 
 # -- projections --------------------------------------------------------------
@@ -162,7 +166,167 @@ def test_chord_vectorized_matches_scalar(zoo_xcat8):
         assert np.max(np.abs(vec - scalar)) <= 1e-9
 
 
+def test_chord_evaluates_each_distinct_candidate_once(monkeypatch, zoo_xcat8):
+    calls = []
+    kernel = contraction.ann_distance_coords
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(contraction, "ann_distance_coords", counting)
+    for leg, pts in _chord_cases(zoo_xcat8, seed=13):
+        for cx in pts:
+            ref = five_candidate_chord_distance(leg, cx)
+            calls.clear()
+            got = _chord_distance(leg, cx)
+            assert got == ref and math.copysign(1.0, got[1]) == math.copysign(1.0, ref[1])
+            distinct = 1 if leg.length == 0.0 else len(set(chord_candidates(leg, cx)))
+            assert len(calls) == distinct
+
+
+# -- rays evaluated on arrays -----------------------------------------------------
+
+def _eval_coords(space, p):
+    if isinstance(p, AttachedRayPoint):
+        return (*space.attached[p.ray_id], p.s)
+    return p.t, p.r, 0.0
+
+
+@pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
+def test_annulus_ray_coords_match_eval(build):
+    zoo = build(8)
+    A = zoo.space
+    rng = np.random.default_rng(5)
+    checked = 0
+    for bp in zoo.boundary.values():
+        for ray in bp.representatives():
+            junctions = [float(off) for off in ray.leg_offsets[1:]]
+            ts = np.array(
+                [0.0] + junctions + list(rng.uniform(0.0, 3.0 * max(junctions + [10.0]), 40))
+            )
+            rng.shuffle(ts)
+            attached = {leg.ray_id for leg in ray.legs if isinstance(leg, AttachedLeg)}
+            t_arr, r_arr, wedge, on_target = _annulus_ray_coords(A, ray, ts, attached)
+            for k, t in enumerate(ts):
+                p = ray.eval(float(t))
+                want = _eval_coords(A, p)
+                if isinstance(p, AttachedRayPoint):
+                    assert on_target[k] and (t_arr[k], r_arr[k], wedge[k]) == (0.0, 1.0, 0.0)
+                else:
+                    assert not on_target[k]
+                    assert (t_arr[k], r_arr[k], wedge[k]) == pytest.approx(want, abs=1e-12)
+            # without a target the attached samples carry their base and wedge
+            t_arr, r_arr, wedge, on_target = _annulus_ray_coords(A, ray, ts)
+            assert not on_target.any()
+            for k, t in enumerate(ts):
+                want = _eval_coords(A, ray.eval(float(t)))
+                assert (t_arr[k], r_arr[k], wedge[k]) == pytest.approx(want, abs=1e-12)
+            # a junction belongs to the earlier leg, as in UnitSpeedRay.locate
+            for off, leg in zip(junctions, ray.legs[1:]):
+                if isinstance(leg, AttachedLeg):
+                    around = np.array([off, np.nextafter(off, np.inf)])
+                    _, _, _, on = _annulus_ray_coords(A, ray, around, attached)
+                    assert list(on) == [False, True]
+                    checked += 1
+    assert checked
+
+
+def test_annulus_ray_coords_reject_what_locate_rejects(zoo_xcat8):
+    A = zoo_xcat8.space
+    g3 = zoo_xcat8.boundary["g3"].canonical
+    with pytest.raises(bl.DomainError, match="nonnegative, got -0.5"):
+        _annulus_ray_coords(A, g3, np.array([1.0, -0.5, 2.0]))
+    with pytest.raises(bl.DomainError, match="finite"):
+        _annulus_ray_coords(A, g3, np.array([1.0, np.nan]))
+    finite = UnitSpeedRay(A, "arc", (BoundaryArcLeg(0.0, 1, 2.0),))
+    _annulus_ray_coords(A, finite, np.array([2.0]))
+    with pytest.raises(bl.DomainError, match="beyond end of finite ray"):
+        finite.locate(2.5)
+    with pytest.raises(bl.DomainError, match="parameter 2.5 beyond end of finite ray"):
+        _annulus_ray_coords(A, finite, np.array([1.0, 2.5]))
+
+
+@pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
+def test_ray_distance_profile_matches_scalar(build):
+    zoo = build(8)
+    rays = [ray for bp in zoo.boundary.values() for ray in bp.representatives()]
+    rng = random.Random(6)
+    ts = [0.0] + [rng.uniform(0.0, 60.0) for _ in range(12)]
+    for ray_from in rays:
+        ts_k = ts + [float(off) for off in ray_from.leg_offsets[1:]]
+        for ray_to in rng.sample(rays, 4):
+            prof = ray_distance_profile(ray_from, ray_to, ts_k)
+            scalar = [ray_distance(ray_from.eval(t), ray_to)[0] for t in ts_k]
+            assert np.max(np.abs(prof - scalar)) <= 1e-12
+
+
 # -- profiles -------------------------------------------------------------------
+
+# class_constants(Xcat0:8, seed 7) as computed with a per-sample escape
+# sweep, all five chord candidates and a second projection of each proposal
+XCAT8_SEED7_CONSTANTS = {
+    "alpha": 1.6591136647754972, "alpha__bounded": True,
+    "beta": 1.0197140456807436, "beta__bounded": True,
+    "g1": 0.9231686482466771, "g1__bounded": True,
+    "g2": 2.0319282264815173, "g2__bounded": True,
+    "g3": 4.535145992108353, "g3__bounded": False,
+    "g4": 7.221842425636349, "g4__bounded": False,
+    "g5": 25.398120560131584, "g5__bounded": True,
+    "g6": 39.33857308678907, "g6__bounded": True,
+    "g7": 70.36040857901453, "g7__bounded": True,
+    "g8": 136.32595274445146, "g8__bounded": True,
+}
+
+
+def test_class_constants_golden(zoo_xcat8):
+    assert class_constants(zoo_xcat8, 7) == XCAT8_SEED7_CONSTANTS
+
+
+def test_annulus_profile_projects_each_proposal_once(monkeypatch, zoo_xcat8):
+    A = zoo_xcat8.space
+    g5 = zoo_xcat8.boundary["g5"].canonical
+    projected = []
+
+    def counting(x, ray, horizon=None):
+        projected.append(x)
+        return ray_distance(x, ray, horizon)
+
+    monkeypatch.setattr(contraction, "ray_distance", counting)
+    monkeypatch.setattr(samplers, "ray_distance", counting)
+    inner = profile_pair_sampler(A, g5, horizon=100.0, r_max=256.0)
+    proposals = []
+
+    def sampler(rng):
+        pair = inner(rng)
+        if pair is not None:
+            proposals.append(pair[0])
+        return pair
+
+    contraction_profile(g5, A, sampler, 60, horizon=4096.0, seed=3)
+    assert len(proposals) >= 60
+    for x in proposals:
+        assert sum(p is x for p in projected) == 1
+
+
+def test_annulus_profile_keeps_the_horizon_test(zoo_xcat8):
+    A = zoo_xcat8.space
+    g5 = zoo_xcat8.boundary["g5"].canonical
+    inner = profile_pair_sampler(A, g5, horizon=100.0, r_max=256.0)
+    rng = random.Random(4)
+    pair = None
+    while pair is None:
+        pair = inner(rng)
+    x, _, (dxg, feet) = pair
+    assert (dxg, feet) == ray_distance(x, g5)
+    # y is inadmissible, so only the horizon test on x's feet can raise
+    far = (x, A.pt(x.t, x.r + 2.0 * dxg + 1.0), (dxg, feet))
+    for horizon in (min(feet), 0.5 * min(feet)):
+        with pytest.raises(bl.HorizonError):
+            contraction_profile(g5, A, lambda rng: far, 1, horizon=horizon)
+        with pytest.raises(bl.HorizonError):
+            ray_distance(x, g5, horizon)
+
 
 def test_profile_classifications(zoo_x8, zoo_xcat12):
     X = zoo_x8.space
@@ -366,6 +530,32 @@ def test_escape_errors(zoo_xcat12):
         t_first_escape(alpha, alpha, math.pi, horizon=100.0)
     with pytest.raises(bl.HorizonError):
         t_first_escape(alpha, beta, math.pi, horizon=3.0)  # still inside at horizon
+    for horizon in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(bl.DomainError, match="horizon"):
+            t_first_escape(alpha, beta, math.pi, horizon=horizon)
+
+
+@pytest.mark.parametrize("C, horizon", [(1e-300, 100.0), (5e-324, 100.0), (1.0, 1e300)])
+def test_escape_checks_the_sweep_before_allocating(monkeypatch, zoo_xcat8, C, horizon):
+    class NoNumpy:
+        def __getattr__(self, name):
+            raise AssertionError(f"np.{name} reached before the sweep check")
+
+    alpha = zoo_xcat8.boundary["alpha"].canonical
+    g2 = zoo_xcat8.boundary["g2"].canonical
+    monkeypatch.setattr(contraction, "np", NoNumpy())
+    with pytest.raises(bl.DomainError, match=f"more than {contraction.MAX_SWEEP_SAMPLES}"):
+        t_first_escape(alpha, g2, C, horizon)
+
+
+def test_escape_sample_limit_is_inclusive(monkeypatch, zoo_xcat8):
+    # C = 4: samples at t = 0, 1, ..., horizon
+    alpha = zoo_xcat8.boundary["alpha"].canonical
+    beta = zoo_xcat8.boundary["beta"].canonical
+    monkeypatch.setattr(contraction, "MAX_SWEEP_SAMPLES", 65)
+    assert t_first_escape(alpha, beta, 4.0, 64.0).value == pytest.approx(8.0, abs=1e-6)
+    with pytest.raises(bl.DomainError, match="more than 65 samples"):
+        t_first_escape(alpha, beta, 4.0, 64.5)
 
 
 # -- residual checks ----------------------------------------------------------------------
