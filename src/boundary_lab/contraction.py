@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-import numpy as np
-
-from .annulus import AnnulusSpace, ann_distance_arrays, ann_distance_coords
+# ann_distance_arrays is unused here: bench/spans.py patches this name
+from .annulus import AnnulusSpace, ann_distance_arrays, ann_distance_coords  # noqa: F401
 from .boundary import shared_products
 from .errors import DomainError, HorizonError
 from .metric import gromov_product
@@ -166,113 +165,6 @@ def _annulus_ray_distance(space: AnnulusSpace, x: Point, ray: UnitSpeedRay):
         elif d <= best + 1e-12:
             hits.append(g)
     return best, sorted(set(hits))
-
-
-def ray_distance_profile(ray_from: UnitSpeedRay, ray_to: UnitSpeedRay, ts):
-    """Distances d(ray_from(t), ray_to) over a grid of parameters t.
-
-    Vectorized over the annulus kernel when both rays live there; scalar
-    exact loop in ray complexes.
-    """
-    space = ray_to.space
-    if isinstance(space, AnnulusSpace) and isinstance(ray_from.space, AnnulusSpace):
-        return _annulus_profile(space, ray_from, ray_to, np.asarray(ts, dtype=float))
-    return [ray_distance(ray_from.eval(t), ray_to, None)[0] for t in ts]
-
-
-def _annulus_profile(space, ray_from, ray_to, ts: np.ndarray) -> np.ndarray:
-    target_attached = {
-        leg.ray_id for leg in ray_to.legs if isinstance(leg, AttachedLeg)
-    }
-    t_arr, r_arr, wedge, on_target = _annulus_ray_coords(
-        space, ray_from, ts, target_attached
-    )
-    best = np.full(len(ts), np.inf)
-    for leg in ray_to.legs:
-        if isinstance(leg, BoundaryArcLeg):
-            lo, hi = leg.angle_interval()
-            foot = np.clip(t_arr, lo, hi)
-            d = ann_distance_arrays(t_arr, r_arr, foot, 1.0)
-        elif isinstance(leg, AttachedLeg):
-            base = space.attached[leg.ray_id]
-            d = ann_distance_arrays(t_arr, r_arr, base[0], base[1])
-        elif isinstance(leg, ChordLeg):
-            d = _chord_distances_vec(leg, t_arr, r_arr)
-        else:
-            raise DomainError(f"unsupported leg {leg!r}")
-        best = np.minimum(best, d + wedge)
-    best[on_target] = 0.0
-    return best
-
-
-def _annulus_ray_coords(space, ray: UnitSpeedRay, ts: np.ndarray, skip=()):
-    """``ray.eval`` over an array of parameters, one leg at a time.
-
-    Returns cover coordinates (t, r), the wedge (arc length up an attached
-    ray, added to any distance from its base) and a mask of the samples on
-    an attached ray listed in ``skip``, whose coordinates are left at
-    (0, 1).  Each sample goes to the leg ``ray.locate`` picks: a leg end
-    belongs to the earlier leg, and ``ts`` need not be sorted.
-    """
-    n = len(ts)
-    outside = ~((ts >= 0.0) & (ts < math.inf))
-    if outside.any():
-        t = float(ts[np.argmax(outside)])
-        if t < 0:
-            raise DomainError(f"ray parameter must be nonnegative, got {t}")
-        raise DomainError(f"ray parameter must be finite, got {t}")
-    offs = np.array(ray.leg_offsets, dtype=float)
-    idx = np.searchsorted(offs[1:], ts, side="left")
-    s_all = ts - offs[idx]
-    last = ray.legs[-1]
-    if last.length is not None:
-        beyond = (idx == len(offs) - 1) & (s_all > last.length)
-        if beyond.any():
-            t = float(ts[np.argmax(beyond)])
-            raise DomainError(f"parameter {t} beyond end of finite ray")
-    t_arr = np.zeros(n)
-    r_arr = np.ones(n)
-    wedge = np.zeros(n)
-    on_target = np.zeros(n, dtype=bool)
-    for i, leg in enumerate(ray.legs):
-        m = idx == i
-        s = s_all[m]
-        if isinstance(leg, BoundaryArcLeg):
-            t_arr[m] = leg.t0 + leg.direction * s
-        elif isinstance(leg, ChordLeg):
-            ax, ay, bx, by = leg._developed
-            f = s / leg.length if leg.length else np.zeros_like(s)
-            x, y = ax + f * (bx - ax), ay + f * (by - ay)
-            t_arr[m] = leg.a[0] + np.arctan2(y, x)
-            r_arr[m] = np.maximum(np.hypot(x, y), 1.0)
-        elif isinstance(leg, AttachedLeg):
-            if leg.ray_id in skip:
-                on_target[m] = True
-            else:
-                t_arr[m], r_arr[m] = space.attached[leg.ray_id]
-                wedge[m] = s
-        else:
-            raise DomainError(f"unsupported leg {leg!r} in annulus space")
-    return t_arr, r_arr, wedge, on_target
-
-
-def _chord_distances_vec(leg: ChordLeg, tx: np.ndarray, rx: np.ndarray) -> np.ndarray:
-    """``_chord_distance`` over arrays of cover coordinates: the same five
-    candidates, evaluated in one call of the array kernel."""
-    ell = leg.length
-    if ell == 0.0:
-        return ann_distance_arrays(tx, rx, *leg.a)
-    ax, ay, bx, by = leg._developed
-    ux, uy = (bx - ax) / ell, (by - ay) / ell
-    dt = tx - leg.a[0]
-    foot = (rx * np.cos(dt) - ax) * ux + (rx * np.sin(dt) - ay) * uy
-    u0 = -(ax * ux + ay * uy)
-    cands = np.stack(np.broadcast_arrays(0.0, ell, u0 - 1.0, u0 + 1.0, foot))
-    f = np.clip(cands, 0.0, ell) / ell
-    px, py = ax + f * (bx - ax), ay + f * (by - ay)
-    return ann_distance_arrays(
-        tx, rx, leg.a[0] + np.arctan2(py, px), np.maximum(np.hypot(px, py), 1.0)
-    ).min(axis=0)
 
 
 # -- set-valued projection ---------------------------------------------------
@@ -628,7 +520,7 @@ def asymptotic_check(
         raise DomainError("rays must be based at (or near) the same basepoint")
     samples = 256
     ts = [horizon * k / samples for k in range(samples + 1)]
-    ds = [float(d) for d in ray_distance_profile(gamma2, gamma1, ts)]
+    ds = [float(ray_distance(gamma2.eval(t), gamma1, None)[0]) for t in ts]
     sup = max(ds)
     arg = ts[ds.index(sup)]
     quarter = samples // 4
@@ -656,62 +548,130 @@ class EscapeTime:
         return 2.0 * self.constant
 
 
-# Most samples one escape-time sweep may take.  At the cap a sweep onto a ray
-# with a chord leg peaks at about 640 MB RSS (numpy 2.4): the chord
-# projection works on five candidates per sample.
+# The fallback sweep's CPU bound.  A certified grid may have 2^53 points,
+# the most that k (H / n) indexes exactly.
 MAX_SWEEP_SAMPLES = 2 ** 20
+_MAX_GRID_POINTS = 2 ** 53
+_RISING = "distance still rising at the horizon without reaching 2C"
+
+
+def _is_geodesic(ray: UnitSpeedRay) -> bool:
+    """Whether an annulus ray passes the run-time geodesic check:
+    d(ray(0), ray(L)) = L to 1e-12 relative, so the ray is a geodesic on
+    [0, L].  L is the end of the last finite leg, or one unit past the start
+    of a final unbounded r = 1 arc, so that a corner where the arc begins
+    lies inside [0, L].  Past L the ray runs up an attached ray, which meets
+    the rest of the space only at its base, or along r = 1, a local geodesic;
+    in a CAT(0) space a local geodesic is a geodesic (Bridson-Haefliger, B-H,
+    II.1.4).  Ray-complex rays never pass: X and Y have cycles.
+    """
+    space = ray.space
+    if not isinstance(space, AnnulusSpace):
+        return False
+    last, end = ray.legs[-1], ray.leg_offsets[-1]
+    if last.length is not None:
+        end += last.length
+    elif isinstance(last, BoundaryArcLeg):
+        end += 1.0
+    return abs(space.distance(ray.eval(0.0), ray.eval(end)) - end) <= 1e-12 * end
 
 
 def t_first_escape(alpha: UnitSpeedRay, beta: UnitSpeedRay, C, horizon) -> EscapeTime:
-    """Estimate max{t : d(beta(t), alpha) = 2C} by coarse sweep plus bisection.
+    """Estimate max{t : d(beta(t), alpha) = 2C} by a grid search plus bisection.
 
-    The sweep evaluates d(beta(t), alpha) on the arrays form of the annulus
-    kernel at max(9, ceil(4 horizon / C) + 1) samples from 0 to the horizon.
-    More than ``MAX_SWEEP_SAMPLES`` samples is a DomainError, raised before
-    anything is allocated.  Finality is only checked at the sweep's samples,
-    at most C/4 apart: a dip back under 2C between two of them goes unseen.
+    With f(t) = d(beta(t), alpha) and H the horizon, the grid is
+    ts[k] = k (H / n) and ts[n] = H, with n = max(8, ceil(4 H / C)).
+
+    Certified search, when both rays pass ``_is_geodesic`` and f(0) <= 2C:
+    the annulus cover with rays attached at single points is CAT(0) (B-H
+    II.11.1), the geodesic ray alpha has a closed convex image, and the
+    distance to a closed convex set is convex along the geodesic beta (B-H
+    II.2.5).  So {f <= 2C} is an interval [0, T], and a binary search finds
+    its last grid point in about log2(n) queries; a grid of more than 2^53
+    points is a DomainError.  If f(H) <= 2C, f at the first, middle and last
+    grid points decides: HorizonError "still inside" if one of them reaches
+    2C, else HorizonError "still rising" if f(H) > f(mid) + ``TOL``, else
+    DomainError "never reaches" (f stays under 2C on [0, H]).
+
+    Fallback sweep (ray complexes, rays that fail the check, f(0) > 2C): f
+    at every grid point, the last one with f <= 2C taken.  More than
+    ``MAX_SWEEP_SAMPLES`` points is a DomainError, raised before the sweep
+    starts.  A dip back under 2C between two grid points goes unseen.
+
+    Either way the crossing after that grid point is bisected to 1e-9.
     """
     if not 0 < float(C) < math.inf:
         raise DomainError(f"the constant C must be positive and finite, got {C}")
     if not 0 < float(horizon) < math.inf:
         raise DomainError(f"the horizon must be positive and finite, got {horizon}")
-    level = 2.0 * float(C)
-    step = float(C) / 4.0
-    span = float(horizon) / step if step > 0.0 else math.inf
-    if not span <= MAX_SWEEP_SAMPLES - 1:
+    H, level, step = float(horizon), 2.0 * float(C), float(C) / 4.0
+    span = H / step if step > 0.0 else math.inf
+
+    def dist(t: float) -> float:
+        return float(ray_distance(beta.eval(t), alpha, None)[0])
+
+    certified = _is_geodesic(alpha) and _is_geodesic(beta) and (d0 := dist(0.0)) <= level
+    limit = _MAX_GRID_POINTS if certified else MAX_SWEEP_SAMPLES
+    if not span <= limit - 1:
         raise DomainError(
-            f"an escape sweep to horizon {horizon} at step C/4 = {step:.6g} needs "
-            f"more than {MAX_SWEEP_SAMPLES} samples"
+            f"an escape grid to horizon {horizon} at step C/4 = {step:.6g} needs "
+            f"more than {limit} samples"
         )
     n = max(8, math.ceil(span))
-    ts = np.linspace(0.0, float(horizon), n + 1)
-    ds = np.asarray(ray_distance_profile(beta, alpha, ts), dtype=float)
-    if ds.max() < level:
-        still_growing = ds[-1] >= 0.95 * ds.max() and ds[-1] > ds[len(ds) // 2]
-        if still_growing:
-            raise HorizonError(
-                "distance still rising at the horizon without reaching 2C"
-            )
-        raise DomainError(
-            f"ray never reaches distance 2C = {level} (max {ds.max():.6g})"
-        )
-    if ds[-1] <= level:
-        raise HorizonError("still inside the 2C-neighborhood at the horizon")
-    below = np.nonzero(ds <= level)[0]
-    if len(below) == 0:
-        raise DomainError("ray starts outside the 2C-neighborhood")
-    k = int(below[-1])  # last sample at or below the level; all later are above
-    lo, hi = float(ts[k]), float(ts[k + 1])
+
+    def at(k: int) -> float:
+        return H if k == n else k * (H / n)
+
+    if certified:
+        k = _last_inside_convex(lambda k: dist(at(k)), n, level, alpha.space.TOL, d0)
+    else:
+        k = _last_inside_sweep([dist(at(k)) for k in range(n + 1)], level)
+    lo, hi = at(k), at(k + 1)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        d = float(ray_distance(beta.eval(mid), alpha, None)[0])
-        if d <= level:
+        if dist(mid) <= level:
             lo = mid
         else:
             hi = mid
         if hi - lo < 1e-9:
             break
     return EscapeTime(0.5 * (lo + hi), float(C), (lo, hi))
+
+
+def _last_inside_convex(f, n: int, level: float, tol: float, d0: float) -> int:
+    """Last grid index k with f(k) <= level, for a convex f with f(0) = d0 <= level."""
+    mid = (n + 1) // 2
+    d_mid, d_end = f(mid), f(n)
+    if d_end <= level:
+        top = max(d0, d_mid, d_end)
+        if top >= level:
+            raise HorizonError("still inside the 2C-neighborhood at the horizon")
+        if d_end > d_mid + tol:
+            raise HorizonError(_RISING)
+        raise DomainError(f"ray never reaches distance 2C = {level} (max {top:.6g})")
+    lo, hi = (mid, n) if d_mid <= level else (0, mid)
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        if f(k) <= level:
+            lo = k
+        else:
+            hi = k
+    return lo
+
+
+def _last_inside_sweep(ds: list, level: float) -> int:
+    """Last index k with ds[k] <= level, after a look at every sample."""
+    top = max(ds)
+    if top < level:
+        if ds[-1] >= 0.95 * top and ds[-1] > ds[len(ds) // 2]:
+            raise HorizonError(_RISING)
+        raise DomainError(f"ray never reaches distance 2C = {level} (max {top:.6g})")
+    if ds[-1] <= level:
+        raise HorizonError("still inside the 2C-neighborhood at the horizon")
+    below = [k for k, d in enumerate(ds) if d <= level]
+    if not below:
+        raise DomainError("ray starts outside the 2C-neighborhood")
+    return below[-1]  # all later samples are above the level
 
 
 # -- residual checks for the escape-time/product comparison --------------------

@@ -13,7 +13,10 @@ clamped candidate, repeats included.  The doubling walk below is
 the reference for the boundary-product schedule: it queries every window,
 one ``metric.gromov_product`` per grid point.  The mesh-oracle reference
 below is the plain three-shift column sweep and the numpy-indexed greedy
-backtrack; the engine's in-place sweep must match it bit for bit.
+backtrack; the engine's in-place sweep must match it bit for bit.  The
+escape sweep below is the reference for ``t_first_escape``: it evaluates
+d(beta(t), alpha) with scalar ``ray_distance`` at every point of
+``np.linspace(0, H, n + 1)`` and bisects after the last one inside 2C.
 """
 
 import math
@@ -23,7 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from boundary_lab.annulus import ann_distance_coords
-from boundary_lab.errors import DomainError
+from boundary_lab.contraction import EscapeTime, ray_distance
+from boundary_lab.errors import DomainError, HorizonError
 from boundary_lab.mesh_oracle import (
     _piece_length,
     _shortcut,
@@ -309,3 +313,38 @@ def _reference_backtrack(dist, rows, spec, pc, dt, h, last_step, j_end):
         path.append((col_t[i], rows[j]))
     path.reverse()
     return path
+
+
+def sweep_escape(alpha, beta, C, horizon):
+    """max{t : d(beta(t), alpha) = 2C} by a full sweep plus bisection.
+
+    The grid has max(8, ceil(4 horizon / C)) + 1 points, at most C/4
+    apart; the last one with d <= 2C starts an 80-step bisection to 1e-9.
+    """
+    level = 2.0 * float(C)
+    n = max(8, math.ceil(float(horizon) / (float(C) / 4.0)))
+    ts = np.linspace(0.0, float(horizon), n + 1)
+
+    def dist(t):
+        return float(ray_distance(beta.eval(t), alpha, None)[0])
+
+    ds = [dist(float(t)) for t in ts]
+    if max(ds) < level:
+        if ds[-1] >= 0.95 * max(ds) and ds[-1] > ds[len(ds) // 2]:
+            raise HorizonError("distance still rising at the horizon without reaching 2C")
+        raise DomainError(f"ray never reaches distance 2C = {level} (max {max(ds):.6g})")
+    if ds[-1] <= level:
+        raise HorizonError("still inside the 2C-neighborhood at the horizon")
+    below = [k for k, d in enumerate(ds) if d <= level]
+    if not below:
+        raise DomainError("ray starts outside the 2C-neighborhood")
+    lo, hi = float(ts[below[-1]]), float(ts[below[-1] + 1])
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if dist(mid) <= level:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-9:
+            break
+    return EscapeTime(0.5 * (lo + hi), float(C), (lo, hi))

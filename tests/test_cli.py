@@ -8,7 +8,7 @@ import pytest
 
 from boundary_lab import boundary, cli, spacezoo
 from boundary_lab.cli import COMMANDS, build_parser, main
-from boundary_lab.contraction import ContractionProfile
+from boundary_lab.contraction import ContractionProfile, ray_distance
 from boundary_lab.errors import DomainError
 from test_readme_cli import readme_argvs
 
@@ -72,6 +72,22 @@ def test_escape_close_to_two_pi(capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(2 * math.pi, abs=1e-6)
+
+
+@pytest.mark.parametrize("space", ["Xcat0:16", "Xcat0:40"])
+def test_escape_answers_at_the_default_horizon(capsys, space):
+    # the default horizon 8 * 2^n makes grids of 2^21 (Xcat0:16) and about
+    # 3.5e13 (Xcat0:40) points; the certified search queries about log2 of that
+    code, out = run_cli(
+        capsys, "escape", "--space", space, "--alpha", "alpha", "--beta", "g2",
+        "--c", "1",
+    )
+    assert code == 0
+    value = json.loads(out)["value"]
+    assert value == 3.5103110526688397
+    zoo = spacezoo.get_space(space)
+    alpha, g2 = zoo.boundary["alpha"].canonical, zoo.boundary["g2"].canonical
+    assert ray_distance(g2.eval(value), alpha)[0] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_bproduct_and_converge(capsys):
@@ -196,11 +212,12 @@ BAD_INPUT = [
      "--c", "3", "--horizon", "nan"],
     ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
      "--window", "0,inf,3"],
-    # escape sweeps past the sample cap, rejected before they allocate
+    # escape grids of more than 2^53 points (annulus), or sweeps past the
+    # sample cap (ray complexes), rejected before they start
     ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "g2",
      "--c", "1e-300", "--horizon", "100"],
-    ["escape", "--space", "Xcat0:40", "--alpha", "alpha", "--beta", "g2",
-     "--c", "1"],
+    ["escape", "--space", "X:8", "--alpha", "alpha", "--beta", "g2",
+     "--c", "1", "--horizon", "1e6"],
     ["claim", "--space", "Xcat0:4", "--eta", "alpha", "--zeta", "g2",
      "--c-eta", "1", "--c-zeta", "1", "--horizon", "1e300"],
     # out-of-domain values

@@ -10,9 +10,8 @@ from boundary_lab import contraction, samplers
 from boundary_lab.annulus import AnnulusSpace, chord_valid, geodesic_legs
 from boundary_lab.contraction import (
     ProjectionResult,
-    _annulus_ray_coords,
     _chord_distance,
-    _chord_distances_vec,
+    _is_geodesic,
     asymptotic_check,
     claim_check,
     contraction_profile,
@@ -21,14 +20,17 @@ from boundary_lab.contraction import (
     neighborhood_basis_check,
     project,
     ray_distance,
-    ray_distance_profile,
     t_first_escape,
 )
-from boundary_lab.points import AttachedRayPoint
-from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, UnitSpeedRay
+from boundary_lab.rays import BoundaryArcLeg, ChordLeg, UnitSpeedRay
 from boundary_lab.samplers import profile_pair_sampler
 from boundary_lab.suite import alpha_extremal_pairs, class_constants
-from oracles import chord_candidates, five_candidate_chord_distance, golden_chord_distance
+from oracles import (
+    chord_candidates,
+    five_candidate_chord_distance,
+    golden_chord_distance,
+    sweep_escape,
+)
 
 
 # -- projections --------------------------------------------------------------
@@ -158,14 +160,6 @@ def test_chord_closed_form_matches_golden_search(zoo_xcat8):
     assert worst_above <= 1e-7
 
 
-def test_chord_vectorized_matches_scalar(zoo_xcat8):
-    for leg, pts in _chord_cases(zoo_xcat8, seed=12):
-        tx, rx = (np.array(col) for col in zip(*pts))
-        vec = _chord_distances_vec(leg, tx, rx)
-        scalar = [_chord_distance(leg, cx)[0] for cx in pts]
-        assert np.max(np.abs(vec - scalar)) <= 1e-9
-
-
 def test_chord_evaluates_each_distinct_candidate_once(monkeypatch, zoo_xcat8):
     calls = []
     kernel = contraction.ann_distance_coords
@@ -183,82 +177,6 @@ def test_chord_evaluates_each_distinct_candidate_once(monkeypatch, zoo_xcat8):
             assert got == ref and math.copysign(1.0, got[1]) == math.copysign(1.0, ref[1])
             distinct = 1 if leg.length == 0.0 else len(set(chord_candidates(leg, cx)))
             assert len(calls) == distinct
-
-
-# -- rays evaluated on arrays -----------------------------------------------------
-
-def _eval_coords(space, p):
-    if isinstance(p, AttachedRayPoint):
-        return (*space.attached[p.ray_id], p.s)
-    return p.t, p.r, 0.0
-
-
-@pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
-def test_annulus_ray_coords_match_eval(build):
-    zoo = build(8)
-    A = zoo.space
-    rng = np.random.default_rng(5)
-    checked = 0
-    for bp in zoo.boundary.values():
-        for ray in bp.representatives():
-            junctions = [float(off) for off in ray.leg_offsets[1:]]
-            ts = np.array(
-                [0.0] + junctions + list(rng.uniform(0.0, 3.0 * max(junctions + [10.0]), 40))
-            )
-            rng.shuffle(ts)
-            attached = {leg.ray_id for leg in ray.legs if isinstance(leg, AttachedLeg)}
-            t_arr, r_arr, wedge, on_target = _annulus_ray_coords(A, ray, ts, attached)
-            for k, t in enumerate(ts):
-                p = ray.eval(float(t))
-                want = _eval_coords(A, p)
-                if isinstance(p, AttachedRayPoint):
-                    assert on_target[k] and (t_arr[k], r_arr[k], wedge[k]) == (0.0, 1.0, 0.0)
-                else:
-                    assert not on_target[k]
-                    assert (t_arr[k], r_arr[k], wedge[k]) == pytest.approx(want, abs=1e-12)
-            # without a target the attached samples carry their base and wedge
-            t_arr, r_arr, wedge, on_target = _annulus_ray_coords(A, ray, ts)
-            assert not on_target.any()
-            for k, t in enumerate(ts):
-                want = _eval_coords(A, ray.eval(float(t)))
-                assert (t_arr[k], r_arr[k], wedge[k]) == pytest.approx(want, abs=1e-12)
-            # a junction belongs to the earlier leg, as in UnitSpeedRay.locate
-            for off, leg in zip(junctions, ray.legs[1:]):
-                if isinstance(leg, AttachedLeg):
-                    around = np.array([off, np.nextafter(off, np.inf)])
-                    _, _, _, on = _annulus_ray_coords(A, ray, around, attached)
-                    assert list(on) == [False, True]
-                    checked += 1
-    assert checked
-
-
-def test_annulus_ray_coords_reject_what_locate_rejects(zoo_xcat8):
-    A = zoo_xcat8.space
-    g3 = zoo_xcat8.boundary["g3"].canonical
-    with pytest.raises(bl.DomainError, match="nonnegative, got -0.5"):
-        _annulus_ray_coords(A, g3, np.array([1.0, -0.5, 2.0]))
-    with pytest.raises(bl.DomainError, match="finite"):
-        _annulus_ray_coords(A, g3, np.array([1.0, np.nan]))
-    finite = UnitSpeedRay(A, "arc", (BoundaryArcLeg(0.0, 1, 2.0),))
-    _annulus_ray_coords(A, finite, np.array([2.0]))
-    with pytest.raises(bl.DomainError, match="beyond end of finite ray"):
-        finite.locate(2.5)
-    with pytest.raises(bl.DomainError, match="parameter 2.5 beyond end of finite ray"):
-        _annulus_ray_coords(A, finite, np.array([1.0, 2.5]))
-
-
-@pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
-def test_ray_distance_profile_matches_scalar(build):
-    zoo = build(8)
-    rays = [ray for bp in zoo.boundary.values() for ray in bp.representatives()]
-    rng = random.Random(6)
-    ts = [0.0] + [rng.uniform(0.0, 60.0) for _ in range(12)]
-    for ray_from in rays:
-        ts_k = ts + [float(off) for off in ray_from.leg_offsets[1:]]
-        for ray_to in rng.sample(rays, 4):
-            prof = ray_distance_profile(ray_from, ray_to, ts_k)
-            scalar = [ray_distance(ray_from.eval(t), ray_to)[0] for t in ts_k]
-            assert np.max(np.abs(prof - scalar)) <= 1e-12
 
 
 # -- profiles -------------------------------------------------------------------
@@ -536,26 +454,109 @@ def test_escape_errors(zoo_xcat12):
 
 
 @pytest.mark.parametrize("C, horizon", [(1e-300, 100.0), (5e-324, 100.0), (1.0, 1e300)])
-def test_escape_checks_the_sweep_before_allocating(monkeypatch, zoo_xcat8, C, horizon):
-    class NoNumpy:
-        def __getattr__(self, name):
-            raise AssertionError(f"np.{name} reached before the sweep check")
+def test_escape_checks_the_sweep_before_allocating(monkeypatch, zoo_x8, C, horizon):
+    # ray complexes take the sweep, whose cap is checked before any distance
+    def no_distance(*args):
+        raise AssertionError("a distance was evaluated before the sweep check")
 
-    alpha = zoo_xcat8.boundary["alpha"].canonical
-    g2 = zoo_xcat8.boundary["g2"].canonical
-    monkeypatch.setattr(contraction, "np", NoNumpy())
+    alpha = zoo_x8.boundary["alpha"].canonical
+    g2 = zoo_x8.boundary["g2"].canonical
+    monkeypatch.setattr(contraction, "ray_distance", no_distance)
     with pytest.raises(bl.DomainError, match=f"more than {contraction.MAX_SWEEP_SAMPLES}"):
         t_first_escape(alpha, g2, C, horizon)
 
 
-def test_escape_sample_limit_is_inclusive(monkeypatch, zoo_xcat8):
+def test_escape_sample_limit_is_inclusive(monkeypatch, zoo_x8):
     # C = 4: samples at t = 0, 1, ..., horizon
-    alpha = zoo_xcat8.boundary["alpha"].canonical
-    beta = zoo_xcat8.boundary["beta"].canonical
+    alpha = zoo_x8.boundary["alpha"].canonical
+    beta = zoo_x8.boundary["beta"].canonical
     monkeypatch.setattr(contraction, "MAX_SWEEP_SAMPLES", 65)
     assert t_first_escape(alpha, beta, 4.0, 64.0).value == pytest.approx(8.0, abs=1e-6)
     with pytest.raises(bl.DomainError, match="more than 65 samples"):
         t_first_escape(alpha, beta, 4.0, 64.5)
+
+
+def _reps(zoo):
+    return [ray for bp in zoo.boundary.values() for ray in bp.representatives()]
+
+
+def _outcome(escape, *args):
+    """An EscapeTime, or the type and message of the error raised."""
+    try:
+        return escape(*args)
+    except bl.BoundaryLabError as err:
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
+def test_certified_escape_equals_the_sweep(build):
+    # seeded horizons put the grid points at irregular steps
+    zoo = build(8)
+    rng = random.Random(17)
+    returned = 0
+    for C in (0.5, math.pi, 10.0):
+        for alpha in _reps(zoo):
+            for beta in _reps(zoo):
+                horizon = rng.uniform(2.0 * C, 2.0 * C + 20.0)
+                try:
+                    ref = sweep_escape(alpha, beta, C, horizon)
+                except bl.BoundaryLabError:
+                    continue
+                assert t_first_escape(alpha, beta, C, horizon) == ref  # same floats
+                returned += 1
+    assert returned > 700  # of 1,200 cases
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+@pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
+def test_zoo_representatives_pass_the_geodesic_check(build, n):
+    assert all(_is_geodesic(ray) for ray in _reps(build(n)))
+
+
+def test_rays_with_corners_fail_the_check_and_take_the_sweep(monkeypatch, zoo_xcat8):
+    A = zoo_xcat8.space
+    phi = math.acos(1.0 / 3.0)  # (phi, 1) is where a tangent from (0, 3) meets r = 1
+    out_and_back = UnitSpeedRay(
+        A, "out-and-back", (BoundaryArcLeg(0.0, 1, 1.0), BoundaryArcLeg(1.0, -1, None))
+    )
+    out_and_down = UnitSpeedRay(A, "out-and-down", (
+        ChordLeg((0.0, 1.0), (0.0, 3.0)),
+        ChordLeg((0.0, 3.0), (phi, 1.0)),
+        BoundaryArcLeg(phi, 1, None),
+    ))
+    assert not _is_geodesic(out_and_back) and not _is_geodesic(out_and_down)
+
+    def no_search(*args):
+        raise AssertionError("a ray with a corner took the certified search")
+
+    monkeypatch.setattr(contraction, "_last_inside_convex", no_search)
+    cornered = [out_and_back, out_and_down]
+    rays = [zoo_xcat8.boundary[label].canonical for label in ("alpha", "beta", "g3")]
+    outcomes = []
+    for alpha in rays + cornered:
+        for beta in cornered + (rays if alpha in cornered else []):
+            for C in (0.25, 1.0, 3.0):
+                ref = _outcome(sweep_escape, alpha, beta, C, 30.0)
+                assert _outcome(t_first_escape, alpha, beta, C, 30.0) == ref
+                outcomes.append(ref)
+    # the out-and-back arc moves 1 away from beta and comes back: the sweep
+    # finds it inside 2C at the horizon, where trusting convexity would
+    # conclude that it never reaches 2C
+    assert (bl.HorizonError, "still inside the 2C-neighborhood at the horizon") in outcomes
+    assert any(isinstance(o, contraction.EscapeTime) for o in outcomes)
+
+
+@pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
+def test_same_class_escapes_never_reach(build):
+    # same-class representatives are asymptotic, and a convex distance that
+    # stays bounded never rises: float noise at 1e-14 is not "still rising"
+    zoo = build(8)
+    for C in (0.5, math.pi, 10.0):
+        for bp in zoo.boundary.values():
+            for alpha in bp.representatives():
+                for beta in bp.representatives():
+                    with pytest.raises(bl.DomainError, match="never reaches"):
+                        t_first_escape(alpha, beta, C, 50.0 * C + 100.0)
 
 
 # -- residual checks ----------------------------------------------------------------------
