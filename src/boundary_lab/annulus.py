@@ -28,6 +28,7 @@ from .points import AnnulusPoint, AttachedRayPoint, Point, require_same_space
 from .rays import BoundaryArcLeg, ChordLeg
 
 Coords = tuple[float, float]
+Terms = tuple[float, float, float, float]
 
 
 # -- scalar kernel ---------------------------------------------------------
@@ -45,6 +46,24 @@ def ann_distance_coords(t1: float, r1: float, t2: float, r2: float) -> float:
             + math.sqrt(max(r2 * r2 - 1.0, 0.0))
             + (delta - phi1 - phi2)
         )
+    return math.hypot(r1 - r2, 2.0 * math.sqrt(r1 * r2) * math.sin(0.5 * delta))
+
+
+def kernel_terms(t: float, r: float) -> Terms:
+    """Prepared kernel terms (t, r, phi, T) of cover coordinates, r >= 1:
+    the tangent angle phi = arccos(1/r) and the tangent length
+    T = sqrt(r^2 - 1), computed as ``ann_distance_coords`` computes them."""
+    return t, r, math.acos(min(1.0, 1.0 / r)), math.sqrt(max(r * r - 1.0, 0.0))
+
+
+def ann_distance_terms(p: Terms, q: Terms) -> float:
+    """``ann_distance_coords`` on prepared terms, bit for bit: the same IEEE
+    operations in the same order, with phi and T read instead of computed."""
+    t1, r1, phi1, T1 = p
+    t2, r2, phi2, T2 = q
+    delta = abs(t1 - t2)
+    if delta >= phi1 + phi2:
+        return T1 + T2 + (delta - phi1 - phi2)
     return math.hypot(r1 - r2, 2.0 * math.sqrt(r1 * r2) * math.sin(0.5 * delta))
 
 
@@ -138,8 +157,10 @@ class AnnulusSpace:
         self.attached: dict[str, Coords] = dict(attached or {})
         seen = set()
         for rid, (t, r) in self.attached.items():
-            if r < 1.0:
-                raise DomainError(f"attached base of {rid} has r < 1")
+            if not (-math.inf < t < math.inf and 1.0 <= r < math.inf):
+                raise DomainError(
+                    f"attached base of {rid} needs finite t, r >= 1: {t}, {r}"
+                )
             if (t, r) in seen:
                 raise DomainError("attached-ray bases must be distinct")
             seen.add((t, r))

@@ -18,20 +18,29 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-# ann_distance_arrays is unused here: bench/spans.py patches this name
-from .annulus import AnnulusSpace, ann_distance_arrays, ann_distance_coords  # noqa: F401
+# ann_distance_arrays and ann_distance_coords are unused here: bench/spans.py
+# patches these names
+from .annulus import (  # noqa: F401
+    AnnulusSpace,
+    Terms,
+    ann_distance_arrays,
+    ann_distance_coords,
+    ann_distance_terms,
+    kernel_terms,
+)
 from .boundary import shared_products
 from .errors import DomainError, HorizonError
 from .metric import gromov_product
-from .points import AttachedRayPoint, Point, RayComplexPoint
+from .points import AttachedRayPoint, Point, RayComplexPoint, require_same_space
 from .ray_complex import RayComplex
 from .rays import AttachedLeg, BoundaryArcLeg, ChordLeg, EdgeLeg, UnitSpeedRay
 
 
 # -- distance from a point to a ray -----------------------------------------
 
-def _chord_distance(leg: ChordLeg, cx: tuple[float, float]) -> tuple[float, float]:
-    """(distance, local argmin) from cover coordinates cx to a chord leg.
+def _chord_distance(leg: ChordLeg, xt: Terms) -> tuple[float, float]:
+    """(distance, local argmin) from a point with kernel terms xt to a chord
+    leg.
 
     Exact, with no search: the annulus cover is CAT(0), so s -> d(x, c(s))
     is convex along the chord c (Bridson-Haefliger II.2.2), and it is C^1
@@ -44,50 +53,41 @@ def _chord_distance(leg: ChordLeg, cx: tuple[float, float]) -> tuple[float, floa
     T = sqrt(r^2 - 1) and phi = arccos(1/r); writing u for the chord
     parameter measured from u0, the foot of the perpendicular from the disk
     center at distance p, its derivative is (u T +- p) / r^2, which
-    vanishes exactly at u = -+1.  The true kernel is evaluated at these
+    vanishes exactly at u = -+1.  The kernel is evaluated at these
     candidates (0, length, the foot, u0 - 1, u0 + 1), each clamped to the
-    chord, and the least value is returned.  A clamped candidate equal to
-    an earlier one is not evaluated again: its value could not win the
-    strict comparison, so the result is the same.
+    chord, and the least value is returned.  Only the foot depends on x:
+    the other four, and the kernel terms of the chord points there, are
+    per-leg constants computed on first use (``ChordLeg._candidates``).
+    A clamped candidate equal to an earlier one is not evaluated again: its
+    value could not win the strict comparison, so the result is the same.
+
+    The kernel runs on prepared terms (``ann_distance_terms``), so its
+    formula exists twice in ``annulus``; a test pins the two bit for bit.
     """
     ell = leg.length
     if ell == 0.0:
-        return ann_distance_coords(*cx, *leg.a), 0.0
-    ax, ay, bx, by = leg._developed
-    ux, uy = (bx - ax) / ell, (by - ay) / ell
-    tx, rx = cx
-    dt = tx - leg.a[0]
+        return ann_distance_terms(xt, kernel_terms(*leg.a)), 0.0
+    ta, ax, ay, ux, uy, head, tail = leg._candidates
+    tx, rx = xt[0], xt[1]
+    dt = tx - ta
     foot = (rx * math.cos(dt) - ax) * ux + (rx * math.sin(dt) - ay) * uy
-    u0 = -(ax * ux + ay * uy)
+    foot = min(max(foot, 0.0), ell)
     best = (math.inf, 0.0)
-    seen = []
-    for c in (0.0, ell, foot, u0 - 1.0, u0 + 1.0):
-        s = min(max(c, 0.0), ell)
-        if s in seen:
-            continue
-        seen.append(s)
-        tc, rc = leg.coords_at(s)
-        d = ann_distance_coords(tx, rx, tc, max(rc, 1.0))
+    for s, terms in head:
+        d = ann_distance_terms(xt, terms)
         if d < best[0]:
             best = (d, s)
+    if foot != 0.0 and foot != ell:
+        tc, rc = leg.coords_at(foot)
+        d = ann_distance_terms(xt, kernel_terms(tc, max(rc, 1.0)))
+        if d < best[0]:
+            best = (d, foot)
+    for s, terms in tail:
+        if s != foot:
+            d = ann_distance_terms(xt, terms)
+            if d < best[0]:
+                best = (d, s)
     return best
-
-
-def _annulus_leg_distance(
-    space: AnnulusSpace, leg, cx: tuple[float, float], wedge: float
-) -> tuple[float, float]:
-    """(distance, local argmin) from annulus coordinates cx (+wedge) to a leg."""
-    if isinstance(leg, BoundaryArcLeg):
-        lo, hi = leg.angle_interval()
-        foot = min(max(cx[0], lo), hi)
-        return wedge + ann_distance_coords(*cx, foot, 1.0), abs(foot - leg.t0)
-    if isinstance(leg, ChordLeg):
-        d, s = _chord_distance(leg, cx)
-        return wedge + d, s
-    if isinstance(leg, AttachedLeg):
-        base = space.attached[leg.ray_id]
-        return wedge + ann_distance_coords(*cx, *base), 0.0
-    raise DomainError(f"unsupported leg {leg!r} in annulus space")
 
 
 def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
@@ -95,15 +95,17 @@ def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
 
     Exact in ray complexes; closed form in the annulus (chords: see
     ``_chord_distance``).
-    Raises HorizonError when every minimizer sits at or beyond the horizon.
+    Raises DomainError when x is not a point of the ray's space, and
+    HorizonError when every minimizer sits at or beyond the horizon.
     """
     space = ray.space
+    if not isinstance(space, (RayComplex, AnnulusSpace)):
+        raise DomainError(f"unsupported space {space!r}")
+    require_same_space(space.space_id, x)
     if isinstance(space, RayComplex):
         d, params = _rc_ray_distance(space, x, ray)
-    elif isinstance(space, AnnulusSpace):
-        d, params = _annulus_ray_distance(space, x, ray)
     else:
-        raise DomainError(f"unsupported space {space!r}")
+        d, params = _annulus_ray_distance(space, x, ray)
     _check_horizon(params, horizon)
     return d, params
 
@@ -147,18 +149,26 @@ def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
 
 
 def _annulus_ray_distance(space: AnnulusSpace, x: Point, ray: UnitSpeedRay):
-    offsets = ray.leg_offsets
+    plan = ray._annulus_plan
     if isinstance(x, AttachedRayPoint):
-        for leg, g0 in zip(ray.legs, offsets):
-            if isinstance(leg, AttachedLeg) and leg.ray_id == x.ray_id:
+        for kind, g0, data in plan:
+            if kind is AttachedLeg and data[0] == x.ray_id:
                 return 0.0, [g0 + x.s]
-        cx, wedge = space.attached[x.ray_id], x.s
-    else:
-        cx, wedge = (x.t, x.r), 0.0
+    cx, wedge = space._coords(x)
+    xt = kernel_terms(*cx)
     best = math.inf
     hits: list = []
-    for leg, g0 in zip(ray.legs, offsets):
-        d, s = _annulus_leg_distance(space, leg, cx, wedge)
+    for kind, g0, data in plan:
+        if kind is ChordLeg:
+            d, s = _chord_distance(data, xt)
+        elif kind is BoundaryArcLeg:
+            lo, hi, t0 = data
+            foot = min(max(xt[0], lo), hi)
+            # the terms of (foot, 1): phi = arccos(1) and T = sqrt(0) are 0
+            d, s = ann_distance_terms(xt, (foot, 1.0, 0.0, 0.0)), abs(foot - t0)
+        else:
+            d, s = ann_distance_terms(xt, data[1]), 0.0
+        d = wedge + d
         g = g0 + s
         if d < best - 1e-12:
             best, hits = d, [g]

@@ -66,6 +66,9 @@ class ChordLeg:
     b: tuple[float, float]
 
     def __post_init__(self):
+        for t, r in (self.a, self.b):
+            if not (-math.inf < t < math.inf and 1.0 <= r < math.inf):
+                raise DomainError(f"chord endpoints need finite t, r >= 1: {t}, {r}")
         if abs(self.b[0] - self.a[0]) >= math.pi:
             raise DomainError("chord legs must span less than a half turn")
 
@@ -87,6 +90,29 @@ class ChordLeg:
         f = 0.0 if ell == 0 else s / ell
         x, y = ax + f * (bx - ax), ay + f * (by - ay)
         return self.a[0] + math.atan2(y, x), math.hypot(x, y)
+
+    @cached_property
+    def _candidates(self) -> tuple:
+        """(t_a, ax, ay, ux, uy, head, tail): what ``contraction._chord_distance``
+        needs of a chord of positive length that does not depend on the
+        query point.  (ax, ay) is the developed start, (ux, uy) the unit
+        direction.  head and tail are (parameter, kernel terms) pairs of the
+        fixed candidates, each clamped to [0, length]: head holds 0 and the
+        length, tail u0 - 1 and u0 + 1 (u0 the foot of the disk center)
+        without repeats of earlier ones."""
+        from .annulus import kernel_terms  # annulus imports this module
+
+        ell = self.length
+        ax, ay, bx, by = self._developed
+        ux, uy = (bx - ax) / ell, (by - ay) / ell
+        u0 = -(ax * ux + ay * uy)
+        fixed: list = []
+        for c in (0.0, ell, u0 - 1.0, u0 + 1.0):
+            s = min(max(c, 0.0), ell)
+            if all(s != f for f, _ in fixed):
+                tc, rc = self.coords_at(s)
+                fixed.append((s, kernel_terms(tc, max(rc, 1.0))))
+        return self.a[0], ax, ay, ux, uy, tuple(fixed[:2]), tuple(fixed[2:])
 
 
 @dataclass(frozen=True)
@@ -120,6 +146,28 @@ class UnitSpeedRay:
         for leg in self.legs[:-1]:
             offs.append(offs[-1] + leg.length)
         return tuple(offs)
+
+    @cached_property
+    def _annulus_plan(self) -> tuple:
+        """(kind, offset, data) per leg, compiled on the first annulus
+        projection onto the ray (``contraction._annulus_ray_distance``).
+        kind is the leg's class; data is an arc's angle interval and t0, a
+        chord leg itself, or an attached ray's id and its base's kernel
+        terms."""
+        from .annulus import kernel_terms  # annulus imports this module
+
+        plan = []
+        for leg, g0 in zip(self.legs, self.leg_offsets):
+            if isinstance(leg, BoundaryArcLeg):
+                data = (*leg.angle_interval(), leg.t0)
+            elif isinstance(leg, ChordLeg):
+                data = leg
+            elif isinstance(leg, AttachedLeg):
+                data = (leg.ray_id, kernel_terms(*self.space.attached[leg.ray_id]))
+            else:
+                raise DomainError(f"unsupported leg {leg!r} in annulus space")
+            plan.append((type(leg), g0, data))
+        return tuple(plan)
 
     def locate(self, t):
         """(leg, local arc length) containing global parameter t >= 0."""

@@ -9,7 +9,10 @@ vertex routes, so on small complexes it certifies the Dijkstra engine
 exactly.  The golden-section search below is the reference for the
 closed-form chord projection of the annulus, and the five-candidate loop
 below is the reference for its candidate evaluation: it evaluates every
-clamped candidate, repeats included.  The doubling walk below is
+clamped candidate, repeats included.  The per-leg annulus projection below
+is the reference for ``ray_distance`` on the annulus: it dispatches each
+leg by its class and runs ``ann_distance_coords`` on raw coordinates, so
+the engine's prepared kernel terms must reproduce it bit for bit.  The doubling walk below is
 the reference for the boundary-product schedule: it queries every window,
 one ``metric.gromov_product`` per grid point.  The mesh-oracle reference
 below is the plain three-shift column sweep and the numpy-indexed greedy
@@ -35,7 +38,9 @@ from boundary_lab.mesh_oracle import (
     build_grid,
 )
 from boundary_lab.metric import gromov_product
+from boundary_lab.points import AttachedRayPoint
 from boundary_lab.ray_complex import RayComplex
+from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -194,6 +199,40 @@ def five_candidate_chord_distance(leg, cx):
         if d < best[0]:
             best = (d, s)
     return best
+
+
+def reference_annulus_ray_distance(x, ray):
+    """(distance, global argmin parameters) from a point of an annulus space
+    to a ray of it: the kernel on raw coordinates at each leg's candidates,
+    every chord candidate included, with minimizers within 1e-12 of the
+    least distance kept."""
+    space = ray.space
+    offsets = ray.leg_offsets
+    if isinstance(x, AttachedRayPoint):
+        for leg, g0 in zip(ray.legs, offsets):
+            if isinstance(leg, AttachedLeg) and leg.ray_id == x.ray_id:
+                return 0.0, [g0 + x.s]
+        cx, wedge = space.attached[x.ray_id], x.s
+    else:
+        cx, wedge = (x.t, x.r), 0.0
+    best = math.inf
+    hits = []
+    for leg, g0 in zip(ray.legs, offsets):
+        if isinstance(leg, BoundaryArcLeg):
+            lo, hi = leg.angle_interval()
+            foot = min(max(cx[0], lo), hi)
+            d, s = ann_distance_coords(*cx, foot, 1.0), abs(foot - leg.t0)
+        elif isinstance(leg, ChordLeg):
+            d, s = five_candidate_chord_distance(leg, cx)
+        else:
+            d, s = ann_distance_coords(*cx, *space.attached[leg.ray_id]), 0.0
+        d = wedge + d
+        g = g0 + s
+        if d < best - 1e-12:
+            best, hits = d, [g]
+        elif d <= best + 1e-12:
+            hits.append(g)
+    return best, sorted(set(hits))
 
 
 def full_doubling_walk(a, b, max_horizon, min_horizon):

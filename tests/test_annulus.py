@@ -11,7 +11,9 @@ from boundary_lab.annulus import (
     SpiralMap,
     ann_distance_arrays,
     ann_distance_coords,
+    ann_distance_terms,
     chord_valid,
+    kernel_terms,
     spiral_coords,
 )
 from boundary_lab.distortion import (
@@ -20,6 +22,7 @@ from boundary_lab.distortion import (
     shared_edge_pair_sampler,
 )
 from boundary_lab.mesh_oracle import mesh_oracle_distance
+from boundary_lab.rays import ChordLeg
 from oracles import reference_mesh_oracle
 
 
@@ -40,6 +43,47 @@ def test_kernel_examples():
 def test_kernel_rejects_inner_radius():
     with pytest.raises(bl.DomainError):
         ann_distance_coords(0.0, 0.5, 1.0, 2.0)
+
+
+def test_prepared_kernel_matches_kernel_bit_for_bit():
+    rng = random.Random(4)
+
+    def radius():
+        return 1.0 if rng.random() < 0.2 else math.exp(rng.uniform(0.0, math.log(1e4)))
+
+    cases = []
+    for _ in range(3000):
+        t1, r1, r2 = rng.uniform(-20.0, 20.0), radius(), radius()
+        t2 = t1 if rng.random() < 0.1 else t1 + rng.uniform(-8.0, 8.0)
+        cases.append((t1, r1, t2, r2))
+        # delta exactly at phi1 + phi2, where the two branches meet
+        delta = math.acos(min(1.0, 1.0 / r1)) + math.acos(min(1.0, 1.0 / r2))
+        cases.append((0.0, r1, delta, r2))
+        cases.append((-0.0, r1, -delta, r2))
+    cases += [(0.0, 1.0, 0.0, 1.0), (3.0, 1.0, 3.0, 7.0), (0.0, 1.0, math.pi, 1.0)]
+    for t1, r1, t2, r2 in cases:
+        want = ann_distance_coords(t1, r1, t2, r2)
+        got = ann_distance_terms(kernel_terms(t1, r1), kernel_terms(t2, r2))
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("base", [(math.nan, 2.0), (math.inf, 2.0), (0.0, math.inf),
+                                  (0.0, math.nan), (0.0, 0.5)])
+def test_attached_bases_must_be_finite_with_r_at_least_one(base):
+    # a NaN t or an infinite r used to be accepted
+    with pytest.raises(bl.DomainError):
+        AnnulusSpace({"g1": base})
+
+
+@pytest.mark.parametrize("a,b", [((0.0, 0.5), (1.0, 2.0)), ((0.0, 2.0), (1.0, 0.9)),
+                                 ((math.nan, 2.0), (1.0, 2.0)),
+                                 ((0.0, 2.0), (1.0, math.inf)),
+                                 ((0.0, math.nan), (1.0, 2.0)),
+                                 ((-math.inf, 2.0), (1.0, 2.0))])
+def test_chord_endpoints_must_be_finite_with_r_at_least_one(a, b):
+    # ChordLeg((0, 0.5), (1, 2)) used to be accepted
+    with pytest.raises(bl.DomainError):
+        ChordLeg(a, b)
 
 
 def test_attached_ray_distances(zoo_xcat8, zoo_ycat14):

@@ -7,7 +7,7 @@ import pytest
 
 import boundary_lab as bl
 from boundary_lab import contraction, samplers
-from boundary_lab.annulus import AnnulusSpace, chord_valid, geodesic_legs
+from boundary_lab.annulus import AnnulusSpace, chord_valid, geodesic_legs, kernel_terms
 from boundary_lab.contraction import (
     ProjectionResult,
     _chord_distance,
@@ -29,6 +29,7 @@ from oracles import (
     chord_candidates,
     five_candidate_chord_distance,
     golden_chord_distance,
+    reference_annulus_ray_distance,
     sweep_escape,
 )
 
@@ -112,6 +113,67 @@ def test_leg_junction_minimizer_reported_once(zoo_xcat8):
     assert (lo, hi) == pytest.approx((9.491784429661681, 9.49178643756694), abs=1e-12)
 
 
+def _signs(values):
+    return [math.copysign(1.0, v) for v in values]
+
+
+def _projection_queries(zoo, ray, rng):
+    """Seeded points for projections onto one ray: scattered annulus points,
+    points on r = 1, the bases of attached rays, points up their rays, leg
+    junctions and points radially above them, and points on the ray's own
+    chords and arcs."""
+    A = zoo.space
+    t_max = 2.0 + max(t for t, _ in A.attached.values())
+    r_max = 2.0 * max(r for _, r in A.attached.values())
+    pts = [A.pt(rng.uniform(-t_max, t_max), math.exp(rng.uniform(0.0, math.log(r_max))))
+           for _ in range(12)]
+    pts += [A.pt(rng.uniform(-t_max, t_max), 1.0) for _ in range(4)]
+    pts += [A.pt(t, r) for t, r in A.attached.values()]
+    pts += [A.ray_pt(rid, s) for rid in A.attached for s in (0.0, rng.uniform(0.0, 50.0))]
+    for g0 in ray.leg_offsets:
+        pt = ray.eval(g0)
+        pts.append(pt)
+        if not isinstance(pt, bl.AttachedRayPoint):
+            pts.append(A.pt(pt.t, pt.r + rng.uniform(0.0, 5.0)))
+    for leg, g0 in zip(ray.legs, ray.leg_offsets):
+        if leg.length is not None:
+            pts += [ray.eval(g0 + rng.uniform(0.0, leg.length)) for _ in range(3)]
+    return pts
+
+
+@pytest.mark.parametrize("family,n", [("Xcat0", 8), ("Xcat0", 12), ("Ycat0", 8),
+                                      ("Ycat0", 12)])
+def test_ray_distance_equals_the_per_leg_reference_bit_for_bit(family, n):
+    zoo = getattr(bl, f"build_{family}")(n)
+    rng = random.Random(n)
+    for bp in zoo.boundary.values():
+        for ray in bp.representatives():
+            for x in _projection_queries(zoo, ray, rng):
+                d, params = ray_distance(x, ray)
+                ref_d, ref_params = reference_annulus_ray_distance(x, ray)
+                assert (d, params) == (ref_d, ref_params), (bp.label, x)
+                assert _signs([d, *params]) == _signs([ref_d, *ref_params])
+
+
+def test_ray_distance_rejects_points_of_other_spaces(zoo_xcat8):
+    X8 = zoo_xcat8
+    Y8, Y12, X4 = bl.build_Ycat0(8), bl.build_Ycat0(12), bl.build_X(4)
+    g5, alpha = X8.boundary["g5"].canonical, X8.boundary["alpha"].canonical
+    # each used to return a distance measured through X8's own bases or to
+    # raise something other than DomainError
+    cases = [
+        (Y8.space.ray_pt("g5", 3.0), g5),  # X8 has a g5 too: was (0.0, [38.44])
+        (Y8.space.ray_pt("g7", 1.0), alpha),  # through X8's g7 base: was 128.0
+        (Y12.space.ray_pt("g10", 1.0), alpha),  # X8 has no g10: KeyError
+        (Y8.space.pt(0.0, 2.0), X4.boundary["alpha"].canonical),  # AttributeError
+        (X4.space.point("alpha", 1), alpha),
+        (bl.AttachedRayPoint(X8.space.space_id, "g99", 1.0), alpha),  # KeyError
+    ]
+    for x, ray in cases:
+        with pytest.raises(bl.DomainError):
+            ray_distance(x, ray)
+
+
 # -- closed-form chord projection ----------------------------------------------
 
 def _log_radius(rng):
@@ -151,7 +213,7 @@ def test_chord_closed_form_matches_golden_search(zoo_xcat8):
     worst_above = worst = 0.0
     for leg, pts in _chord_cases(zoo_xcat8, seed=11):
         for cx in pts:
-            d, s = _chord_distance(leg, cx)
+            d, s = _chord_distance(leg, kernel_terms(*cx))
             ref, _ = golden_chord_distance(leg, cx)
             assert 0.0 <= s <= leg.length
             worst = max(worst, abs(d - ref))
@@ -161,19 +223,21 @@ def test_chord_closed_form_matches_golden_search(zoo_xcat8):
 
 
 def test_chord_evaluates_each_distinct_candidate_once(monkeypatch, zoo_xcat8):
+    # counts evaluations of the prepared kernel, the one the chord runs
     calls = []
-    kernel = contraction.ann_distance_coords
+    kernel = contraction.ann_distance_terms
 
     def counting(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(contraction, "ann_distance_coords", counting)
+    monkeypatch.setattr(contraction, "ann_distance_terms", counting)
     for leg, pts in _chord_cases(zoo_xcat8, seed=13):
         for cx in pts:
             ref = five_candidate_chord_distance(leg, cx)
+            xt = kernel_terms(*cx)
             calls.clear()
-            got = _chord_distance(leg, cx)
+            got = _chord_distance(leg, xt)
             assert got == ref and math.copysign(1.0, got[1]) == math.copysign(1.0, ref[1])
             distinct = 1 if leg.length == 0.0 else len(set(chord_candidates(leg, cx)))
             assert len(calls) == distinct
