@@ -158,10 +158,11 @@ def _doubling_schedule(a, b, max_horizon, min_horizon):
     schedule = []
     minima = []
     final = None  # E(S) of the first window with S >= settles_at
+    carry = {}  # what each window leaves to the next; dropped with the walk
     while True:
         schedule.append(S)
         if final is None:
-            minima.append(_window_min(space, a, b, [S, S + S / 2, 2 * S], o))
+            minima.append(_window_min(space, a, b, [S, S + S / 2, 2 * S], o, carry))
             if settles_at is not None and S >= settles_at:
                 final = minima[-1]
         else:
@@ -200,37 +201,78 @@ def _settles_at(space, a, b):
     return None if edge_a == edge_b else max(s_a, s_b)
 
 
-def _window_min(space, a, b, params, o):
+def _window_min(space, a, b, params, o, carry=None):
     """Min of finite-scale products over the window grid.
 
     The window points and their distances to o are computed once each, so
-    an n x n window costs 2n + n^2 distance queries; each product has the
-    value ``metric.gromov_product`` gives.  On a ray complex the doubled
-    products are formed as integers over one common denominator and the
-    minimum becomes one Fraction; on the annulus the floats are combined in
-    ``gromov_product``'s operand order.
+    an n x n window costs 2n ray evaluations, 2n distances to o and n^2
+    cross distances; each product has the value ``metric.gromov_product``
+    gives.  On a ray complex each point's (and o's) bracketing vertices are
+    found once and every distance runs on ``RayComplex._seeded_ratio``; the
+    doubled products are formed as integers over one common denominator
+    and the minimum becomes one Fraction.  On the annulus the floats are
+    combined in ``gromov_product``'s operand order.
+
+    ``carry`` is a dict that one doubling schedule hands to each of its
+    windows in turn.  A window leaves in it o's seeds and its last grid
+    point on each ray, with their distances to o and the cross distance
+    between the two.  When the next window starts at that parameter (S
+    doubles, so {S, 3S/2, 2S} is followed by {2S, 3S, 4S}), it takes them
+    over: 4 ray evaluations, 4 distances to o and 8 cross distances in
+    place of 6, 6 and 9.  The values are those computed afresh, so the
+    minimum is unchanged, bit for bit on the annulus.
     """
-    xs = [a.eval(s) for s in params]
-    ys = [b.eval(t) for t in params]
+    if carry is None:
+        carry = {}
     if isinstance(space, RayComplex):
-        ratio = space.distance_ratio
-        xo = [ratio(x, o) for x in xs]
-        yo = [ratio(y, o) for y in ys]
-        xy = [ratio(x, y) for x in xs for y in ys]
+        # points travel with their seeds
+        if "o" not in carry:
+            carry["o"] = (o, space._seeds(o))
+        o = carry["o"]
+
+        def point(ray, s):
+            p = ray.eval(s)
+            return p, space._seeds(p)
+
+        def dist(p, q):
+            return space._seeded_ratio(*p, *q)
+
+    else:
+
+        def point(ray, s):
+            return ray.eval(s)
+
+        dist = space.distance
+    last = carry.get("last")  # (parameter, x, y, d(x, o), d(y, o), d(x, y))
+    reuse = last is not None and last[0] == params[0]
+    fresh = params[1:] if reuse else params
+    xs = [point(a, s) for s in fresh]
+    ys = [point(b, t) for t in fresh]
+    xo = [dist(x, o) for x in xs]
+    yo = [dist(y, o) for y in ys]
+    if reuse:
+        xs, ys = [last[1]] + xs, [last[2]] + ys
+        xo, yo = [last[3]] + xo, [last[4]] + yo
+    xy = [
+        last[5] if reuse and i == j == 0 else dist(x, y)
+        for i, x in enumerate(xs)
+        for j, y in enumerate(ys)
+    ]
+    carry["last"] = (params[-1], xs[-1], ys[-1], xo[-1], yo[-1], xy[-1])
+    n = len(ys)
+    if isinstance(space, RayComplex):
         den = math.lcm(*(d for _, d in xo + yo + xy))
-        xo, yo, xy = ([n * (den // d) for n, d in r] for r in (xo, yo, xy))
+        xo, yo, xy = ([m * (den // d) for m, d in r] for r in (xo, yo, xy))
         doubled = min(
-            dx + dy - xy[i * len(yo) + j]
+            dx + dy - xy[i * n + j]
             for i, dx in enumerate(xo)
             for j, dy in enumerate(yo)
         )
         return Fraction(doubled, 2 * den)
-    dxo = [(x, space.distance(x, o)) for x in xs]
-    dyo = [(y, space.distance(y, o)) for y in ys]
     return min(
-        (d_xo + d_yo - space.distance(x, y)) / 2
-        for x, d_xo in dxo
-        for y, d_yo in dyo
+        (d_xo + d_yo - xy[i * n + j]) / 2
+        for i, d_xo in enumerate(xo)
+        for j, d_yo in enumerate(yo)
     )
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -29,7 +30,7 @@ from .annulus import (  # noqa: F401
     kernel_terms,
 )
 from .boundary import shared_products
-from .errors import DomainError, HorizonError
+from .errors import DomainError, HorizonError, UnreachableError
 from .metric import gromov_product
 from .points import AttachedRayPoint, Point, RayComplexPoint, require_same_space
 from .ray_complex import RayComplex
@@ -119,33 +120,65 @@ def _check_horizon(params, horizon) -> None:
 
 
 def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
-    offsets = ray.leg_offsets
-    best: Optional[Fraction] = None
-    hits: list = []
-    for leg, g0 in zip(ray.legs, offsets):
+    """(exact distance, sorted minimizing parameters) from x to the ray.
+
+    Each leg's candidates are its two ends, the marks inside it, and x's own
+    offset when x lies on it; these are enough.  Between two consecutive
+    marks of an edge, d(x, .) is the minimum of two linear functions (the
+    routes through either mark), so on any interval there it is least at an
+    end of the interval.  On x's own edge the along-edge term makes it
+    V-shaped around x, where it is 0.
+
+    x's bracketing vertices and their rows are fetched once per query.  A
+    candidate at a mark with vertex v is at distance min over x's seeds
+    (u, a) of a + row_u[v] * dx, an integer over dx * _scale: an along-edge
+    route from x to a mark passes a bracketing vertex, so the same-edge term
+    is never shorter.  A leg end that is not a mark goes through
+    ``distance_ratio``, and x's own offset gives 0.  Candidates compare by
+    cross-multiplying; the distance is one ``Fraction``, and each minimizer
+    one more.  Raises UnreachableError when a candidate cannot be reached.
+    """
+    if not isinstance(x, RayComplexPoint):
+        raise DomainError("ray-complex distance needs ray-complex points")
+    scale = space._scale
+    dx, seeds = space._seeds(x)
+    rows = [(a, space._row(u)) for u, a in seeds]
+    common = dx * scale
+    cands = []  # (numerator, denominator, leg offset, leg start, parameter)
+    for leg, g0 in zip(ray.legs, ray.leg_offsets):
         if not isinstance(leg, EdgeLeg):
             raise DomainError("ray-complex rays must consist of edge legs")
-        if leg.end is None:
-            lo, hi = leg.start, None
-        else:
-            lo, hi = min(leg.start, leg.end), max(leg.start, leg.end)
-        cands = {leg.start}
-        if leg.end is not None:
-            cands.add(leg.end)
-        for m in space.marks_on(leg.edge_id):
-            if m >= lo and (hi is None or m <= hi):
-                cands.add(m)
-        if x.edge_id == leg.edge_id and x.offset >= lo and (hi is None or x.offset <= hi):
-            cands.add(x.offset)
-        for par in cands:
-            pt = RayComplexPoint(space.space_id, leg.edge_id, par)
-            d = space.distance(x, pt)
-            g = g0 + abs(par - leg.start)
-            if best is None or d < best:
-                best, hits = d, [g]
-            elif d == best:
-                hits.append(g)
-    return best, sorted(set(hits))
+        eid, start = leg.edge_id, leg.start
+        marks = space._int_marks[eid]
+        lo = start if leg.end is None else min(start, leg.end)
+        hi = None if leg.end is None else max(start, leg.end)
+        # the marks in [lo, hi], as integers k = parameter * _scale
+        first = bisect_left(marks, -(-lo.numerator * scale // lo.denominator))
+        stop = len(marks)
+        if hi is not None:
+            stop = bisect_right(marks, hi.numerator * scale // hi.denominator)
+        pars, verts = space._marks[eid], space._mark_vertices[eid]
+        for i in range(first, stop):
+            v = verts[i]
+            reach = [a + row[v] * dx for a, row in rows if row[v] is not None]
+            if not reach:
+                raise UnreachableError("query pair not connected")
+            cands.append((min(reach), common, g0, start, pars[i]))
+        # the least mark >= lo and the greatest <= hi: is each end one?
+        for end, j in ((lo, first), (hi, stop - 1)):
+            if end is not None and not (
+                j < len(marks) and marks[j] * end.denominator == end.numerator * scale
+            ):
+                pt = RayComplexPoint(space.space_id, eid, end)
+                cands.append((*space.distance_ratio(x, pt), g0, start, end))
+        if x.edge_id == eid and lo <= x.offset and (hi is None or x.offset <= hi):
+            cands.append((0, 1, g0, start, x.offset))
+    num, den = cands[0][:2]
+    for n, d, *_ in cands:
+        if n * den < num * d:
+            num, den = n, d
+    hits = {g0 + abs(par - start) for n, d, g0, start, par in cands if n * den == num * d}
+    return Fraction(num, den), sorted(hits)
 
 
 def _annulus_ray_distance(space: AnnulusSpace, x: Point, ray: UnitSpeedRay):

@@ -283,17 +283,29 @@ class RayComplex:
 
     def distance_ratio(self, p: Point, q: Point) -> tuple[int, int]:
         """d(p, q) as an unreduced (numerator, denominator) pair of integers:
-        the least offset-plus-row sum over the vertices bracketing p and q,
-        or the along-edge distance when they share an edge.
-
-        Candidates are compared as integer numerators over the common
-        denominator dp * dq * _scale, which is the denominator returned.
-        """
+        the checked entry to ``_seeded_ratio``."""
         require_same_space(self.space_id, p, q)
         if not isinstance(p, RayComplexPoint) or not isinstance(q, RayComplexPoint):
             raise DomainError("ray-complex distance needs ray-complex points")
-        dp, p_seeds = self._seeds(p)
-        dq, q_seeds = self._seeds(q)
+        return self._seeded_ratio(p, self._seeds(p), q, self._seeds(q))
+
+    def _seeded_ratio(
+        self, p: RayComplexPoint, p_seeded: tuple, q: RayComplexPoint, q_seeded: tuple
+    ) -> tuple[int, int]:
+        """d(p, q) from the points and their ``_seeds``, unchecked: the least
+        offset-plus-row sum over the vertices bracketing p and q, or the
+        along-edge distance when they share an edge.
+
+        Candidates are compared as integer numerators over the common
+        denominator dp * dq * _scale, which is the denominator returned.
+        Callers that keep seeds work each point's out once: a
+        boundary-product schedule seeds o once, and after its first window
+        (7 seeds, 15 calls here) each window seeds its 4 new points and
+        makes 12 calls here (4 to o, 8 cross), where 15 ``distance_ratio``
+        calls would seed 30 points (``boundary._window_min``).
+        """
+        dp, p_seeds = p_seeded
+        dq, q_seeds = q_seeded
         best: Optional[int] = None
         if p.edge_id == q.edge_id:
             best = abs(p.offset.numerator * dq - q.offset.numerator * dp) * self._scale

@@ -12,9 +12,13 @@ below is the reference for its candidate evaluation: it evaluates every
 clamped candidate, repeats included.  The per-leg annulus projection below
 is the reference for ``ray_distance`` on the annulus: it dispatches each
 leg by its class and runs ``ann_distance_coords`` on raw coordinates, so
-the engine's prepared kernel terms must reproduce it bit for bit.  The doubling walk below is
-the reference for the boundary-product schedule: it queries every window,
-one ``metric.gromov_product`` per grid point.  The mesh-oracle reference
+the engine's prepared kernel terms must reproduce it bit for bit.  The
+per-candidate ray-complex projection below is the reference for
+``ray_distance`` on ray complexes: it builds a point at every candidate
+parameter and asks ``RayComplex.distance`` for each, one ``Fraction`` per
+candidate.  The doubling walk below is the reference for the
+boundary-product schedule: it queries every window, evaluating every point
+afresh, one ``metric.gromov_product`` per grid point.  The mesh-oracle reference
 below is the plain three-shift column sweep and the numpy-indexed greedy
 backtrack; the engine's in-place sweep must match it bit for bit.  The
 escape sweep below is the reference for ``t_first_escape``: it evaluates
@@ -38,9 +42,9 @@ from boundary_lab.mesh_oracle import (
     build_grid,
 )
 from boundary_lab.metric import gromov_product
-from boundary_lab.points import AttachedRayPoint
+from boundary_lab.points import AttachedRayPoint, RayComplexPoint
 from boundary_lab.ray_complex import RayComplex
-from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg
+from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, EdgeLeg
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -232,6 +236,40 @@ def reference_annulus_ray_distance(x, ray):
             best, hits = d, [g]
         elif d <= best + 1e-12:
             hits.append(g)
+    return best, sorted(set(hits))
+
+
+def reference_rc_ray_distance(x, ray):
+    """(distance, global argmin parameters) from a point of a ray complex to
+    a ray of it: the exact distance to every candidate of each leg (its
+    ends, the marks inside it, and x's own offset when x lies on it), with
+    every exact minimizer kept."""
+    space = ray.space
+    best = None
+    hits = []
+    for leg, g0 in zip(ray.legs, ray.leg_offsets):
+        if not isinstance(leg, EdgeLeg):
+            raise DomainError("ray-complex rays must consist of edge legs")
+        if leg.end is None:
+            lo, hi = leg.start, None
+        else:
+            lo, hi = min(leg.start, leg.end), max(leg.start, leg.end)
+        cands = {leg.start}
+        if leg.end is not None:
+            cands.add(leg.end)
+        for m in space.marks_on(leg.edge_id):
+            if m >= lo and (hi is None or m <= hi):
+                cands.add(m)
+        if x.edge_id == leg.edge_id and x.offset >= lo and (hi is None or x.offset <= hi):
+            cands.add(x.offset)
+        for par in cands:
+            pt = RayComplexPoint(space.space_id, leg.edge_id, par)
+            d = space.distance(x, pt)
+            g = g0 + abs(par - leg.start)
+            if best is None or d < best:
+                best, hits = d, [g]
+            elif d == best:
+                hits.append(g)
     return best, sorted(set(hits))
 
 

@@ -15,6 +15,7 @@ from boundary_lab.boundary import (
     u_set_membership,
 )
 from boundary_lab.contraction import asymptotic_check
+from boundary_lab.rays import UnitSpeedRay
 from oracles import full_doubling_walk
 
 
@@ -260,9 +261,9 @@ def _count_windows(monkeypatch):
     horizons = []
     original = boundary._window_min
 
-    def counted(space, a, b, params, o):
+    def counted(space, a, b, params, o, *rest):
         horizons.append(params[0])
-        return original(space, a, b, params, o)
+        return original(space, a, b, params, o, *rest)
 
     monkeypatch.setattr(boundary, "_window_min", counted)
     return horizons
@@ -324,3 +325,40 @@ def test_finality_needs_two_distinct_hairs(zoo_x8, zoo_xcat8, monkeypatch):
         assert horizons == schedule
         assert est.status == status
         assert est.window_minima == tuple(float(m) for m in minima)
+
+
+@pytest.mark.parametrize("spec", ["Xcat0:8", "Ycat0:8"])
+def test_annulus_windows_reuse_their_shared_point_bit_for_bit(spec):
+    # each window takes over the last window's 2S points, their distances to
+    # o and the cross distance; the floats are those computed afresh
+    z = bl.get_space(spec)
+    mh, mn = z.product_horizon, z.product_min_horizon
+    for eta, zeta in itertools.permutations(sorted(z.boundary), 2):
+        a, b = z.boundary[eta].canonical, z.boundary[zeta].canonical
+        status, schedule, minima = boundary._doubling_schedule(a, b, mh, mn)
+        want = full_doubling_walk(a, b, mh, mn)
+        assert (status, schedule) == want[:2], (eta, zeta)
+        assert [m.hex() for m in minima] == [m.hex() for m in want[2]], (eta, zeta)
+
+
+@pytest.mark.parametrize("spec,eta,zeta", [
+    ("X:8", "alpha", "g3"),
+    ("X:8", "g2", "beta"),
+    ("Xcat0:8", "alpha", "g3"),
+])
+def test_k_windows_evaluate_each_ray_3_plus_2_k_minus_1_times(spec, eta, zeta, monkeypatch):
+    z = bl.get_space(spec)
+    a, b = z.boundary[eta].canonical, z.boundary[zeta].canonical
+    evals = {id(a): 0, id(b): 0}
+    original = UnitSpeedRay.eval
+
+    def counted(self, t):
+        evals[id(self)] += 1
+        return original(self, t)
+
+    monkeypatch.setattr(UnitSpeedRay, "eval", counted)
+    horizons = _count_windows(monkeypatch)
+    boundary._doubling_schedule(a, b, z.product_horizon, z.product_min_horizon)
+    k = len(horizons)
+    assert k >= 2
+    assert evals == {id(a): 3 + 2 * (k - 1), id(b): 3 + 2 * (k - 1)}

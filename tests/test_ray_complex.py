@@ -11,9 +11,11 @@ import pytest
 import boundary_lab as bl
 from boundary_lab import boundary, dsl, spacezoo
 from boundary_lab.boundary import boundary_gromov_product
+from boundary_lab.contraction import ray_distance
 from boundary_lab.metric import gromov_product
 from boundary_lab.ray_complex import RAY, SEGMENT, Edge, RayComplex
-from oracles import brute_rc_distance, fraction_vertex_graph
+from boundary_lab.rays import EdgeLeg, UnitSpeedRay
+from oracles import brute_rc_distance, fraction_vertex_graph, reference_rc_ray_distance
 
 
 def test_distance_examples_from_construction(zoo_x8, zoo_x16):
@@ -145,6 +147,105 @@ def test_distance_matches_oracle_on_rational_complexes():
             d = rc.distance(p, q)
             assert isinstance(d, Fraction)
             assert d == brute_rc_distance(rc, p, q)
+
+
+def _dyadic_points(rc):
+    """Points at every mark, at one of the quarters 1/4, 1/2, 3/4 (in turn)
+    between consecutive marks, and on ray tails past the last mark."""
+    pts = []
+    quarters = itertools.cycle((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
+    for eid, edge in rc.edges.items():
+        marks = rc.marks_on(eid)
+        pts += [rc.point(eid, m) for m in marks]
+        for lo, hi in zip(marks, marks[1:]):
+            pts.append(rc.point(eid, lo + (hi - lo) * next(quarters)))
+        if edge.length is None:
+            pts += [rc.point(eid, marks[-1] + off) for off in (Fraction(1, 2), 77)]
+    return pts
+
+
+def _off_mark_rays(rc):
+    """Rays whose legs start and end off the marks: from inside segment e1,
+    backwards, onto a ray edge from 1/7 on; and that last leg alone."""
+    top = rc.edges["e1"].length
+    rays = []
+    for eid, edge in rc.edges.items():
+        if edge.kind == RAY:
+            tail = EdgeLeg(eid, Fraction(1, 7), None)
+            rays.append(UnitSpeedRay(rc, f"{eid}+1/7", (tail,)))
+            back = EdgeLeg("e1", top * Fraction(5, 7), top * Fraction(1, 7))
+            rays.append(UnitSpeedRay(rc, f"e1-{eid}", (back, tail)))
+    return rays
+
+
+def _assert_projection_matches_reference(x, ray):
+    d, hits = ray_distance(x, ray)
+    ref_d, ref_hits = reference_rc_ray_distance(x, ray)
+    assert type(d) is Fraction and d == ref_d, (ray.label, x)
+    assert hits == ref_hits, (ray.label, x)
+    assert [type(h) for h in hits] == [type(h) for h in ref_hits], (ray.label, x)
+    return hits
+
+
+@pytest.mark.parametrize("spec", ["X:8", "Y:8", "X:16"])
+def test_projection_matches_the_per_candidate_reference_on_the_zoo(spec):
+    # every representative, auxiliaries included, against points at marks,
+    # between them and past them, some on a ray's own edge outside its leg
+    z = bl.get_space(spec)
+    rc = z.space
+    pts = _dyadic_points(rc)
+    outside = 0
+    for bp in z.boundary.values():
+        for ray in bp.representatives():
+            for x in pts:
+                _assert_projection_matches_reference(x, ray)
+                for leg in ray.legs:
+                    if x.edge_id == leg.edge_id and leg.end is not None:
+                        outside += not (
+                            min(leg.start, leg.end) <= x.offset <= max(leg.start, leg.end)
+                        )
+    assert outside > 0
+
+
+def test_projection_matches_the_per_candidate_reference_on_rational_complexes():
+    # plus the looped complex, where the midpoint of the chord s is 3/2 from
+    # both of its ends on r: a tie of two feet
+    looped = RayComplex(
+        [Edge("r", RAY, None), Edge("s", SEGMENT, Fraction(3))],
+        [(("r", Fraction(2)), ("s", Fraction(0))), (("r", Fraction(9)), ("s", Fraction(3)))],
+        ("r", Fraction(0)),
+    )
+    tie = _assert_projection_matches_reference(
+        looped.point("s", Fraction(3, 2)), looped.edge_ray("r")
+    )
+    assert tie == [2, 9]
+    for rc, pts, _ in _rational_complexes():
+        rays = [rc.edge_ray(eid) for eid, e in rc.edges.items() if e.kind == RAY]
+        off_mark = _off_mark_rays(rc)
+        assert all(leg.start not in rc.marks_on(leg.edge_id)
+                   for ray in off_mark for leg in ray.legs)
+        for ray in rays + off_mark:
+            for x in pts:
+                _assert_projection_matches_reference(x, ray)
+
+
+def test_projection_onto_another_component_is_unreachable():
+    # each candidate of the ray lies in the other component: the query raises
+    # UnreachableError, as a single distance query between them does
+    rc = RayComplex(
+        [Edge("a", RAY, None), Edge("b", RAY, None), Edge("s", SEGMENT, Fraction(3))],
+        [(("s", Fraction(0)), ("b", Fraction(2)))],
+        ("a", Fraction(0)),
+        check_connected=False,
+    )
+    # the second ray starts off the marks, inside s, and turns onto b at s:0
+    legs = (EdgeLeg("s", Fraction(1, 2), Fraction(0)), EdgeLeg("b", Fraction(2), None))
+    rays = [rc.edge_ray("b"), UnitSpeedRay(rc, "s-b", legs)]
+    for x in (rc.point("a", 0), rc.point("a", Fraction(5, 2))):
+        for ray in rays:
+            with pytest.raises(bl.UnreachableError):
+                ray_distance(x, ray)
+    assert ray_distance(rc.point("s", 1), rays[0]) == (1, [2])
 
 
 class _Recorded(RayComplex):
