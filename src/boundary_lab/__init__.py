@@ -21,7 +21,6 @@ from .boundary import (
 from .contraction import (
     ContractionProfile,
     EscapeTime,
-    asymptotic_check,
     claim_check,
     contraction_profile,
     git_check,
@@ -31,7 +30,6 @@ from .contraction import (
     t_first_escape,
 )
 from .dsl import compile_space, load_space, parse_space, serialize_space
-from .distortion import qi_distortion_estimate
 from .errors import (
     BoundaryLabError,
     BuildError,

@@ -39,6 +39,7 @@ from .contraction import (
 )
 from .dsl import compile_space, parse_space, serialize_space
 from .errors import BoundaryLabError, DomainError, SpaceParseError
+from .mesh_oracle import MAX_RADIUS
 from .metric import gromov_product
 from .points import AnnulusPoint, Point
 from .ray_complex import RayComplex
@@ -62,6 +63,17 @@ def _number(conv, text: str, literal: str):
     return value
 
 
+def _coordinate(text: str, literal: str) -> float:
+    """An annulus coordinate of at most ``MAX_RADIUS`` in absolute value:
+    above it, the kernel's squared radii and summed lengths overflow."""
+    value = _number(float, text, literal)
+    if abs(value) > MAX_RADIUS:
+        raise DomainError(
+            f"coordinate {text!r} in {literal!r} is above MAX_RADIUS = {MAX_RADIUS:g}"
+        )
+    return value
+
+
 def parse_point(space, text: str) -> Point:
     """Point literals: `base`, `<edge>:<param>` (rationals as p/q), or
     `ann:<t>,<r>` for raw annulus coordinates."""
@@ -74,8 +86,8 @@ def parse_point(space, text: str) -> Point:
         return space.point(name, _number(Fraction, par, text))
     if name == "ann":
         t, _, r = par.partition(",")
-        return space.pt(_number(float, t, text), _number(float, r, text))
-    s = _number(float, par, text)
+        return space.pt(_coordinate(t, text), _coordinate(r, text))
+    s = _coordinate(par, text)
     if name == "alpha":
         return space.pt(s, 1.0)
     if name == "beta":
@@ -87,12 +99,6 @@ def resolve_ray(zoo, label: str):
     if isinstance(zoo.space, RayComplex):
         return zoo.space.edge_ray(label)
     return zoo.boundary[label].canonical
-
-
-def _num(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
 
 
 def _estimate_payload(est) -> dict:
@@ -109,7 +115,7 @@ def cmd_dist(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     p = parse_point(zoo.space, getattr(args, "from"))
     q = parse_point(zoo.space, args.to)
-    return 0, {"schema": "distance@1", "distance": _num(zoo.space.distance(p, q))}
+    return 0, {"schema": "distance@1", "distance": zoo.space.distance(p, q)}
 
 
 def cmd_gromov(args) -> tuple[int, dict]:
@@ -117,25 +123,26 @@ def cmd_gromov(args) -> tuple[int, dict]:
     x = parse_point(zoo.space, args.x)
     y = parse_point(zoo.space, args.y)
     z = parse_point(zoo.space, args.z)
-    value = _num(gromov_product(x, y, z, zoo.space))
+    value = gromov_product(x, y, z, zoo.space)
     return 0, {"schema": "gromov_product@1", "value": value}
 
 
 def cmd_project(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     x = parse_point(zoo.space, args.point)
-    rays = [resolve_ray(zoo, lab) for lab in args.target.split(",")]
+    # each label once: ray-complex labels resolve to a new ray each time
+    labels = dict.fromkeys(args.target.split(","))
+    rays = [resolve_ray(zoo, lab) for lab in labels]
     horizon = zoo.sweep_horizon if args.horizon is None else args.horizon
     res = project(x, rays, horizon, tol=args.tol)
     return 0, {
         "schema": "projection@1",
         "space": zoo.space_id,
-        "distance": _num(res.distance),
+        "distance": res.distance,
         "intervals": [
-            {"ray": ray.label, "lo": _num(lo), "hi": _num(hi)}
-            for ray, lo, hi in res.intervals
+            {"ray": ray.label, "lo": lo, "hi": hi} for ray, lo, hi in res.intervals
         ],
-        "diameter": _num(res.diameter(zoo.space)),
+        "diameter": res.diameter(zoo.space),
     }
 
 
@@ -170,7 +177,6 @@ def cmd_profile(args) -> tuple[int, dict]:
     profile = parts[0]
     for part in parts[1:]:
         profile = profile.merge(part)
-    profile.classify()
     payload = {
         "schema": "contraction_profile@1",
         "space": zoo.space_id,
@@ -307,12 +313,7 @@ def cmd_oracle(args) -> tuple[int, dict]:
     q = parse_point(zoo.space, args.to)
     if not isinstance(p, AnnulusPoint) or not isinstance(q, AnnulusPoint):
         raise BoundaryLabError("the mesh oracle compares annulus points")
-    window = None
-    if args.window:
-        window = tuple(_number(float, v, args.window) for v in args.window.split(","))
-        if len(window) != 3:
-            raise SpaceParseError("E_SYNTAX", f"bad window {args.window!r}")
-    oracle = mesh_oracle_distance(p, q, h=args.h, window=window)
+    oracle = mesh_oracle_distance(p, q, h=args.h)
     exact = zoo.space.distance(p, q)
     rel = (oracle - exact) / exact if exact else 0.0
     return 0, {
@@ -436,9 +437,9 @@ class _Help(Exception):
 
 
 # Options whose value is a comma-separated list of numbers.  argparse takes
-# a value like "-1,3,3" for an option string, so the parser glues it to
-# its flag ("--window=-1,3,3") first.
-LIST_OPTIONS = ("--window", "--radii")
+# a value like "-1,3" for an option string, so the parser glues it to its
+# flag ("--radii=-1,3") first.
+LIST_OPTIONS = ("--radii",)
 _NEGATIVE = re.compile(r"-[\d.]")
 
 
@@ -522,7 +523,6 @@ COMMANDS = {
     "oracle": (cmd_oracle, "mesh-oracle cross-check of the kernel", (
         ("--space", REQUIRED), ("--from", REQUIRED), ("--to", REQUIRED),
         ("--h", {"type": float, "default": 0.01}),
-        ("--window", {"help": "t_min,t_max,r_max containment window"}),
     )),
     "converge": (cmd_converge, "first stable index per radius", (
         ("--space", REQUIRED), ("--eta", REQUIRED), ("--sequence", REQUIRED),

@@ -1,7 +1,7 @@
 """Closest-point projections onto rays and everything built on them:
-contraction profiles, the geodesic-image property check, asymptoty tests,
-escape times, residual checks for the product-vs-escape-time comparison,
-and the neighborhood-basis condition.
+contraction profiles, the geodesic-image property check, escape times,
+residual checks for the product-vs-escape-time comparison, and the
+neighborhood-basis condition.
 
 Projections are set-valued and returned as maximal parameter intervals;
 ties (a point projecting to two far-apart feet) are reported as separate
@@ -263,7 +263,7 @@ def project(
         if d > dmin + tol:
             continue
         if exact:
-            intervals += [(ray, g, g) for g in params if d <= dmin + tol]
+            intervals += [(ray, g, g) for g in params]
         else:
             for g in params:
                 lo, hi = _expand_level_set(space, x, ray, g, dmin + tol, horizon)
@@ -540,40 +540,6 @@ def far_segment_suite(gamma: UnitSpeedRay, C, n: int, seed: int):
         done += 1
         worst = max(worst, res.diameter)
     return done, worst, rejected
-
-
-# -- asymptoty -----------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AsymptoticVerdict:
-    status: str  # "asymptotic" | "divergent" | "inconclusive"
-    sup: float
-    witness_t: float
-    within_5c: Optional[bool] = None  # empirical note, not asserted
-
-
-def asymptotic_check(
-    gamma1: UnitSpeedRay, gamma2: UnitSpeedRay, C, horizon
-) -> AsymptoticVerdict:
-    """Asymptotic iff gamma2 stays in the closed 6C-neighborhood of gamma1
-    over the horizon with a non-increasing tail; divergent iff it exceeds 6C
-    and keeps growing; otherwise inconclusive at this horizon."""
-    base_gap = gamma1.space.distance(gamma1.eval(0), gamma2.eval(0))
-    if base_gap > 6 * C:
-        raise DomainError("rays must be based at (or near) the same basepoint")
-    samples = 256
-    ts = [horizon * k / samples for k in range(samples + 1)]
-    ds = [float(ray_distance(gamma2.eval(t), gamma1, None)[0]) for t in ts]
-    sup = max(ds)
-    arg = ts[ds.index(sup)]
-    quarter = samples // 4
-    sup_last = max(ds[-quarter:])
-    sup_prev = max(ds[-2 * quarter:-quarter])
-    if sup <= 6 * C and sup_last <= sup_prev + 1e-9:
-        return AsymptoticVerdict("asymptotic", sup, arg, sup <= 5 * C)
-    if sup > 6 * C and sup_last >= sup_prev and ds[-1] > 6 * C:
-        return AsymptoticVerdict("divergent", sup, arg, False)
-    return AsymptoticVerdict("inconclusive", sup, arg, None)
 
 
 # -- escape times --------------------------------------------------------------

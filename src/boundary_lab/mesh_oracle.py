@@ -139,31 +139,17 @@ def _grid_shape(h: float, r_max: float, dt: float) -> tuple[int, int]:
     return n_rows, n_cols
 
 
-def mesh_oracle_distance(
-    p: AnnulusPoint,
-    q: AnnulusPoint,
-    h: float = 0.01,
-    window: Optional[tuple[float, float, float]] = None,
-) -> float:
+def mesh_oracle_distance(p: AnnulusPoint, q: AnnulusPoint, h: float = 0.01) -> float:
     """Shortest grid-path distance between two annulus points.
 
     The step ``h`` must be finite and positive, and the grid it makes must
     have at most ``MAX_CELLS`` cells and a top row radius of at most
-    ``MAX_RADIUS``.  ``window`` is (t_min, t_max, r_max); both query points
-    must lie inside it and it must leave room for a witness path, otherwise
-    the call is rejected.  The grid itself always spans the pair's own
-    bounding box, which contains the geodesic, with or without a window.
+    ``MAX_RADIUS``.  The grid spans the pair's own bounding box, which
+    contains the geodesic.
     """
     if not 0 < h < math.inf:
         raise DomainError(f"the grid step h must be positive and finite, got {h}")
     pc, qc = (p.t, p.r), (q.t, q.r)
-    if window is not None:
-        t_min, t_max, r_max = window
-        for c in (pc, qc):
-            if not (t_min <= c[0] <= t_max) or c[1] > r_max:
-                raise DomainError(f"query point {c} outside declared window")
-        if r_max < max(pc[1], qc[1]):
-            raise DomainError("window too small to contain a witness path")
     if pc[0] > qc[0]:
         pc, qc = qc, pc
     if pc == qc:

@@ -10,6 +10,7 @@ scale (never less than twice the largest scale).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -17,6 +18,7 @@ from typing import Union
 from .annulus import AnnulusSpace, geodesic_legs
 from .boundary import BoundaryPoint
 from .errors import DomainError
+from .mesh_oracle import MAX_RADIUS
 from .ray_complex import RAY, SEGMENT, Edge, RayComplex
 from .rays import AttachedLeg, BoundaryArcLeg, EdgeLeg, UnitSpeedRay
 
@@ -61,11 +63,25 @@ def _two(i: int) -> Fraction:
     return Fraction(1 << i)
 
 
+def _scale(name: str, n: int, horizon_factor: int, max_radius=None) -> float:
+    """2^n, the construction scale of ``name:n``, once n is small enough:
+    the product horizon horizon_factor * 2^n must be a finite float, and
+    the radii 2^i (i <= n), when bounded, at most ``max_radius``.  Checked
+    before anything is built."""
+    n_max, why = 1024 - horizon_factor.bit_length(), "its horizons overflow"
+    if max_radius is not None and int(math.log2(max_radius)) < n_max:
+        n_max, why = int(math.log2(max_radius)), f"its radii exceed {max_radius:g}"
+    if n > n_max:
+        raise DomainError(f"{name}:{n} is too large ({why}); use n <= {n_max}")
+    return float(1 << n)
+
+
 def build_X(n: int) -> ZooSpace:
     """Two boundary rays glued at o, plus n branch rays hung off both by
     connectors of length 2^i."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    scale = _scale("X", n, 16)
     edges = [Edge("alpha", RAY, None), Edge("beta", RAY, None)]
     gluings = [(("alpha", _ZERO), ("beta", _ZERO))]
     for i in range(1, n + 1):
@@ -105,7 +121,6 @@ def build_X(n: int) -> ZooSpace:
             ),
         )
         boundary[f"g{i}"] = BoundaryPoint(f"g{i}", via_a, (via_b,))
-    scale = float(2 ** n)
     return ZooSpace(f"X:{n}", rc, boundary, scale, 16 * scale, 8 * scale)
 
 
@@ -115,6 +130,7 @@ def build_Y(n: int) -> ZooSpace:
     shortened length is positive (2^1 - 2 = 2^2 - 4 = 0)."""
     if n < 3:
         raise DomainError("n must be >= 3")
+    scale = _scale("Y", n, 16)
     edges = [Edge("alpha", RAY, None), Edge("beta", RAY, None)]
     gluings = [(("alpha", _ZERO), ("beta", _ZERO))]
     for i in range(3, n + 1):
@@ -145,7 +161,6 @@ def build_Y(n: int) -> ZooSpace:
             ),
         )
         boundary[f"g{i}"] = BoundaryPoint(f"g{i}", via_b)
-    scale = float(2 ** n)
     return ZooSpace(f"Y:{n}", rc, boundary, scale, 16 * scale, 8 * scale)
 
 
@@ -182,6 +197,7 @@ def build_Xcat0(n: int) -> ZooSpace:
     """Annulus with rays attached along the spiral of bases (i, 2^i)."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    scale = _scale("Xcat0", n, 32, MAX_RADIUS)
     space = AnnulusSpace({f"g{i}": (float(i), float(2 ** i)) for i in range(1, n + 1)})
     boundary = {
         "alpha": _boundary_class(space, "alpha", +1, _PERTURB),
@@ -191,7 +207,6 @@ def build_Xcat0(n: int) -> ZooSpace:
         boundary[f"g{i}"] = _attached_class(
             space, f"g{i}", f"g{i}", [(0.0, 1.0), (_PERTURB, 1.0)]
         )
-    scale = float(2 ** n)
     return ZooSpace(f"Xcat0:{n}", space, boundary, scale, 32 * scale, 8 * scale)
 
 
@@ -199,6 +214,7 @@ def build_Ycat0(n: int) -> ZooSpace:
     """Annulus with rays attached along the vertical of bases (0, 2^i)."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    scale = _scale("Ycat0", n, 32, MAX_RADIUS)
     space = AnnulusSpace({f"g{i}": (0.0, float(2 ** i)) for i in range(1, n + 1)})
     boundary = {
         "alpha": _boundary_class(space, "alpha", +1, _PERTURB),
@@ -208,7 +224,6 @@ def build_Ycat0(n: int) -> ZooSpace:
         boundary[f"g{i}"] = _attached_class(
             space, f"g{i}", f"g{i}", [(0.0, 1.0), (_PERTURB, 1.0)]
         )
-    scale = float(2 ** n)
     return ZooSpace(f"Ycat0:{n}", space, boundary, scale, 32 * scale, 8 * scale)
 
 

@@ -305,7 +305,7 @@ def _vertical_relax(base, rows):
     return np.minimum(up, down)
 
 
-def reference_mesh_oracle(p, q, h=0.01, window=None):
+def reference_mesh_oracle(p, q, h=0.01):
     """(distance, witness path) of the mesh oracle, by the plain sweep: each
     column is three shifted adds and a fresh vertical relax, and the
     backtrack indexes the numpy table cell by cell.  The path is the
@@ -314,13 +314,6 @@ def reference_mesh_oracle(p, q, h=0.01, window=None):
     if not 0 < h < math.inf:
         raise DomainError(f"the grid step h must be positive and finite, got {h}")
     pc, qc = (p.t, p.r), (q.t, q.r)
-    if window is not None:
-        t_min, t_max, r_max = window
-        for c in (pc, qc):
-            if not (t_min <= c[0] <= t_max) or c[1] > r_max:
-                raise DomainError(f"query point {c} outside declared window")
-        if r_max < max(pc[1], qc[1]):
-            raise DomainError("window too small to contain a witness path")
     if pc[0] > qc[0]:
         pc, qc = qc, pc
     if pc == qc:

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,11 +17,6 @@ from boundary_lab.annulus import (
     chord_valid,
     kernel_terms,
     spiral_coords,
-)
-from boundary_lab.distortion import (
-    label_identity_map,
-    qi_distortion_estimate,
-    shared_edge_pair_sampler,
 )
 from boundary_lab.mesh_oracle import mesh_oracle_distance
 from boundary_lab.rays import ChordLeg
@@ -161,14 +158,6 @@ def test_mesh_oracle_overestimates():
             assert (oracle - exact) / exact <= 0.02
 
 
-def test_mesh_oracle_window_flag():
-    S = AnnulusSpace()
-    with pytest.raises(bl.DomainError):
-        mesh_oracle_distance(S.pt(0, 5), S.pt(2, 8), h=0.05, window=(-1, 3, 6))
-    with pytest.raises(bl.DomainError):
-        mesh_oracle_distance(S.pt(0, 5), S.pt(10, 5), h=0.05, window=(-1, 3, 50))
-
-
 @pytest.mark.parametrize("h", [0.0, -1.0, math.nan, math.inf])
 def test_mesh_oracle_rejects_bad_step(h):
     # h = -1 used to return an underestimate, h = 0 a ZeroDivisionError
@@ -178,7 +167,7 @@ def test_mesh_oracle_rejects_bad_step(h):
 
 
 def _oracle_cases():
-    """(p, q, h, window): seeded pairs, then the edge cases of the sweep."""
+    """(p, q, h): seeded pairs, then the edge cases of the sweep."""
     S = AnnulusSpace()
     rng = random.Random(9)
     cases = []
@@ -187,25 +176,25 @@ def _oracle_cases():
         span = 6.0 if h == 0.01 else 16.0
         ta, tb = (rng.uniform(-span / 2, span / 2) for _ in range(2))
         ra, rb = (math.exp(rng.uniform(0.0, math.log(30.0))) for _ in range(2))
-        cases.append((S.pt(ta, ra), S.pt(tb, rb), h, None))
+        cases.append((S.pt(ta, ra), S.pt(tb, rb), h))
     cases += [
-        (S.pt(0.7, 1.5), S.pt(0.7, 6.0), 0.05, None),  # equal t: a zero last step
-        (S.pt(0.7, 6.0), S.pt(0.7, 1.5), 0.05, None),
-        (S.pt(-1.0, 1.0), S.pt(2.3, 1.0), 0.05, None),  # both on the circle
-        (S.pt(3.0, 1.0), S.pt(-0.4, 1.0), 0.01, None),
-        (S.pt(0.0, 2.0), S.pt(1.234, 3.0), 0.05, None),  # a squeezed last step
-        (S.pt(0.0, 2.0), S.pt(1.0, 3.0), 0.05, None),  # a whole number of steps
-        (S.pt(0.0, 2.0), S.pt(0.03, 2.5), 0.05, None),  # a one-step span
-        (S.pt(0.0, 1.0), S.pt(0.02, 1.0), 0.05, None),
-        (S.pt(0.0, 5.0), S.pt(2.0, 5.5), 0.05, (-1.0, 3.0, 6.0)),  # a window
+        (S.pt(0.7, 1.5), S.pt(0.7, 6.0), 0.05),  # equal t: a zero last step
+        (S.pt(0.7, 6.0), S.pt(0.7, 1.5), 0.05),
+        (S.pt(-1.0, 1.0), S.pt(2.3, 1.0), 0.05),  # both on the circle
+        (S.pt(3.0, 1.0), S.pt(-0.4, 1.0), 0.01),
+        (S.pt(0.0, 2.0), S.pt(1.234, 3.0), 0.05),  # a squeezed last step
+        (S.pt(0.0, 2.0), S.pt(1.0, 3.0), 0.05),  # a whole number of steps
+        (S.pt(0.0, 2.0), S.pt(0.03, 2.5), 0.05),  # a one-step span
+        (S.pt(0.0, 1.0), S.pt(0.02, 1.0), 0.05),
+        (S.pt(0.0, 5.0), S.pt(2.0, 5.5), 0.05),
     ]
     return cases
 
 
 def test_mesh_oracle_matches_the_plain_sweep_bit_for_bit():
-    for p, q, h, window in _oracle_cases():
-        want, want_path = reference_mesh_oracle(p, q, h=h, window=window)
-        got = mesh_oracle_distance(p, q, h=h, window=window)
+    for p, q, h in _oracle_cases():
+        want, want_path = reference_mesh_oracle(p, q, h=h)
+        got = mesh_oracle_distance(p, q, h=h)
         assert got == want and type(got) is type(want), (p, q, h)
         a, b = ((p.t, p.r), (q.t, q.r))
         if a[0] > b[0]:
@@ -303,50 +292,96 @@ def test_geodesic_polyline_length(zoo_xcat8):
         assert length == pytest.approx(A.distance(p, q), rel=1e-3)
 
 
-def test_qi_identity_is_isometry(zoo_x8):
-    X = zoo_x8.space
-    rep = qi_distortion_estimate(
-        label_identity_map(X, X), X, X,
-        shared_edge_pair_sampler(X, X, 2 ** 8), 150, seed=4,
-    )
-    assert rep.lam == 1.0 and rep.eps == 0.0
+def _label_identity(src, dst):
+    """Each shared edge of two ray complexes onto itself, affine where the
+    lengths differ."""
+
+    def f(p):
+        a, b = src.edges[p.edge_id].length, dst.edges[p.edge_id].length
+        return dst.point(p.edge_id, p.offset if a == b else p.offset * b / a)
+
+    return f
+
+
+def _shared_pairs(src, dst, n, seed):
+    """Every pair of marks on the edges shared by src and dst, then n seeded
+    pairs at dyadic offsets (k/64) on them, out to 2^18 on rays."""
+    shared = sorted(set(src.edges) & set(dst.edges))
+    marks = [src.point(e, m) for e in shared for m in src.marks_on(e)]
+    rng = random.Random(seed)
+
+    def one():
+        eid = rng.choice(shared)
+        top = src.edges[eid].length or 1 << 18
+        return src.point(eid, Fraction(rng.randrange(64 * int(top) + 1), 64))
+
+    return list(itertools.combinations(marks, 2)) + [(one(), one()) for _ in range(n)]
+
+
+def test_qi_identity_is_isometry(zoo_x8, zoo_x16):
+    # X:8 sits in X:16 isometrically: the branches g9..g16 join alpha:i to
+    # beta:i by 2^(i+1), never less than the 2i through o
+    X8, X16 = zoo_x8.space, zoo_x16.space
+    f = _label_identity(X8, X16)
+    for p, q in _shared_pairs(X8, X16, 500, seed=4):
+        assert X16.distance(f(p), f(q)) == X8.distance(p, q), (p, q)
+
+
+QI_XY_LOWER = Fraction(1, 4)  # cb3 is 2^3 - 2*3 = 2 long in Y, 8 in X
 
 
 def test_qi_identity_x_to_y_finite(zoo_x16, zoo_y16):
-    m = label_identity_map(zoo_x16.space, zoo_y16.space)
-    rep = qi_distortion_estimate(
-        m, zoo_x16.space, zoo_y16.space,
-        shared_edge_pair_sampler(zoo_x16.space, zoo_y16.space, 2 ** 14),
-        300, seed=4,
-    )
-    assert 1.0 <= rep.lam < 10.0
-    assert 0.0 <= rep.eps < 200.0
+    # Y only shortens the connectors cb_i, by (2^i - 2i) / 2^i >= 1/4, and the
+    # edges X has beyond Y (g1, g2 and their connectors) shorten no path, so
+    # the label identity X:16 -> Y:16 has d/4 <= d' <= d, exactly; the ratio
+    # 1/4 is reached across cb3 and the ratio 1 along alpha
+    X, Y = zoo_x16.space, zoo_y16.space
+    f = _label_identity(X, Y)
+
+    def ratio(p, q):
+        return Y.distance(f(p), f(q)) / X.distance(p, q)
+
+    ratios = set()
+    for p, q in _shared_pairs(X, Y, 2000, seed=4):
+        d, d_image = X.distance(p, q), Y.distance(f(p), f(q))
+        assert QI_XY_LOWER * d <= d_image <= d, (p, q)
+        if d:
+            ratios.add(d_image / d)
+    assert min(ratios) == QI_XY_LOWER and max(ratios) == 1
+    assert ratio(X.point("cb3", 0), X.point("cb3", 8)) == QI_XY_LOWER
+    assert ratio(X.point("alpha", 0), X.point("alpha", 16)) == 1
 
 
-def test_qi_spiral_window_stability():
-    S1, S2 = AnnulusSpace(), AnnulusSpace()
+SHEAR = 1 / math.log(2)  # d(log2 r) = SHEAR dr / r
+SHEAR_LAMBDA = (SHEAR + math.sqrt(SHEAR ** 2 + 4)) / 2  # 1.954369...
 
-    def spiral_map(p):
-        t, r = spiral_coords(p.t, p.r)
-        return S2.pt(t, r)
 
-    def sampler(window_t, window_logr):
-        def sample(rng):
-            t1, t2 = rng.uniform(-window_t, window_t), rng.uniform(-window_t, window_t)
-            r1 = math.exp(rng.uniform(0, window_logr))
-            r2 = math.exp(rng.uniform(0, window_logr))
-            return S1.pt(t1, max(1, r1)), S1.pt(t2, max(1, r2))
-        return sample
+def test_qi_spiral_is_lambda_bi_lipschitz(zoo_xcat8):
+    # in the orthonormal frame (r dt, dr) the shear (t, r) -> (t - log2 r, r)
+    # has the differential [[1, -SHEAR], [0, 1]] everywhere, with singular
+    # values lambda and 1/lambda: the map and its inverse stretch path
+    # lengths, hence distances, by at most lambda.  Attached rays map
+    # isometrically onto rays with corresponding bases.  Short steps in
+    # every direction reach lambda both ways.
+    X, Y = zoo_xcat8.space, bl.build_Ycat0(8).space
+    m = SpiralMap(X, Y)
+    rng = random.Random(11)
 
-    rep1 = qi_distortion_estimate(
-        spiral_map, S1, S2, sampler(50, math.log(2 ** 12)), 400, seed=9
-    )
-    rep2 = qi_distortion_estimate(
-        spiral_map, S1, S2, sampler(100, math.log(2 ** 13)), 400, seed=9
-    )
-    assert rep1.lam < 4.0 and rep2.lam < 4.0
-    assert rep2.lam <= 2.0 * rep1.lam  # ratio scale stays put under doubling
-    # large-scale ratios stay within a uniform multiplicative band
-    for rep in (rep1, rep2):
-        for _, ratio in rep.per_scale[len(rep.per_scale) // 2:]:
-            assert ratio <= 4.0
+    def one():
+        if rng.random() < 0.3:
+            return X.ray_pt(f"g{rng.randint(1, 8)}", rng.uniform(0, 50))
+        return X.pt(rng.uniform(-20, 20), math.exp(rng.uniform(0, math.log(300))))
+
+    pairs = [(one(), one()) for _ in range(2000)]
+    for t, r in ((0.3, 2.0), (-4.0, 40.0)):
+        for k in range(720):
+            theta = math.pi * k / 720
+            du, dr = 1e-5 * math.cos(theta), 1e-5 * math.sin(theta)
+            pairs.append((X.pt(t, r), X.pt(t + du / r, r + dr)))
+    worst = [0.0, 0.0]
+    for p, q in pairs:
+        d, d_image = X.distance(p, q), Y.distance(m.map_point(p), m.map_point(q))
+        assert d_image <= SHEAR_LAMBDA * d * (1 + 1e-9), (p, q)
+        assert d <= SHEAR_LAMBDA * d_image * (1 + 1e-9), (p, q)
+        worst = [max(worst[0], d_image / d), max(worst[1], d / d_image)]
+    assert min(worst) >= SHEAR_LAMBDA * (1 - 1e-4)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from boundary_lab.boundary import (
     shared_products,
     u_set_membership,
 )
-from boundary_lab.contraction import asymptotic_check
+from boundary_lab.contraction import ray_distance
 from boundary_lab.rays import UnitSpeedRay
 from oracles import full_doubling_walk
 
@@ -233,20 +234,26 @@ def test_continuity_spiral_pairing(zoo_xcat12):
     assert max(v for _, v in cert.image_products) <= 0.5
 
 
-def test_reps_equivalence_over_zoo(zoo_x8, zoo_xcat12):
-    # stored representatives of one point pass the asymptoty check;
-    # representatives of distinct points fail it
-    for zoo, C, horizon in ((zoo_x8, 40.0, 600.0), (zoo_xcat12, math.pi, 400.0)):
-        for label in ("g2", "g4"):
-            bp = zoo.boundary[label]
-            if not bp.auxiliaries:
-                continue
-            v = asymptotic_check(bp.canonical, bp.auxiliaries[0], C, horizon)
-            assert v.status == "asymptotic", (zoo.name, label)
-        v = asymptotic_check(
-            zoo.boundary["g2"].canonical, zoo.boundary["g4"].canonical, C, horizon
-        )
-        assert v.status == "divergent"
+def test_reps_equivalence_over_zoo():
+    # at T = product_horizon each auxiliary representative runs on its
+    # canonical ray and the canonical one on it, while the canonical rays of
+    # two classes diverge at slope 1: d(b(T + 1), a) - d(b(T), a) = 1,
+    # exactly on ray complexes
+    for spec in ("X:8", "Y:8", "Xcat0:8", "Ycat0:8"):
+        zoo = bl.get_space(spec)
+        exact = isinstance(zoo.space, bl.RayComplex)
+        T = Fraction(zoo.product_horizon) if exact else zoo.product_horizon
+        for bp in zoo.boundary_points():
+            for aux in bp.auxiliaries:
+                assert ray_distance(aux.eval(T), bp.canonical)[0] == 0, aux
+                assert ray_distance(bp.canonical.eval(T), aux)[0] == 0, aux
+        for eta, zeta in itertools.permutations(zoo.boundary_points(), 2):
+            a, b = eta.canonical, zeta.canonical
+            slope = ray_distance(b.eval(T + 1), a)[0] - ray_distance(b.eval(T), a)[0]
+            if exact:
+                assert slope == 1, (spec, eta, zeta)
+            else:
+                assert abs(slope - 1) <= 1e-9, (spec, eta, zeta)
 
 
 def test_product_requires_same_space(zoo_x16, zoo_y16):

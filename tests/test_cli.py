@@ -65,6 +65,14 @@ def test_project_output(capsys):
     assert payload["diameter"] == "6"
 
 
+@pytest.mark.parametrize("space", ["X:4", "Xcat0:4"])
+def test_project_takes_a_repeated_target_once(capsys, space):
+    argv = ["project", "--space", space, "--point", "g1:0", "--horizon", "10"]
+    once = run_cli(capsys, *argv, "--target", "alpha")
+    twice = run_cli(capsys, *argv, "--target", "alpha,alpha")
+    assert once[0] == 0 and twice == once
+
+
 def test_escape_close_to_two_pi(capsys):
     code, out = run_cli(
         capsys, "escape", "--space", "Xcat0:6", "--alpha", "alpha", "--beta",
@@ -192,8 +200,10 @@ BAD_INPUT = [
     ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "beta",
      "--c", "0"],
     ["git", "--space", "Xcat0:4", "--c", "-1", "--n", "3", "--seed", "1"],
-    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
-     "--window", "1,2"],
+    # zoo sizes whose radii or horizons overflow, and annulus literals above
+    # MAX_RADIUS (these gave a NaN traceback, an OverflowError and "inf")
+    ["gromov", "--space", "Xcat0:4", "--x", "g1:1e308", "--y", "g2:1e308",
+     "--z", "base"],
     # non-finite numbers
     ["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,g2",
      "--radii", "nan"],
@@ -210,8 +220,7 @@ BAD_INPUT = [
      "--h", "inf"],
     ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "beta",
      "--c", "3", "--horizon", "nan"],
-    ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:5,2",
-     "--window", "0,inf,3"],
+    ["dist", "--space", "Xcat0:1100", "--from", "base", "--to", "base"],
     # escape grids of more than 2^53 points (annulus), or sweeps past the
     # sample cap (ray complexes), rejected before they start
     ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "g2",
@@ -234,6 +243,7 @@ BAD_INPUT = [
      "--h", "1e9"],
     ["oracle", "--space", "Xcat0:4", "--from", "ann:0,1e155", "--to",
      "ann:0.02,1e155"],
+    ["dist", "--space", "Xcat0:600", "--from", "g600:1", "--to", "g599:1"],
     ["project", "--space", "X:8", "--point", "g3:0", "--target", "alpha",
      "--tol", "-1"],
     ["git", "--space", "Xcat0:4", "--n", "0", "--seed", "1"],
@@ -258,10 +268,10 @@ def test_bad_input_is_rejected_with_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("argv, flag, value", [
-    (["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
-      "--h", "0.1"], "--window", "-1,3,3"),
-    (["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
-      "--h", "0.1"], "--window", "-.5,3,3"),
+    (["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,g2"],
+     "--radii", "-.5,2"),
+    (["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,g2"],
+     "--radii", "-3,-1,4"),
     (["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,g2"],
      "--radii", "-1,2"),
 ])
@@ -449,7 +459,7 @@ ONE_PER_COMMAND = [
     ["bproduct", "--space", "X:4", "--eta", "alpha", "--zeta", "all",
      "--format", "csv"],
     ["oracle", "--space", "Xcat0:4", "--from", "ann:0,2", "--to", "ann:1,2",
-     "--h", "0.1", "--window=-1,3,3"],
+     "--h", "0.1"],
     ["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,g2",
      "--radii", "1"],
     ["continuity", "--from-space", "X:4", "--to-space", "Y:4", "--eta", "alpha",

@@ -29,7 +29,8 @@ SPACES = {
     "Xcat0:4": "ann",
     "Ycat0:4": "ann",
 }
-BAD_SPACES = ["X:abc", "Q:4", "X:0", "Y:2", "X:", "", "missing.space"]
+BAD_SPACES = ["X:abc", "Q:4", "X:0", "Y:2", "X:", "", "missing.space", "X:1020",
+              "Xcat0:499"]
 LABELS = ["alpha", "beta", "g1", "g2", "g3", "g4"]
 BAD_LABELS = ["nope", "", "g0", "G1"]
 POINTS = {
@@ -40,7 +41,7 @@ BAD_POINTS = {
     "rc": ["alpha", "alpha:x", "alpha:-1", "g1:1/0", "zz:1", "alpha:nan",
            "alpha:inf", "ann:1,2"],
     "ann": ["alpha", "ann:nan,2", "ann:1", "ann:0,0.5", "g9:1", "alpha:-inf",
-            "ann:inf,2", "g2:x"],
+            "ann:inf,2", "g2:x", "g2:1e308", "ann:-2e150,2"],
 }
 # non-finite, unparsable or (for options that must be positive) not positive
 BAD_NUMBERS = ["nan", "inf", "-inf", "abc", "", "1e"]
@@ -184,8 +185,6 @@ def _oracle(a):
     a.point("--from", kind)
     a.point("--to", kind)
     a.number("--h", 0.05, 0.5, optional=True)
-    a.opt("--window", st.nothing(), ["1,2", "0,inf,3", "a,b,c", "nan,1,2"],
-          optional=True)
 
 
 def _converge(a):

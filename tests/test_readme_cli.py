@@ -7,6 +7,7 @@ change that means to alter one of these outputs regenerates its golden and
 says why.
 """
 
+import re
 import shlex
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from boundary_lab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parents[1] / "README.md"
+CLI = Path(boundary_lab.__file__).parent / "cli.py"
 X_SPACE = str(Path(boundary_lab.__file__).parent / "spaces" / "X.space")
 
 EXAMPLES = {
@@ -57,3 +59,11 @@ def test_readme_example_prints_its_golden(capsys, golden):
     code = main(EXAMPLES[golden].split())
     assert code == 0
     assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+
+def test_readme_schema_list_is_what_the_cli_prints():
+    section = README.read_text().split("## Report schemas", 1)[1]
+    listed = re.findall(r"`(\w+@\d+)`", section.split("Row-shaped", 1)[0])
+    printed = re.findall(r'"schema": "(\w+@\d+)"', CLI.read_text())
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(printed) | {"help@1"}
