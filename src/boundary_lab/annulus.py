@@ -24,7 +24,13 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .points import AnnulusPoint, AttachedRayPoint, Point, require_same_space
+from .points import (
+    AnnulusPoint,
+    AttachedRayPoint,
+    Point,
+    check_annulus_coords,
+    require_same_space,
+)
 from .rays import BoundaryArcLeg, ChordLeg
 
 Coords = tuple[float, float]
@@ -157,10 +163,7 @@ class AnnulusSpace:
         self.attached: dict[str, Coords] = dict(attached or {})
         seen = set()
         for rid, (t, r) in self.attached.items():
-            if not (-math.inf < t < math.inf and 1.0 <= r < math.inf):
-                raise DomainError(
-                    f"attached base of {rid} needs finite t, r >= 1: {t}, {r}"
-                )
+            check_annulus_coords(f"attached base of {rid}", t, r)
             if (t, r) in seen:
                 raise DomainError("attached-ray bases must be distinct")
             seen.add((t, r))

@@ -13,6 +13,12 @@ unbounded ``EdgeLeg`` on a ``RAY`` edge, on two different edges, the rays run
 from s* = leg offset + max(0, last mark - leg start) on hairs, and every
 window with S >= max(s*) has the same minimum, which the later windows
 repeat.  Schedules, minima, status and value are those of the full walk.
+The schedule runs up to ``max_horizon`` and stability counts only past
+``min_horizon``.  A class registered by a ``spacezoo.ZooSpace`` carries that
+zoo's ``(product_horizon, product_min_horizon)`` as ``horizons``, and every
+product entry point below takes a horizon it is not given from its class
+arguments; an explicit argument wins.  Raw rays carry none: with them
+``max_horizon`` is required and ``min_horizon`` defaults to 0.
 The supremum over other representatives is not searched; when a
 contraction constant is known the 50C bound is attached as the error bar
 instead, and the self-product is +infinity by convention (so eta always
@@ -21,8 +27,8 @@ belongs to U(eta, r)).
 Queries that ask for the same product many times (convergence tables, the
 basis check) run inside ``shared_products()``: there every finite estimate
 is memoized, keyed by the ordered pair of canonical rays (by identity) plus
-``max_horizon``, ``min_horizon`` and ``c_eta``, and a repeat returns the
-same frozen estimate.
+the resolved ``max_horizon`` and ``min_horizon`` (given or carried) and
+``c_eta``, and a repeat returns the same frozen estimate.
 The memo is dropped when the query returns, so a query costs the same
 whatever ran before it; outside a query every call estimates afresh.
 """
@@ -44,11 +50,13 @@ from .rays import EdgeLeg, UnitSpeedRay
 
 @dataclass(frozen=True, eq=False)
 class BoundaryPoint:
-    """A labeled asymptoty class with a canonical o-based representative."""
+    """A labeled asymptoty class with a canonical o-based representative,
+    and the (max, min) product horizons of the zoo that registered it."""
 
     label: str
     canonical: UnitSpeedRay
     auxiliaries: tuple[UnitSpeedRay, ...] = ()
+    horizons: Optional[tuple] = None
 
     @property
     def space_id(self) -> str:
@@ -82,19 +90,28 @@ def boundary_gromov_product(
     eta: Union[BoundaryPoint, UnitSpeedRay],
     zeta: Union[BoundaryPoint, UnitSpeedRay],
     max_horizon=None,
-    min_horizon=0,
+    min_horizon=None,
     c_eta=None,
 ) -> BoundaryProductEstimate:
     """Window-minimum estimate of the extended Gromov product.
 
     Stability of the window minima only counts once the schedule has passed
     ``min_horizon``: finite-scale products can sit on a long plateau below
-    the construction scale before reaching their limiting value, so callers
-    should keep min_horizon at or above the largest scale of the space.
+    the construction scale before reaching their limiting value, so
+    min_horizon should be at or above the largest scale of the space, as
+    the horizons zoo classes carry are.  A horizon not given is taken from
+    the first argument that carries horizons.
     """
     a, b = _canonical(eta), _canonical(zeta)
     if a.space.space_id != b.space.space_id:
         raise DomainError("boundary points live in different spaces")
+    carried = next(
+        (x.horizons for x in (eta, zeta) if getattr(x, "horizons", None)), (None, 0)
+    )
+    if max_horizon is None:
+        max_horizon = carried[0]
+    if min_horizon is None:
+        min_horizon = carried[1]
     if max_horizon is None:
         raise DomainError("max_horizon is a required argument")
     label_a = eta.label if isinstance(eta, BoundaryPoint) else a.label
@@ -290,7 +307,7 @@ def u_set_membership(
     eta: BoundaryPoint,
     r: float,
     max_horizon=None,
-    min_horizon=0,
+    min_horizon=None,
 ) -> MembershipVerdict:
     """Is zeta in U(eta, r) = {xi : (eta.xi) >= r}?
 
@@ -325,7 +342,7 @@ def converges_in_gp(
     eta: BoundaryPoint,
     r_schedule: Sequence[float],
     max_horizon=None,
-    min_horizon=0,
+    min_horizon=None,
 ) -> ConvergenceReport:
     """For each r, the first index past which every tested term is in
     U(eta, r); the verdict only speaks for the tested radii and indices."""
@@ -356,7 +373,7 @@ def hausdorff_violation_witness(
     sequence: Sequence[BoundaryPoint],
     r_schedule: Sequence[float],
     max_horizon=None,
-    min_horizon=0,
+    min_horizon=None,
 ) -> Optional[tuple[BoundaryPoint, BoundaryPoint]]:
     """Two distinct limits of the same sequence, if the topology offers them."""
     limits = []
@@ -400,14 +417,15 @@ def boundary_map_continuity_test(
     r: float,
     max_horizon_from=None,
     max_horizon_to=None,
-    min_horizon_from=0,
-    min_horizon_to=0,
+    min_horizon_from=None,
+    min_horizon_to=None,
 ) -> ContinuityCertificate:
     """Test continuity of a label bijection at one boundary point.
 
     Discontinuity certificate: the sequence converges to eta upstream (at
     the radii ``UPSTREAM_SCHEDULE``), yet arbitrarily late tested image terms
-    stay outside U(image(eta), r).
+    stay outside U(image(eta), r).  Horizons not given are those the classes
+    of each bundle carry.
     """
     pairing = correspondence or {}
 

@@ -130,9 +130,7 @@ def cmd_gromov(args) -> tuple[int, dict]:
 def cmd_project(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     x = parse_point(zoo.space, args.point)
-    # each label once: ray-complex labels resolve to a new ray each time
-    labels = dict.fromkeys(args.target.split(","))
-    rays = [resolve_ray(zoo, lab) for lab in labels]
+    rays = [resolve_ray(zoo, lab) for lab in args.target.split(",")]
     horizon = zoo.sweep_horizon if args.horizon is None else args.horizon
     res = project(x, rays, horizon, tol=args.tol)
     return 0, {
@@ -261,8 +259,7 @@ def cmd_basis(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     table = class_constants(zoo, args.seed)
     rep = neighborhood_basis_check(
-        zoo.boundary[args.eta], args.r, zoo.boundary_points(), table,
-        zoo.product_horizon, min_horizon=zoo.product_min_horizon,
+        zoo.boundary[args.eta], args.r, zoo.boundary_points(), table
     )
     payload = {
         "schema": "basis_report@1",
@@ -280,10 +277,7 @@ def cmd_bproduct(args) -> tuple[int, dict]:
     rows = []
     last = None
     for zeta in zetas:
-        last = boundary_gromov_product(
-            zoo.boundary[args.eta], zoo.boundary[zeta],
-            max_horizon=zoo.product_horizon, min_horizon=zoo.product_min_horizon,
-        )
+        last = boundary_gromov_product(zoo.boundary[args.eta], zoo.boundary[zeta])
         rows.append({"eta": args.eta, "zeta": zeta, "value": last.value,
                      "status": last.status})
     if args.zeta != "all":
@@ -330,10 +324,7 @@ def cmd_converge(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     seq = [zoo.boundary[lab] for lab in args.sequence.split(",")]
     radii = [_number(float, r, args.radii) for r in args.radii.split(",")]
-    rep = converges_in_gp(
-        seq, zoo.boundary[args.eta], radii,
-        max_horizon=zoo.product_horizon, min_horizon=zoo.product_min_horizon,
-    )
+    rep = converges_in_gp(seq, zoo.boundary[args.eta], radii)
     return 0, {
         "schema": "convergence_report@1",
         "space": zoo.space_id,
@@ -351,10 +342,7 @@ def cmd_continuity(args) -> tuple[int, dict]:
     zf = spacezoo.get_space(args.from_space)
     zt = spacezoo.get_space(args.to_space)
     cert = boundary_map_continuity_test(
-        None, zf, zt, args.sequence.split(","), args.eta, args.r,
-        max_horizon_from=zf.product_horizon, max_horizon_to=zt.product_horizon,
-        min_horizon_from=zf.product_min_horizon,
-        min_horizon_to=zt.product_min_horizon,
+        None, zf, zt, args.sequence.split(","), args.eta, args.r
     )
     payload = {
         "schema": "continuity_certificate@1",

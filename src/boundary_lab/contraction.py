@@ -809,16 +809,14 @@ def neighborhood_basis_check(
     r: float,
     boundary: Sequence,
     c_table: dict,
-    horizon,
-    min_horizon=0,
 ) -> BasisReport:
     """Instantiate the refinement-radius formulas and exhaustively verify
     U(zeta, R_zeta) is contained in U(eta, r) over a finite boundary.
 
     R_eta = r + 2*K_eta + 13*C_eta and
     R_zeta = (zeta.eta) + K_eta + K_zeta + 6*C_eta + 4*C_zeta, with K = 62C.
-    Products are estimated up to ``horizon``, with stability counted only
-    past ``min_horizon`` (see ``boundary_gromov_product``).
+    Products run on the horizons the classes carry (see
+    ``boundary_gromov_product``).
     """
     from .boundary import boundary_gromov_product
 
@@ -832,9 +830,7 @@ def neighborhood_basis_check(
     def prod(a, b) -> float:
         # label order makes each unordered pair one product, whoever asks first
         lo, hi = sorted((a, b), key=lambda bp: bp.label)
-        return boundary_gromov_product(
-            lo, hi, max_horizon=float(horizon), min_horizon=min_horizon
-        ).value
+        return boundary_gromov_product(lo, hi).value
 
     C_eta = float(c_table[eta.label])
     K_eta = 62.0 * C_eta

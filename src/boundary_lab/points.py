@@ -45,8 +45,7 @@ class AnnulusPoint:
     r: float
 
     def __post_init__(self):
-        if not (-math.inf < self.t < math.inf and 1.0 <= self.r < math.inf):
-            raise DomainError(f"annulus point needs finite t, r >= 1: {self.t}, {self.r}")
+        check_annulus_coords("annulus point", self.t, self.r)
 
     def __repr__(self):
         return f"({self.t:.6g},{self.r:.6g})"
@@ -69,6 +68,14 @@ class AttachedRayPoint:
 
 
 Point = Union[RayComplexPoint, AnnulusPoint, AttachedRayPoint]
+
+
+def check_annulus_coords(subject: str, t: float, r: float) -> None:
+    """Reject annulus coordinates other than finite t and 1 <= r < inf; the
+    message names ``subject``.  Annulus points, attached bases and chord
+    endpoints all pass through here."""
+    if not (-math.inf < t < math.inf and 1.0 <= r < math.inf):
+        raise DomainError(f"{subject} needs finite t, r >= 1: {t}, {r}")
 
 
 def require_same_space(space_id: str, *points: Point) -> None:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -108,6 +109,9 @@ class RayComplex:
 
         self._build_vertex_graph(int_gluings, base)
         self.lints: list[str] = self._lint(int_gluings)
+        # label -> its edge ray; weak, so that the rays' references back to
+        # the complex make no cycle that keeps it alive
+        self._edge_rays = weakref.WeakValueDictionary()
         if check_connected and not self.is_connected():
             raise BuildError("complex is not connected")
 
@@ -328,14 +332,19 @@ class RayComplex:
     # -- rays -------------------------------------------------------------
 
     def edge_ray(self, label: str):
-        """Unit-speed ray along an unbounded edge, from its origin."""
+        """Unit-speed ray along an unbounded edge, from its origin; a label
+        gives the same ray object on every call while that ray is in use."""
         from .rays import EdgeLeg, UnitSpeedRay
 
-        if label not in self.edges:
-            raise DomainError(f"unknown edge {label}")
-        if self.edges[label].kind != RAY:
-            raise DomainError(f"edge {label} is not unbounded")
-        return UnitSpeedRay(self, label, (EdgeLeg(label, Fraction(0), None),))
+        ray = self._edge_rays.get(label)
+        if ray is None:
+            if label not in self.edges:
+                raise DomainError(f"unknown edge {label}")
+            if self.edges[label].kind != RAY:
+                raise DomainError(f"edge {label} is not unbounded")
+            ray = UnitSpeedRay(self, label, (EdgeLeg(label, Fraction(0), None),))
+            self._edge_rays[label] = ray
+        return ray
 
     def marks_on(self, edge_id: str) -> list[Fraction]:
         return list(self._marks[edge_id])

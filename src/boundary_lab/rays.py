@@ -3,9 +3,12 @@
 A ray is a concatenation of legs, each of which knows how to evaluate a
 point at a given arc length.  Legs come in four kinds: an interval on a
 ray-complex edge, an arc along the r = 1 boundary circle, a straight
-disk-avoiding chord between two cover points, and an attached ray.  The
-composite is required by construction to be a unit-speed geodesic in its
-host space; the test suite spot-checks that invariant.
+disk-avoiding chord between two cover points, and an attached ray.
+Construction checks only that every leg but the last is bounded: a ray is
+unit-speed by the way its legs are parametrized, but nothing here checks
+that it is a geodesic, and rays with corners can be built.  The run-time
+check is ``contraction._is_geodesic``, on annulus rays, where the escape-time
+search relies on it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,13 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import DomainError
-from .points import AnnulusPoint, AttachedRayPoint, Point, RayComplexPoint
+from .points import (
+    AnnulusPoint,
+    AttachedRayPoint,
+    Point,
+    RayComplexPoint,
+    check_annulus_coords,
+)
 
 
 @dataclass(frozen=True)
@@ -67,8 +76,7 @@ class ChordLeg:
 
     def __post_init__(self):
         for t, r in (self.a, self.b):
-            if not (-math.inf < t < math.inf and 1.0 <= r < math.inf):
-                raise DomainError(f"chord endpoints need finite t, r >= 1: {t}, {r}")
+            check_annulus_coords("chord endpoints", t, r)
         if abs(self.b[0] - self.a[0]) >= math.pi:
             raise DomainError("chord legs must span less than a half turn")
 
@@ -128,7 +136,7 @@ Leg = Union[EdgeLeg, BoundaryArcLeg, ChordLeg, AttachedLeg]
 
 @dataclass(frozen=True, eq=False)
 class UnitSpeedRay:
-    """Unit-speed geodesic ray in a host space, with a label for reports."""
+    """Unit-speed ray in a host space, with a label for reports."""
 
     space: object
     label: str

@@ -5,7 +5,9 @@ boundary registry whose canonical representatives are unit-speed geodesic
 rays based at the basepoint o, auxiliary representatives where the space
 offers them (a second route in the glued complexes, a slightly offset base
 in the annulus), and recommended horizons derived from the construction
-scale (never less than twice the largest scale).
+scale (never less than twice the largest scale).  Each registered class
+carries the product horizons of its bundle, which the product entry points
+of ``boundary`` use when the caller gives none.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ class ZooSpace:
     sweep_horizon: float
 
     def __post_init__(self):
-        self.boundary = Labels(self.boundary)
+        horizons = (self.product_horizon, self.product_min_horizon)
+        self.boundary = Labels({
+            lab: BoundaryPoint(bp.label, bp.canonical, bp.auxiliaries, horizons)
+            for lab, bp in self.boundary.items()
+        })
 
     @property
     def space_id(self) -> str:
@@ -59,10 +65,6 @@ class ZooSpace:
 _ZERO = Fraction(0)
 
 
-def _two(i: int) -> Fraction:
-    return Fraction(1 << i)
-
-
 def _scale(name: str, n: int, horizon_factor: int, max_radius=None) -> float:
     """2^n, the construction scale of ``name:n``, once n is small enough:
     the product horizon horizon_factor * 2^n must be a finite float, and
@@ -76,155 +78,108 @@ def _scale(name: str, n: int, horizon_factor: int, max_radius=None) -> float:
     return float(1 << n)
 
 
-def build_X(n: int) -> ZooSpace:
-    """Two boundary rays glued at o, plus n branch rays hung off both by
-    connectors of length 2^i."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    scale = _scale("X", n, 16)
+def _glued(name: str, n: int, first: int, cb_length, routes: tuple) -> ZooSpace:
+    """The glued family ``name:n``: boundary rays alpha and beta glued at o,
+    and for i = first..n a branch ray g_i hung off alpha at i by a
+    connector ca_i of length 2^i and off beta at i by a connector cb_i of
+    length ``cb_length(i)``.  Class g_i has one representative per ray in
+    ``routes``, running along that ray to i, across its connector and up
+    g_i; the first is canonical, labeled ``g{i}``, the others ``g{i}~<ray>``."""
+    if n < first:
+        raise DomainError(f"n must be >= {first}")
+    scale = _scale(name, n, 16)
+    # per branch: i, the parameter i on alpha and beta, and the connector
+    # (edge id, length) from g_i to each of them
+    branches = [
+        (i, Fraction(i), {"alpha": (f"ca{i}", Fraction(1 << i)),
+                          "beta": (f"cb{i}", Fraction(cb_length(i)))})
+        for i in range(first, n + 1)
+    ]
     edges = [Edge("alpha", RAY, None), Edge("beta", RAY, None)]
     gluings = [(("alpha", _ZERO), ("beta", _ZERO))]
-    for i in range(1, n + 1):
-        two, at = _two(i), Fraction(i)
+    for i, at, connectors in branches:
         edges.append(Edge(f"g{i}", RAY, None))
-        edges.append(Edge(f"ca{i}", SEGMENT, two))
-        edges.append(Edge(f"cb{i}", SEGMENT, two))
-        gluings += [
-            ((f"ca{i}", _ZERO), (f"g{i}", _ZERO)),
-            ((f"ca{i}", two), ("alpha", at)),
-            ((f"cb{i}", _ZERO), (f"g{i}", _ZERO)),
-            ((f"cb{i}", two), ("beta", at)),
-        ]
+        for ray, (eid, length) in connectors.items():
+            edges.append(Edge(eid, SEGMENT, length))
+            gluings += [((eid, _ZERO), (f"g{i}", _ZERO)), ((eid, length), (ray, at))]
     rc = RayComplex(edges, gluings, ("alpha", _ZERO))
     boundary = {
         "alpha": BoundaryPoint("alpha", rc.edge_ray("alpha")),
         "beta": BoundaryPoint("beta", rc.edge_ray("beta")),
     }
-    for i in range(1, n + 1):
-        two, at = _two(i), Fraction(i)
-        via_a = UnitSpeedRay(
-            rc,
-            f"g{i}",
-            (
-                EdgeLeg("alpha", _ZERO, at),
-                EdgeLeg(f"ca{i}", two, _ZERO),
+    for i, at, connectors in branches:
+        reps = []
+        for ray in routes:
+            eid, length = connectors[ray]
+            legs = (
+                EdgeLeg(ray, _ZERO, at),
+                EdgeLeg(eid, length, _ZERO),
                 EdgeLeg(f"g{i}", _ZERO, None),
-            ),
-        )
-        via_b = UnitSpeedRay(
-            rc,
-            f"g{i}~beta",
-            (
-                EdgeLeg("beta", _ZERO, at),
-                EdgeLeg(f"cb{i}", two, _ZERO),
-                EdgeLeg(f"g{i}", _ZERO, None),
-            ),
-        )
-        boundary[f"g{i}"] = BoundaryPoint(f"g{i}", via_a, (via_b,))
-    return ZooSpace(f"X:{n}", rc, boundary, scale, 16 * scale, 8 * scale)
+            )
+            reps.append(UnitSpeedRay(rc, f"g{i}~{ray}" if reps else f"g{i}", legs))
+        boundary[f"g{i}"] = BoundaryPoint(f"g{i}", reps[0], tuple(reps[1:]))
+    return ZooSpace(f"{name}:{n}", rc, boundary, scale, 16 * scale, 8 * scale)
+
+
+def build_X(n: int) -> ZooSpace:
+    """Two boundary rays glued at o, plus n branch rays hung off both by
+    connectors of length 2^i.  The canonical ray of g_i runs via alpha, an
+    auxiliary one via beta."""
+    return _glued("X", n, 1, lambda i: 1 << i, ("alpha", "beta"))
 
 
 def build_Y(n: int) -> ZooSpace:
     """The re-metrized complex: the connector to the second boundary ray is
-    shortened to 2^i - 2i.  The family starts at index 3, the first whose
-    shortened length is positive (2^1 - 2 = 2^2 - 4 = 0)."""
-    if n < 3:
-        raise DomainError("n must be >= 3")
-    scale = _scale("Y", n, 16)
-    edges = [Edge("alpha", RAY, None), Edge("beta", RAY, None)]
-    gluings = [(("alpha", _ZERO), ("beta", _ZERO))]
-    for i in range(3, n + 1):
-        two, short, at = _two(i), Fraction((1 << i) - 2 * i), Fraction(i)
-        edges.append(Edge(f"g{i}", RAY, None))
-        edges.append(Edge(f"ca{i}", SEGMENT, two))
-        edges.append(Edge(f"cb{i}", SEGMENT, short))
-        gluings += [
-            ((f"ca{i}", _ZERO), (f"g{i}", _ZERO)),
-            ((f"ca{i}", two), ("alpha", at)),
-            ((f"cb{i}", _ZERO), (f"g{i}", _ZERO)),
-            ((f"cb{i}", short), ("beta", at)),
-        ]
-    rc = RayComplex(edges, gluings, ("alpha", _ZERO))
-    boundary = {
-        "alpha": BoundaryPoint("alpha", rc.edge_ray("alpha")),
-        "beta": BoundaryPoint("beta", rc.edge_ray("beta")),
-    }
-    for i in range(3, n + 1):
-        short = Fraction((1 << i) - 2 * i)
-        via_b = UnitSpeedRay(
-            rc,
-            f"g{i}",
-            (
-                EdgeLeg("beta", _ZERO, Fraction(i)),
-                EdgeLeg(f"cb{i}", short, _ZERO),
-                EdgeLeg(f"g{i}", _ZERO, None),
-            ),
-        )
-        boundary[f"g{i}"] = BoundaryPoint(f"g{i}", via_b)
-    return ZooSpace(f"Y:{n}", rc, boundary, scale, 16 * scale, 8 * scale)
-
-
-def _attached_class(
-    space: AnnulusSpace, label: str, ray_id: str, bases: list[tuple[float, float]]
-) -> BoundaryPoint:
-    reps = []
-    for k, start in enumerate(bases):
-        legs = tuple(geodesic_legs(start, space.attached[ray_id])) + (
-            AttachedLeg(ray_id),
-        )
-        reps.append(UnitSpeedRay(space, label if k == 0 else f"{label}~{k}", legs))
-    return BoundaryPoint(label, reps[0], tuple(reps[1:]))
-
-
-def _boundary_class(
-    space: AnnulusSpace, label: str, direction: int, offset: float
-) -> BoundaryPoint:
-    canonical = UnitSpeedRay(
-        space, label, (BoundaryArcLeg(0.0, direction, None),)
-    )
-    perturbed = UnitSpeedRay(
-        space,
-        f"{label}~1",
-        (BoundaryArcLeg(direction * offset, direction, None),),
-    )
-    return BoundaryPoint(label, canonical, (perturbed,))
+    shortened to 2^i - 2i, and g_i has one ray, via beta.  The family starts
+    at index 3, the first whose shortened length is positive
+    (2^1 - 2 = 2^2 - 4 = 0)."""
+    return _glued("Y", n, 3, lambda i: (1 << i) - 2 * i, ("beta",))
 
 
 _PERTURB = 0.5  # base offset of auxiliary annulus representatives
 
 
-def build_Xcat0(n: int) -> ZooSpace:
-    """Annulus with rays attached along the spiral of bases (i, 2^i)."""
+def _annulus(name: str, n: int, base_angle) -> ZooSpace:
+    """The annulus family ``name:n``: rays g_1..g_n attached at the bases
+    (base_angle(i), 2^i), and the classes of the arcs alpha (increasing t)
+    and beta (decreasing t) along r = 1.  Each class has one auxiliary
+    representative, ``<label>~1``, whose base on r = 1 is moved by
+    ``_PERTURB`` in angle (toward decreasing t for beta)."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    scale = _scale("Xcat0", n, 32, MAX_RADIUS)
-    space = AnnulusSpace({f"g{i}": (float(i), float(2 ** i)) for i in range(1, n + 1)})
-    boundary = {
-        "alpha": _boundary_class(space, "alpha", +1, _PERTURB),
-        "beta": _boundary_class(space, "beta", -1, _PERTURB),
-    }
+    scale = _scale(name, n, 32, MAX_RADIUS)
+    space = AnnulusSpace(
+        {f"g{i}": (float(base_angle(i)), float(2 ** i)) for i in range(1, n + 1)}
+    )
+    boundary = {}
+    for label, direction in (("alpha", +1), ("beta", -1)):
+        reps = [
+            UnitSpeedRay(space, lab, (BoundaryArcLeg(t0, direction, None),))
+            for lab, t0 in ((label, 0.0), (f"{label}~1", direction * _PERTURB))
+        ]
+        boundary[label] = BoundaryPoint(label, reps[0], tuple(reps[1:]))
     for i in range(1, n + 1):
-        boundary[f"g{i}"] = _attached_class(
-            space, f"g{i}", f"g{i}", [(0.0, 1.0), (_PERTURB, 1.0)]
-        )
-    return ZooSpace(f"Xcat0:{n}", space, boundary, scale, 32 * scale, 8 * scale)
+        label = f"g{i}"
+        reps = [
+            UnitSpeedRay(
+                space,
+                lab,
+                (*geodesic_legs((t0, 1.0), space.attached[label]), AttachedLeg(label)),
+            )
+            for lab, t0 in ((label, 0.0), (f"{label}~1", _PERTURB))
+        ]
+        boundary[label] = BoundaryPoint(label, reps[0], tuple(reps[1:]))
+    return ZooSpace(f"{name}:{n}", space, boundary, scale, 32 * scale, 8 * scale)
+
+
+def build_Xcat0(n: int) -> ZooSpace:
+    """Annulus with rays attached along the spiral of bases (i, 2^i)."""
+    return _annulus("Xcat0", n, lambda i: i)
 
 
 def build_Ycat0(n: int) -> ZooSpace:
     """Annulus with rays attached along the vertical of bases (0, 2^i)."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    scale = _scale("Ycat0", n, 32, MAX_RADIUS)
-    space = AnnulusSpace({f"g{i}": (0.0, float(2 ** i)) for i in range(1, n + 1)})
-    boundary = {
-        "alpha": _boundary_class(space, "alpha", +1, _PERTURB),
-        "beta": _boundary_class(space, "beta", -1, _PERTURB),
-    }
-    for i in range(1, n + 1):
-        boundary[f"g{i}"] = _attached_class(
-            space, f"g{i}", f"g{i}", [(0.0, 1.0), (_PERTURB, 1.0)]
-        )
-    return ZooSpace(f"Ycat0:{n}", space, boundary, scale, 32 * scale, 8 * scale)
+    return _annulus("Ycat0", n, lambda i: 0)
 
 
 _BUILDERS = {

@@ -126,19 +126,13 @@ def class_constants(zoo: spacezoo.ZooSpace, seed: int) -> dict:
 def criterion_products_X(ctx: SuiteContext) -> CriterionResult:
     t0 = time.time()
     z = ctx.zoo("X:16")
-    mh, mnh = z.product_horizon, z.product_min_horizon
     failures = []
     for i in range(1, 17):
         for side in ("alpha", "beta"):
-            est = boundary_gromov_product(
-                z.boundary[side], z.boundary[f"g{i}"],
-                max_horizon=mh, min_horizon=mnh,
-            )
+            est = boundary_gromov_product(z.boundary[side], z.boundary[f"g{i}"])
             if not est.converged or est.value != float(i):
                 failures.append((side, i, est.value))
-    est = boundary_gromov_product(
-        z.boundary["alpha"], z.boundary["beta"], max_horizon=mh, min_horizon=mnh
-    )
+    est = boundary_gromov_product(z.boundary["alpha"], z.boundary["beta"])
     if not est.converged or est.value != 0.0:
         failures.append(("alpha", "beta", est.value))
     elapsed = time.time() - t0
@@ -151,15 +145,10 @@ def criterion_products_X(ctx: SuiteContext) -> CriterionResult:
 def criterion_products_Y(ctx: SuiteContext) -> CriterionResult:
     t0 = time.time()
     z = ctx.zoo("Y:16")
-    mh, mnh = z.product_horizon, z.product_min_horizon
     failures = []
     for i in range(3, 17):
-        ea = boundary_gromov_product(
-            z.boundary["alpha"], z.boundary[f"g{i}"], max_horizon=mh, min_horizon=mnh
-        )
-        eb = boundary_gromov_product(
-            z.boundary["beta"], z.boundary[f"g{i}"], max_horizon=mh, min_horizon=mnh
-        )
+        ea = boundary_gromov_product(z.boundary["alpha"], z.boundary[f"g{i}"])
+        eb = boundary_gromov_product(z.boundary["beta"], z.boundary[f"g{i}"])
         if not ea.converged or ea.value != 0.0:
             failures.append(("alpha", i, ea.value))
         if not eb.converged or eb.value != float(i):
@@ -173,15 +162,13 @@ def criterion_products_Y(ctx: SuiteContext) -> CriterionResult:
 def criterion_nonhausdorff_X(ctx: SuiteContext) -> CriterionResult:
     t0 = time.time()
     z = ctx.zoo("X:16")
-    mh, mnh = z.product_horizon, z.product_min_horizon
     seq = [z.boundary[f"g{i}"] for i in range(1, 17)]
     wit = hausdorff_violation_witness(
-        [z.boundary["alpha"], z.boundary["beta"]], seq, [1, 2, 4, 8],
-        max_horizon=mh, min_horizon=mnh,
+        [z.boundary["alpha"], z.boundary["beta"]], seq, [1, 2, 4, 8]
     )
     ok = wit is not None and {wit[0].label, wit[1].label} == {"alpha", "beta"}
     radii = list(range(1, 16)) + [2.5, 7.5]
-    rep = converges_in_gp(seq, z.boundary["alpha"], radii, max_horizon=mh, min_horizon=mnh)
+    rep = converges_in_gp(seq, z.boundary["alpha"], radii)
     table = {}
     for r, first, _ in rep.rows:
         table[r] = first
@@ -198,15 +185,11 @@ def criterion_discontinuity(ctx: SuiteContext) -> CriterionResult:
     t0 = time.time()
     zx, zy = ctx.zoo("X:16"), ctx.zoo("Y:16")
     cert1 = boundary_map_continuity_test(
-        None, zx, zy, [f"g{i}" for i in range(3, 17)], "alpha", 1.0,
-        max_horizon_from=zx.product_horizon, max_horizon_to=zy.product_horizon,
-        min_horizon_from=zx.product_min_horizon, min_horizon_to=zy.product_min_horizon,
+        None, zx, zy, [f"g{i}" for i in range(3, 17)], "alpha", 1.0
     )
     zc, zyc = ctx.zoo("Xcat0:12"), ctx.zoo("Ycat0:12")
     cert2 = boundary_map_continuity_test(
-        None, zc, zyc, [f"g{i}" for i in range(1, 13)], "alpha", 1.0,
-        max_horizon_from=zc.product_horizon, max_horizon_to=zyc.product_horizon,
-        min_horizon_from=zc.product_min_horizon, min_horizon_to=zyc.product_min_horizon,
+        None, zc, zyc, [f"g{i}" for i in range(1, 13)], "alpha", 1.0
     )
     elapsed = time.time() - t0
     ok = (
@@ -290,10 +273,7 @@ def criterion_products_Xcat0(ctx: SuiteContext) -> CriterionResult:
     z = ctx.zoo("Xcat0:12")
     failures = []
     for i in range(2, 13):
-        est = boundary_gromov_product(
-            z.boundary["alpha"], z.boundary[f"g{i}"],
-            max_horizon=z.product_horizon, min_horizon=z.product_min_horizon,
-        )
+        est = boundary_gromov_product(z.boundary["alpha"], z.boundary[f"g{i}"])
         if not est.converged or not (i - 0.5 <= est.value <= i + 0.5):
             failures.append((i, est.value, est.status))
     return CriterionResult(
@@ -305,23 +285,17 @@ def criterion_products_Xcat0(ctx: SuiteContext) -> CriterionResult:
 def criterion_isolation_Ycat0(ctx: SuiteContext) -> CriterionResult:
     t0 = time.time()
     z = ctx.zoo("Ycat0:14")
-    mh, mnh = z.product_horizon, z.product_min_horizon
     failures = []
     estimates: dict = {}
     labels = ["alpha", "beta"] + [f"g{i}" for i in range(1, 15)]
     for i in range(1, 15):
-        est = boundary_gromov_product(
-            z.boundary["alpha"], z.boundary[f"g{i}"], max_horizon=mh, min_horizon=mnh
-        )
+        est = boundary_gromov_product(z.boundary["alpha"], z.boundary[f"g{i}"])
         estimates[("alpha", f"g{i}")] = est
         if not est.converged or est.value > 0.3:
             failures.append(("alpha", i, est.value))
     for i in range(1, 15):
         for j in range(i + 1, 15):
-            est = boundary_gromov_product(
-                z.boundary[f"g{i}"], z.boundary[f"g{j}"],
-                max_horizon=mh, min_horizon=mnh,
-            )
+            est = boundary_gromov_product(z.boundary[f"g{i}"], z.boundary[f"g{j}"])
             estimates[(f"g{i}", f"g{j}")] = est
             want = 2.0 ** min(i, j) - 1.0
             if not est.converged or abs(est.value - want) > 1e-6:
@@ -330,10 +304,7 @@ def criterion_isolation_Ycat0(ctx: SuiteContext) -> CriterionResult:
     for i in range(1, 15):
         members = []
         for lab in labels:
-            verdict = u_set_membership(
-                z.boundary[lab], z.boundary[f"g{i}"], 2.0 ** i,
-                max_horizon=mh, min_horizon=mnh,
-            )
+            verdict = u_set_membership(z.boundary[lab], z.boundary[f"g{i}"], 2.0 ** i)
             if verdict.state == "in":
                 members.append(lab)
         if members != [f"g{i}"]:
@@ -385,10 +356,7 @@ def criterion_basis_condition(ctx: SuiteContext) -> CriterionResult:
         pts = z.boundary_points()
         for eta in pts:
             for r in (1.0, 2.0, 4.0, 8.0):
-                rep = neighborhood_basis_check(
-                    eta, r, pts, table, z.product_horizon,
-                    min_horizon=z.product_min_horizon,
-                )
+                rep = neighborhood_basis_check(eta, r, pts, table)
                 if not rep.passed:
                     failures.append((name, eta.label, r, rep.violations))
     return CriterionResult(
@@ -547,25 +515,13 @@ def criterion_property_suites(ctx: SuiteContext) -> CriterionResult:
     # product symmetry
     sym_exact = True
     for i in (2, 5, 8):
-        ab = boundary_gromov_product(
-            zx.boundary["alpha"], zx.boundary[f"g{i}"],
-            max_horizon=zx.product_horizon, min_horizon=zx.product_min_horizon,
-        )
-        ba = boundary_gromov_product(
-            zx.boundary[f"g{i}"], zx.boundary["alpha"],
-            max_horizon=zx.product_horizon, min_horizon=zx.product_min_horizon,
-        )
+        ab = boundary_gromov_product(zx.boundary["alpha"], zx.boundary[f"g{i}"])
+        ba = boundary_gromov_product(zx.boundary[f"g{i}"], zx.boundary["alpha"])
         sym_exact &= ab.value == ba.value
     sym_float = True
     for i in (2, 5, 8):
-        ab = boundary_gromov_product(
-            zc.boundary["alpha"], zc.boundary[f"g{i}"],
-            max_horizon=zc.product_horizon, min_horizon=zc.product_min_horizon,
-        )
-        ba = boundary_gromov_product(
-            zc.boundary[f"g{i}"], zc.boundary["alpha"],
-            max_horizon=zc.product_horizon, min_horizon=zc.product_min_horizon,
-        )
+        ab = boundary_gromov_product(zc.boundary["alpha"], zc.boundary[f"g{i}"])
+        ba = boundary_gromov_product(zc.boundary[f"g{i}"], zc.boundary["alpha"])
         sym_float &= abs(ab.value - ba.value) <= 1e-9
     details["product_symmetry"] = {"exact": sym_exact, "annulus": sym_float}
     ok &= sym_exact and sym_float

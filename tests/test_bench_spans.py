@@ -33,10 +33,7 @@ def test_tracer_install_and_uninstall_restore_originals():
         z = spacezoo.build_X(4)
         pts = z.boundary_points()
         table = {bp.label: 1.0 for bp in pts}
-        contraction.neighborhood_basis_check(
-            z.boundary["alpha"], 1.0, pts, table, z.product_horizon,
-            min_horizon=z.product_min_horizon,
-        )
+        contraction.neighborhood_basis_check(z.boundary["alpha"], 1.0, pts, table)
         assert tracer.calls["spacezoo.build"] == 1
         assert tracer.calls["boundary.product"] > 0
     finally:

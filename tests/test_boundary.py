@@ -369,3 +369,34 @@ def test_k_windows_evaluate_each_ray_3_plus_2_k_minus_1_times(spec, eta, zeta, m
     k = len(horizons)
     assert k >= 2
     assert evals == {id(a): 3 + 2 * (k - 1), id(b): 3 + 2 * (k - 1)}
+
+
+def _hexed(est):
+    return (
+        est.value.hex(), [s.hex() for s in est.schedule],
+        [m.hex() for m in est.window_minima], est.status,
+    )
+
+
+@pytest.mark.parametrize("spec", ["X:8", "Y:8", "Xcat0:8", "Ycat0:8"])
+def test_default_horizons_are_the_zoos(spec):
+    z = bl.get_space(spec)
+    for eta, zeta in itertools.product(z.boundary_points(), repeat=2):
+        default = boundary_gromov_product(eta, zeta)
+        explicit = boundary_gromov_product(
+            eta, zeta, max_horizon=z.product_horizon,
+            min_horizon=z.product_min_horizon,
+        )
+        assert _hexed(default) == _hexed(explicit), (eta, zeta)
+    # an explicit horizon wins over the carried one
+    a, b = z.boundary["alpha"], z.boundary["g3"]
+    assert boundary_gromov_product(a, b, min_horizon=0).schedule != (
+        boundary_gromov_product(a, b).schedule
+    )
+    # raw rays carry no horizons: max_horizon is required, min_horizon is 0
+    ra, rb = a.canonical, b.canonical
+    with pytest.raises(bl.DomainError):
+        boundary_gromov_product(ra, rb)
+    assert _hexed(boundary_gromov_product(ra, rb, max_horizon=z.product_horizon)) == (
+        _hexed(boundary_gromov_product(ra, rb, z.product_horizon, min_horizon=0))
+    )

@@ -655,9 +655,7 @@ def test_claim_needs_two_reps(zoo_xcat12):
 
 def test_basis_single_point_boundary_vacuous(zoo_xcat12):
     alpha = zoo_xcat12.boundary["alpha"]
-    rep = neighborhood_basis_check(
-        alpha, 3.0, [alpha], {"alpha": math.pi}, horizon=1000.0
-    )
+    rep = neighborhood_basis_check(alpha, 3.0, [alpha], {"alpha": math.pi})
     assert rep.passed
     assert rep.rows[0][3] == ("alpha",)
 
@@ -665,4 +663,4 @@ def test_basis_single_point_boundary_vacuous(zoo_xcat12):
 def test_basis_requires_constants(zoo_xcat12):
     pts = [zoo_xcat12.boundary["alpha"], zoo_xcat12.boundary["g3"]]
     with pytest.raises(bl.DomainError):
-        neighborhood_basis_check(pts[0], 1.0, pts, {"alpha": 1.0}, horizon=100.0)
+        neighborhood_basis_check(pts[0], 1.0, pts, {"alpha": 1.0})

@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import itertools
 import math
 import random
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +13,7 @@ import pytest
 import boundary_lab as bl
 from boundary_lab import boundary, dsl, spacezoo
 from boundary_lab.boundary import boundary_gromov_product
-from boundary_lab.contraction import ray_distance
+from boundary_lab.contraction import project, ray_distance
 from boundary_lab.metric import gromov_product
 from boundary_lab.ray_complex import RAY, SEGMENT, Edge, RayComplex
 from boundary_lab.rays import EdgeLeg, UnitSpeedRay
@@ -376,6 +378,28 @@ def test_composite_reps_unit_speed(zoo_x16, zoo_y16):
                 assert X.distance(X.basepoint, rep.eval(s)) == s
                 for t in params[i + 1:]:
                     assert X.distance(rep.eval(s), rep.eval(t)) == t - s
+
+
+def test_edge_ray_is_one_ray_per_label(zoo_x8):
+    X = zoo_x8.space
+    alpha = X.edge_ray("alpha")
+    assert X.edge_ray("alpha") is alpha is zoo_x8.boundary["alpha"].canonical
+    # a target named twice is one target: one interval, not one per call
+    res = project(X.point("g1", 0), [X.edge_ray("alpha"), X.edge_ray("alpha")], 10)
+    assert res.intervals == ((alpha, 1, 1),)
+
+
+def test_a_dropped_complex_is_freed_without_the_cycle_collector():
+    # edge rays refer to their complex, so the complex holds them weakly
+    gc.disable()
+    try:
+        zoo = bl.build_X(4)
+        ref = weakref.ref(zoo.space)
+        zoo.space.edge_ray("g2")
+        del zoo
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_edge_ray_rejects_segments(zoo_x8):
