@@ -31,6 +31,7 @@ from .boundary import (
 from .contraction import (
     RESIDUAL_BOUNDS,
     claim_check,
+    claim_horizon,
     contraction_profile,
     far_segment_suite,
     neighborhood_basis_check,
@@ -131,7 +132,7 @@ def cmd_project(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     x = parse_point(zoo.space, args.point)
     rays = [resolve_ray(zoo, lab) for lab in args.target.split(",")]
-    horizon = zoo.sweep_horizon if args.horizon is None else args.horizon
+    horizon = zoo.default_horizon if args.horizon is None else args.horizon
     res = project(x, rays, horizon, tol=args.tol)
     return 0, {
         "schema": "projection@1",
@@ -158,7 +159,7 @@ def cmd_profile(args) -> tuple[int, dict]:
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
     zoo = spacezoo.get_space(args.space)
-    horizon = zoo.sweep_horizon if args.horizon is None else args.horizon
+    horizon = zoo.default_horizon if args.horizon is None else args.horizon
     chunks = []
     remaining, idx = args.n, 0
     while remaining > 0:
@@ -211,7 +212,7 @@ def cmd_escape(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     alpha = resolve_ray(zoo, args.alpha)
     beta = resolve_ray(zoo, args.beta)
-    horizon = zoo.sweep_horizon if args.horizon is None else args.horizon
+    horizon = zoo.default_horizon if args.horizon is None else args.horizon
     et = t_first_escape(alpha, beta, args.c, horizon)
     return 0, {
         "schema": "escape_time@1",
@@ -230,7 +231,7 @@ def cmd_claim(args) -> tuple[int, dict]:
         table = class_constants(zoo, args.seed)
         C_eta = table[args.eta] if C_eta is None else C_eta
         C_zeta = table[args.zeta] if C_zeta is None else C_zeta
-    horizon = 50.0 * C_eta + 100.0 if args.horizon is None else args.horizon
+    horizon = claim_horizon(C_eta) if args.horizon is None else args.horizon
     rep = claim_check(
         eta.representatives(),
         zeta.representatives(),

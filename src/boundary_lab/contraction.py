@@ -17,6 +17,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
 # ann_distance_arrays and ann_distance_coords are unused here: bench/spans.py
@@ -495,8 +496,10 @@ def git_check(gamma: UnitSpeedRay, segment: Sequence[Point], C, horizon) -> GitR
 
     Precondition (rejected, not failed): every sampled point of the segment
     stays at least 2C from the ray.  Passes when the projection image has
-    diameter at most 4C.
+    diameter at most 4C.  An empty segment is a DomainError.
     """
+    if not segment:
+        raise DomainError("a segment needs at least one sampled point")
     feet = []
     min_gap = math.inf
     for p in segment:
@@ -546,22 +549,26 @@ def far_segment_suite(gamma: UnitSpeedRay, C, n: int, seed: int):
 
 @dataclass(frozen=True)
 class EscapeTime:
-    """Last parameter at which one ray sits on the 2C-sphere around another."""
+    """Last parameter at which one ray sits on the 2C-sphere around another:
+    exact ``Fraction``s on ray complexes, where the bracket is (value,
+    value), and floats bracketing the crossing to 1e-9 on the annulus."""
 
-    value: float
+    value: Union[Fraction, float]
     constant: float
-    bracket: tuple[float, float]
+    bracket: tuple
 
     @property
     def level(self) -> float:
         return 2.0 * self.constant
 
 
-# The fallback sweep's CPU bound.  A certified grid may have 2^53 points,
-# the most that k (H / n) indexes exactly.
-MAX_SWEEP_SAMPLES = 2 ** 20
+# A grid of more than 2^53 points is rejected: k (H / n) indexes no more.
 _MAX_GRID_POINTS = 2 ** 53
-_RISING = "distance still rising at the horizon without reaching 2C"
+
+
+def claim_horizon(C) -> float:
+    """The default horizon of a claim check with constant C: 50 C + 100."""
+    return 50.0 * float(C) + 100.0
 
 
 def _is_geodesic(ray: UnitSpeedRay) -> bool:
@@ -572,7 +579,7 @@ def _is_geodesic(ray: UnitSpeedRay) -> bool:
     lies inside [0, L].  Past L the ray runs up an attached ray, which meets
     the rest of the space only at its base, or along r = 1, a local geodesic;
     in a CAT(0) space a local geodesic is a geodesic (Bridson-Haefliger, B-H,
-    II.1.4).  Ray-complex rays never pass: X and Y have cycles.
+    II.1.4).  Annulus escape times require it of both rays.
     """
     space = ray.space
     if not isinstance(space, AnnulusSpace):
@@ -586,55 +593,44 @@ def _is_geodesic(ray: UnitSpeedRay) -> bool:
 
 
 def t_first_escape(alpha: UnitSpeedRay, beta: UnitSpeedRay, C, horizon) -> EscapeTime:
-    """Estimate max{t : d(beta(t), alpha) = 2C} by a grid search plus bisection.
+    """max{t <= H : d(beta(t), alpha) = 2C}, with f(t) = d(beta(t), alpha)
+    and H the horizon, where f(H) > 2C.  Exact on ray complexes (``_rc_escape``).
 
-    With f(t) = d(beta(t), alpha) and H the horizon, the grid is
-    ts[k] = k (H / n) and ts[n] = H, with n = max(8, ceil(4 H / C)).
-
-    Certified search, when both rays pass ``_is_geodesic`` and f(0) <= 2C:
-    the annulus cover with rays attached at single points is CAT(0) (B-H
+    Annulus: both rays must pass ``_is_geodesic`` (a DomainError otherwise).
+    The annulus cover with rays attached at single points is CAT(0) (B-H
     II.11.1), the geodesic ray alpha has a closed convex image, and the
     distance to a closed convex set is convex along the geodesic beta (B-H
-    II.2.5).  So {f <= 2C} is an interval [0, T], and a binary search finds
-    its last grid point in about log2(n) queries; a grid of more than 2^53
-    points is a DomainError.  If f(H) <= 2C, f at the first, middle and last
-    grid points decides: HorizonError "still inside" if one of them reaches
-    2C, else HorizonError "still rising" if f(H) > f(mid) + ``TOL``, else
-    DomainError "never reaches" (f stays under 2C on [0, H]).
-
-    Fallback sweep (ray complexes, rays that fail the check, f(0) > 2C): f
-    at every grid point, the last one with f <= 2C taken.  More than
-    ``MAX_SWEEP_SAMPLES`` points is a DomainError, raised before the sweep
-    starts.  A dip back under 2C between two grid points goes unseen.
-
-    Either way the crossing after that grid point is bisected to 1e-9.
+    II.2.5).  So ``_last_inside_convex`` finds the last point of the grid
+    ts[k] = k (H / n), ts[n] = H, n = max(8, ceil(4 H / C)), with f <= 2C in
+    about log2(n) queries; a grid of more than 2^53 points is a DomainError.
+    The crossing after that grid point is bisected to 1e-9.
     """
     if not 0 < float(C) < math.inf:
         raise DomainError(f"the constant C must be positive and finite, got {C}")
     if not 0 < float(horizon) < math.inf:
         raise DomainError(f"the horizon must be positive and finite, got {horizon}")
+    if isinstance(alpha.space, RayComplex):
+        return _rc_escape(alpha, beta, C, horizon)
+    if not (_is_geodesic(alpha) and _is_geodesic(beta)):
+        raise DomainError("annulus escape times need geodesic rays")
     H, level, step = float(horizon), 2.0 * float(C), float(C) / 4.0
-    span = H / step if step > 0.0 else math.inf
 
     def dist(t: float) -> float:
         return float(ray_distance(beta.eval(t), alpha, None)[0])
 
-    certified = _is_geodesic(alpha) and _is_geodesic(beta) and (d0 := dist(0.0)) <= level
-    limit = _MAX_GRID_POINTS if certified else MAX_SWEEP_SAMPLES
-    if not span <= limit - 1:
+    d0 = dist(0.0)
+    span = H / step if step > 0.0 else math.inf
+    if not span <= _MAX_GRID_POINTS - 1:
         raise DomainError(
             f"an escape grid to horizon {horizon} at step C/4 = {step:.6g} needs "
-            f"more than {limit} samples"
+            f"more than {_MAX_GRID_POINTS} samples"
         )
     n = max(8, math.ceil(span))
 
     def at(k: int) -> float:
         return H if k == n else k * (H / n)
 
-    if certified:
-        k = _last_inside_convex(lambda k: dist(at(k)), n, level, alpha.space.TOL, d0)
-    else:
-        k = _last_inside_sweep([dist(at(k)) for k in range(n + 1)], level)
+    k = _last_inside_convex(lambda k: dist(at(k)), n, level, alpha.space.TOL, d0)
     lo, hi = at(k), at(k + 1)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -648,7 +644,30 @@ def t_first_escape(alpha: UnitSpeedRay, beta: UnitSpeedRay, C, horizon) -> Escap
 
 
 def _last_inside_convex(f, n: int, level: float, tol: float, d0: float) -> int:
-    """Last grid index k with f(k) <= level, for a convex f with f(0) = d0 <= level."""
+    """Last grid index k < n with f(k) <= level < f(n), for a convex f on
+    0..n with f(0) = d0.
+
+    From d0 <= level: {f <= level} is an interval from 0, and when f(n) <=
+    level too, f at 0, n // 2 and n decides the error.  From d0 > level:
+    "f(k) <= level or f(k + 1) < f(k)" holds on a prefix of the grid (once
+    f is above the level and not falling it stays so), and the last k of
+    that prefix is the answer if f(k) <= level; if not, f falls strictly up
+    to k + 1 and stays above the level: no grid point is inside.
+    """
+    if d0 > level:
+        g = cache(f)
+        if g(n) <= level:
+            raise HorizonError("still inside the 2C-neighborhood at the horizon")
+        lo, hi = -1, n
+        while hi - lo > 1:
+            k = (lo + hi) // 2
+            if g(k) <= level or g(k + 1) < g(k):
+                lo = k
+            else:
+                hi = k
+        if lo < 0 or g(lo) > level:
+            raise DomainError("ray starts outside the 2C-neighborhood")
+        return lo
     mid = (n + 1) // 2
     d_mid, d_end = f(mid), f(n)
     if d_end <= level:
@@ -656,7 +675,7 @@ def _last_inside_convex(f, n: int, level: float, tol: float, d0: float) -> int:
         if top >= level:
             raise HorizonError("still inside the 2C-neighborhood at the horizon")
         if d_end > d_mid + tol:
-            raise HorizonError(_RISING)
+            raise HorizonError("distance still rising at the horizon without reaching 2C")
         raise DomainError(f"ray never reaches distance 2C = {level} (max {top:.6g})")
     lo, hi = (mid, n) if d_mid <= level else (0, mid)
     while hi - lo > 1:
@@ -668,19 +687,62 @@ def _last_inside_convex(f, n: int, level: float, tol: float, d0: float) -> int:
     return lo
 
 
-def _last_inside_sweep(ds: list, level: float) -> int:
-    """Last index k with ds[k] <= level, after a look at every sample."""
-    top = max(ds)
-    if top < level:
-        if ds[-1] >= 0.95 * top and ds[-1] > ds[len(ds) // 2]:
-            raise HorizonError(_RISING)
-        raise DomainError(f"ray never reaches distance 2C = {level} (max {top:.6g})")
-    if ds[-1] <= level:
+def _escape_cuts(alpha: UnitSpeedRay, beta: UnitSpeedRay) -> list:
+    """The parameters where f(t) = d(beta(t), alpha) may bend, for edge rays
+    of a ray complex, sorted: 0, beta's leg ends, and beta's parameters at
+    the marks of its edges and at the ends of alpha's legs on those edges."""
+    space = alpha.space
+    if not all(isinstance(leg, EdgeLeg) for leg in alpha.legs + beta.legs):
+        raise DomainError("ray-complex rays must consist of edge legs")
+    require_same_space(space.space_id, beta.basepoint)
+    for leg, g0 in zip(beta.legs[1:], beta.leg_offsets[1:]):
+        if space.distance(beta.eval(g0), space.point(leg.edge_id, leg.start)):
+            raise DomainError(f"the legs of {beta.label!r} do not meet at {g0}")
+    ends = [(leg.edge_id, p) for leg in alpha.legs for p in (leg.start, leg.end)]
+    cuts = {Fraction(0)}
+    for leg, g0 in zip(beta.legs, beta.leg_offsets):
+        lo, hi = (leg.start, None) if leg.end is None else sorted((leg.start, leg.end))
+        on_edge = [p for e, p in ends if e == leg.edge_id and p is not None]
+        for p in (*space._marks[leg.edge_id], *on_edge):
+            if lo <= p and (hi is None or p <= hi):
+                cuts.add(g0 + abs(p - leg.start))
+        if hi is not None:
+            cuts.add(g0 + leg.length)
+    return sorted(cuts)
+
+
+def _rc_escape(alpha: UnitSpeedRay, beta: UnitSpeedRay, C, horizon) -> EscapeTime:
+    """The exact escape time on a ray complex, as one ``Fraction``.
+
+    Between two consecutive ``_escape_cuts`` p < q, every candidate of
+    ``_rc_ray_distance`` moves at slope +1 or -1 (a route through the mark
+    behind beta(t) or ahead of it, or along the edge to an end of an alpha
+    leg), or beta runs on alpha and f = 0.  So f is either 0 there or the
+    tent min(f(p) + t - p, f(q) + q - t), and at the last cut p <= H with
+    f(p) <= 2C < f on every later cut and at H, T = p + 2C - f(p).  The
+    cuts are read from H down, one exact ``ray_distance`` each.
+
+    Past the last cut L, f rises at slope 1 or beta runs on alpha.  When
+    f(H) <= 2C, the first is a HorizonError (a larger horizon gives an
+    answer) and the second a DomainError (beta never leaves alpha for good).
+    """
+    cuts = _escape_cuts(alpha, beta)
+    H, level = Fraction(horizon), 2 * Fraction(C)
+
+    def f(t: Fraction) -> Fraction:
+        return ray_distance(beta.eval(t), alpha)[0]
+
+    if f(H) <= level:
+        last = cuts[-1]
+        if f(last + 1) == 0:
+            raise DomainError(f"rays run together past {last}: beta never leaves for good")
         raise HorizonError("still inside the 2C-neighborhood at the horizon")
-    below = [k for k, d in enumerate(ds) if d <= level]
-    if not below:
-        raise DomainError("ray starts outside the 2C-neighborhood")
-    return below[-1]  # all later samples are above the level
+    for p in reversed([c for c in cuts if c < H]):
+        d = f(p)
+        if d <= level:
+            T = p + level - d
+            return EscapeTime(T, float(C), (T, T))
+    raise DomainError("ray starts outside the 2C-neighborhood")
 
 
 # -- residual checks for the escape-time/product comparison --------------------
@@ -728,10 +790,10 @@ def claim_check(
     o = space.basepoint
     C = float(C_eta)
 
-    T: dict[tuple[int, int], float] = {}
-    for i, a in enumerate(reps_eta):
-        for j, b in enumerate(reps_zeta):
-            T[(i, j)] = t_first_escape(a, b, C_eta, horizon).value
+    T = {
+        (i, j): float(t_first_escape(a, b, C_eta, horizon).value)
+        for i, a in enumerate(reps_eta) for j, b in enumerate(reps_zeta)
+    }
 
     products: dict[tuple[int, int], list[float]] = {}
     r2 = 0.0
@@ -748,24 +810,9 @@ def claim_check(
                 r2 = max(r2, abs(gp - t_ij))
         products[(i, j)] = vals
 
-    r3 = max(
-        (
-            abs(T[(i, j)] - T[(i2, j)])
-            for j in range(len(reps_zeta))
-            for i in range(len(reps_eta))
-            for i2 in range(len(reps_eta))
-        ),
-        default=0.0,
-    )
-    r4 = max(
-        (
-            abs(T[(i, j)] - T[(i, j2)])
-            for i in range(len(reps_eta))
-            for j in range(len(reps_zeta))
-            for j2 in range(len(reps_zeta))
-        ),
-        default=0.0,
-    )
+    # the spread of T as eta's representative changes, then zeta's
+    r3 = max(abs(T[i, j] - T[k, j]) for i, j in T for k in range(len(reps_eta)))
+    r4 = max(abs(T[i, j] - T[i, k]) for i, j in T for k in range(len(reps_zeta)))
     all_products = [v for vals in products.values() for v in vals]
     r_spread = max(all_products) - min(all_products)
 

@@ -39,7 +39,7 @@ class ZooSpace:
     boundary: dict[str, BoundaryPoint]
     scale: float
     product_horizon: float
-    sweep_horizon: float
+    default_horizon: float
 
     def __post_init__(self):
         horizons = (self.product_horizon, self.product_min_horizon)

@@ -1,14 +1,17 @@
 """Acceptance suite: every shipped quantitative claim as a runnable check.
 
-Each criterion is a function taking a shared context (built spaces, seed,
-cached constants) and returning a CriterionResult; ``run_suite`` executes
-the requested subset and reports one line per criterion.  The pytest
+Each criterion is a check taking a shared context (built spaces, seed,
+cached constants) and returning (passed, details); ``@criterion`` times it,
+applies its wall-clock gate and registers it, so that calling it gives a
+CriterionResult.  ``run_suite`` executes the requested subset in the order
+of definition and reports one line per criterion.  The pytest
 acceptance module drives exactly these functions, so the CLI and the test
 suite cannot drift apart.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -31,6 +34,7 @@ from .boundary import (
 )
 from .contraction import (
     claim_check,
+    claim_horizon,
     contraction_profile,
     far_segment_suite,
     neighborhood_basis_check,
@@ -123,8 +127,31 @@ def class_constants(zoo: spacezoo.ZooSpace, seed: int) -> dict:
 
 # -- criteria -------------------------------------------------------------------
 
-def criterion_products_X(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+# (key, criterion) in the order of definition
+CRITERIA: list[tuple[str, Callable[[SuiteContext], CriterionResult]]] = []
+
+
+def criterion(key: str, title: str, gate_s: Optional[float] = None):
+    """Register a check returning (passed, details) as a criterion, which
+    times it with ``time.perf_counter`` and fails it past gate_s seconds."""
+
+    def register(check):
+        @functools.wraps(check)
+        def run(ctx: SuiteContext) -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, details = check(ctx)
+            elapsed = time.perf_counter() - t0
+            ok = bool(passed) and (gate_s is None or elapsed < gate_s)
+            return CriterionResult(key, title, ok, elapsed, details)
+
+        CRITERIA.append((key, run))
+        return run
+
+    return register
+
+
+@criterion("products-X", "exact boundary products in X:16 (values i and 0)", 5.0)
+def criterion_products_X(ctx: SuiteContext):
     z = ctx.zoo("X:16")
     failures = []
     for i in range(1, 17):
@@ -135,15 +162,11 @@ def criterion_products_X(ctx: SuiteContext) -> CriterionResult:
     est = boundary_gromov_product(z.boundary["alpha"], z.boundary["beta"])
     if not est.converged or est.value != 0.0:
         failures.append(("alpha", "beta", est.value))
-    elapsed = time.time() - t0
-    return CriterionResult(
-        "products-X", "exact boundary products in X:16 (values i and 0)",
-        not failures and elapsed < 5.0, elapsed, {"failures": failures},
-    )
+    return not failures, {"failures": failures}
 
 
-def criterion_products_Y(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("products-Y", "exact boundary products in Y:16 (alpha 0, beta i)")
+def criterion_products_Y(ctx: SuiteContext):
     z = ctx.zoo("Y:16")
     failures = []
     for i in range(3, 17):
@@ -153,14 +176,11 @@ def criterion_products_Y(ctx: SuiteContext) -> CriterionResult:
             failures.append(("alpha", i, ea.value))
         if not eb.converged or eb.value != float(i):
             failures.append(("beta", i, eb.value))
-    return CriterionResult(
-        "products-Y", "exact boundary products in Y:16 (alpha 0, beta i)",
-        not failures, time.time() - t0, {"failures": failures},
-    )
+    return not failures, {"failures": failures}
 
 
-def criterion_nonhausdorff_X(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("nonhausdorff-X", "sequence converges to both points; I(r) = ceil(r)")
+def criterion_nonhausdorff_X(ctx: SuiteContext):
     z = ctx.zoo("X:16")
     seq = [z.boundary[f"g{i}"] for i in range(1, 17)]
     wit = hausdorff_violation_witness(
@@ -174,15 +194,14 @@ def criterion_nonhausdorff_X(ctx: SuiteContext) -> CriterionResult:
         table[r] = first
         if first != math.ceil(r):
             ok = False
-    return CriterionResult(
-        "nonhausdorff-X", "sequence converges to both points; I(r) = ceil(r)",
-        ok, time.time() - t0, {"witness": wit and (wit[0].label, wit[1].label),
-                               "first_indices": table},
-    )
+    return ok, {"witness": wit and (wit[0].label, wit[1].label),
+                "first_indices": table}
 
 
-def criterion_discontinuity(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion(
+    "discontinuity", "identity and shear pairings discontinuous at alpha, r=1", 30.0
+)
+def criterion_discontinuity(ctx: SuiteContext):
     zx, zy = ctx.zoo("X:16"), ctx.zoo("Y:16")
     cert1 = boundary_map_continuity_test(
         None, zx, zy, [f"g{i}" for i in range(3, 17)], "alpha", 1.0
@@ -191,31 +210,18 @@ def criterion_discontinuity(ctx: SuiteContext) -> CriterionResult:
     cert2 = boundary_map_continuity_test(
         None, zc, zyc, [f"g{i}" for i in range(1, 13)], "alpha", 1.0
     )
-    elapsed = time.time() - t0
-    ok = (
-        cert1.discontinuous
-        and cert2.discontinuous
-        and all(v <= 0.5 for _, v in cert1.image_products)
-        and all(v <= 0.5 for _, v in cert2.image_products)
-        and elapsed < 30.0
-    )
-    return CriterionResult(
-        "discontinuity", "identity and shear pairings discontinuous at alpha, r=1",
-        ok, elapsed,
-        {"glued": cert1.verdict, "annulus": cert2.verdict,
-         "max_image_product": max(
-             [v for _, v in cert1.image_products]
-             + [v for _, v in cert2.image_products]
-         )},
-    )
+    top = max(v for cert in (cert1, cert2) for _, v in cert.image_products)
+    ok = cert1.discontinuous and cert2.discontinuous and top <= 0.5
+    return ok, {"glued": cert1.verdict, "annulus": cert2.verdict, "max_image_product": top}
 
 
-def criterion_kernel_vs_oracle(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion(
+    "kernel-vs-oracle", "closed form within 2% of mesh oracle; branch continuity", 60.0
+)
+def criterion_kernel_vs_oracle(ctx: SuiteContext):
     space = AnnulusSpace()
     rng = np.random.default_rng(ctx.seed)
-    worst = 0.0
-    undershoot = 0.0
+    worst = undershoot = 0.0
     for _ in range(100):
         ta, tb = rng.uniform(-20.0, 20.0, 2)
         ra, rb = np.exp(rng.uniform(0.0, math.log(50.0), 2))
@@ -239,17 +245,12 @@ def criterion_kernel_vs_oracle(ctx: SuiteContext) -> CriterionResult:
         )
         chord = math.hypot(rp - rq, 2.0 * math.sqrt(rp * rq) * math.sin(0.5 * delta))
         max_gap = max(max_gap, abs(tangent - chord))
-    elapsed = time.time() - t0
-    ok = worst <= 0.02 and undershoot >= -1e-9 and max_gap <= 1e-9 and elapsed < 60.0
-    return CriterionResult(
-        "kernel-vs-oracle", "closed form within 2% of mesh oracle; branch continuity",
-        ok, elapsed,
-        {"worst_rel": worst, "min_rel": undershoot, "case_boundary_gap": max_gap},
-    )
+    ok = worst <= 0.02 and undershoot >= -1e-9 and max_gap <= 1e-9
+    return ok, {"worst_rel": worst, "min_rel": undershoot, "case_boundary_gap": max_gap}
 
 
-def criterion_strong_contraction_alpha(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("alpha-strong-annulus", "max joint projection diameter <= pi + 0.01")
+def criterion_strong_contraction_alpha(ctx: SuiteContext):
     z = ctx.zoo("Xcat0:12")
     space = z.space
     alpha = z.boundary["alpha"].canonical
@@ -260,30 +261,23 @@ def criterion_strong_contraction_alpha(ctx: SuiteContext) -> CriterionResult:
     )
     worst = max(float(v) for v in prof.bins.values())
     ok = worst <= math.pi + 0.01 and prof.classification == "bounded"
-    return CriterionResult(
-        "alpha-strong-annulus", "max joint projection diameter <= pi + 0.01",
-        ok, time.time() - t0,
-        {"max_diam": worst, "classification": prof.classification,
-         "constant": prof.constant},
-    )
+    return ok, {"max_diam": worst, "classification": prof.classification,
+                "constant": prof.constant}
 
 
-def criterion_products_Xcat0(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("products-Xcat0", "annulus products within 0.5 of the branch index")
+def criterion_products_Xcat0(ctx: SuiteContext):
     z = ctx.zoo("Xcat0:12")
     failures = []
     for i in range(2, 13):
         est = boundary_gromov_product(z.boundary["alpha"], z.boundary[f"g{i}"])
         if not est.converged or not (i - 0.5 <= est.value <= i + 0.5):
             failures.append((i, est.value, est.status))
-    return CriterionResult(
-        "products-Xcat0", "annulus products within 0.5 of the branch index",
-        not failures, time.time() - t0, {"failures": failures},
-    )
+    return not failures, {"failures": failures}
 
 
-def criterion_isolation_Ycat0(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("isolation-Ycat0", "vertical-family products and isolation radii")
+def criterion_isolation_Ycat0(ctx: SuiteContext):
     z = ctx.zoo("Ycat0:14")
     failures = []
     estimates: dict = {}
@@ -309,14 +303,11 @@ def criterion_isolation_Ycat0(ctx: SuiteContext) -> CriterionResult:
                 members.append(lab)
         if members != [f"g{i}"]:
             failures.append(("isolation", i, members))
-    return CriterionResult(
-        "isolation-Ycat0", "vertical-family products and isolation radii",
-        not failures, time.time() - t0, {"failures": failures[:5]},
-    )
+    return not failures, {"failures": failures[:5]}
 
 
-def criterion_claim_residuals(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("claim-residuals", "escape-time residual bounds (12C/13C/13C/50C/62C)")
+def criterion_claim_residuals(ctx: SuiteContext):
     z = ctx.zoo("Xcat0:12")
     table = ctx.constants("Xcat0:12")
     labels = ["alpha", "beta"] + [f"g{i}" for i in range(1, 13)]
@@ -327,28 +318,23 @@ def criterion_claim_residuals(ctx: SuiteContext) -> CriterionResult:
             if e_lab == z_lab:
                 continue
             C_eta, C_zeta = table[e_lab], table[z_lab]
-            horizon = 50.0 * C_eta + 100.0
             rep = claim_check(
                 z.boundary[e_lab].representatives(),
                 z.boundary[z_lab].representatives(),
-                C_eta, C_zeta, horizon,
+                C_eta, C_zeta, claim_horizon(C_eta),
             )
             checked += 1
             if not rep.passed:
                 violations.append((e_lab, z_lab, rep.violations))
-    return CriterionResult(
-        "claim-residuals", "escape-time residual bounds (12C/13C/13C/50C/62C)",
-        not violations, time.time() - t0,
-        {"pairs_checked": checked, "violations": violations[:5],
-         "all_classes_bounded": all(
-             table[f"{lab}__bounded"] for lab in labels
-         )},
-    )
+    return not violations, {
+        "pairs_checked": checked, "violations": violations[:5],
+        "all_classes_bounded": all(table[f"{lab}__bounded"] for lab in labels),
+    }
 
 
+@criterion("basis-condition", "refinement radii give nested product neighborhoods")
 @shared_products()
-def criterion_basis_condition(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+def criterion_basis_condition(ctx: SuiteContext):
     failures = []
     for name in ("Xcat0:12", "Ycat0:12"):
         z = ctx.zoo(name)
@@ -359,27 +345,22 @@ def criterion_basis_condition(ctx: SuiteContext) -> CriterionResult:
                 rep = neighborhood_basis_check(eta, r, pts, table)
                 if not rep.passed:
                     failures.append((name, eta.label, r, rep.violations))
-    return CriterionResult(
-        "basis-condition", "refinement radii give nested product neighborhoods",
-        not failures, time.time() - t0, {"failures": failures[:5]},
-    )
+    return not failures, {"failures": failures[:5]}
 
 
-def criterion_git_suite(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("git-suite", "far segments project to diameter <= 4C")
+def criterion_git_suite(ctx: SuiteContext):
     alpha = ctx.zoo("Xcat0:12").boundary["alpha"].canonical
     C = math.pi
     passed, worst, rejected = far_segment_suite(alpha, C, 1000, ctx.seed)
-    return CriterionResult(
-        "git-suite", "far segments project to diameter <= 4C",
-        passed == 1000 and worst <= 4 * C, time.time() - t0,
-        {"segments": passed, "worst_diam": worst, "bound": 4 * C,
-         "rejected_proposals": rejected},
-    )
+    return passed == 1000 and worst <= 4 * C, {
+        "segments": passed, "worst_diam": worst, "bound": 4 * C,
+        "rejected_proposals": rejected,
+    }
 
 
-def criterion_log_profile(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("log-profile-X", "gauge of the glued boundary ray grows logarithmically")
+def criterion_log_profile(ctx: SuiteContext):
     z = ctx.zoo("X:14")
     space = z.space
     alpha = space.edge_ray("alpha")
@@ -399,16 +380,12 @@ def criterion_log_profile(ctx: SuiteContext) -> CriterionResult:
         elif not (0.5 <= float(val) / i <= 2.5):
             failures.append((i, float(val)))
     ok = not failures and prof.classification == "sublinear"
-    return CriterionResult(
-        "log-profile-X", "gauge of the glued boundary ray grows logarithmically",
-        ok, time.time() - t0,
-        {"classification": prof.classification,
-         "per_doubling": prof.growth_per_doubling, "failures": failures},
-    )
+    return ok, {"classification": prof.classification,
+                "per_doubling": prof.growth_per_doubling, "failures": failures}
 
 
-def criterion_parser(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("parser", "shipped descriptions, round-trips, and diagnostics")
+def criterion_parser(ctx: SuiteContext):
     details: dict = {}
     ok = True
     for name, builder in (("X.space", "X:16"), ("Y.space", "Y:16")):
@@ -450,10 +427,7 @@ def criterion_parser(ctx: SuiteContext) -> CriterionResult:
             codes[want] = err.code
             ok = ok and err.code == want
     details["codes"] = codes
-    return CriterionResult(
-        "parser", "shipped descriptions, round-trips, and diagnostics",
-        ok and roundtrips >= 40, time.time() - t0, details,
-    )
+    return ok and roundtrips >= 40, details
 
 
 def _random_description(rng: random.Random) -> str:
@@ -474,8 +448,8 @@ def _random_description(rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
-def criterion_property_suites(ctx: SuiteContext) -> CriterionResult:
-    t0 = time.time()
+@criterion("property-suites", "axioms, idempotence, symmetry, determinism", 120.0)
+def criterion_property_suites(ctx: SuiteContext):
     zx = ctx.zoo("X:8")
     zc = ctx.zoo("Xcat0:8")
     details: dict = {}
@@ -536,29 +510,7 @@ def criterion_property_suites(ctx: SuiteContext) -> CriterionResult:
     details["determinism"] = det
     ok &= det
 
-    elapsed = time.time() - t0
-    return CriterionResult(
-        "property-suites", "axioms, idempotence, symmetry, determinism",
-        bool(ok) and elapsed < 120.0, elapsed, details,
-    )
-
-
-CRITERIA: list[tuple[str, Callable[[SuiteContext], CriterionResult]]] = [
-    ("products-X", criterion_products_X),
-    ("products-Y", criterion_products_Y),
-    ("nonhausdorff-X", criterion_nonhausdorff_X),
-    ("discontinuity", criterion_discontinuity),
-    ("kernel-vs-oracle", criterion_kernel_vs_oracle),
-    ("alpha-strong-annulus", criterion_strong_contraction_alpha),
-    ("products-Xcat0", criterion_products_Xcat0),
-    ("isolation-Ycat0", criterion_isolation_Ycat0),
-    ("claim-residuals", criterion_claim_residuals),
-    ("basis-condition", criterion_basis_condition),
-    ("git-suite", criterion_git_suite),
-    ("log-profile-X", criterion_log_profile),
-    ("parser", criterion_parser),
-    ("property-suites", criterion_property_suites),
-]
+    return ok, details
 
 
 def run_suite(seed: int = 7, keys: Optional[list[str]] = None, echo=print):

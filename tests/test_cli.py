@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import time
 from pathlib import Path
 
 import pytest
@@ -80,6 +81,19 @@ def test_escape_close_to_two_pi(capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(2 * math.pi, abs=1e-6)
+
+
+@pytest.mark.parametrize("horizon", [[], ["--horizon", "100"]])
+@pytest.mark.parametrize("space", ["X:10", "X:16"])
+def test_rc_escape_prints_the_exact_crossing(capsys, space, horizon):
+    # d(g2(t), alpha) = 4 + t: the crossing of 2C = 6 is at 2 exactly
+    argv = ["escape", "--space", space, "--alpha", "alpha", "--beta", "g2", "--c", "3"]
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, *argv, *horizon)
+    assert time.perf_counter() - t0 < 1.0
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] == "2" and payload["bracket"] == ["2", "2"]
+    assert payload["constant"] == 3.0
 
 
 @pytest.mark.parametrize("space", ["Xcat0:16", "Xcat0:40"])
@@ -221,8 +235,8 @@ BAD_INPUT = [
     ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "beta",
      "--c", "3", "--horizon", "nan"],
     ["dist", "--space", "Xcat0:1100", "--from", "base", "--to", "base"],
-    # escape grids of more than 2^53 points (annulus), or sweeps past the
-    # sample cap (ray complexes), rejected before they start
+    # escape grids of more than 2^53 points (annulus), rejected before they
+    # start, and g2's edge ray, which starts 4 > 2C from alpha
     ["escape", "--space", "Xcat0:4", "--alpha", "alpha", "--beta", "g2",
      "--c", "1e-300", "--horizon", "100"],
     ["escape", "--space", "X:8", "--alpha", "alpha", "--beta", "g2",

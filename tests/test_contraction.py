@@ -21,7 +21,7 @@ from boundary_lab.contraction import (
     ray_distance,
     t_first_escape,
 )
-from boundary_lab.rays import BoundaryArcLeg, ChordLeg, UnitSpeedRay
+from boundary_lab.rays import BoundaryArcLeg, ChordLeg, EdgeLeg, UnitSpeedRay
 from boundary_lab.samplers import profile_pair_sampler
 from boundary_lab.suite import alpha_extremal_pairs, class_constants
 from oracles import (
@@ -31,6 +31,7 @@ from oracles import (
     reference_annulus_ray_distance,
     sweep_escape,
 )
+from test_ray_complex import _rational_complexes
 
 
 # -- projections --------------------------------------------------------------
@@ -406,6 +407,13 @@ def test_git_rejects_close_segments(zoo_xcat12):
         git_check(alpha, seg, math.pi, horizon=50.0)
 
 
+def test_git_rejects_an_empty_segment(zoo_x8, zoo_xcat12):
+    # max() of no feet used to raise a bare ValueError
+    for zoo in (zoo_x8, zoo_xcat12):
+        with pytest.raises(bl.DomainError, match="at least one"):
+            git_check(zoo.boundary["alpha"].canonical, [], 1.0, 50.0)
+
+
 def test_far_segment_suite_rejects_empty_count(zoo_xcat12):
     # n = 0 used to "pass" with no segment checked
     alpha = zoo_xcat12.boundary["alpha"].canonical
@@ -518,29 +526,6 @@ def test_escape_errors(zoo_xcat12):
             t_first_escape(alpha, beta, math.pi, horizon=horizon)
 
 
-@pytest.mark.parametrize("C, horizon", [(1e-300, 100.0), (5e-324, 100.0), (1.0, 1e300)])
-def test_escape_checks_the_sweep_before_allocating(monkeypatch, zoo_x8, C, horizon):
-    # ray complexes take the sweep, whose cap is checked before any distance
-    def no_distance(*args):
-        raise AssertionError("a distance was evaluated before the sweep check")
-
-    alpha = zoo_x8.boundary["alpha"].canonical
-    g2 = zoo_x8.boundary["g2"].canonical
-    monkeypatch.setattr(contraction, "ray_distance", no_distance)
-    with pytest.raises(bl.DomainError, match=f"more than {contraction.MAX_SWEEP_SAMPLES}"):
-        t_first_escape(alpha, g2, C, horizon)
-
-
-def test_escape_sample_limit_is_inclusive(monkeypatch, zoo_x8):
-    # C = 4: samples at t = 0, 1, ..., horizon
-    alpha = zoo_x8.boundary["alpha"].canonical
-    beta = zoo_x8.boundary["beta"].canonical
-    monkeypatch.setattr(contraction, "MAX_SWEEP_SAMPLES", 65)
-    assert t_first_escape(alpha, beta, 4.0, 64.0).value == pytest.approx(8.0, abs=1e-6)
-    with pytest.raises(bl.DomainError, match="more than 65 samples"):
-        t_first_escape(alpha, beta, 4.0, 64.5)
-
-
 def _reps(zoo):
     return [ray for bp in zoo.boundary.values() for ray in bp.representatives()]
 
@@ -553,23 +538,150 @@ def _outcome(escape, *args):
         return type(err), str(err)
 
 
+def _tent_rays(rc):
+    """Continuous rays of a rational complex that start off its marks: the
+    tail of each ray edge from 1/7 on, and, when e1 is glued to e0 at its
+    start, from inside e1 back to that gluing and out along e0."""
+    rays = [UnitSpeedRay(rc, f"{eid}+1/7", (EdgeLeg(eid, Fraction(1, 7), None),))
+            for eid, e in rc.edges.items() if e.kind == "ray"]
+    for locs in rc.vertex_locs:
+        at = dict(locs)
+        if at.get("e1") == 0 and "e0" in at:
+            back = EdgeLeg("e1", rc.edges["e1"].length * Fraction(5, 7), Fraction(0))
+            rays.append(UnitSpeedRay(rc, "e1-e0", (back, EdgeLeg("e0", at["e0"], None))))
+    return rays
+
+
+def test_rc_escape_cuts_leave_tents_between_them():
+    # between consecutive cuts, f(t) = d(beta(t), alpha) is 0 or exactly the
+    # tent min(f(p) + t - p, f(q) + q - t): checked at sixths of every
+    # interval, and past the last cut, on the zoo and on rational complexes
+    pairs = []
+    for zoo in (bl.build_X(8), bl.build_Y(8)):
+        pairs += [(a, b) for a in _reps(zoo) for b in _reps(zoo)]
+    for rc, _, _ in _rational_complexes():
+        rays = [rc.edge_ray(eid) for eid, e in rc.edges.items() if e.kind == "ray"]
+        rays += _tent_rays(rc)
+        pairs += [(a, b) for a in rays for b in rays]
+    intervals = 0
+    for alpha, beta in pairs:
+        cuts = contraction._escape_cuts(alpha, beta)
+        cuts.append(cuts[-1] + 2)
+
+        def f(t):
+            return ray_distance(beta.eval(t), alpha)[0]
+
+        for p, q in zip(cuts, cuts[1:]):
+            fp, fq = f(p), f(q)
+            ts = [p + (q - p) * Fraction(k, 6) for k in range(1, 6)]
+            got = [f(t) for t in ts]
+            if any(got):
+                assert got == [min(fp + t - p, fq + q - t) for t in ts], (alpha, beta, p)
+            intervals += 1
+    assert intervals > 3500
+
+
+@pytest.mark.parametrize("spec", ["X:8", "Y:8", "X:16"])
+def test_rc_escape_lies_in_the_sweep_bracket(spec):
+    # 2C is never an integer here, so no local minimum of f (an integer at
+    # a cut) touches the level, where the sweep can miss the last contact
+    zoo = bl.get_space(spec)
+    reps = _reps(zoo)
+    rng = random.Random(5)
+    returned = 0
+    for C in (0.3, 1.25, math.pi):
+        for _ in range(60):
+            alpha, beta = rng.choice(reps), rng.choice(reps)
+            horizon = rng.uniform(2.0 * C, 2.0 * C + 20.0)
+            try:
+                ref = sweep_escape(alpha, beta, C, horizon)
+            except bl.BoundaryLabError:
+                continue
+            et = t_first_escape(alpha, beta, C, horizon)
+            assert type(et.value) is Fraction and et.bracket == (et.value, et.value)
+            assert ref.bracket[0] <= et.value <= ref.bracket[1]
+            assert ray_distance(beta.eval(et.value), alpha)[0] == 2 * Fraction(C)
+            returned += 1
+    assert returned > 75
+
+
+def test_rc_escape_sees_dips_and_touches_the_sweep_misses(zoo_x16):
+    # f = min(t, |102 - t| + 39): above 2C = 40 from t = 40 on, but for a
+    # dip to 39 at t = 102 that no grid point (step 5) lands on
+    rc = bl.compile_space(bl.parse_space(
+        "ray a\nray b\nseg c 39\nglue a:0 b:0\nglue c:0 b:102\nglue c:39 a:500\nbase a:0\n"
+    ))
+    a, b = rc.edge_ray("a"), rc.edge_ray("b")
+    assert t_first_escape(a, b, 20, 400).value == 103
+    assert sweep_escape(a, b, 20, 400).value == 40.00000000029104
+    # g1~beta is min(t, 5 - t) from g5 on [0, 3], then 2 + (t - 3): it
+    # touches 2C = 2 at t = 3, between grid points at this horizon
+    g5, g1b = zoo_x16.boundary["g5"].canonical, zoo_x16.boundary["g1"].auxiliaries[0]
+    assert t_first_escape(g5, g1b, 1.0, 34.0139).value == 3
+    assert sweep_escape(g5, g1b, 1.0, 34.0139).value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_rc_escape_makes_one_query_per_cut(monkeypatch, zoo_x8):
+    # no grid: a tiny constant at a huge horizon costs one exact distance
+    # per cut, plus f(H) and one look past the last cut
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ray_distance(*args)
+
+    monkeypatch.setattr(contraction, "ray_distance", counted)
+    reps = _reps(zoo_x8)
+    outcomes = set()
+    for alpha in reps:
+        for beta in reps:
+            calls.clear()
+            res = _outcome(t_first_escape, alpha, beta, 1e-300, 1e300)
+            outcomes.add(res[0] if isinstance(res, tuple) else type(res.value))
+            assert len(calls) <= len(contraction._escape_cuts(alpha, beta)) + 2
+    assert outcomes == {Fraction, bl.DomainError}
+
+
+def test_rc_escape_is_exact_at_any_horizon(zoo_x8):
+    # d(beta(t), alpha) = t: the crossing at 2C = 8, whatever the horizon
+    alpha = zoo_x8.boundary["alpha"].canonical
+    beta = zoo_x8.boundary["beta"].canonical
+    for horizon in (64.0, 64.5, Fraction(201, 7)):
+        et = t_first_escape(alpha, beta, 4.0, horizon)
+        assert et.value == Fraction(8) and et.bracket == (8, 8)
+    with pytest.raises(bl.HorizonError, match="still inside"):
+        t_first_escape(alpha, beta, 4.0, 8.0)
+    g3 = zoo_x8.boundary["g3"]
+    with pytest.raises(bl.DomainError, match="never leaves"):
+        t_first_escape(g3.canonical, g3.auxiliaries[0], 4.0, 2.0)
+
+
+def test_rc_escape_rejects_rays_whose_legs_do_not_meet():
+    rc = bl.compile_space(bl.parse_space("ray a\nray b\nglue a:0 b:0\nbase a:0\n"))
+    legs = (EdgeLeg("a", Fraction(0), Fraction(2)), EdgeLeg("b", Fraction(1), None))
+    jump = UnitSpeedRay(rc, "jump", legs)  # from a:2 to b:1, 3 apart
+    with pytest.raises(bl.DomainError, match="do not meet at 2"):
+        t_first_escape(rc.edge_ray("a"), jump, 1.0, 10.0)
+
+
 @pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
 def test_certified_escape_equals_the_sweep(build):
-    # seeded horizons put the grid points at irregular steps
+    # seeded horizons put the grid points at irregular steps; the small
+    # constants start many pairs outside 2C
     zoo = build(8)
     rng = random.Random(17)
     returned = 0
-    for C in (0.5, math.pi, 10.0):
+    for C in (0.1, 0.2, 0.45, 0.5, math.pi, 10.0):
         for alpha in _reps(zoo):
             for beta in _reps(zoo):
                 horizon = rng.uniform(2.0 * C, 2.0 * C + 20.0)
-                try:
-                    ref = sweep_escape(alpha, beta, C, horizon)
-                except bl.BoundaryLabError:
-                    continue
-                assert t_first_escape(alpha, beta, C, horizon) == ref  # same floats
-                returned += 1
-    assert returned > 700  # of 1,200 cases
+                ref = _outcome(sweep_escape, alpha, beta, C, horizon)
+                if isinstance(ref, tuple) and ("rising" in ref[1] or "never" in ref[1]):
+                    continue  # the sweep's own guess between these two
+                # the same floats, or the same error
+                assert _outcome(t_first_escape, alpha, beta, C, horizon) == ref
+                returned += isinstance(ref, contraction.EscapeTime)
+    assert returned > 1400  # of 2,400 cases
 
 
 @pytest.mark.parametrize("n", [4, 8, 12, 16])
@@ -578,7 +690,7 @@ def test_zoo_representatives_pass_the_geodesic_check(build, n):
     assert all(_is_geodesic(ray) for ray in _reps(build(n)))
 
 
-def test_rays_with_corners_fail_the_check_and_take_the_sweep(monkeypatch, zoo_xcat8):
+def test_rays_with_corners_are_rejected(zoo_xcat8):
     A = zoo_xcat8.space
     phi = math.acos(1.0 / 3.0)  # (phi, 1) is where a tangent from (0, 3) meets r = 1
     out_and_back = UnitSpeedRay(
@@ -589,26 +701,16 @@ def test_rays_with_corners_fail_the_check_and_take_the_sweep(monkeypatch, zoo_xc
         ChordLeg((0.0, 3.0), (phi, 1.0)),
         BoundaryArcLeg(phi, 1, None),
     ))
-    assert not _is_geodesic(out_and_back) and not _is_geodesic(out_and_down)
-
-    def no_search(*args):
-        raise AssertionError("a ray with a corner took the certified search")
-
-    monkeypatch.setattr(contraction, "_last_inside_convex", no_search)
+    # the out-and-back arc moves 1 away from beta and comes back, so its
+    # distance is not convex: escape times would rest on a false premise
     cornered = [out_and_back, out_and_down]
     rays = [zoo_xcat8.boundary[label].canonical for label in ("alpha", "beta", "g3")]
-    outcomes = []
-    for alpha in rays + cornered:
-        for beta in cornered + (rays if alpha in cornered else []):
-            for C in (0.25, 1.0, 3.0):
-                ref = _outcome(sweep_escape, alpha, beta, C, 30.0)
-                assert _outcome(t_first_escape, alpha, beta, C, 30.0) == ref
-                outcomes.append(ref)
-    # the out-and-back arc moves 1 away from beta and comes back: the sweep
-    # finds it inside 2C at the horizon, where trusting convexity would
-    # conclude that it never reaches 2C
-    assert (bl.HorizonError, "still inside the 2C-neighborhood at the horizon") in outcomes
-    assert any(isinstance(o, contraction.EscapeTime) for o in outcomes)
+    for ray in cornered:
+        assert not _is_geodesic(ray)
+        for other in rays + cornered:
+            for alpha, beta in ((ray, other), (other, ray)):
+                with pytest.raises(bl.DomainError, match="geodesic rays"):
+                    t_first_escape(alpha, beta, 1.0, 30.0)
 
 
 @pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
