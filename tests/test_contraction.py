@@ -642,6 +642,24 @@ def test_rc_escape_makes_one_query_per_cut(monkeypatch, zoo_x8):
     assert outcomes == {Fraction, bl.DomainError}
 
 
+@pytest.mark.parametrize("C, horizon", [(1e-300, 100.0), (5e-324, 100.0), (1.0, 1e300)])
+def test_escape_checks_the_sweep_before_allocating(monkeypatch, zoo_x8, C, horizon):
+    # no sweep to allocate: g2 leaves alpha at t = 2, so the escape is
+    # 2 + 2C exactly, found with at most one distance per cut plus two
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ray_distance(*args)
+
+    alpha = zoo_x8.boundary["alpha"].canonical
+    g2 = zoo_x8.boundary["g2"].canonical
+    monkeypatch.setattr(contraction, "ray_distance", counted)
+    et = t_first_escape(alpha, g2, C, horizon)
+    assert et.value == 2 + 2 * Fraction(C) and et.bracket == (et.value, et.value)
+    assert len(calls) <= len(contraction._escape_cuts(alpha, g2)) + 2
+
+
 def test_rc_escape_is_exact_at_any_horizon(zoo_x8):
     # d(beta(t), alpha) = t: the crossing at 2C = 8, whatever the horizon
     alpha = zoo_x8.boundary["alpha"].canonical
