@@ -114,6 +114,11 @@ def boundary_gromov_product(
         min_horizon = carried[1]
     if max_horizon is None:
         raise DomainError("max_horizon is a required argument")
+    # comparisons, not math.isfinite: a huge Fraction horizon is finite
+    if not 0 < max_horizon < math.inf:
+        raise DomainError(f"max_horizon must be finite and > 0, got {max_horizon}")
+    if not 0 <= min_horizon < math.inf:
+        raise DomainError(f"min_horizon must be finite and >= 0, got {min_horizon}")
     label_a = eta.label if isinstance(eta, BoundaryPoint) else a.label
     label_b = zeta.label if isinstance(zeta, BoundaryPoint) else b.label
     error_bar = None if c_eta is None else 50.0 * float(c_eta)
@@ -160,6 +165,10 @@ def shared_products():
 def _doubling_schedule(a, b, max_horizon, min_horizon):
     """(status, horizons S, window minima E(S)) for one ordered ray pair.
 
+    On a ray complex S is the int 2^k, and the window {S, 3S/2, 2S} is
+    integer but for S = 1 (3/2); the stop rule compares ints with the
+    horizons exactly.  On the annulus S is a float.
+
     On a ray complex, once both rays run on their hairs (``_settles_at``)
     every later window minimum equals the first one computed with
     S >= S* = max(s_a*, s_b*): for s >= s_a* and t >= s_b*, d(a(s), o),
@@ -171,7 +180,8 @@ def _doubling_schedule(a, b, max_horizon, min_horizon):
     space = a.space
     o = space.basepoint
     settles_at = _settles_at(space, a, b)
-    S = Fraction(1) if isinstance(space, RayComplex) else 1.0
+    exact = isinstance(space, RayComplex)
+    S = 1 if exact else 1.0
     schedule = []
     minima = []
     final = None  # E(S) of the first window with S >= settles_at
@@ -179,7 +189,11 @@ def _doubling_schedule(a, b, max_horizon, min_horizon):
     while True:
         schedule.append(S)
         if final is None:
-            minima.append(_window_min(space, a, b, [S, S + S / 2, 2 * S], o, carry))
+            if exact:
+                mid = 3 * S // 2 if S > 1 else Fraction(3, 2)
+            else:
+                mid = S + S / 2
+            minima.append(_window_min(space, a, b, [S, mid, 2 * S], o, carry))
             if settles_at is not None and S >= settles_at:
                 final = minima[-1]
         else:
@@ -224,11 +238,13 @@ def _window_min(space, a, b, params, o, carry=None):
     The window points and their distances to o are computed once each, so
     an n x n window costs 2n ray evaluations, 2n distances to o and n^2
     cross distances; each product has the value ``metric.gromov_product``
-    gives.  On a ray complex each point's (and o's) bracketing vertices are
-    found once and every distance runs on ``RayComplex._seeded_ratio``; the
-    doubled products are formed as integers over one common denominator
-    and the minimum becomes one Fraction.  On the annulus the floats are
-    combined in ``gromov_product``'s operand order.
+    gives.  On a ray complex everything between the parameters and the
+    minimum is an integer: each point is evaluated by
+    ``UnitSpeedRay.edge_location`` and seeded once (``RayComplex._seeds``),
+    o is seeded once, every distance runs on ``RayComplex._seeded_ratio``,
+    and the doubled products are formed over one common denominator.  The
+    minimum becomes the window's one ``Fraction``.  On the annulus the
+    floats are combined in ``gromov_product``'s operand order.
 
     ``carry`` is a dict that one doubling schedule hands to each of its
     windows in turn.  A window leaves in it o's seeds and its last grid
@@ -242,17 +258,14 @@ def _window_min(space, a, b, params, o, carry=None):
     if carry is None:
         carry = {}
     if isinstance(space, RayComplex):
-        # points travel with their seeds
         if "o" not in carry:
-            carry["o"] = (o, space._seeds(o))
+            carry["o"] = space._seeds(o.edge_id, *o.offset.as_integer_ratio())
         o = carry["o"]
 
         def point(ray, s):
-            p = ray.eval(s)
-            return p, space._seeds(p)
+            return space._seeds(*ray.edge_location(s))
 
-        def dist(p, q):
-            return space._seeded_ratio(*p, *q)
+        dist = space._seeded_ratio
 
     else:
 

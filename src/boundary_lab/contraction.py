@@ -142,7 +142,7 @@ def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
     if not isinstance(x, RayComplexPoint):
         raise DomainError("ray-complex distance needs ray-complex points")
     scale = space._scale
-    dx, seeds = space._seeds(x)
+    _, _, dx, seeds = space._seeds(x.edge_id, *x.offset.as_integer_ratio())
     rows = [(a, space._row(u)) for u, a in seeds]
     common = dx * scale
     cands = []  # (numerator, denominator, leg offset, leg start, parameter)

@@ -14,8 +14,13 @@ of every location (segment ends, gluing parameters, the basepoint; origins
 are 0).  Marks are sums of edge weights from 0 and weights are differences
 of marks, so this is also the LCM of the weight denominators.  Union-find,
 vertex order, adjacency and Dijkstra see the integers ``parameter *
-_scale``; ``Fraction``s exist only in the public ``vertex_locs`` and
-``marks_on`` and at the point and distance API.
+_scale``.  Queries run on integers too: a point enters as (edge, num, den)
+(``_seeds``) and a distance leaves as an unreduced integer ratio
+(``_seeded_ratio``).  ``Fraction``s exist only in the public ``vertex_locs``
+and ``marks_on`` and at the point and distance API (``point``,
+``distance``); ``boundary._window_min`` feeds ray parameters to ``_seeds``
+through ``UnitSpeedRay.edge_location`` and makes one ``Fraction`` per
+window minimum.
 
 A shortest path never travels out and back along an unbranched ray tail,
 so ray edges contribute no vertex beyond their last marked location.
@@ -232,7 +237,10 @@ class RayComplex:
         return RayComplexPoint(self.space_id, *self._basepoint_loc)
 
     def point(self, edge_id: str, offset: RationalLike) -> RayComplexPoint:
-        off = _frac(offset)
+        try:
+            off = _frac(offset)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            raise DomainError(f"offset {offset!r} is not a finite number") from None
         if edge_id not in self.edges:
             raise DomainError(f"unknown edge {edge_id}")
         e = self.edges[edge_id]
@@ -240,22 +248,23 @@ class RayComplex:
             raise DomainError(f"offset {off} outside edge {edge_id}")
         return RayComplexPoint(self.space_id, edge_id, off)
 
-    def _seeds(self, p: RayComplexPoint) -> tuple[int, list[tuple[int, int]]]:
-        """(den, [(vertex, num)]): the vertices bracketing p on its edge, each
-        at along-edge distance num / (den * _scale) from p."""
-        den = p.offset.denominator
-        x = p.offset.numerator * self._scale
-        marks = self._int_marks[p.edge_id]
-        verts = self._mark_vertices[p.edge_id]
+    def _seeds(self, edge_id: str, num: int, den: int) -> tuple:
+        """The seeded point (edge_id, num, den, [(vertex, a)]) at parameter
+        num / den of edge_id (den > 0, not necessarily reduced): the vertices
+        bracketing it on its edge, each at along-edge distance
+        a / (den * _scale) from it."""
+        x = num * self._scale
+        marks = self._int_marks[edge_id]
+        verts = self._mark_vertices[edge_id]
         k, r = divmod(x, den)
         # every edge is marked at its origin, so 1 <= i
         i = bisect_right(marks, k)
         if r == 0 and marks[i - 1] == k:
-            return den, [(verts[i - 1], 0)]
+            return edge_id, num, den, [(verts[i - 1], 0)]
         seeds = [(verts[i - 1], x - marks[i - 1] * den)]
         if i < len(marks):
             seeds.append((verts[i], marks[i] * den - x))
-        return den, seeds
+        return edge_id, num, den, seeds
 
     # -- shortest paths ---------------------------------------------------
 
@@ -291,28 +300,31 @@ class RayComplex:
         require_same_space(self.space_id, p, q)
         if not isinstance(p, RayComplexPoint) or not isinstance(q, RayComplexPoint):
             raise DomainError("ray-complex distance needs ray-complex points")
-        return self._seeded_ratio(p, self._seeds(p), q, self._seeds(q))
+        return self._seeded_ratio(
+            self._seeds(p.edge_id, *p.offset.as_integer_ratio()),
+            self._seeds(q.edge_id, *q.offset.as_integer_ratio()),
+        )
 
-    def _seeded_ratio(
-        self, p: RayComplexPoint, p_seeded: tuple, q: RayComplexPoint, q_seeded: tuple
-    ) -> tuple[int, int]:
-        """d(p, q) from the points and their ``_seeds``, unchecked: the least
+    def _seeded_ratio(self, p: tuple, q: tuple) -> tuple[int, int]:
+        """d(p, q) for two seeded points (``_seeds``), unchecked: the least
         offset-plus-row sum over the vertices bracketing p and q, or the
         along-edge distance when they share an edge.
 
-        Candidates are compared as integer numerators over the common
-        denominator dp * dq * _scale, which is the denominator returned.
-        Callers that keep seeds work each point's out once: a
-        boundary-product schedule seeds o once, and after its first window
-        (7 seeds, 15 calls here) each window seeds its 4 new points and
-        makes 12 calls here (4 to o, 8 cross), where 15 ``distance_ratio``
-        calls would seed 30 points (``boundary._window_min``).
+        Everything is an integer; ``Fraction``s remain only at the point
+        API (``distance``) and once per window minimum.  Candidates are
+        compared as numerators over the common denominator dp * dq *
+        _scale, which is the denominator returned.  Callers that keep
+        seeded points work each point's out once: a boundary-product
+        schedule seeds o once, and after its first window (7 seeds, 15
+        calls here) each window seeds its 4 new points and makes 12 calls
+        here (4 to o, 8 cross), where 15 ``distance_ratio`` calls would
+        seed 30 points (``boundary._window_min``).
         """
-        dp, p_seeds = p_seeded
-        dq, q_seeds = q_seeded
+        p_edge, p_num, dp, p_seeds = p
+        q_edge, q_num, dq, q_seeds = q
         best: Optional[int] = None
-        if p.edge_id == q.edge_id:
-            best = abs(p.offset.numerator * dq - q.offset.numerator * dp) * self._scale
+        if p_edge == q_edge:
+            best = abs(p_num * dq - q_num * dp) * self._scale
         for u, a in p_seeds:
             dist = self._row(u)
             for v, b in q_seeds:

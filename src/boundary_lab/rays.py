@@ -9,6 +9,13 @@ unit-speed by the way its legs are parametrized, but nothing here checks
 that it is a geodesic, and rays with corners can be built.  The run-time
 check is ``contraction._is_geodesic``, on annulus rays, where the escape-time
 search relies on it.
+
+A ray's legs are either all edge legs (a ray in a ray complex) or none.  An
+edge ray is evaluated on integers only (``edge_location``): its plan holds
+every leg offset, start and end in units of 1/m, m the LCM of their
+denominators, so a parameter p/q lands on edge parameter num / (m q) with
+integer arithmetic.  ``eval`` turns that into a ``RayComplexPoint``, the one
+``Fraction`` of an evaluation.
 """
 
 from __future__ import annotations
@@ -40,11 +47,6 @@ class EdgeLeg:
     @cached_property
     def length(self) -> Optional[Fraction]:
         return None if self.end is None else abs(self.end - self.start)
-
-    def param_at(self, s: Fraction) -> Fraction:
-        if self.end is None or self.end >= self.start:
-            return self.start + s
-        return self.start - s
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,8 @@ class UnitSpeedRay:
         for leg in self.legs[:-1]:
             if leg.length is None:
                 raise DomainError("only the final leg of a ray may be unbounded")
+        if len({isinstance(leg, EdgeLeg) for leg in self.legs}) > 1:
+            raise DomainError("a ray's legs must be all edge legs or none")
 
     @cached_property
     def leg_offsets(self) -> tuple:
@@ -177,8 +181,53 @@ class UnitSpeedRay:
             plan.append((type(leg), g0, data))
         return tuple(plan)
 
+    @cached_property
+    def _edge_plan(self) -> Optional[tuple]:
+        """(m, legs) for a ray of edge legs, else None.  m is the LCM of the
+        denominators of the leg offsets, starts and ends; each leg is
+        (edge_id, top, offset, start, direction) with top the global
+        parameter of its end (None: unbounded), all in units of 1/m, and
+        direction +1 or -1 along the edge."""
+        if not isinstance(self.legs[0], EdgeLeg):
+            return None
+        legs = list(zip(self.legs, self.leg_offsets))
+        m = math.lcm(*(
+            x.denominator
+            for leg, off in legs
+            for x in (off, leg.start, leg.end)
+            if x is not None
+        ))
+        plan = []
+        for leg, off in legs:
+            top = None if leg.end is None else int((off + leg.length) * m)
+            direction = -1 if leg.end is not None and leg.end < leg.start else 1
+            plan.append((leg.edge_id, top, int(off * m), int(leg.start * m), direction))
+        return m, tuple(plan)
+
+    def edge_location(self, t) -> tuple[str, int, int]:
+        """(edge_id, num, den) of the point at global parameter t on a ray
+        of edge legs: it lies at parameter num / den of edge_id, with den =
+        m * (t's denominator), not reduced.  t is an int or a ``Fraction``;
+        anything else (a float) is converted exactly.  A point where two
+        legs meet belongs to the earlier leg."""
+        if not isinstance(t, (int, Fraction)):
+            try:
+                t = Fraction(t)
+            except (ValueError, OverflowError):
+                raise DomainError(f"ray parameter must be finite, got {t}") from None
+        p, q = t.numerator, t.denominator
+        if p < 0:
+            raise DomainError(f"ray parameter must be nonnegative, got {t}")
+        m, legs = self._edge_plan
+        x = p * m  # t in units of 1 / (m q)
+        for eid, top, off, start, direction in legs:
+            if top is None or x <= top * q:
+                return eid, start * q + direction * (x - off * q), m * q
+        raise DomainError(f"parameter {t} beyond end of finite ray")
+
     def locate(self, t):
-        """(leg, local arc length) containing global parameter t >= 0."""
+        """(leg, local arc length) containing global parameter t >= 0, on a
+        ray of annulus legs."""
         if t < 0:
             raise DomainError(f"ray parameter must be nonnegative, got {t}")
         offs = self.leg_offsets
@@ -192,10 +241,11 @@ class UnitSpeedRay:
         return last, s
 
     def eval(self, t) -> Point:
-        leg, s = self.locate(t)
         sid = self.space.space_id
-        if isinstance(leg, EdgeLeg):
-            return RayComplexPoint(sid, leg.edge_id, leg.param_at(Fraction(s)))
+        if self._edge_plan is not None:
+            eid, num, den = self.edge_location(t)
+            return RayComplexPoint(sid, eid, Fraction(num, den))
+        leg, s = self.locate(t)
         if isinstance(leg, BoundaryArcLeg):
             return AnnulusPoint(sid, leg.angle_at(float(s)), 1.0)
         if isinstance(leg, ChordLeg):

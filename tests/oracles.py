@@ -16,7 +16,10 @@ the engine's prepared kernel terms must reproduce it bit for bit.  The
 per-candidate ray-complex projection below is the reference for
 ``ray_distance`` on ray complexes: it builds a point at every candidate
 parameter and asks ``RayComplex.distance`` for each, one ``Fraction`` per
-candidate.  The doubling walk below is the reference for the
+candidate.  The leg walk below is the reference for evaluating a ray of
+edge legs (``UnitSpeedRay.edge_location``, which ``eval`` shares): it finds
+the leg by ``Fraction`` offsets and steps along it from the leg's start, as
+the engine once did.  The doubling walk below is the reference for the
 boundary-product schedule: it queries every window, evaluating every point
 afresh, one ``metric.gromov_product`` per grid point.  The mesh-oracle reference
 below is the plain three-shift column sweep and the numpy-indexed greedy
@@ -271,6 +274,25 @@ def reference_rc_ray_distance(x, ray):
             elif d == best:
                 hits.append(g)
     return best, sorted(set(hits))
+
+
+def reference_edge_point(ray, t):
+    """The point at global parameter t >= 0 of a ray of edge legs, by
+    ``Fraction`` arithmetic: the first leg whose [offset, offset + length]
+    holds t, then |t - offset| from the leg's start toward its end.  A
+    float t is converted exactly first."""
+    t = Fraction(t)
+    if t < 0:
+        raise DomainError(f"ray parameter must be nonnegative, got {t}")
+    offs = ray.leg_offsets
+    for leg, off in zip(ray.legs, offs):
+        if leg.length is None or t <= off + leg.length:
+            break
+    else:
+        raise DomainError(f"parameter {t} beyond end of finite ray")
+    s = t - off
+    par = leg.start + s if leg.end is None or leg.end >= leg.start else leg.start - s
+    return RayComplexPoint(ray.space.space_id, leg.edge_id, par)
 
 
 def full_doubling_walk(a, b, max_horizon, min_horizon):

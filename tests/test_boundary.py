@@ -263,6 +263,28 @@ def test_product_requires_same_space(zoo_x16, zoo_y16):
         )
 
 
+def test_horizons_must_be_finite_and_in_range(zoo_xcat8):
+    # an infinite or NaN max_horizon doubled S forever; a NaN min_horizon
+    # never let stability count; the annulus failed deep inside on inf
+    z = bl.build_X(4)
+    g2 = z.boundary["g2"]
+    pairs = [(g2.canonical, g2.auxiliaries[0]),
+             (zoo_xcat8.boundary["alpha"].canonical, zoo_xcat8.boundary["g3"].canonical)]
+    for a, b in pairs:
+        for bad in (math.inf, math.nan, 0, -1.0, -math.inf):
+            with pytest.raises(bl.DomainError, match="max_horizon"):
+                boundary_gromov_product(a, b, max_horizon=bad)
+        for bad in (math.nan, math.inf, -1, -math.inf):
+            with pytest.raises(bl.DomainError, match="min_horizon"):
+                boundary_gromov_product(a, b, max_horizon=64, min_horizon=bad)
+    # the carried horizons pass the same check; an explicit one still wins
+    with pytest.raises(bl.DomainError, match="max_horizon"):
+        u_set_membership(g2, z.boundary["alpha"], 1.0, max_horizon=math.inf)
+    assert boundary_gromov_product(
+        z.boundary["alpha"], g2, max_horizon=Fraction(10 ** 400), min_horizon=0
+    ).value == 2
+
+
 def _count_windows(monkeypatch):
     """The horizons S of the windows queried from now on, in call order."""
     horizons = []
@@ -354,16 +376,19 @@ def test_annulus_windows_reuse_their_shared_point_bit_for_bit(spec):
     ("Xcat0:8", "alpha", "g3"),
 ])
 def test_k_windows_evaluate_each_ray_3_plus_2_k_minus_1_times(spec, eta, zeta, monkeypatch):
+    # ray-complex windows evaluate through the integer edge_location, which
+    # eval shares; annulus windows through eval
     z = bl.get_space(spec)
     a, b = z.boundary[eta].canonical, z.boundary[zeta].canonical
     evals = {id(a): 0, id(b): 0}
-    original = UnitSpeedRay.eval
+    name = "edge_location" if isinstance(z.space, bl.RayComplex) else "eval"
+    original = getattr(UnitSpeedRay, name)
 
     def counted(self, t):
         evals[id(self)] += 1
         return original(self, t)
 
-    monkeypatch.setattr(UnitSpeedRay, "eval", counted)
+    monkeypatch.setattr(UnitSpeedRay, name, counted)
     horizons = _count_windows(monkeypatch)
     boundary._doubling_schedule(a, b, z.product_horizon, z.product_min_horizon)
     k = len(horizons)

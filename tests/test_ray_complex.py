@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import itertools
@@ -16,8 +17,13 @@ from boundary_lab.boundary import boundary_gromov_product
 from boundary_lab.contraction import project, ray_distance
 from boundary_lab.metric import gromov_product
 from boundary_lab.ray_complex import RAY, SEGMENT, Edge, RayComplex
-from boundary_lab.rays import EdgeLeg, UnitSpeedRay
-from oracles import brute_rc_distance, fraction_vertex_graph, reference_rc_ray_distance
+from boundary_lab.rays import BoundaryArcLeg, EdgeLeg, UnitSpeedRay
+from oracles import (
+    brute_rc_distance,
+    fraction_vertex_graph,
+    reference_edge_point,
+    reference_rc_ray_distance,
+)
 
 
 def test_distance_examples_from_construction(zoo_x8, zoo_x16):
@@ -178,6 +184,92 @@ def _off_mark_rays(rc):
             back = EdgeLeg("e1", top * Fraction(5, 7), top * Fraction(1, 7))
             rays.append(UnitSpeedRay(rc, f"e1-{eid}", (back, tail)))
     return rays
+
+
+def _edge_ray_parameters(ray):
+    """Integers, halves, sevenths and floats, large ones too, and around
+    every leg end: the end itself, as a float, and a half and a seventh
+    either side."""
+    pars = list(range(12)) + [Fraction(k, 2) for k in range(1, 24, 2)]
+    pars += [Fraction(k, 7) for k in (1, 5, 16, 50)]
+    pars += [0.1, 2.5, 3.75, 1e-9, 10.3, 2.0 ** 40 + 0.5]
+    pars += [2 ** 20, Fraction(2 ** 20 + 1, 3)]
+    ends = set(ray.leg_offsets)
+    ends |= {off + leg.length for leg, off in zip(ray.legs, ray.leg_offsets)
+             if leg.length is not None}
+    for e in sorted(ends):
+        pars += [e, float(e), e + Fraction(1, 2), e + Fraction(1, 7)]
+        pars += [e - d for d in (Fraction(1, 2), Fraction(1, 7)) if e >= d]
+    return pars
+
+
+def _assert_edge_location_matches_reference(ray):
+    for t in _edge_ray_parameters(ray):
+        want = reference_edge_point(ray, t)
+        got = ray.eval(t)
+        assert got == want and type(got.offset) is Fraction, (ray.label, t)
+        eid, num, den = ray.edge_location(t)
+        assert (eid, Fraction(num, den)) == (want.edge_id, want.offset), (ray.label, t)
+
+
+@pytest.mark.parametrize("spec", ["X:8", "Y:8", "X:16"])
+def test_edge_location_matches_the_fraction_reference_on_the_zoo(spec):
+    # every representative, auxiliaries included: three legs each, joined
+    # at the branch point and at the connector's end
+    z = bl.get_space(spec)
+    for bp in z.boundary.values():
+        for ray in bp.representatives():
+            _assert_edge_location_matches_reference(ray)
+
+
+def test_edge_location_matches_the_fraction_reference_on_rational_complexes():
+    # the edge rays, plus rays whose legs start and end in sevenths of thirds
+    # and fifths, one of them running backwards along e1
+    for rc, _, _ in _rational_complexes():
+        rays = [rc.edge_ray(eid) for eid, e in rc.edges.items() if e.kind == RAY]
+        for ray in rays + _off_mark_rays(rc):
+            _assert_edge_location_matches_reference(ray)
+
+
+def test_edge_location_rejects_negative_and_overrun_parameters():
+    rc, _, _ = next(_rational_complexes())
+    top = rc.edges["e1"].length
+    finite = [
+        UnitSpeedRay(rc, "e1", (EdgeLeg("e1", Fraction(0), top),)),
+        UnitSpeedRay(rc, "e1-back", (EdgeLeg("e1", top, Fraction(0)),)),
+    ]
+
+    def evaluators(ray):
+        return ray.eval, ray.edge_location, functools.partial(reference_edge_point, ray)
+
+    for ray in finite + [rc.edge_ray("e0")] + _off_mark_rays(rc):
+        for t in (-1, Fraction(-1, 3), -0.5, -1e-300):
+            for evaluate in evaluators(ray):
+                with pytest.raises(bl.DomainError, match="nonnegative"):
+                    evaluate(t)
+    for ray in finite:
+        assert ray.eval(top) == reference_edge_point(ray, top)
+        for t in (top + Fraction(1, 7), float(top) + 1e-9, top + 1):
+            for evaluate in evaluators(ray):
+                with pytest.raises(bl.DomainError, match="beyond end"):
+                    evaluate(t)
+
+
+def test_non_finite_ray_parameters_and_offsets_are_domain_errors(zoo_x8):
+    X = zoo_x8.space
+    rays = [X.edge_ray("alpha"), zoo_x8.boundary["g3"].auxiliaries[0]]
+    for bad in (math.nan, math.inf, -math.inf):
+        for ray in rays:
+            with pytest.raises(bl.DomainError):
+                ray.eval(bad)
+            with pytest.raises(bl.DomainError):
+                ray.edge_location(bad)
+        for offset in (bad, str(bad), "1/0"):
+            with pytest.raises(bl.DomainError):
+                X.point("alpha", offset)
+    with pytest.raises(bl.DomainError, match="all edge legs or none"):
+        UnitSpeedRay(X, "mixed", (EdgeLeg("alpha", Fraction(0), Fraction(1)),
+                                  BoundaryArcLeg(0.0, 1, None)))
 
 
 def _assert_projection_matches_reference(x, ray):
