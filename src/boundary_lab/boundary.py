@@ -306,6 +306,12 @@ def _window_min(space, a, b, params, o, carry=None):
     )
 
 
+def _check_radius(r) -> None:
+    # comparisons, not math.isfinite: a huge Fraction radius is finite
+    if not -math.inf < r < math.inf:
+        raise DomainError(f"radius must be finite, got {r}")
+
+
 @dataclass(frozen=True)
 class MembershipVerdict:
     state: str  # "in" | "out" | "boundary-inconclusive"
@@ -326,8 +332,9 @@ def u_set_membership(
 
     Values within the space's ``TOL`` of the threshold come back
     boundary-inconclusive; on ray complexes TOL is 0, so the comparison is
-    sharp.
+    sharp.  A radius that is not finite is a DomainError.
     """
+    _check_radius(r)
     estimate = boundary_gromov_product(
         eta, zeta, max_horizon=max_horizon, min_horizon=min_horizon
     )
@@ -358,7 +365,10 @@ def converges_in_gp(
     min_horizon=None,
 ) -> ConvergenceReport:
     """For each r, the first index past which every tested term is in
-    U(eta, r); the verdict only speaks for the tested radii and indices."""
+    U(eta, r); the verdict only speaks for the tested radii and indices.
+    A radius that is not finite is a DomainError, before any estimate."""
+    for r in r_schedule:
+        _check_radius(r)
     rows = []
     all_ok = True
     for r in r_schedule:

@@ -13,14 +13,17 @@ The build runs on integer marks.  ``_scale`` is the LCM of the denominators
 of every location (segment ends, gluing parameters, the basepoint; origins
 are 0).  Marks are sums of edge weights from 0 and weights are differences
 of marks, so this is also the LCM of the weight denominators.  Union-find,
-vertex order, adjacency and Dijkstra see the integers ``parameter *
-_scale``.  Queries run on integers too: a point enters as (edge, num, den)
-(``_seeds``) and a distance leaves as an unreduced integer ratio
-(``_seeded_ratio``).  ``Fraction``s exist only in the public ``vertex_locs``
-and ``marks_on`` and at the point and distance API (``point``,
-``distance``); ``boundary._window_min`` feeds ray parameters to ``_seeds``
-through ``UnitSpeedRay.edge_location`` and makes one ``Fraction`` per
-window minimum.
+vertex order, adjacency, Dijkstra and the canonical text (``describe``, and
+so ``space_id``) see the integers ``parameter * _scale``; the build makes no
+``Fraction`` beyond the basepoint's.  Gluing parameters may be given as
+ints, which the build takes as they are.  Queries run on integers too: a
+point enters as (edge, num, den) (``_seeds``) and a distance leaves as an
+unreduced integer ratio (``_seeded_ratio``).  The public ``vertex_locs``
+and ``marks_on`` are ``Fraction`` views, each computed on first read and
+kept; otherwise ``Fraction``s exist only at the point and distance API
+(``point``, ``distance``), and ``boundary._window_min`` feeds ray
+parameters to ``_seeds`` through ``UnitSpeedRay.edge_location`` and makes
+one ``Fraction`` per window minimum.
 
 A shortest path never travels out and back along an unbranched ray tail,
 so ray edges contribute no vertex beyond their last marked location.
@@ -41,6 +44,7 @@ from .errors import BuildError, DomainError, UnreachableError
 from .points import Point, RayComplexPoint, require_same_space
 
 RationalLike = Union[int, str, Fraction]
+Rational = Union[int, Fraction]
 
 RAY = "ray"
 SEGMENT = "segment"
@@ -72,6 +76,10 @@ def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _rational(x: RationalLike) -> Rational:
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 class RayComplex:
     """Immutable glued-edge space with exact distances."""
 
@@ -92,7 +100,7 @@ class RayComplex:
         if not self.edges:
             raise BuildError("a complex needs at least one edge")
 
-        gluings = [tuple((eid, _frac(par)) for eid, par in g) for g in gluings]
+        gluings = [[(eid, _rational(par)) for eid, par in g] for g in gluings]
         self._basepoint_loc = (basepoint[0], _frac(basepoint[1]))
         # every location is a multiple of 1 / _scale, so the build and the
         # shortest paths run on integer marks
@@ -109,9 +117,8 @@ class RayComplex:
         for g in gluings:
             if len(g) < 2:
                 raise BuildError("a gluing must identify at least two locations")
-            int_gluings.append([self._check_location(*loc) for loc in g])
-        base = self._check_location(*self._basepoint_loc)
-
+            int_gluings.append(self._checked(g))
+        (base,) = self._checked([self._basepoint_loc])
         self._build_vertex_graph(int_gluings, base)
         self.lints: list[str] = self._lint(int_gluings)
         # label -> its edge ray; weak, so that the rays' references back to
@@ -126,96 +133,119 @@ class RayComplex:
 
     # -- construction ---------------------------------------------------
 
-    def _int(self, par: Fraction) -> int:
+    def _int(self, par: Rational) -> int:
         return par.numerator * (self._scale // par.denominator)
 
-    def _check_location(self, edge_id: str, par: Fraction) -> IntLocation:
-        """The location as an integer mark, if it lies on a declared edge."""
-        if edge_id not in self.edges:
-            raise BuildError(f"location on undeclared edge {edge_id}")
-        k, top = self._int(par), self._int_lengths[edge_id]
-        if k < 0 or (top is not None and k > top):
-            raise BuildError(f"parameter {par} outside edge {edge_id}")
-        return edge_id, k
+    def _checked(self, locs: Sequence[tuple[str, Rational]]) -> list[IntLocation]:
+        """The locations as integer marks, each checked to lie on a declared
+        edge, inside it."""
+        out = []
+        for eid, par in locs:
+            if eid not in self.edges:
+                raise BuildError(f"location on undeclared edge {eid}")
+            k, top = self._int(par), self._int_lengths[eid]
+            if k < 0 or (top is not None and k > top):
+                raise BuildError(f"parameter {par} outside edge {eid}")
+            out.append((eid, k))
+        return out
 
     def _build_vertex_graph(
         self, gluings: list[list[IntLocation]], base: IntLocation
     ) -> None:
         """Vertex classes, marks and integer adjacency from integer marks.
 
-        Union-find, sorting and adjacency all run on ``(edge_id, k)`` keys,
-        the location at parameter k / _scale.  Scaling is monotone, so roots,
-        vertex order and members are those of the parameters themselves.
-        ``Fraction``s are made only for the public ``vertex_locs`` and
-        ``marks_on``.
+        A location (edge_id, k) is at parameter k / _scale.  Every location
+        gets its index in sorted (edge_id, k) order, and union-find on the
+        indices makes the least member of each class its root.  So counting
+        roots in index order numbers the vertices in the order of their
+        least members, and each vertex's members come out sorted: scaling
+        is monotone, so this is the order of the parameters themselves.
+        No ``Fraction`` is made: ``vertex_locs`` and ``_marks`` (behind
+        ``marks_on``) are views computed on first read.
         """
-        parent: dict[IntLocation, IntLocation] = {}
+        locs = {(eid, 0) for eid in self._int_lengths}
+        locs.update(
+            (eid, top) for eid, top in self._int_lengths.items() if top is not None
+        )
+        for g in gluings:
+            locs.update(g)
+        locs.add(base)
+        locs = sorted(locs)
+        index = {loc: i for i, loc in enumerate(locs)}
+        parent = list(range(len(locs)))
 
-        def find(a: IntLocation) -> IntLocation:
+        def find(a: int) -> int:
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]
             return a
 
-        def add(a: IntLocation) -> None:
-            parent.setdefault(a, a)
-
-        def union(a: IntLocation, b: IntLocation) -> None:
-            add(a)
-            add(b)
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-        for eid, top in self._int_lengths.items():
-            add((eid, 0))
-            if top is not None:
-                add((eid, top))
         for g in gluings:
+            root = find(index[g[0]])
             for loc in g[1:]:
-                union(g[0], loc)
-        add(base)
+                other = find(index[loc])
+                if other < root:
+                    root, other = other, root
+                parent[other] = root
 
-        classes: dict[IntLocation, list[IntLocation]] = {}
-        for loc in parent:
-            classes.setdefault(find(loc), []).append(loc)
-
-        fracs = {k: Fraction(k, self._scale) for _, k in parent}  # k -> k / _scale
-
-        vertex_of: dict[IntLocation, int] = {}
-        self.vertex_locs: list[tuple[Location, ...]] = []
-        for root in sorted(classes):
-            idx = len(self.vertex_locs)
-            members = sorted(classes[root])
-            self.vertex_locs.append(tuple((eid, fracs[k]) for eid, k in members))
-            for loc in members:
-                vertex_of[loc] = idx
-        self._base_vertex = vertex_of[base]
-
-        # per-edge sorted marks, the vertex at each, and the public Fractions
-        self._int_marks: dict[str, list[int]] = {eid: [] for eid in self.edges}
-        for eid, k in parent:
-            self._int_marks[eid].append(k)
-        for marks in self._int_marks.values():
-            marks.sort()
-        self._mark_vertices: dict[str, list[int]] = {
-            eid: [vertex_of[(eid, k)] for k in marks]
-            for eid, marks in self._int_marks.items()
-        }
-        self._marks: dict[str, list[Fraction]] = {
-            eid: [fracs[k] for k in marks] for eid, marks in self._int_marks.items()
-        }
-
-        self._int_adjacency: list[list[tuple[int, int]]] = [
-            [] for _ in self.vertex_locs
-        ]
-        for eid, marks in self._int_marks.items():
-            verts = self._mark_vertices[eid]
-            for a, b, u, v in zip(marks, marks[1:], verts, verts[1:]):
-                self._int_adjacency[u].append((v, b - a))
-                self._int_adjacency[v].append((u, b - a))
+        # One walk in index order.  A parent never has a greater index, so
+        # its vertex is known when a location is reached; an edge's marks
+        # come in order, each joined to the one before it.
+        vertex: list[int] = []
+        members: list[list[IntLocation]] = []
+        adjacency: list[list[tuple[int, int]]] = []
+        self._members, self._int_adjacency = members, adjacency
+        self._int_marks: dict[str, list[int]] = {}
+        self._mark_vertices: dict[str, list[int]] = {}
+        last = None
+        for i, (eid, k) in enumerate(locs):
+            up = parent[i]
+            if up == i:
+                v = len(members)
+                members.append([(eid, k)])
+                adjacency.append([])
+            else:
+                v = vertex[up]
+                members[v].append((eid, k))
+            vertex.append(v)
+            if eid != last:
+                ks = self._int_marks[eid] = [k]
+                vs = self._mark_vertices[eid] = [v]
+                last = eid
+            else:
+                u, w = vs[-1], k - ks[-1]
+                adjacency[u].append((v, w))
+                adjacency[v].append((u, w))
+                ks.append(k)
+                vs.append(v)
+        self._base_vertex = vertex[index[base]]
         # per-vertex distance rows, filled by _row on first use
-        self._rows: list[Optional[list]] = [None] * len(self.vertex_locs)
+        self._rows: list[Optional[list]] = [None] * len(members)
+        # the Fraction views, made on first read.  Not cached_property: it
+        # writes through the instance __dict__, and on CPython 3.11 making
+        # that dict slows every later attribute read (_seeded_ratio's
+        # queries by about 10%).
+        self._vertex_locs = self._marks_view = None
+
+    @property
+    def vertex_locs(self) -> list[tuple[Location, ...]]:
+        """Each vertex's locations, sorted, with ``Fraction`` parameters."""
+        if self._vertex_locs is None:
+            self._vertex_locs = [
+                tuple((eid, Fraction(k, self._scale)) for eid, k in members)
+                for members in self._members
+            ]
+        return self._vertex_locs
+
+    @property
+    def _marks(self) -> dict[str, list[Fraction]]:
+        """Each edge's sorted marked parameters, as ``Fraction``s."""
+        if self._marks_view is None:
+            self._marks_view = {
+                eid: [Fraction(k, self._scale) for k in ks]
+                for eid, ks in self._int_marks.items()
+            }
+        return self._marks_view
 
     def _lint(self, gluings: list[list[IntLocation]]) -> list[str]:
         notes = []
@@ -271,7 +301,7 @@ class RayComplex:
     def vertex_distances(self, source: int) -> list:
         """Distances from vertex ``source`` to every vertex, as integers in
         units of 1 / _scale (None where unreachable)."""
-        n = len(self.vertex_locs)
+        n = len(self._members)
         dist: list[Optional[int]] = [None] * n
         dist[source] = 0
         heap = [(0, 0, source)]
@@ -367,24 +397,25 @@ class RayComplex:
         """Canonical flat description (valid `.space` text).
 
         Gluing classes and edge declarations are sorted, so two complexes
-        built from different declaration orders print identically.
+        built from different declaration orders print identically.  A
+        parameter k / _scale prints from the integers, reduced, as
+        ``str(Fraction(k, _scale))`` prints it.
         """
+        scale = self._scale
+
+        def par(k: int) -> str:
+            g = math.gcd(k, scale)
+            return str(k // g) if g == scale else f"{k // g}/{scale // g}"
         lines = ["# boundary-lab space 1"]
         for eid in sorted(self.edges):
-            e = self.edges[eid]
-            if e.kind == RAY:
-                lines.append(f"ray {eid}")
-            else:
-                lines.append(f"seg {eid} {e.length}")
+            top = self._int_lengths[eid]
+            lines.append(f"ray {eid}" if top is None else f"seg {eid} {par(top)}")
         # vertices are in the order of their least members, so already sorted
-        for locs in self.vertex_locs:
-            head = locs[0]
-            for other in locs[1:]:
-                lines.append(
-                    f"glue {head[0]}:{head[1]} {other[0]}:{other[1]}"
-                )
-        base = self.vertex_locs[self._base_vertex][0]
-        lines.append(f"base {base[0]}:{base[1]}")
+        for (head, at), *others in self._members:
+            for eid, k in others:
+                lines.append(f"glue {head}:{par(at)} {eid}:{par(k)}")
+        eid, k = self._members[self._base_vertex][0]
+        lines.append(f"base {eid}:{par(k)}")
         return "\n".join(lines) + "\n"
 
     def __repr__(self):

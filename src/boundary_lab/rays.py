@@ -4,15 +4,17 @@ A ray is a concatenation of legs, each of which knows how to evaluate a
 point at a given arc length.  Legs come in four kinds: an interval on a
 ray-complex edge, an arc along the r = 1 boundary circle, a straight
 disk-avoiding chord between two cover points, and an attached ray.
-Construction checks only that every leg but the last is bounded: a ray is
-unit-speed by the way its legs are parametrized, but nothing here checks
-that it is a geodesic, and rays with corners can be built.  The run-time
-check is ``contraction._is_geodesic``, on annulus rays, where the escape-time
-search relies on it.
+Construction checks only that every leg but the last is bounded and that
+the legs are all edge legs (a ray in a ray complex) or none.  An edge leg
+is bounded exactly when it has an ``end``, so these checks do no leg
+arithmetic: leg lengths and offsets are computed when the ray is first
+evaluated.  A ray is unit-speed by the way its legs are parametrized, but
+nothing here checks that it is a geodesic, and rays with corners can be
+built.  The run-time check is ``contraction._is_geodesic``, on annulus
+rays, where the escape-time search relies on it.
 
-A ray's legs are either all edge legs (a ray in a ray complex) or none.  An
-edge ray is evaluated on integers only (``edge_location``): its plan holds
-every leg offset, start and end in units of 1/m, m the LCM of their
+An edge ray is evaluated on integers only (``edge_location``): its plan
+holds every leg offset, start and end in units of 1/m, m the LCM of their
 denominators, so a parameter p/q lands on edge parameter num / (m q) with
 integer arithmetic.  ``eval`` turns that into a ``RayComplexPoint``, the one
 ``Fraction`` of an evaluation.
@@ -146,7 +148,7 @@ class UnitSpeedRay:
 
     def __post_init__(self):
         for leg in self.legs[:-1]:
-            if leg.length is None:
+            if (leg.end if isinstance(leg, EdgeLeg) else leg.length) is None:
                 raise DomainError("only the final leg of a ray may be unbounded")
         if len({isinstance(leg, EdgeLeg) for leg in self.legs}) > 1:
             raise DomainError("a ray's legs must be all edge legs or none")

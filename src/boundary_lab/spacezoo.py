@@ -13,7 +13,7 @@ of ``boundary`` use when the caller gives none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
 from typing import Union
 
@@ -34,18 +34,23 @@ class Labels(dict):
 
 @dataclass(eq=False)
 class ZooSpace:
+    """A space with its boundary registry.  ``representatives`` maps each
+    label to its rays, canonical first; ``boundary`` holds their classes,
+    which carry the zoo's product horizons."""
+
     name: str
     space: Union[RayComplex, AnnulusSpace]
-    boundary: dict[str, BoundaryPoint]
+    representatives: InitVar[dict[str, list[UnitSpeedRay]]]
     scale: float
     product_horizon: float
     default_horizon: float
+    boundary: Labels = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, representatives):
         horizons = (self.product_horizon, self.product_min_horizon)
         self.boundary = Labels({
-            lab: BoundaryPoint(bp.label, bp.canonical, bp.auxiliaries, horizons)
-            for lab, bp in self.boundary.items()
+            lab: BoundaryPoint(lab, reps[0], tuple(reps[1:]), horizons)
+            for lab, reps in representatives.items()
         })
 
     @property
@@ -88,37 +93,33 @@ def _glued(name: str, n: int, first: int, cb_length, routes: tuple) -> ZooSpace:
     if n < first:
         raise DomainError(f"n must be >= {first}")
     scale = _scale(name, n, 16)
-    # per branch: i, the parameter i on alpha and beta, and the connector
-    # (edge id, length) from g_i to each of them
+    # per branch: i, and the connector (edge id, length) from g_i to each
+    # boundary ray; the complex is given its locations as ints
     branches = [
-        (i, Fraction(i), {"alpha": (f"ca{i}", Fraction(1 << i)),
-                          "beta": (f"cb{i}", Fraction(cb_length(i)))})
+        (i, {"alpha": (f"ca{i}", 1 << i), "beta": (f"cb{i}", cb_length(i))})
         for i in range(first, n + 1)
     ]
     edges = [Edge("alpha", RAY, None), Edge("beta", RAY, None)]
-    gluings = [(("alpha", _ZERO), ("beta", _ZERO))]
-    for i, at, connectors in branches:
+    gluings = [(("alpha", 0), ("beta", 0))]
+    for i, connectors in branches:
         edges.append(Edge(f"g{i}", RAY, None))
         for ray, (eid, length) in connectors.items():
-            edges.append(Edge(eid, SEGMENT, length))
-            gluings += [((eid, _ZERO), (f"g{i}", _ZERO)), ((eid, length), (ray, at))]
-    rc = RayComplex(edges, gluings, ("alpha", _ZERO))
-    boundary = {
-        "alpha": BoundaryPoint("alpha", rc.edge_ray("alpha")),
-        "beta": BoundaryPoint("beta", rc.edge_ray("beta")),
-    }
-    for i, at, connectors in branches:
-        reps = []
+            edges.append(Edge(eid, SEGMENT, Fraction(length)))
+            gluings += [((eid, 0), (f"g{i}", 0)), ((eid, length), (ray, i))]
+    rc = RayComplex(edges, gluings, ("alpha", 0))
+    reps = {"alpha": [rc.edge_ray("alpha")], "beta": [rc.edge_ray("beta")]}
+    for i, connectors in branches:
+        at, rays = Fraction(i), []
         for ray in routes:
-            eid, length = connectors[ray]
+            eid = connectors[ray][0]
             legs = (
                 EdgeLeg(ray, _ZERO, at),
-                EdgeLeg(eid, length, _ZERO),
+                EdgeLeg(eid, rc.edges[eid].length, _ZERO),
                 EdgeLeg(f"g{i}", _ZERO, None),
             )
-            reps.append(UnitSpeedRay(rc, f"g{i}~{ray}" if reps else f"g{i}", legs))
-        boundary[f"g{i}"] = BoundaryPoint(f"g{i}", reps[0], tuple(reps[1:]))
-    return ZooSpace(f"{name}:{n}", rc, boundary, scale, 16 * scale, 8 * scale)
+            rays.append(UnitSpeedRay(rc, f"g{i}~{ray}" if rays else f"g{i}", legs))
+        reps[f"g{i}"] = rays
+    return ZooSpace(f"{name}:{n}", rc, reps, scale, 16 * scale, 8 * scale)
 
 
 def build_X(n: int) -> ZooSpace:
@@ -151,16 +152,15 @@ def _annulus(name: str, n: int, base_angle) -> ZooSpace:
     space = AnnulusSpace(
         {f"g{i}": (float(base_angle(i)), float(2 ** i)) for i in range(1, n + 1)}
     )
-    boundary = {}
+    reps = {}
     for label, direction in (("alpha", +1), ("beta", -1)):
-        reps = [
+        reps[label] = [
             UnitSpeedRay(space, lab, (BoundaryArcLeg(t0, direction, None),))
             for lab, t0 in ((label, 0.0), (f"{label}~1", direction * _PERTURB))
         ]
-        boundary[label] = BoundaryPoint(label, reps[0], tuple(reps[1:]))
     for i in range(1, n + 1):
         label = f"g{i}"
-        reps = [
+        reps[label] = [
             UnitSpeedRay(
                 space,
                 lab,
@@ -168,8 +168,7 @@ def _annulus(name: str, n: int, base_angle) -> ZooSpace:
             )
             for lab, t0 in ((label, 0.0), (f"{label}~1", _PERTURB))
         ]
-        boundary[label] = BoundaryPoint(label, reps[0], tuple(reps[1:]))
-    return ZooSpace(f"{name}:{n}", space, boundary, scale, 32 * scale, 8 * scale)
+    return ZooSpace(f"{name}:{n}", space, reps, scale, 32 * scale, 8 * scale)
 
 
 def build_Xcat0(n: int) -> ZooSpace:

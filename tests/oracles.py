@@ -1,8 +1,10 @@
 """Independent oracles used to pin expected values in the tests.
 
 The vertex-graph builder below is the reference for the engine's
-integer-keyed construction: it runs union-find on ``(edge, Fraction)``
-locations, as the engine once did.  The route enumerator below builds its
+integer-keyed construction: it checks the locations, runs union-find and
+prints the canonical text on ``(edge, Fraction)`` locations, as the engine
+once did, so the engine's build errors, ``Fraction`` views, lints and
+``describe`` must match it.  The route enumerator below builds its
 own ``Fraction`` graph from the engine's public vertex classes and marks
 and finds shortest paths by exhaustive depth-first search over simple
 vertex routes, so on small complexes it certifies the Dijkstra engine
@@ -37,7 +39,7 @@ import numpy as np
 
 from boundary_lab.annulus import ann_distance_coords
 from boundary_lab.contraction import EscapeTime, ray_distance
-from boundary_lab.errors import DomainError, HorizonError
+from boundary_lab.errors import BuildError, DomainError, HorizonError
 from boundary_lab.mesh_oracle import (
     _piece_length,
     _shortcut,
@@ -55,14 +57,39 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def fraction_vertex_graph(edges, gluings, basepoint):
     """The vertex graph of a complex built on ``(edge, Fraction)`` keys.
 
-    Returns ``(classes, marks, scale, canonical)``: the gluing classes in
-    root order, each a sorted tuple of locations; the sorted marked
-    parameters per edge; the LCM of the edge-weight denominators; and the
-    canonical text, formed as ``RayComplex.describe`` specifies it.
+    Returns ``(classes, marks, scale, canonical, lints)``: the gluing
+    classes in root order, each a sorted tuple of locations; the sorted
+    marked parameters per edge; the LCM of the edge-weight denominators;
+    the canonical text, formed as ``RayComplex.describe`` specifies it from
+    ``Fraction`` parameters; and the free segment endpoints.  A complex the
+    engine refuses raises the ``BuildError`` it raises, checked here on
+    ``Fraction``s in the engine's order.
     """
     edges = list(edges)
+    by_id = {}
+    for e in edges:
+        if e.edge_id in by_id:
+            raise BuildError(f"duplicate edge id {e.edge_id}")
+        by_id[e.edge_id] = e
+    if not by_id:
+        raise BuildError("a complex needs at least one edge")
     gluings = [tuple((eid, Fraction(par)) for eid, par in g) for g in gluings]
     base = (basepoint[0], Fraction(basepoint[1]))
+
+    def check(eid, par):
+        if eid not in by_id:
+            raise BuildError(f"location on undeclared edge {eid}")
+        top = by_id[eid].length
+        if par < 0 or (top is not None and par > top):
+            raise BuildError(f"parameter {par} outside edge {eid}")
+
+    for g in gluings:
+        if len(g) < 2:
+            raise BuildError("a gluing must identify at least two locations")
+        for loc in g:
+            check(*loc)
+    check(*base)
+
     parent = {}
 
     def find(a):
@@ -95,6 +122,28 @@ def fraction_vertex_graph(edges, gluings, basepoint):
     weights = [b - a for ms in marks.values() for a, b in zip(ms, ms[1:])]
     scale = math.lcm(*(w.denominator for w in weights))
 
+    # connected: every class reached from the basepoint's along the edges
+    reached, todo = {find(base)}, [find(base)]
+    while todo:
+        root = todo.pop()
+        for eid, par in members[root]:
+            ms = marks[eid]
+            i = ms.index(par)
+            for nb in ms[max(i - 1, 0):i + 2]:
+                r = find((eid, nb))
+                if r not in reached:
+                    reached.add(r)
+                    todo.append(r)
+    if len(reached) < len(classes):
+        raise BuildError("complex is not connected")
+
+    glued = {loc for g in gluings for loc in g}
+    lints = [
+        f"free segment endpoint {e.edge_id}:{par}"
+        for e in edges if e.length is not None
+        for par in (Fraction(0), e.length) if (e.edge_id, par) not in glued
+    ]
+
     lines = ["# boundary-lab space 1"]
     for e in sorted(edges, key=lambda e: e.edge_id):
         lines.append(f"ray {e.edge_id}" if e.length is None
@@ -104,7 +153,7 @@ def fraction_vertex_graph(edges, gluings, basepoint):
             lines.append(f"glue {locs[0][0]}:{locs[0][1]} {eid}:{par}")
     head = next(c for c in classes if base in c)[0]
     lines.append(f"base {head[0]}:{head[1]}")
-    return classes, marks, scale, "\n".join(lines) + "\n"
+    return classes, marks, scale, "\n".join(lines) + "\n", lints
 
 
 def _fraction_graph(space):

@@ -285,6 +285,35 @@ def test_horizons_must_be_finite_and_in_range(zoo_xcat8):
     ).value == 2
 
 
+def test_radii_must_be_finite(zoo_xcat8, monkeypatch):
+    # a NaN radius made membership "boundary-inconclusive" and gave a
+    # convergence row with no first index; it is refused where it enters,
+    # before any product is estimated
+    estimated = []
+    original = boundary._doubling_schedule
+
+    def counted(*args):
+        estimated.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(boundary, "_doubling_schedule", counted)
+    for z in (bl.build_X(4), zoo_xcat8):
+        seq = [z.boundary[f"g{i}"] for i in range(1, 5)]
+        alpha = z.boundary["alpha"]
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(bl.DomainError, match="radius"):
+                u_set_membership(seq[1], alpha, bad)
+            for radii in ([bad, 1.0], [1.0, bad]):
+                with pytest.raises(bl.DomainError, match="radius"):
+                    converges_in_gp(seq, alpha, radii)
+    assert estimated == []
+    # a huge exact radius is finite
+    z = bl.build_X(4)
+    assert u_set_membership(
+        z.boundary["g2"], z.boundary["alpha"], Fraction(10 ** 400)
+    ).state == "out"
+
+
 def _count_windows(monkeypatch):
     """The horizons S of the windows queried from now on, in call order."""
     horizons = []

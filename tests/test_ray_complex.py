@@ -17,7 +17,13 @@ from boundary_lab.boundary import boundary_gromov_product
 from boundary_lab.contraction import project, ray_distance
 from boundary_lab.metric import gromov_product
 from boundary_lab.ray_complex import RAY, SEGMENT, Edge, RayComplex
-from boundary_lab.rays import BoundaryArcLeg, EdgeLeg, UnitSpeedRay
+from boundary_lab.rays import (
+    AttachedLeg,
+    BoundaryArcLeg,
+    ChordLeg,
+    EdgeLeg,
+    UnitSpeedRay,
+)
 from oracles import (
     brute_rc_distance,
     fraction_vertex_graph,
@@ -272,6 +278,39 @@ def test_non_finite_ray_parameters_and_offsets_are_domain_errors(zoo_x8):
                                   BoundaryArcLeg(0.0, 1, None)))
 
 
+def test_ray_construction_checks_legs_without_their_lengths(zoo_x8, zoo_xcat8):
+    # an edge leg is bounded exactly when it has an end, so construction
+    # reads no leg length; a bounded leg may run backwards
+    X = zoo_x8.space
+    ann = zoo_xcat8.space
+    unbounded_first = [
+        (X, (EdgeLeg("alpha", Fraction(0), None), EdgeLeg("beta", Fraction(0), None))),
+        (X, (EdgeLeg("alpha", Fraction(1, 2), None), EdgeLeg("ca1", 0, None))),
+        (ann, (BoundaryArcLeg(0.0, 1, None), BoundaryArcLeg(1.0, -1, 2.0))),
+        (ann, (AttachedLeg("g1"), BoundaryArcLeg(0.0, 1, None))),
+    ]
+    for space, legs in unbounded_first:
+        with pytest.raises(bl.DomainError, match="only the final leg"):
+            UnitSpeedRay(space, "bad", legs)
+    mixed = [
+        (EdgeLeg("alpha", Fraction(0), Fraction(1)), BoundaryArcLeg(0.0, 1, None)),
+        (BoundaryArcLeg(0.0, 1, 1.0), EdgeLeg("alpha", Fraction(0), None)),
+        (ChordLeg((0.0, 2.0), (1.0, 2.0)), EdgeLeg("alpha", Fraction(0), None)),
+    ]
+    for legs in mixed:
+        with pytest.raises(bl.DomainError, match="all edge legs or none"):
+            UnitSpeedRay(X, "mixed", legs)
+    legs = (
+        EdgeLeg("alpha", Fraction(0), Fraction(3)),
+        EdgeLeg("ca3", Fraction(8), Fraction(0)),
+        EdgeLeg("g3", Fraction(0), None),
+    )
+    ray = UnitSpeedRay(X, "g3", legs)
+    assert not any("length" in vars(leg) for leg in legs)
+    assert ray.leg_offsets == (0, 3, 11)
+    assert ray.eval(12) == X.point("g3", 1)
+
+
 def _assert_projection_matches_reference(x, ray):
     d, hits = ray_distance(x, ray)
     ref_d, ref_hits = reference_rc_ray_distance(x, ray)
@@ -350,28 +389,95 @@ class _Recorded(RayComplex):
         super().__init__(*self.inputs, **kw)
 
 
+def _denominator_complexes():
+    """Seeded connected complexes whose segment lengths, gluing parameters
+    and basepoint have denominators among 2, 3, 5 and 7, with multiway
+    gluings and cycles; in the last ones only the basepoint is not an
+    integer."""
+    rng = random.Random(23)
+    for dens in [(2,), (3,), (5,), (7,), (2, 3, 5, 7)] * 4:
+        def q():
+            return Fraction(rng.randint(1, 40), rng.choice(dens))
+
+        def location():
+            e = rng.choice(edges)
+            return e.edge_id, q() if e.length is None else min(q(), e.length)
+
+        edges = [Edge("e0", RAY, None)]
+        gluings = []
+        for k in range(1, rng.randint(3, 8)):
+            if rng.random() < 0.6:
+                edge = Edge(f"e{k}", SEGMENT, q())
+            else:
+                edge = Edge(f"e{k}", RAY, None)
+            glue = [(edge.edge_id, Fraction(0)), location()]
+            if rng.random() < 0.3:
+                glue.append(location())
+            gluings.append(tuple(glue))
+            edges.append(edge)
+            if edge.length is not None and rng.random() < 0.4:
+                gluings.append(((edge.edge_id, edge.length), location()))
+        yield edges, gluings, location()
+    for top in (3, 8):
+        edges = [Edge("e0", RAY, None), Edge("e1", SEGMENT, Fraction(top))]
+        yield edges, [(("e1", 0), ("e0", 2))], ("e1", Fraction(1, 7))
+
+
 def test_integer_build_matches_fraction_build(monkeypatch):
-    # the engine builds on integer marks; vertex classes, marks, scale and
-    # the canonical form must be those of the Fraction-keyed reference
+    # the engine builds on integer marks and makes its Fraction views on
+    # first read; vertex classes, marks, scale, lints and the canonical form
+    # must be those of the Fraction-keyed reference
     for module in (spacezoo, dsl, sys.modules[__name__]):
         monkeypatch.setattr(module, "RayComplex", _Recorded)
     shipped = Path(bl.__file__).parent / "spaces"
-    complexes = [bl.build_X(n).space for n in range(1, 25)]
-    complexes += [bl.build_Y(n).space for n in range(3, 25)]
+    complexes = [bl.build_X(n).space for n in range(1, 30)]
+    complexes += [bl.build_Y(n).space for n in range(3, 30)]
     complexes += [dsl.load_space(shipped / name) for name in ("X.space", "Y.space")]
     complexes += [rc for rc, _, _ in _rational_complexes()]
-    assert len(complexes) == 24 + 22 + 2 + 25
+    complexes += [_Recorded(*inputs) for inputs in _denominator_complexes()]
+    assert len(complexes) == 29 + 27 + 2 + 25 + 22
+    scales = set()
     for rc in complexes:
-        classes, marks, scale, canonical = fraction_vertex_graph(*rc.inputs)
+        classes, marks, scale, canonical, lints = fraction_vertex_graph(*rc.inputs)
+        assert rc.describe() == canonical
+        digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        assert rc.space_id == "rc:" + digest
+        assert rc.lints == lints
+        assert rc._scale == scale
         assert rc.vertex_locs == classes
         assert all(type(par) is Fraction for locs in rc.vertex_locs for _, par in locs)
         for eid in rc.edges:
             assert rc.marks_on(eid) == marks[eid]
             assert all(type(m) is Fraction for m in rc.marks_on(eid))
-        assert rc._scale == scale
-        assert rc.describe() == canonical
-        digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-        assert rc.space_id == "rc:" + digest
+        scales.add(scale)
+    assert all(any(s % d == 0 for s in scales) for d in (2, 3, 5, 7))
+    assert 7 in scales  # a basepoint alone sets the scale
+
+
+def test_build_errors_match_the_fraction_reference():
+    a, b = Edge("a", RAY, None), Edge("b", RAY, None)
+    s = Edge("s", SEGMENT, Fraction(2))
+    cases = [
+        (([a, b, Edge("a", RAY, None)], [], ("a", 0)), "duplicate edge id a"),
+        (([], [], ("a", 0)), "a complex needs at least one edge"),
+        (([a, s], [(("a", 1), ("zz", 0))], ("a", 0)), "location on undeclared edge zz"),
+        (([a, s], [(("a", 1), ("s", "5/2"))], ("a", 0)),
+         "parameter 5/2 outside edge s"),
+        (([a, s], [(("a", Fraction(-1, 3)), ("s", 0))], ("a", 0)),
+         "parameter -1/3 outside edge a"),
+        (([a, s], [(("a", 1), ("s", 0))], ("s", 3)), "parameter 3 outside edge s"),
+        (([a, s], [(("a", 1), ("s", 0))], ("t", 0)), "location on undeclared edge t"),
+        (([a, s], [(("a", 1),)], ("a", 0)),
+         "a gluing must identify at least two locations"),
+        (([a, b], [], ("a", 0)), "complex is not connected"),
+        (([a, b, s], [(("a", 0), ("s", 0)), (("b", 1),)], ("a", 0)),
+         "a gluing must identify at least two locations"),
+    ]
+    for inputs, message in cases:
+        for build in (RayComplex, fraction_vertex_graph):
+            with pytest.raises(bl.BuildError) as err:
+                build(*inputs)
+            assert str(err.value) == message
 
 
 def test_integer_window_min_matches_gromov_products():
