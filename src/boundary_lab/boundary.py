@@ -225,8 +225,7 @@ def _settles_at(space, a, b):
             and space.edges[leg.edge_id].kind == RAY
         ):
             return None
-        last_mark = space.marks_on(leg.edge_id)[-1]
-        s_star = ray.leg_offsets[-1] + max(0, last_mark - leg.start)
+        s_star = ray.leg_offsets[-1] + max(0, space.last_mark(leg.edge_id) - leg.start)
         hairs.append((leg.edge_id, s_star))
     (edge_a, s_a), (edge_b, s_b) = hairs
     return None if edge_a == edge_b else max(s_a, s_b)

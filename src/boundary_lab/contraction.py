@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -31,7 +30,7 @@ from .annulus import (  # noqa: F401
     kernel_terms,
 )
 from .boundary import shared_products
-from .errors import DomainError, HorizonError, UnreachableError
+from .errors import DomainError, HorizonError
 from .metric import gromov_product
 from .points import AttachedRayPoint, Point, RayComplexPoint, require_same_space
 from .ray_complex import RayComplex
@@ -113,8 +112,13 @@ def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
 
 
 def _check_horizon(params, horizon) -> None:
-    """Raise HorizonError when every minimizer sits at or beyond the horizon."""
-    if horizon is not None and all(p >= horizon for p in params):
+    """Raise DomainError for a NaN or infinite horizon, and HorizonError
+    when every minimizer sits at or beyond the horizon (None: no horizon)."""
+    if horizon is None:
+        return
+    if not -math.inf < horizon < math.inf:
+        raise DomainError(f"the horizon must be finite, got {horizon}")
+    if all(p >= horizon for p in params):
         raise HorizonError(
             f"projection minimizer at parameter {min(params)} >= horizon {horizon}"
         )
@@ -123,62 +127,34 @@ def _check_horizon(params, horizon) -> None:
 def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
     """(exact distance, sorted minimizing parameters) from x to the ray.
 
-    Each leg's candidates are its two ends, the marks inside it, and x's own
-    offset when x lies on it; these are enough.  Between two consecutive
-    marks of an edge, d(x, .) is the minimum of two linear functions (the
-    routes through either mark), so on any interval there it is least at an
-    end of the interval.  On x's own edge the along-edge term makes it
-    V-shaped around x, where it is 0.
+    The candidates are the ray's stops (``UnitSpeedRay._stops``: each leg's
+    two ends and the marks inside it) and x's own offset when x lies on a
+    leg; these are enough.  Between two consecutive marks of an edge, d(x, .)
+    is the minimum of two linear functions (the routes through either mark),
+    so on any interval there it is least at an end of the interval.  On x's
+    own edge the along-edge term makes it V-shaped around x, where it is 0.
 
-    x's bracketing vertices and their rows are fetched once per query.  A
-    candidate at a mark with vertex v is at distance min over x's seeds
-    (u, a) of a + row_u[v] * dx, an integer over dx * _scale: an along-edge
-    route from x to a mark passes a bracketing vertex, so the same-edge term
-    is never shorter.  A leg end that is not a mark goes through
-    ``distance_ratio``, and x's own offset gives 0.  Candidates compare by
-    cross-multiplying; the distance is one ``Fraction``, and each minimizer
-    one more.  Raises UnreachableError when a candidate cannot be reached.
+    x is seeded once per query and every stop once per ray, so a candidate
+    costs one ``_seeded_ratio``.  Candidates compare by cross-multiplying;
+    the distance is one ``Fraction``.  Raises UnreachableError when a
+    candidate cannot be reached.
     """
     if not isinstance(x, RayComplexPoint):
         raise DomainError("ray-complex distance needs ray-complex points")
-    scale = space._scale
-    _, _, dx, seeds = space._seeds(x.edge_id, *x.offset.as_integer_ratio())
-    rows = [(a, space._row(u)) for u, a in seeds]
-    common = dx * scale
-    cands = []  # (numerator, denominator, leg offset, leg start, parameter)
-    for leg, g0 in zip(ray.legs, ray.leg_offsets):
-        if not isinstance(leg, EdgeLeg):
-            raise DomainError("ray-complex rays must consist of edge legs")
-        eid, start = leg.edge_id, leg.start
-        marks = space._int_marks[eid]
-        lo = start if leg.end is None else min(start, leg.end)
-        hi = None if leg.end is None else max(start, leg.end)
-        # the marks in [lo, hi], as integers k = parameter * _scale
-        first = bisect_left(marks, -(-lo.numerator * scale // lo.denominator))
-        stop = len(marks)
-        if hi is not None:
-            stop = bisect_right(marks, hi.numerator * scale // hi.denominator)
-        pars, verts = space._marks[eid], space._mark_vertices[eid]
-        for i in range(first, stop):
-            v = verts[i]
-            reach = [a + row[v] * dx for a, row in rows if row[v] is not None]
-            if not reach:
-                raise UnreachableError("query pair not connected")
-            cands.append((min(reach), common, g0, start, pars[i]))
-        # the least mark >= lo and the greatest <= hi: is each end one?
-        for end, j in ((lo, first), (hi, stop - 1)):
-            if end is not None and not (
-                j < len(marks) and marks[j] * end.denominator == end.numerator * scale
-            ):
-                pt = RayComplexPoint(space.space_id, eid, end)
-                cands.append((*space.distance_ratio(x, pt), g0, start, end))
+    if not isinstance(ray.legs[0], EdgeLeg):
+        raise DomainError("ray-complex rays must consist of edge legs")
+    seeded = space._seeds(x.edge_id, *x.offset.as_integer_ratio())
+    dist = space._seeded_ratio
+    cands = []  # (numerator, denominator, global parameter)
+    for eid, lo, hi, g0, start, stops in ray._stops:
+        cands += [(*dist(seeded, stop), g) for g, stop in stops]
         if x.edge_id == eid and lo <= x.offset and (hi is None or x.offset <= hi):
-            cands.append((0, 1, g0, start, x.offset))
+            cands.append((0, 1, g0 + abs(x.offset - start)))
     num, den = cands[0][:2]
-    for n, d, *_ in cands:
+    for n, d, _ in cands:
         if n * den < num * d:
             num, den = n, d
-    hits = {g0 + abs(par - start) for n, d, g0, start, par in cands if n * den == num * d}
+    hits = {g for n, d, g in cands if n * den == num * d}
     return Fraction(num, den), sorted(hits)
 
 
@@ -498,6 +474,8 @@ def git_check(gamma: UnitSpeedRay, segment: Sequence[Point], C, horizon) -> GitR
     stays at least 2C from the ray.  Passes when the projection image has
     diameter at most 4C.  An empty segment is a DomainError.
     """
+    if not 0 < C < math.inf:
+        raise DomainError(f"the constant C must be positive and finite, got {C}")
     if not segment:
         raise DomainError("a segment needs at least one sampled point")
     feet = []
@@ -689,8 +667,9 @@ def _last_inside_convex(f, n: int, level: float, tol: float, d0: float) -> int:
 
 def _escape_cuts(alpha: UnitSpeedRay, beta: UnitSpeedRay) -> list:
     """The parameters where f(t) = d(beta(t), alpha) may bend, for edge rays
-    of a ray complex, sorted: 0, beta's leg ends, and beta's parameters at
-    the marks of its edges and at the ends of alpha's legs on those edges."""
+    of a ray complex, sorted: beta's stops (its leg ends and the marks
+    inside its legs) and beta's parameters at the ends of alpha's legs on
+    beta's edges."""
     space = alpha.space
     if not all(isinstance(leg, EdgeLeg) for leg in alpha.legs + beta.legs):
         raise DomainError("ray-complex rays must consist of edge legs")
@@ -698,16 +677,11 @@ def _escape_cuts(alpha: UnitSpeedRay, beta: UnitSpeedRay) -> list:
     for leg, g0 in zip(beta.legs[1:], beta.leg_offsets[1:]):
         if space.distance(beta.eval(g0), space.point(leg.edge_id, leg.start)):
             raise DomainError(f"the legs of {beta.label!r} do not meet at {g0}")
-    ends = [(leg.edge_id, p) for leg in alpha.legs for p in (leg.start, leg.end)]
-    cuts = {Fraction(0)}
-    for leg, g0 in zip(beta.legs, beta.leg_offsets):
-        lo, hi = (leg.start, None) if leg.end is None else sorted((leg.start, leg.end))
-        on_edge = [p for e, p in ends if e == leg.edge_id and p is not None]
-        for p in (*space._marks[leg.edge_id], *on_edge):
-            if lo <= p and (hi is None or p <= hi):
-                cuts.add(g0 + abs(p - leg.start))
-        if hi is not None:
-            cuts.add(g0 + leg.length)
+    ends = [(e, p) for e, lo, hi, *_ in alpha._stops for p in (lo, hi) if p is not None]
+    cuts = set()
+    for eid, lo, hi, g0, start, stops in beta._stops:
+        here = [p for e, p in ends if e == eid and lo <= p and (hi is None or p <= hi)]
+        cuts.update((g for g, _ in stops), (g0 + abs(p - start) for p in here))
     return sorted(cuts)
 
 

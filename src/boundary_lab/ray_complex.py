@@ -18,12 +18,12 @@ so ``space_id``) see the integers ``parameter * _scale``; the build makes no
 ``Fraction`` beyond the basepoint's.  Gluing parameters may be given as
 ints, which the build takes as they are.  Queries run on integers too: a
 point enters as (edge, num, den) (``_seeds``) and a distance leaves as an
-unreduced integer ratio (``_seeded_ratio``).  The public ``vertex_locs``
-and ``marks_on`` are ``Fraction`` views, each computed on first read and
-kept; otherwise ``Fraction``s exist only at the point and distance API
-(``point``, ``distance``), and ``boundary._window_min`` feeds ray
-parameters to ``_seeds`` through ``UnitSpeedRay.edge_location`` and makes
-one ``Fraction`` per window minimum.
+unreduced integer ratio (``_seeded_ratio``).  An edge ray seeds its leg
+ends and the marks it passes once (``UnitSpeedRay._stops``).  The public
+``vertex_locs`` and ``marks_on`` are ``Fraction`` views computed on each
+read, and no query reads them; otherwise ``Fraction``s exist only at the
+point and distance API (``point``, ``distance``), once per stop of a ray,
+and once per window minimum of ``boundary._window_min``.
 
 A shortest path never travels out and back along an unbranched ray tail,
 so ray edges contribute no vertex beyond their last marked location.
@@ -160,8 +160,8 @@ class RayComplex:
         roots in index order numbers the vertices in the order of their
         least members, and each vertex's members come out sorted: scaling
         is monotone, so this is the order of the parameters themselves.
-        No ``Fraction`` is made: ``vertex_locs`` and ``_marks`` (behind
-        ``marks_on``) are views computed on first read.
+        No ``Fraction`` is made: ``vertex_locs`` and ``marks_on`` are views
+        computed on each read.
         """
         locs = {(eid, 0) for eid in self._int_lengths}
         locs.update(
@@ -221,31 +221,14 @@ class RayComplex:
         self._base_vertex = vertex[index[base]]
         # per-vertex distance rows, filled by _row on first use
         self._rows: list[Optional[list]] = [None] * len(members)
-        # the Fraction views, made on first read.  Not cached_property: it
-        # writes through the instance __dict__, and on CPython 3.11 making
-        # that dict slows every later attribute read (_seeded_ratio's
-        # queries by about 10%).
-        self._vertex_locs = self._marks_view = None
 
     @property
     def vertex_locs(self) -> list[tuple[Location, ...]]:
         """Each vertex's locations, sorted, with ``Fraction`` parameters."""
-        if self._vertex_locs is None:
-            self._vertex_locs = [
-                tuple((eid, Fraction(k, self._scale)) for eid, k in members)
-                for members in self._members
-            ]
-        return self._vertex_locs
-
-    @property
-    def _marks(self) -> dict[str, list[Fraction]]:
-        """Each edge's sorted marked parameters, as ``Fraction``s."""
-        if self._marks_view is None:
-            self._marks_view = {
-                eid: [Fraction(k, self._scale) for k in ks]
-                for eid, ks in self._int_marks.items()
-            }
-        return self._marks_view
+        return [
+            tuple((eid, Fraction(k, self._scale)) for eid, k in members)
+            for members in self._members
+        ]
 
     def _lint(self, gluings: list[list[IntLocation]]) -> list[str]:
         notes = []
@@ -324,17 +307,6 @@ class RayComplex:
             self._rows[v] = self.vertex_distances(v)
         return self._rows[v]
 
-    def distance_ratio(self, p: Point, q: Point) -> tuple[int, int]:
-        """d(p, q) as an unreduced (numerator, denominator) pair of integers:
-        the checked entry to ``_seeded_ratio``."""
-        require_same_space(self.space_id, p, q)
-        if not isinstance(p, RayComplexPoint) or not isinstance(q, RayComplexPoint):
-            raise DomainError("ray-complex distance needs ray-complex points")
-        return self._seeded_ratio(
-            self._seeds(p.edge_id, *p.offset.as_integer_ratio()),
-            self._seeds(q.edge_id, *q.offset.as_integer_ratio()),
-        )
-
     def _seeded_ratio(self, p: tuple, q: tuple) -> tuple[int, int]:
         """d(p, q) for two seeded points (``_seeds``), unchecked: the least
         offset-plus-row sum over the vertices bracketing p and q, or the
@@ -347,8 +319,9 @@ class RayComplex:
         seeded points work each point's out once: a boundary-product
         schedule seeds o once, and after its first window (7 seeds, 15
         calls here) each window seeds its 4 new points and makes 12 calls
-        here (4 to o, 8 cross), where 15 ``distance_ratio`` calls would
-        seed 30 points (``boundary._window_min``).
+        here (4 to o, 8 cross), where 15 ``distance`` calls would seed 30
+        points (``boundary._window_min``); a projection seeds its point
+        once and each stop of a ray once per ray (``UnitSpeedRay._stops``).
         """
         p_edge, p_num, dp, p_seeds = p
         q_edge, q_num, dq, q_seeds = q
@@ -368,8 +341,12 @@ class RayComplex:
         return best, dp * dq * self._scale
 
     def distance(self, p: Point, q: Point) -> Fraction:
-        """Exact d(p, q): the integer core ``distance_ratio`` as a Fraction."""
-        return Fraction(*self.distance_ratio(p, q))
+        """Exact d(p, q): the integer core ``_seeded_ratio`` as a Fraction."""
+        require_same_space(self.space_id, p, q)
+        if not isinstance(p, RayComplexPoint) or not isinstance(q, RayComplexPoint):
+            raise DomainError("ray-complex distance needs ray-complex points")
+        seeded = [self._seeds(x.edge_id, *x.offset.as_integer_ratio()) for x in (p, q)]
+        return Fraction(*self._seeded_ratio(*seeded))
 
     # -- rays -------------------------------------------------------------
 
@@ -389,7 +366,12 @@ class RayComplex:
         return ray
 
     def marks_on(self, edge_id: str) -> list[Fraction]:
-        return list(self._marks[edge_id])
+        """The edge's marked parameters, sorted, as ``Fraction``s."""
+        return [Fraction(k, self._scale) for k in self._int_marks[edge_id]]
+
+    def last_mark(self, edge_id: str) -> Fraction:
+        """The edge's greatest marked parameter: a ray edge's hair starts there."""
+        return Fraction(self._int_marks[edge_id][-1], self._scale)
 
     # -- canonical form -----------------------------------------------------
 

@@ -17,7 +17,8 @@ An edge ray is evaluated on integers only (``edge_location``): its plan
 holds every leg offset, start and end in units of 1/m, m the LCM of their
 denominators, so a parameter p/q lands on edge parameter num / (m q) with
 integer arithmetic.  ``eval`` turns that into a ``RayComplexPoint``, the one
-``Fraction`` of an evaluation.
+``Fraction`` of an evaluation.  Projections and escape cuts read its stop
+table (``_stops``): the leg ends and the marks inside each leg, seeded once.
 """
 
 from __future__ import annotations
@@ -205,6 +206,27 @@ class UnitSpeedRay:
             direction = -1 if leg.end is not None and leg.end < leg.start else 1
             plan.append((leg.edge_id, top, int(off * m), int(leg.start * m), direction))
         return m, tuple(plan)
+
+    @cached_property
+    def _stops(self) -> tuple:
+        """Per leg of an edge ray, (edge_id, lo, hi, offset, start, stops):
+        [lo, hi] is the leg's edge interval (hi None: unbounded), and stops
+        the (global parameter, seeded point) of lo, of each mark strictly
+        between lo and hi, and of hi.  Built on first use."""
+        space, table = self.space, []
+        m = space._scale
+        for leg, off in zip(self.legs, self.leg_offsets):
+            eid, start = leg.edge_id, leg.start
+            lo, hi = (start, None) if leg.end is None else sorted((start, leg.end))
+            # the marks k / m strictly between lo and hi
+            a, b = math.floor(lo * m), math.inf if hi is None else math.ceil(hi * m)
+            inner = [Fraction(k, m) for k in space._int_marks[eid] if a < k < b]
+            stops = tuple(
+                (off + abs(p - start), space._seeds(eid, *p.as_integer_ratio()))
+                for p in (lo, *inner, hi) if p is not None
+            )
+            table.append((eid, lo, hi, off, start, stops))
+        return tuple(table)
 
     def edge_location(self, t) -> tuple[str, int, int]:
         """(edge_id, num, den) of the point at global parameter t on a ray

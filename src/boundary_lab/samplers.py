@@ -15,7 +15,7 @@ from typing import Callable
 
 from .annulus import AnnulusSpace
 from .contraction import ray_distance
-from .errors import BoundaryLabError
+from .errors import BoundaryLabError, DomainError
 from .points import Point
 from .ray_complex import RayComplex
 from .rays import UnitSpeedRay
@@ -26,6 +26,8 @@ DENOM = 16  # dyadic denominator for rational sampling
 def rc_point_sampler(space: RayComplex, horizon) -> Callable:
     """Uniform edge choice, dyadic-rational parameter."""
     edge_ids = sorted(space.edges)
+    if not -math.inf < horizon < math.inf:
+        raise DomainError(f"the horizon must be finite, got {horizon}")
     hor = Fraction(horizon)
 
     def sample(rng: random.Random) -> Point:

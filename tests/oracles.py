@@ -29,6 +29,9 @@ backtrack; the engine's in-place sweep must match it bit for bit.  The
 escape sweep below is the reference for ``t_first_escape``: it evaluates
 d(beta(t), alpha) with scalar ``ray_distance`` at every point of
 ``np.linspace(0, H, n + 1)`` and bisects after the last one inside 2C.
+The escape cuts below are the reference for ``contraction._escape_cuts``:
+they filter every ``Fraction`` mark of beta's edges, and every end of
+alpha's legs, into each leg of beta, as the engine once did.
 """
 
 import math
@@ -489,3 +492,20 @@ def sweep_escape(alpha, beta, C, horizon):
         if hi - lo < 1e-9:
             break
     return EscapeTime(0.5 * (lo + hi), float(C), (lo, hi))
+
+
+def reference_escape_cuts(alpha, beta):
+    """0, beta's leg ends, and beta's parameters at the ``Fraction`` marks of
+    its edges and at the ends of alpha's legs on those edges, sorted."""
+    space = alpha.space
+    ends = [(leg.edge_id, p) for leg in alpha.legs for p in (leg.start, leg.end)]
+    cuts = {Fraction(0)}
+    for leg, g0 in zip(beta.legs, beta.leg_offsets):
+        lo, hi = (leg.start, None) if leg.end is None else sorted((leg.start, leg.end))
+        on_edge = [p for e, p in ends if e == leg.edge_id and p is not None]
+        for p in (*space.marks_on(leg.edge_id), *on_edge):
+            if lo <= p and (hi is None or p <= hi):
+                cuts.add(g0 + abs(p - leg.start))
+        if hi is not None:
+            cuts.add(g0 + leg.length)
+    return sorted(cuts)

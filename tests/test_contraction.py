@@ -22,13 +22,14 @@ from boundary_lab.contraction import (
     t_first_escape,
 )
 from boundary_lab.rays import BoundaryArcLeg, ChordLeg, EdgeLeg, UnitSpeedRay
-from boundary_lab.samplers import profile_pair_sampler
+from boundary_lab.samplers import profile_pair_sampler, rc_point_sampler
 from boundary_lab.suite import alpha_extremal_pairs, class_constants
 from oracles import (
     chord_candidates,
     five_candidate_chord_distance,
     golden_chord_distance,
     reference_annulus_ray_distance,
+    reference_escape_cuts,
     sweep_escape,
 )
 from test_ray_complex import _rational_complexes
@@ -77,6 +78,65 @@ def test_project_horizon_error(zoo_x8):
     X = zoo_x8.space
     with pytest.raises(bl.HorizonError):
         project(X.point("g3", 0), X.edge_ray("alpha"), horizon=2)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("horizon", NON_FINITE)
+def test_project_rejects_non_finite_horizons(zoo_x8, horizon):
+    # a NaN horizon cut this annulus level set short at 1.0, and an infinite
+    # one failed on an annulus point at t = inf
+    z = bl.get_space("Xcat0:4")
+    A, alpha = z.space, z.boundary["alpha"].canonical
+    (_, lo, hi), = project(A.pt(1, 3), alpha, 200).intervals
+    assert lo == pytest.approx(0.99885, abs=1e-5) and hi == pytest.approx(1.00115, abs=1e-5)
+    X = zoo_x8.space
+    assert project(X.point("g3", 0), X.edge_ray("alpha"), None).distance == 8
+    for x, ray in ((A.pt(1, 3), alpha), (X.point("g3", 0), X.edge_ray("alpha"))):
+        with pytest.raises(bl.DomainError, match="horizon"):
+            project(x, ray, horizon)
+
+
+@pytest.mark.parametrize("horizon", NON_FINITE)
+def test_ray_distance_rejects_non_finite_horizons(zoo_x8, zoo_xcat8, horizon):
+    # a NaN horizon used to be ignored, as if there were none
+    X, A = zoo_x8.space, zoo_xcat8.space
+    for x, ray in ((X.point("g3", 0), X.edge_ray("alpha")),
+                   (A.pt(5.0, 32.0), zoo_xcat8.boundary["alpha"].canonical)):
+        assert ray_distance(x, ray, None) == ray_distance(x, ray)
+        with pytest.raises(bl.DomainError, match="horizon"):
+            ray_distance(x, ray, horizon)
+
+
+@pytest.mark.parametrize("horizon", NON_FINITE)
+def test_profile_rejects_non_finite_horizons(zoo_x8, zoo_xcat8, horizon):
+    # on both paths: projecting x here, and the feet an annulus sampler
+    # hands over
+    X = zoo_x8.space
+    alpha = X.edge_ray("alpha")
+    near = (X.point("alpha", 5), X.point("alpha", 6))
+    with pytest.raises(bl.DomainError, match="horizon"):
+        contraction_profile(alpha, X, lambda rng: near, 1, horizon)
+    A = zoo_xcat8.space
+    g5 = zoo_xcat8.boundary["g5"].canonical
+    sample = profile_pair_sampler(A, g5, horizon=100.0)
+    rng = random.Random(4)
+    pair = None
+    while pair is None:
+        pair = sample(rng)
+    with pytest.raises(bl.DomainError, match="horizon"):
+        contraction_profile(g5, A, lambda rng: pair, 1, horizon)
+
+
+@pytest.mark.parametrize("horizon", NON_FINITE)
+def test_rc_samplers_reject_non_finite_horizons(zoo_x8, horizon):
+    # they raised a bare ValueError or OverflowError from Fraction(horizon)
+    X = zoo_x8.space
+    with pytest.raises(bl.DomainError, match="horizon"):
+        rc_point_sampler(X, horizon)
+    with pytest.raises(bl.DomainError, match="horizon"):
+        profile_pair_sampler(X, X.edge_ray("alpha"), horizon)
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
@@ -414,6 +474,26 @@ def test_git_rejects_an_empty_segment(zoo_x8, zoo_xcat12):
             git_check(zoo.boundary["alpha"].canonical, [], 1.0, 50.0)
 
 
+@pytest.mark.parametrize("horizon", NON_FINITE)
+def test_git_rejects_non_finite_horizons(zoo_xcat12, horizon):
+    # a NaN or infinite horizon used to pass as no horizon
+    A = zoo_xcat12.space
+    alpha = zoo_xcat12.boundary["alpha"].canonical
+    seg = A.geodesic_polyline(A.pt(-20, 2.0), A.pt(-9, 4.0), 8)
+    with pytest.raises(bl.DomainError, match="horizon"):
+        git_check(alpha, seg, math.pi, horizon)
+
+
+@pytest.mark.parametrize("C", [0, -1.0, math.nan, math.inf])
+def test_git_rejects_a_constant_that_is_not_positive_and_finite(zoo_xcat12, C):
+    # C = 0 passed, -1 and NaN failed, and inf blamed the segment's distance
+    A = zoo_xcat12.space
+    alpha = zoo_xcat12.boundary["alpha"].canonical
+    seg = A.geodesic_polyline(A.pt(-20, 2.0), A.pt(-9, 4.0), 8)
+    with pytest.raises(bl.DomainError, match="constant C"):
+        git_check(alpha, seg, C, 100.0)
+
+
 def test_far_segment_suite_rejects_empty_count(zoo_xcat12):
     # n = 0 used to "pass" with no segment checked
     alpha = zoo_xcat12.boundary["alpha"].canonical
@@ -555,7 +635,9 @@ def _tent_rays(rc):
 def test_rc_escape_cuts_leave_tents_between_them():
     # between consecutive cuts, f(t) = d(beta(t), alpha) is 0 or exactly the
     # tent min(f(p) + t - p, f(q) + q - t): checked at sixths of every
-    # interval, and past the last cut, on the zoo and on rational complexes
+    # interval, and past the last cut, on the zoo and on rational complexes.
+    # The cuts are those of the Fraction-mark reference, as a list, so the
+    # escape search queries the same parameters in the same order
     pairs = []
     for zoo in (bl.build_X(8), bl.build_Y(8)):
         pairs += [(a, b) for a in _reps(zoo) for b in _reps(zoo)]
@@ -566,6 +648,7 @@ def test_rc_escape_cuts_leave_tents_between_them():
     intervals = 0
     for alpha, beta in pairs:
         cuts = contraction._escape_cuts(alpha, beta)
+        assert cuts == reference_escape_cuts(alpha, beta), (alpha, beta)
         cuts.append(cuts[-1] + 2)
 
         def f(t):

@@ -362,6 +362,59 @@ def test_projection_matches_the_per_candidate_reference_on_rational_complexes():
                 _assert_projection_matches_reference(x, ray)
 
 
+def test_a_second_projection_onto_a_ray_builds_none_of_its_stops_again(monkeypatch):
+    # the first projection seeds the point and every stop of the ray (its
+    # leg ends and the marks inside its legs); the ray keeps them, so a
+    # second projection seeds its own point only
+    seeded = []
+    original = RayComplex._seeds
+
+    def counted(self, *args):
+        seeded.append(args)
+        return original(self, *args)
+
+    z = bl.build_X(8)
+    X, ray = z.space, z.boundary["g3"].canonical
+    monkeypatch.setattr(RayComplex, "_seeds", counted)
+    assert project(X.point("alpha", 2), ray, 300).distance == 0
+    stops = sum(len(leg[-1]) for leg in ray._stops)
+    assert len(ray.legs) == 3 and stops > 6 and len(seeded) == 1 + stops
+    seeded.clear()
+    assert project(X.point("beta", Fraction(7, 2)), ray, 300).distance > 0
+    assert seeded == [("beta", 7, 2)]
+
+
+def _hair_start(ray):
+    """Where a ray runs onto its hair, from the ``Fraction`` marks: its last
+    leg's offset plus how far that leg starts before its edge's last mark;
+    None unless the last leg is unbounded on a ray edge."""
+    leg, space = ray.legs[-1], ray.space
+    if leg.end is not None or space.edges[leg.edge_id].kind != RAY:
+        return None
+    return ray.leg_offsets[-1] + max(0, space.marks_on(leg.edge_id)[-1] - leg.start)
+
+
+def test_settles_at_matches_the_fraction_marks():
+    # the later hair start of two rays on hairs of different edges, else None
+    groups = [
+        [ray for bp in bl.get_space(spec).boundary.values() for ray in bp.representatives()]
+        for spec in ("X:8", "Y:8", "X:16")
+    ]
+    groups += [_off_mark_rays(rc) for rc, _, _ in _rational_complexes()]
+    settled = 0
+    for rays in groups:
+        for a in rays:
+            for b in rays:
+                want = None
+                starts = (_hair_start(a), _hair_start(b))
+                if None not in starts and a.legs[-1].edge_id != b.legs[-1].edge_id:
+                    want = max(starts)
+                got = boundary._settles_at(a.space, a, b)
+                assert got == want and type(got) is type(want), (a.label, b.label)
+                settled += got is not None
+    assert settled > 1000
+
+
 def test_projection_onto_another_component_is_unreachable():
     # each candidate of the ray lies in the other component: the query raises
     # UnreachableError, as a single distance query between them does
