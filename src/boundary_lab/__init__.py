@@ -33,10 +33,10 @@ from .dsl import compile_space, load_space, parse_space, serialize_space
 from .errors import (
     BoundaryLabError,
     BuildError,
+    DisconnectedError,
     DomainError,
     HorizonError,
     SpaceParseError,
-    UnreachableError,
 )
 from .mesh_oracle import mesh_oracle_distance
 from .metric import gromov_product, metric_axiom_check

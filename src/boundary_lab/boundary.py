@@ -58,10 +58,6 @@ class BoundaryPoint:
     auxiliaries: tuple[UnitSpeedRay, ...] = ()
     horizons: Optional[tuple] = None
 
-    @property
-    def space_id(self) -> str:
-        return self.canonical.space.space_id
-
     def representatives(self) -> tuple[UnitSpeedRay, ...]:
         return (self.canonical,) + self.auxiliaries
 

@@ -34,7 +34,7 @@ from .errors import DomainError, HorizonError
 from .metric import gromov_product
 from .points import AttachedRayPoint, Point, RayComplexPoint, require_same_space
 from .ray_complex import RayComplex
-from .rays import AttachedLeg, BoundaryArcLeg, ChordLeg, EdgeLeg, UnitSpeedRay
+from .rays import AttachedLeg, BoundaryArcLeg, ChordLeg, UnitSpeedRay
 
 
 # -- distance from a point to a ray -----------------------------------------
@@ -100,8 +100,6 @@ def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
     HorizonError when every minimizer sits at or beyond the horizon.
     """
     space = ray.space
-    if not isinstance(space, (RayComplex, AnnulusSpace)):
-        raise DomainError(f"unsupported space {space!r}")
     require_same_space(space.space_id, x)
     if isinstance(space, RayComplex):
         d, params = _rc_ray_distance(space, x, ray)
@@ -136,13 +134,10 @@ def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
 
     x is seeded once per query and every stop once per ray, so a candidate
     costs one ``_seeded_ratio``.  Candidates compare by cross-multiplying;
-    the distance is one ``Fraction``.  Raises UnreachableError when a
-    candidate cannot be reached.
+    the distance is one ``Fraction``.
     """
     if not isinstance(x, RayComplexPoint):
         raise DomainError("ray-complex distance needs ray-complex points")
-    if not isinstance(ray.legs[0], EdgeLeg):
-        raise DomainError("ray-complex rays must consist of edge legs")
     seeded = space._seeds(x.edge_id, *x.offset.as_integer_ratio())
     dist = space._seeded_ratio
     cands = []  # (numerator, denominator, global parameter)
@@ -221,12 +216,15 @@ def project(
 ) -> ProjectionResult:
     """All parameters realizing the distance from x to the target rays,
     within tol (the space's ``TOL`` by default, finite and >= 0), as maximal
-    intervals per ray."""
+    intervals per ray.  On the annulus the level-set walk ends at the
+    horizon, so it may not be None there."""
     rays = [target] if isinstance(target, UnitSpeedRay) else list(target)
     if not rays:
         raise DomainError("projection needs at least one target ray")
     space = rays[0].space
     exact = isinstance(space, RayComplex)
+    if horizon is None and not exact:
+        raise DomainError("an annulus projection needs a finite horizon, got None")
     if tol is None:
         tol = space.TOL
     if not 0 <= tol < math.inf:
@@ -560,8 +558,6 @@ def _is_geodesic(ray: UnitSpeedRay) -> bool:
     II.1.4).  Annulus escape times require it of both rays.
     """
     space = ray.space
-    if not isinstance(space, AnnulusSpace):
-        return False
     last, end = ray.legs[-1], ray.leg_offsets[-1]
     if last.length is not None:
         end += last.length
@@ -671,8 +667,6 @@ def _escape_cuts(alpha: UnitSpeedRay, beta: UnitSpeedRay) -> list:
     inside its legs) and beta's parameters at the ends of alpha's legs on
     beta's edges."""
     space = alpha.space
-    if not all(isinstance(leg, EdgeLeg) for leg in alpha.legs + beta.legs):
-        raise DomainError("ray-complex rays must consist of edge legs")
     require_same_space(space.space_id, beta.basepoint)
     for leg, g0 in zip(beta.legs[1:], beta.leg_offsets[1:]):
         if space.distance(beta.eval(g0), space.point(leg.edge_id, leg.start)):

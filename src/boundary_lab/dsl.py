@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import SpaceParseError
+from .errors import DisconnectedError, SpaceParseError
 from .ray_complex import RAY, SEGMENT, Edge, RayComplex
 
 _TOKEN = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_{}]*|[-+*^()]|\S")
@@ -49,9 +49,6 @@ class Expr:
                 "E_SYNTAX", f"trailing tokens in expression", self.line, self.col
             )
         return value
-
-    def text(self) -> str:
-        return "".join(self.tokens)
 
 
 class _ExprParser:
@@ -193,11 +190,10 @@ def parse_space(text: str) -> SpaceDescription:
                 if not expect_close:
                     raise SpaceParseError("E_SYNTAX", "unmatched }", lineno, col)
                 return stmts, True
-            stmts.append(_parse_statement(head, words, code, lineno, col, parse_block))
+            stmts.append(_parse_statement(head, words, code, lineno, col))
         return stmts, False
 
-    def _parse_statement(head, words, code, lineno, col, parse_block_fn):
-        nonlocal pos
+    def _parse_statement(head, words, code, lineno, col):
         if head == "ray":
             if len(words) != 2:
                 raise SpaceParseError("E_SYNTAX", "usage: ray <id>", lineno, col)
@@ -235,7 +231,7 @@ def parse_space(text: str) -> SpaceDescription:
                 raise SpaceParseError(
                     "E_SYNTAX", "usage: repeat <var>=<int>..<int> {", lineno, col
                 )
-            body, closed = parse_block_fn(True)
+            body, closed = parse_block(True)
             if not closed:
                 raise SpaceParseError("E_SYNTAX", "repeat block never closed", lineno, col)
             return RepeatBlock(
@@ -243,9 +239,7 @@ def parse_space(text: str) -> SpaceDescription:
             )
         raise SpaceParseError("E_SYNTAX", f"unknown statement {head!r}", lineno, col)
 
-    stmts, closed = parse_block(False)
-    if closed:
-        raise SpaceParseError("E_SYNTAX", "unmatched }", len(lines), 1)
+    stmts, _ = parse_block(False)
     return SpaceDescription(tuple(stmts))
 
 
@@ -305,46 +299,36 @@ def compile_space(desc: SpaceDescription) -> RayComplex:
     flat = _expand(desc.statements, {}, [])
 
     edges: dict[str, Edge] = {}
-    order: list[tuple] = []
     for st, env in flat:
-        if isinstance(st, RayDecl):
+        if isinstance(st, (RayDecl, SegDecl)):
             eid = _subst_id(st.edge_id, env, st.line, st.col)
             if eid in edges:
                 raise SpaceParseError("E_SYNTAX", f"duplicate edge {eid}", st.line, st.col)
-            edges[eid] = Edge(eid, RAY, None)
-        elif isinstance(st, SegDecl):
-            eid = _subst_id(st.edge_id, env, st.line, st.col)
-            if eid in edges:
-                raise SpaceParseError("E_SYNTAX", f"duplicate edge {eid}", st.line, st.col)
-            length = st.length.evaluate(env)
-            if length <= 0:
+            length = st.length.evaluate(env) if isinstance(st, SegDecl) else None
+            if length is not None and length <= 0:
                 raise SpaceParseError(
                     "E_LENGTH_NONPOSITIVE",
                     f"segment {eid} has length {length}",
                     st.line,
                     st.col,
                 )
-            edges[eid] = Edge(eid, SEGMENT, length)
+            edges[eid] = Edge(eid, RAY if length is None else SEGMENT, length)
+
+    def declared(template: str, st, env) -> str:
+        eid = _subst_id(template, env, st.line, st.col)
+        if eid not in edges:
+            raise SpaceParseError("E_UNDECLARED", f"undeclared edge {eid}", st.line, st.col)
+        return eid
 
     gluings = []
     basepoint = None
     for st, env in flat:
         if isinstance(st, GlueDecl):
-            locs = []
-            for eid_t, expr in (st.a, st.b):
-                eid = _subst_id(eid_t, env, st.line, st.col)
-                if eid not in edges:
-                    raise SpaceParseError(
-                        "E_UNDECLARED", f"undeclared edge {eid}", st.line, st.col
-                    )
-                locs.append((eid, expr.evaluate(env)))
-            gluings.append(tuple(locs))
+            gluings.append(tuple(
+                (declared(eid, st, env), expr.evaluate(env)) for eid, expr in (st.a, st.b)
+            ))
         elif isinstance(st, BaseDecl):
-            eid = _subst_id(st.loc[0], env, st.line, st.col)
-            if eid not in edges:
-                raise SpaceParseError(
-                    "E_UNDECLARED", f"undeclared edge {eid}", st.line, st.col
-                )
+            eid = declared(st.loc[0], st, env)
             if basepoint is not None:
                 raise SpaceParseError(
                     "E_SYNTAX", "more than one basepoint", st.line, st.col
@@ -353,12 +337,10 @@ def compile_space(desc: SpaceDescription) -> RayComplex:
     if basepoint is None:
         raise SpaceParseError("E_NO_BASEPOINT", "no basepoint declared", 0, 0)
 
-    complex_ = RayComplex(
-        edges.values(), gluings, basepoint, check_connected=False
-    )
-    if not complex_.is_connected():
-        raise SpaceParseError("E_DISCONNECTED", "space is not connected", 0, 0)
-    return complex_
+    try:
+        return RayComplex(edges.values(), gluings, basepoint)
+    except DisconnectedError:
+        raise SpaceParseError("E_DISCONNECTED", "space is not connected", 0, 0) from None
 
 
 def serialize_space(complex_: RayComplex) -> str:

@@ -14,13 +14,13 @@ class BuildError(BoundaryLabError):
     """A space description could not be turned into a valid space."""
 
 
+class DisconnectedError(BuildError):
+    """A ray complex that is not connected: every complex built is."""
+
+
 class HorizonError(BoundaryLabError):
     """A horizon-bounded search could not certify its answer within the
     given horizon (distance still decreasing, crossing not bracketed...)."""
-
-
-class UnreachableError(BoundaryLabError):
-    """Shortest-path query between points in different components."""
 
 
 class SpaceParseError(BuildError):

@@ -9,6 +9,9 @@ graph edge.  Dijkstra runs on integer weights from each vertex at most once,
 when a query first needs that vertex's row; a point distance is the least
 offset-plus-row sum over the vertices bracketing the two points.
 
+Construction checks every location and, on the base vertex's row, that the
+complex is connected (``DisconnectedError``): no query is unreachable.
+
 The build runs on integer marks.  ``_scale`` is the LCM of the denominators
 of every location (segment ends, gluing parameters, the basepoint; origins
 are 0).  Marks are sums of edge weights from 0 and weights are differences
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BuildError, DomainError, UnreachableError
+from .errors import BuildError, DisconnectedError, DomainError
 from .points import Point, RayComplexPoint, require_same_space
 
 RationalLike = Union[int, str, Fraction]
@@ -90,7 +93,6 @@ class RayComplex:
         edges: Iterable[Edge],
         gluings: Iterable[Sequence[Location]],
         basepoint: Location,
-        check_connected: bool = True,
     ):
         self.edges: dict[str, Edge] = {}
         for e in edges:
@@ -124,8 +126,8 @@ class RayComplex:
         # label -> its edge ray; weak, so that the rays' references back to
         # the complex make no cycle that keeps it alive
         self._edge_rays = weakref.WeakValueDictionary()
-        if check_connected and not self.is_connected():
-            raise BuildError("complex is not connected")
+        if None in self._row(self._base_vertex):
+            raise DisconnectedError("complex is not connected")
 
         self.space_id = "rc:" + hashlib.sha256(
             self.describe().encode()
@@ -240,9 +242,6 @@ class RayComplex:
                         notes.append(f"free segment endpoint {eid}:{par}")
         return notes
 
-    def is_connected(self) -> bool:
-        return None not in self._row(self._base_vertex)
-
     # -- points ----------------------------------------------------------
 
     @property
@@ -331,13 +330,9 @@ class RayComplex:
         for u, a in p_seeds:
             dist = self._row(u)
             for v, b in q_seeds:
-                if dist[v] is None:
-                    continue
                 cand = a * dq + dist[v] * dp * dq + b * dp
                 if best is None or cand < best:
                     best = cand
-        if best is None:
-            raise UnreachableError("query pair not connected")
         return best, dp * dq * self._scale
 
     def distance(self, p: Point, q: Point) -> Fraction:

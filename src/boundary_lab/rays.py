@@ -5,12 +5,13 @@ point at a given arc length.  Legs come in four kinds: an interval on a
 ray-complex edge, an arc along the r = 1 boundary circle, a straight
 disk-avoiding chord between two cover points, and an attached ray.
 Construction checks only that every leg but the last is bounded and that
-the legs are all edge legs (a ray in a ray complex) or none.  An edge leg
-is bounded exactly when it has an ``end``, so these checks do no leg
-arithmetic: leg lengths and offsets are computed when the ray is first
-evaluated.  A ray is unit-speed by the way its legs are parametrized, but
-nothing here checks that it is a geodesic, and rays with corners can be
-built.  The run-time check is ``contraction._is_geodesic``, on annulus
+the legs are all edge legs, on a ray complex, or all other legs, elsewhere.
+An edge leg is bounded exactly when it has an ``end``, so these checks do
+no leg arithmetic.  Leg lengths and offsets are computed, and edge legs
+checked to lie inside declared edges (``_edge_plan``), on the ray's first
+evaluation.  A ray is unit-speed by the way its legs are parametrized,
+but nothing here checks that it is a geodesic, and rays with corners can
+be built.  The run-time check is ``contraction._is_geodesic``, on annulus
 rays, where the escape-time search relies on it.
 
 An edge ray is evaluated on integers only (``edge_location``): its plan
@@ -37,6 +38,7 @@ from .points import (
     RayComplexPoint,
     check_annulus_coords,
 )
+from .ray_complex import RayComplex
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,10 @@ class UnitSpeedRay:
         for leg in self.legs[:-1]:
             if (leg.end if isinstance(leg, EdgeLeg) else leg.length) is None:
                 raise DomainError("only the final leg of a ray may be unbounded")
-        if len({isinstance(leg, EdgeLeg) for leg in self.legs}) > 1:
+        if len({isinstance(leg, EdgeLeg) for leg in self.legs}) != 1:
             raise DomainError("a ray's legs must be all edge legs or none")
+        if isinstance(self.legs[0], EdgeLeg) != isinstance(self.space, RayComplex):
+            raise DomainError("edge legs run on ray complexes, and no other legs do")
 
     @cached_property
     def leg_offsets(self) -> tuple:
@@ -177,10 +181,8 @@ class UnitSpeedRay:
                 data = (*leg.angle_interval(), leg.t0)
             elif isinstance(leg, ChordLeg):
                 data = leg
-            elif isinstance(leg, AttachedLeg):
+            else:  # an attached leg
                 data = (leg.ray_id, kernel_terms(*self.space.attached[leg.ray_id]))
-            else:
-                raise DomainError(f"unsupported leg {leg!r} in annulus space")
             plan.append((type(leg), g0, data))
         return tuple(plan)
 
@@ -190,9 +192,17 @@ class UnitSpeedRay:
         denominators of the leg offsets, starts and ends; each leg is
         (edge_id, top, offset, start, direction) with top the global
         parameter of its end (None: unbounded), all in units of 1/m, and
-        direction +1 or -1 along the edge."""
+        direction +1 or -1 along the edge.  The one check of the legs: each
+        lies inside a declared edge, and is unbounded only on a ray edge."""
         if not isinstance(self.legs[0], EdgeLeg):
             return None
+        for leg in self.legs:
+            edge = self.space.edges.get(leg.edge_id)
+            if edge is None:
+                raise DomainError(f"unknown edge {leg.edge_id}")
+            ends = (leg.start, math.inf if leg.end is None else leg.end)
+            if min(ends) < 0 or max(ends) > (edge.length or math.inf):
+                raise DomainError(f"leg {leg.start}..{leg.end} outside edge {leg.edge_id}")
         legs = list(zip(self.legs, self.leg_offsets))
         m = math.lcm(*(
             x.denominator
@@ -213,6 +223,7 @@ class UnitSpeedRay:
         [lo, hi] is the leg's edge interval (hi None: unbounded), and stops
         the (global parameter, seeded point) of lo, of each mark strictly
         between lo and hi, and of hi.  Built on first use."""
+        self._edge_plan  # checks the legs first
         space, table = self.space, []
         m = space._scale
         for leg, off in zip(self.legs, self.leg_offsets):

@@ -271,7 +271,15 @@ BAD_INPUT = [
     ["dist", "--space", "X:4", "--from", "base"],
     ["dist", "--space", "X:4", "--from", "base", "--to", "base", "--out",
      "/nonexistent-boundary-lab-dir/out.json"],
-] + [argv for argv, _ in NONPOSITIVE]
+] + [argv for argv, _ in NONPOSITIVE] + [
+    # annulus-only commands on a ray complex, a point literal with no colon,
+    # and a format the command has no form for
+    ["git", "--space", "X:4", "--seed", "1"],
+    ["oracle", "--space", "X:4", "--from", "base", "--to", "base"],
+    ["spiral", "--from-space", "X:4", "--to-space", "Ycat0:4", "--point", "base"],
+    ["dist", "--space", "X:4", "--from", "nocolon", "--to", "base"],
+    ["dist", "--space", "X:4", "--from", "base", "--to", "base", "--format", "csv"],
+]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT)

@@ -98,6 +98,20 @@ def test_project_rejects_non_finite_horizons(zoo_x8, horizon):
             project(x, ray, horizon)
 
 
+def test_annulus_projection_needs_a_horizon(zoo_x8, monkeypatch):
+    # the annulus level-set walk ends at the horizon, where None raised a
+    # bare TypeError after the distances were computed; on X:8 None means
+    # no horizon
+    X = zoo_x8.space
+    assert project(X.point("g3", 0), X.edge_ray("alpha"), None).distance == 8
+    z = bl.get_space("Xcat0:4")
+    calls = []
+    monkeypatch.setattr(contraction, "ray_distance", lambda *args: calls.append(args))
+    with pytest.raises(bl.DomainError, match="horizon"):
+        project(z.space.pt(1, 3), z.boundary["alpha"].canonical, None)
+    assert not calls
+
+
 @pytest.mark.parametrize("horizon", NON_FINITE)
 def test_ray_distance_rejects_non_finite_horizons(zoo_x8, zoo_xcat8, horizon):
     # a NaN horizon used to be ignored, as if there were none

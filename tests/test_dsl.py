@@ -70,6 +70,42 @@ def test_duplicate_edge_rejected():
     assert err.value.code == "E_SYNTAX"
 
 
+# (document, code, line, message fragment): one row per diagnostic site
+DIAGNOSTICS = [
+    # expressions
+    ("ray a\nseg s 2)\nglue s:0 a:0\nbase a:0\n", "E_SYNTAX", 2, "trailing tokens"),
+    ("ray a\nseg s 2+\nbase a:0\n", "E_SYNTAX", 2, "unexpected end"),
+    ("ray a\nseg s 2^(0-1)\nbase a:0\n", "E_SYNTAX", 2, "nonnegative integer"),
+    ("ray a\nseg s (2(3)\nbase a:0\n", "E_SYNTAX", 2, "expected \\)"),
+    ("ray a\nseg s 2*k\nbase a:0\n", "E_UNDECLARED", 2, "unknown name 'k'"),
+    ("ray a\nseg s +2\nbase a:0\n", "E_SYNTAX", 2, "unexpected token '\\+'"),
+    # blocks
+    ("repeat i=1..2 {\nray a{i}\n} x\n", "E_SYNTAX", 3, "stray tokens"),
+    ("ray a\n}\nbase a:0\n", "E_SYNTAX", 2, "unmatched }"),
+    ("ray a\nrepeat i=1..2 {\nray b{i}\n", "E_SYNTAX", 2, "never closed"),
+    # statements
+    ("ray a\nglue a:0\n", "E_SYNTAX", 2, "usage: glue"),
+    ("ray a\nbase a:0 a:1\n", "E_SYNTAX", 2, "usage: base"),
+    ("ray a\nrepeat i=1 {\n}\n", "E_SYNTAX", 2, "usage: repeat"),
+    ("ray a\nbogus a\n", "E_SYNTAX", 2, "unknown statement 'bogus'"),
+    ("ray 1a\n", "E_SYNTAX", 1, "bad identifier '1a'"),
+    ("ray a{i\nbase a:0\n", "E_SYNTAX", 1, "bad identifier 'a{i'"),
+    ("ray a\nglue a1 a:0\n", "E_SYNTAX", 2, "expected <id>:<expr>"),
+    ("ray a\nbase a:\n", "E_SYNTAX", 2, "cannot tokenize"),
+    # declarations
+    ("ray a\nseg a 1\nbase a:0\n", "E_SYNTAX", 2, "duplicate edge a"),
+    ("ray a\nray b\nglue a:0 b:0\nbase c:0\n", "E_UNDECLARED", 4, "undeclared edge c"),
+    ("ray a\nglue a:0 c:0\nbase a:0\n", "E_UNDECLARED", 2, "undeclared edge c"),
+]
+
+
+@pytest.mark.parametrize("text, code, line, message", DIAGNOSTICS)
+def test_each_diagnostic_site_reports_its_code_and_line(text, code, line, message):
+    with pytest.raises(bl.SpaceParseError, match=message) as err:
+        _compile(text)
+    assert (err.value.code, err.value.line) == (code, line)
+
+
 def test_expression_evaluator_exact():
     env = {}
     for i in (1, 10, 40, 62):

@@ -415,23 +415,59 @@ def test_settles_at_matches_the_fraction_marks():
     assert settled > 1000
 
 
-def test_projection_onto_another_component_is_unreachable():
-    # each candidate of the ray lies in the other component: the query raises
-    # UnreachableError, as a single distance query between them does
+def test_projection_from_a_segment_onto_rays_through_its_gluing():
+    # s runs from b:2 to a:0, so s:1 reaches b through s:0 = b:2; the second
+    # ray starts off the marks, inside s, and turns onto b at s:0
     rc = RayComplex(
         [Edge("a", RAY, None), Edge("b", RAY, None), Edge("s", SEGMENT, Fraction(3))],
-        [(("s", Fraction(0)), ("b", Fraction(2)))],
+        [(("s", Fraction(0)), ("b", Fraction(2))), (("s", Fraction(3)), ("a", Fraction(0)))],
         ("a", Fraction(0)),
-        check_connected=False,
     )
-    # the second ray starts off the marks, inside s, and turns onto b at s:0
     legs = (EdgeLeg("s", Fraction(1, 2), Fraction(0)), EdgeLeg("b", Fraction(2), None))
-    rays = [rc.edge_ray("b"), UnitSpeedRay(rc, "s-b", legs)]
-    for x in (rc.point("a", 0), rc.point("a", Fraction(5, 2))):
-        for ray in rays:
-            with pytest.raises(bl.UnreachableError):
-                ray_distance(x, ray)
-    assert ray_distance(rc.point("s", 1), rays[0]) == (1, [2])
+    assert ray_distance(rc.point("s", 1), rc.edge_ray("b")) == (1, [2])
+    assert ray_distance(rc.point("s", 1), UnitSpeedRay(rc, "s-b", legs)) == (
+        Fraction(1, 2), [0])
+
+
+OFF_THE_COMPLEX = {
+    "undeclared-edge": (EdgeLeg("nope", Fraction(0), None),),
+    "past-a-segment-end": (
+        EdgeLeg("ca1", Fraction(0), Fraction(50)), EdgeLeg("g1", Fraction(0), None)),
+    "unbounded-on-a-segment": (EdgeLeg("ca1", Fraction(0), None),),
+    "before-an-edge-origin": (
+        EdgeLeg("alpha", Fraction(-1), Fraction(2)), EdgeLeg("alpha", 2, None)),
+}
+
+
+@pytest.mark.parametrize("legs", OFF_THE_COMPLEX.values(), ids=OFF_THE_COMPLEX)
+def test_rays_off_their_complex_are_rejected_on_first_use(zoo_x8, legs):
+    # on X:8, where ca1 is a segment of length 2: these gave a bare KeyError,
+    # or points off the complex and a wrong distance
+    X = zoo_x8.space
+    for use in (
+        lambda ray: ray.eval(1),
+        lambda ray: ray.edge_location(40),
+        lambda ray: ray_distance(X.point("alpha", 1), ray),
+        lambda ray: bl.t_first_escape(X.edge_ray("alpha"), ray, 1.0, 10.0),
+        lambda ray: bl.t_first_escape(ray, X.edge_ray("beta"), 1.0, 10.0),
+    ):
+        with pytest.raises(bl.DomainError, match="unknown edge|outside edge"):
+            use(UnitSpeedRay(X, "bad", legs))
+
+
+@pytest.mark.parametrize("spec, legs", [
+    ("X:8", (BoundaryArcLeg(0.0, 1, None),)),
+    ("X:8", (AttachedLeg("g1"),)),
+    ("Xcat0:4", (EdgeLeg("alpha", Fraction(0), None),)),
+], ids=["arc-on-X:8", "attached-on-X:8", "edge-on-Xcat0:4"])
+def test_rays_of_the_wrong_kind_for_their_space_are_rejected(spec, legs):
+    with pytest.raises(bl.DomainError, match="edge legs run on ray complexes"):
+        UnitSpeedRay(bl.get_space(spec).space, "bad", legs)
+
+
+def test_a_ray_without_legs_is_rejected(zoo_x8):
+    with pytest.raises(bl.DomainError):
+        UnitSpeedRay(zoo_x8.space, "empty", ())
 
 
 class _Recorded(RayComplex):
@@ -667,7 +703,7 @@ def test_cross_space_rejected(zoo_x8, zoo_x16):
 
 
 def test_disconnected_complex_rejected():
-    with pytest.raises(bl.BuildError):
+    with pytest.raises(bl.DisconnectedError, match="complex is not connected"):
         RayComplex(
             [Edge("a", RAY, None), Edge("b", RAY, None)],
             [],

@@ -31,6 +31,7 @@ EXAMPLES = {
     "continuity.json": "continuity --from-space X:16 --to-space Y:16 --eta alpha "
     "--sequence g3,g4,g5,g6,g7,g8 --r 1",
     "escape.json": "escape --space Xcat0:8 --alpha alpha --beta beta --c 3.14159 --horizon 100",
+    "escape_exact.json": "escape --space X:8 --alpha alpha --beta beta --c 1.5 --horizon 100",
     "spiral.json": "spiral --from-space Xcat0:12 --to-space Ycat0:12 --point ann:3,8",
     "oracle.json": "oracle --space Xcat0:4 --from ann:0,2 --to ann:5,2 --h 0.01",
     "parse.json": f"parse --file {X_SPACE} --emit-canonical",
