@@ -12,6 +12,9 @@ boundary case, so the kernel is continuous.
 
 Attached rays meet the annulus only at their base point, so distances
 through them decompose through the base (wedge metric).
+Every distance, projection and product window reads seeded points
+(``AnnulusSpace._seed``) on the prepared kernel; ``ann_distance_coords`` is
+the reference.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ def ann_distance_coords(t1: float, r1: float, t2: float, r2: float) -> float:
 def kernel_terms(t: float, r: float) -> Terms:
     """Prepared kernel terms (t, r, phi, T) of cover coordinates, r >= 1:
     the tangent angle phi = arccos(1/r) and the tangent length
-    T = sqrt(r^2 - 1), computed as ``ann_distance_coords`` computes them."""
+    T = sqrt(r^2 - 1), computed as ``ann_distance_coords`` computes them,
+    once per seeded point (``AnnulusSpace._seed``) or attached base."""
     return t, r, math.acos(min(1.0, 1.0 / r)), math.sqrt(max(r * r - 1.0, 0.0))
 
 
@@ -167,6 +171,7 @@ class AnnulusSpace:
             if (t, r) in seen:
                 raise DomainError("attached-ray bases must be distinct")
             seen.add((t, r))
+        self._base_terms = {rid: kernel_terms(*c) for rid, c in self.attached.items()}
         digest = hashlib.sha256(
             repr(sorted(self.attached.items())).encode()
         ).hexdigest()[:12]
@@ -186,23 +191,37 @@ class AnnulusSpace:
         return AttachedRayPoint(self.space_id, ray_id, float(s))
 
     # metric
-    def _coords(self, p: Point) -> tuple[Coords, float]:
-        """(annulus coordinates, extra wedge length) of a point."""
+    def _seed(self, p: Point) -> tuple:
+        """The one check of a caller's point, as (kernel terms, wedge
+        length, attached ray id or None); an attached point reads its base's."""
+        require_same_space(self.space_id, p)
         if isinstance(p, AnnulusPoint):
-            return (p.t, p.r), 0.0
+            return kernel_terms(p.t, p.r), 0.0, None
         if isinstance(p, AttachedRayPoint):
             if p.ray_id not in self.attached:
                 raise DomainError(f"unknown attached ray {p.ray_id}")
-            return self.attached[p.ray_id], p.s
+            return self._base_terms[p.ray_id], p.s, p.ray_id
         raise DomainError(f"not a point of this space: {p!r}")
 
+    def _seed_at(self, ray, s) -> tuple:
+        return self._seed(ray.eval(s))
+
+    @staticmethod
+    def _seeded_distance(a: tuple, b: tuple) -> float:
+        """d(a, b) for seeded points: along a shared attached ray, else via the bases."""
+        if a[2] is not None and a[2] == b[2]:
+            return abs(a[1] - b[1])
+        return a[1] + b[1] + ann_distance_terms(a[0], b[0])
+
     def distance(self, p: Point, q: Point) -> float:
-        require_same_space(self.space_id, p, q)
-        if isinstance(p, AttachedRayPoint) and isinstance(q, AttachedRayPoint):
-            if p.ray_id == q.ray_id:
-                return abs(p.s - q.s)
-        (cp, sp), (cq, sq) = self._coords(p), self._coords(q)
-        return sp + sq + ann_distance_coords(*cp, *cq)
+        return self._seeded_distance(self._seed(p), self._seed(q))
+
+    @staticmethod
+    def _least_product(xo: list, yo: list, xy: list) -> float:
+        """A window's least product, in ``gromov_product``'s operand order."""
+        n = len(yo)
+        return min((dx + dy - xy[i * n + j]) / 2
+                   for i, dx in enumerate(xo) for j, dy in enumerate(yo))
 
     def geodesic_polyline(
         self, p: AnnulusPoint, q: AnnulusPoint, samples: int = 33

@@ -3,11 +3,13 @@ convergence diagnostics, and continuity tests for induced boundary maps.
 
 The extended product of two boundary classes is estimated from their
 canonical representatives: E(S) is the minimum finite-scale product over a
-3 x 3 grid in [S, 2S]^2, and S doubles until the last two increments fall
-within the space's tolerance (``TOL``: 0 on ray complexes, 1e-6 on the
-annulus).  On ray complexes the products are eventually constant, so the
-doubling terminates with the exact value.  There a window's nine products
-are formed as integers over one common denominator, and windows are queried
+3 x 3 grid in [S, 2S]^2, and S, the int 2^k on both space kinds, doubles
+until the last two increments fall within the space's tolerance (``TOL``:
+0 on ray complexes, 1e-6 on the annulus).  One window body reads each
+space's seeded points (``_seed_at``, ``_seeded_distance``, ``_least_product``).
+On ray complexes the products are eventually constant, so the doubling
+terminates with the exact value.  There a window's nine products are
+formed as integers over one common denominator, and windows are queried
 only until the value is certified final: when each ray's final leg is an
 unbounded ``EdgeLeg`` on a ``RAY`` edge, on two different edges, the rays run
 from s* = leg offset + max(0, last mark - leg start) on hairs, and every
@@ -44,7 +46,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DomainError
 from .metric import gromov_product  # noqa: F401  (bench/spans.py patches this name)
-from .ray_complex import RAY, RayComplex
+from .ray_complex import RAY
 from .rays import EdgeLeg, UnitSpeedRay
 
 
@@ -161,23 +163,22 @@ def shared_products():
 def _doubling_schedule(a, b, max_horizon, min_horizon):
     """(status, horizons S, window minima E(S)) for one ordered ray pair.
 
-    On a ray complex S is the int 2^k, and the window {S, 3S/2, 2S} is
-    integer but for S = 1 (3/2); the stop rule compares ints with the
-    horizons exactly.  On the annulus S is a float.
+    S is the int 2^k, and the window {S, 3S/2, 2S} is integer but for
+    S = 1 (3/2); the stop rule compares ints with the horizons exactly.  An
+    annulus ray converts them with ``float``, exact below 2^53.
 
-    On a ray complex, once both rays run on their hairs (``_settles_at``)
-    every later window minimum equals the first one computed with
-    S >= S* = max(s_a*, s_b*): for s >= s_a* and t >= s_b*, d(a(s), o),
-    d(b(t), o) and d(a(s), b(t)) grow by exactly s - s_a*, t - s_b* and
-    their sum, which cancel in the product.  So that value is appended for
-    the later windows without querying; the schedule, the minima and the
-    stop rule are those of the full walk.
+    Once both rays run on their hairs (``_settles_at``) every later window
+    minimum equals the first one computed with S >= S* = max(s_a*, s_b*):
+    for s >= s_a* and t >= s_b*, d(a(s), o), d(b(t), o) and d(a(s), b(t))
+    grow by exactly s - s_a*, t - s_b* and their sum, which cancel in the
+    product.  So that value is appended for the later windows without
+    querying; the schedule, the minima and the stop rule are those of the
+    full walk.
     """
     space = a.space
     o = space.basepoint
     settles_at = _settles_at(space, a, b)
-    exact = isinstance(space, RayComplex)
-    S = 1 if exact else 1.0
+    S = 1
     schedule = []
     minima = []
     final = None  # E(S) of the first window with S >= settles_at
@@ -185,10 +186,7 @@ def _doubling_schedule(a, b, max_horizon, min_horizon):
     while True:
         schedule.append(S)
         if final is None:
-            if exact:
-                mid = 3 * S // 2 if S > 1 else Fraction(3, 2)
-            else:
-                mid = S + S / 2
+            mid = 3 * S // 2 if S > 1 else Fraction(3, 2)
             minima.append(_window_min(space, a, b, [S, mid, 2 * S], o, carry))
             if settles_at is not None and S >= settles_at:
                 final = minima[-1]
@@ -209,9 +207,7 @@ def _settles_at(space, a, b):
     else None.  A ray is on its hair from s* on when its final leg is an
     unbounded ``EdgeLeg`` on a ``RAY`` edge: a hair is the part of a ray
     edge past its last mark, attached to the rest of the complex only at
-    that mark."""
-    if not isinstance(space, RayComplex):
-        return None
+    that mark.  Annulus rays have no edge legs, so never settle."""
     hairs = []
     for ray in (a, b):
         leg = ray.legs[-1]
@@ -230,49 +226,31 @@ def _settles_at(space, a, b):
 def _window_min(space, a, b, params, o, carry=None):
     """Min of finite-scale products over the window grid.
 
-    The window points and their distances to o are computed once each, so
-    an n x n window costs 2n ray evaluations, 2n distances to o and n^2
-    cross distances; each product has the value ``metric.gromov_product``
-    gives.  On a ray complex everything between the parameters and the
-    minimum is an integer: each point is evaluated by
-    ``UnitSpeedRay.edge_location`` and seeded once (``RayComplex._seeds``),
-    o is seeded once, every distance runs on ``RayComplex._seeded_ratio``,
-    and the doubled products are formed over one common denominator.  The
-    minimum becomes the window's one ``Fraction``.  On the annulus the
-    floats are combined in ``gromov_product``'s operand order.
+    The window points and o are seeded once each (``space._seed_at``,
+    ``space._seed``), so an n x n window costs 2n ray evaluations, 2n
+    distances to o and n^2 cross distances (``space._seeded_distance``);
+    ``space._least_product`` gives the least ``metric.gromov_product``
+    value, exactly on a ray complex and bit for bit on the annulus.
 
     ``carry`` is a dict that one doubling schedule hands to each of its
-    windows in turn.  A window leaves in it o's seeds and its last grid
-    point on each ray, with their distances to o and the cross distance
-    between the two.  When the next window starts at that parameter (S
-    doubles, so {S, 3S/2, 2S} is followed by {2S, 3S, 4S}), it takes them
-    over: 4 ray evaluations, 4 distances to o and 8 cross distances in
-    place of 6, 6 and 9.  The values are those computed afresh, so the
-    minimum is unchanged, bit for bit on the annulus.
+    windows in turn.  A window leaves in it o's seeded form and its last
+    grid point on each ray, with their distances to o and the cross
+    distance between the two.  When the next window starts at that
+    parameter (S doubles, so {S, 3S/2, 2S} is followed by {2S, 3S, 4S}), it
+    takes them over: 4 ray evaluations, 4 distances to o and 8 cross
+    distances in place of 6, 6 and 9.  The values are those computed
+    afresh, so the minimum is unchanged, bit for bit on the annulus.
     """
     if carry is None:
         carry = {}
-    if isinstance(space, RayComplex):
-        if "o" not in carry:
-            carry["o"] = space._seeds(o.edge_id, *o.offset.as_integer_ratio())
-        o = carry["o"]
-
-        def point(ray, s):
-            return space._seeds(*ray.edge_location(s))
-
-        dist = space._seeded_ratio
-
-    else:
-
-        def point(ray, s):
-            return ray.eval(s)
-
-        dist = space.distance
+    if "o" not in carry:
+        carry["o"] = space._seed(o)
+    o, dist = carry["o"], space._seeded_distance
     last = carry.get("last")  # (parameter, x, y, d(x, o), d(y, o), d(x, y))
     reuse = last is not None and last[0] == params[0]
     fresh = params[1:] if reuse else params
-    xs = [point(a, s) for s in fresh]
-    ys = [point(b, t) for t in fresh]
+    xs = [space._seed_at(a, s) for s in fresh]
+    ys = [space._seed_at(b, t) for t in fresh]
     xo = [dist(x, o) for x in xs]
     yo = [dist(y, o) for y in ys]
     if reuse:
@@ -284,21 +262,7 @@ def _window_min(space, a, b, params, o, carry=None):
         for j, y in enumerate(ys)
     ]
     carry["last"] = (params[-1], xs[-1], ys[-1], xo[-1], yo[-1], xy[-1])
-    n = len(ys)
-    if isinstance(space, RayComplex):
-        den = math.lcm(*(d for _, d in xo + yo + xy))
-        xo, yo, xy = ([m * (den // d) for m, d in r] for r in (xo, yo, xy))
-        doubled = min(
-            dx + dy - xy[i * n + j]
-            for i, dx in enumerate(xo)
-            for j, dy in enumerate(yo)
-        )
-        return Fraction(doubled, 2 * den)
-    return min(
-        (d_xo + d_yo - xy[i * n + j]) / 2
-        for i, d_xo in enumerate(xo)
-        for j, d_yo in enumerate(yo)
-    )
+    return space._least_product(xo, yo, xy)
 
 
 def _check_radius(r) -> None:

@@ -32,9 +32,9 @@ from .annulus import (  # noqa: F401
 from .boundary import shared_products
 from .errors import DomainError, HorizonError
 from .metric import gromov_product
-from .points import AttachedRayPoint, Point, RayComplexPoint, require_same_space
+from .points import Point, RayComplexPoint, require_same_space
 from .ray_complex import RayComplex
-from .rays import AttachedLeg, BoundaryArcLeg, ChordLeg, UnitSpeedRay
+from .rays import BoundaryArcLeg, ChordLeg, UnitSpeedRay
 
 
 # -- distance from a point to a ray -----------------------------------------
@@ -100,7 +100,6 @@ def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
     HorizonError when every minimizer sits at or beyond the horizon.
     """
     space = ray.space
-    require_same_space(space.space_id, x)
     if isinstance(space, RayComplex):
         d, params = _rc_ray_distance(space, x, ray)
     else:
@@ -132,14 +131,12 @@ def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
     so on any interval there it is least at an end of the interval.  On x's
     own edge the along-edge term makes it V-shaped around x, where it is 0.
 
-    x is seeded once per query and every stop once per ray, so a candidate
-    costs one ``_seeded_ratio``.  Candidates compare by cross-multiplying;
-    the distance is one ``Fraction``.
+    x is checked and seeded once per query (``RayComplex._seed``) and every
+    stop once per ray, so a candidate costs one ``_seeded_distance``.
+    Candidates compare by cross-multiplying; the distance is one ``Fraction``.
     """
-    if not isinstance(x, RayComplexPoint):
-        raise DomainError("ray-complex distance needs ray-complex points")
-    seeded = space._seeds(x.edge_id, *x.offset.as_integer_ratio())
-    dist = space._seeded_ratio
+    seeded = space._seed(x)
+    dist = space._seeded_distance
     cands = []  # (numerator, denominator, global parameter)
     for eid, lo, hi, g0, start, stops in ray._stops:
         cands += [(*dist(seeded, stop), g) for g, stop in stops]
@@ -154,16 +151,10 @@ def _rc_ray_distance(space: RayComplex, x: RayComplexPoint, ray: UnitSpeedRay):
 
 
 def _annulus_ray_distance(space: AnnulusSpace, x: Point, ray: UnitSpeedRay):
-    plan = ray._annulus_plan
-    if isinstance(x, AttachedRayPoint):
-        for kind, g0, data in plan:
-            if kind is AttachedLeg and data[0] == x.ray_id:
-                return 0.0, [g0 + x.s]
-    cx, wedge = space._coords(x)
-    xt = kernel_terms(*cx)
+    xt, wedge, on_ray = space._seed(x)
     best = math.inf
     hits: list = []
-    for kind, g0, data in plan:
+    for kind, g0, data in ray._annulus_plan:
         if kind is ChordLeg:
             d, s = _chord_distance(data, xt)
         elif kind is BoundaryArcLeg:
@@ -171,6 +162,8 @@ def _annulus_ray_distance(space: AnnulusSpace, x: Point, ray: UnitSpeedRay):
             foot = min(max(xt[0], lo), hi)
             # the terms of (foot, 1): phi = arccos(1) and T = sqrt(0) are 0
             d, s = ann_distance_terms(xt, (foot, 1.0, 0.0, 0.0)), abs(foot - t0)
+        elif data[0] == on_ray:  # x lies on this attached leg
+            return 0.0, [g0 + wedge]
         else:
             d, s = ann_distance_terms(xt, data[1]), 0.0
         d = wedge + d
@@ -201,7 +194,7 @@ class ProjectionResult:
 
     def diameter(self, space):
         pts = self.points()
-        worst = Fraction(0) if isinstance(space, RayComplex) else 0.0
+        worst = 0 * self.distance  # a zero of the distance's own type
         for i, a in enumerate(pts):
             for b in pts[i + 1:]:
                 worst = max(worst, space.distance(a, b))

@@ -8,18 +8,15 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 from .errors import DomainError
-from .points import Point, require_same_space
+from .points import Point
 
 Number = Union[Fraction, float]
 
 
 def gromov_product(x: Point, y: Point, z: Point, space) -> Number:
-    """Half of d(x,z) + d(y,z) - d(x,y); exact rational in ray complexes."""
-    require_same_space(space.space_id, x, y, z)
-    val = space.distance(x, z) + space.distance(y, z) - space.distance(x, y)
-    if isinstance(val, Fraction):
-        return val / 2
-    return val / 2.0
+    """Half of d(x,z) + d(y,z) - d(x,y); exact rational in ray complexes.
+    Each ``distance`` checks its points."""
+    return (space.distance(x, z) + space.distance(y, z) - space.distance(x, y)) / 2
 
 
 @dataclass

@@ -20,9 +20,9 @@ vertex order, adjacency, Dijkstra and the canonical text (``describe``, and
 so ``space_id``) see the integers ``parameter * _scale``; the build makes no
 ``Fraction`` beyond the basepoint's.  Gluing parameters may be given as
 ints, which the build takes as they are.  Queries run on integers too: a
-point enters as (edge, num, den) (``_seeds``) and a distance leaves as an
-unreduced integer ratio (``_seeded_ratio``).  An edge ray seeds its leg
-ends and the marks it passes once (``UnitSpeedRay._stops``).  The public
+point enters, checked, as (edge, num, den) (``_seed``) and a distance leaves
+as an unreduced integer ratio (``_seeded_distance``).  An edge ray seeds its
+leg ends and the marks it passes once (``UnitSpeedRay._stops``).  The public
 ``vertex_locs`` and ``marks_on`` are ``Fraction`` views computed on each
 read, and no query reads them; otherwise ``Fraction``s exist only at the
 point and distance API (``point``, ``distance``), once per stop of a ray,
@@ -260,6 +260,24 @@ class RayComplex:
             raise DomainError(f"offset {off} outside edge {edge_id}")
         return RayComplexPoint(self.space_id, edge_id, off)
 
+    def _seed(self, p: Point) -> tuple:
+        """The one check of a caller's point (of this space, on a declared
+        edge, within it: compared on integers), seeded (``_seeds``)."""
+        require_same_space(self.space_id, p)
+        if not isinstance(p, RayComplexPoint):
+            raise DomainError("ray-complex distance needs ray-complex points")
+        if p.edge_id not in self.edges:
+            raise DomainError(f"unknown edge {p.edge_id}")
+        num, den = p.offset.as_integer_ratio()
+        top = self._int_lengths[p.edge_id]
+        if top is not None and num * self._scale > top * den:
+            raise DomainError(f"offset {p.offset} outside edge {p.edge_id}")
+        return self._seeds(p.edge_id, num, den)
+
+    def _seed_at(self, ray, s) -> tuple:
+        """Seeded ray(s), unchecked: ``_edge_plan`` checked the legs."""
+        return self._seeds(*ray.edge_location(s))
+
     def _seeds(self, edge_id: str, num: int, den: int) -> tuple:
         """The seeded point (edge_id, num, den, [(vertex, a)]) at parameter
         num / den of edge_id (den > 0, not necessarily reduced): the vertices
@@ -306,20 +324,16 @@ class RayComplex:
             self._rows[v] = self.vertex_distances(v)
         return self._rows[v]
 
-    def _seeded_ratio(self, p: tuple, q: tuple) -> tuple[int, int]:
-        """d(p, q) for two seeded points (``_seeds``), unchecked: the least
-        offset-plus-row sum over the vertices bracketing p and q, or the
-        along-edge distance when they share an edge.
+    def _seeded_distance(self, p: tuple, q: tuple) -> tuple[int, int]:
+        """d(p, q) for two seeded points (``_seed``), unchecked, as an
+        unreduced integer ratio: the least offset-plus-row sum over the
+        vertices bracketing p and q, or the along-edge distance when they
+        share an edge.
 
-        Everything is an integer; ``Fraction``s remain only at the point
-        API (``distance``) and once per window minimum.  Candidates are
-        compared as numerators over the common denominator dp * dq *
-        _scale, which is the denominator returned.  Callers that keep
-        seeded points work each point's out once: a boundary-product
-        schedule seeds o once, and after its first window (7 seeds, 15
-        calls here) each window seeds its 4 new points and makes 12 calls
-        here (4 to o, 8 cross), where 15 ``distance`` calls would seed 30
-        points (``boundary._window_min``); a projection seeds its point
+        Candidates are compared as numerators over the common denominator
+        dp * dq * _scale, which is the denominator returned.  Callers that
+        keep seeded points work each point's out once: a product window
+        (``boundary._window_min``), and a projection, which seeds its point
         once and each stop of a ray once per ray (``UnitSpeedRay._stops``).
         """
         p_edge, p_num, dp, p_seeds = p
@@ -336,12 +350,19 @@ class RayComplex:
         return best, dp * dq * self._scale
 
     def distance(self, p: Point, q: Point) -> Fraction:
-        """Exact d(p, q): the integer core ``_seeded_ratio`` as a Fraction."""
-        require_same_space(self.space_id, p, q)
-        if not isinstance(p, RayComplexPoint) or not isinstance(q, RayComplexPoint):
-            raise DomainError("ray-complex distance needs ray-complex points")
-        seeded = [self._seeds(x.edge_id, *x.offset.as_integer_ratio()) for x in (p, q)]
-        return Fraction(*self._seeded_ratio(*seeded))
+        """Exact d(p, q): the integer core ``_seeded_distance`` as a Fraction."""
+        return Fraction(*self._seeded_distance(self._seed(p), self._seed(q)))
+
+    @staticmethod
+    def _least_product(xo: list, yo: list, xy: list) -> Fraction:
+        """A window's least product, from integer doubled products over one
+        common denominator (``xy`` row-major): its one ``Fraction``."""
+        den = math.lcm(*(d for _, d in xo + yo + xy))
+        xo, yo, xy = ([m * (den // d) for m, d in r] for r in (xo, yo, xy))
+        n = len(yo)
+        doubled = min(dx + dy - xy[i * n + j]
+                      for i, dx in enumerate(xo) for j, dy in enumerate(yo))
+        return Fraction(doubled, 2 * den)
 
     # -- rays -------------------------------------------------------------
 

@@ -4,15 +4,17 @@ A ray is a concatenation of legs, each of which knows how to evaluate a
 point at a given arc length.  Legs come in four kinds: an interval on a
 ray-complex edge, an arc along the r = 1 boundary circle, a straight
 disk-avoiding chord between two cover points, and an attached ray.
-Construction checks only that every leg but the last is bounded and that
-the legs are all edge legs, on a ray complex, or all other legs, elsewhere.
-An edge leg is bounded exactly when it has an ``end``, so these checks do
-no leg arithmetic.  Leg lengths and offsets are computed, and edge legs
-checked to lie inside declared edges (``_edge_plan``), on the ray's first
-evaluation.  A ray is unit-speed by the way its legs are parametrized,
-but nothing here checks that it is a geodesic, and rays with corners can
-be built.  The run-time check is ``contraction._is_geodesic``, on annulus
-rays, where the escape-time search relies on it.
+Construction checks only that every leg but the last is bounded, that the
+legs are all edge legs, on a ray complex, or all other legs, elsewhere,
+that an arc leg's direction is +1 or -1, and that an attached leg names a
+ray of its annulus.  An edge leg is bounded exactly when it has an ``end``,
+so these checks do no leg arithmetic.  Leg lengths and offsets are
+computed, and edge legs checked to lie inside declared edges
+(``_edge_plan``), on the ray's first evaluation.  A ray is unit-speed by
+the way its legs are parametrized, but nothing here checks that it is a
+geodesic, and rays with corners can be built.  The run-time check is
+``contraction._is_geodesic``, on annulus rays, where the escape-time search
+relies on it.
 
 An edge ray is evaluated on integers only (``edge_location``): its plan
 holds every leg offset, start and end in units of 1/m, m the LCM of their
@@ -157,6 +159,11 @@ class UnitSpeedRay:
             raise DomainError("a ray's legs must be all edge legs or none")
         if isinstance(self.legs[0], EdgeLeg) != isinstance(self.space, RayComplex):
             raise DomainError("edge legs run on ray complexes, and no other legs do")
+        for leg in self.legs:
+            if isinstance(leg, BoundaryArcLeg) and leg.direction not in (1, -1):
+                raise DomainError(f"an arc leg's direction is +1 or -1, not {leg.direction}")
+            if isinstance(leg, AttachedLeg) and leg.ray_id not in self.space.attached:
+                raise DomainError(f"unknown attached ray {leg.ray_id}")
 
     @cached_property
     def leg_offsets(self) -> tuple:
@@ -172,9 +179,7 @@ class UnitSpeedRay:
         projection onto the ray (``contraction._annulus_ray_distance``).
         kind is the leg's class; data is an arc's angle interval and t0, a
         chord leg itself, or an attached ray's id and its base's kernel
-        terms."""
-        from .annulus import kernel_terms  # annulus imports this module
-
+        terms, as the space made them."""
         plan = []
         for leg, g0 in zip(self.legs, self.leg_offsets):
             if isinstance(leg, BoundaryArcLeg):
@@ -182,7 +187,7 @@ class UnitSpeedRay:
             elif isinstance(leg, ChordLeg):
                 data = leg
             else:  # an attached leg
-                data = (leg.ray_id, kernel_terms(*self.space.attached[leg.ray_id]))
+                data = (leg.ray_id, self.space._base_terms[leg.ray_id])
             plan.append((type(leg), g0, data))
         return tuple(plan)
 

@@ -19,7 +19,7 @@ from boundary_lab.annulus import (
     spiral_coords,
 )
 from boundary_lab.mesh_oracle import mesh_oracle_distance
-from boundary_lab.rays import ChordLeg
+from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, UnitSpeedRay
 from oracles import reference_mesh_oracle
 
 
@@ -62,6 +62,57 @@ def test_prepared_kernel_matches_kernel_bit_for_bit():
         want = ann_distance_coords(t1, r1, t2, r2)
         got = ann_distance_terms(kernel_terms(t1, r1), kernel_terms(t2, r2))
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    # the space's distance reads seeded points: against the reference on
+    # raw coordinates, the wedge lengths plus ann_distance_coords, or the
+    # difference of arc lengths along one attached ray
+    def reference(A, p, q):
+        if isinstance(p, bl.AttachedRayPoint) and isinstance(q, bl.AttachedRayPoint):
+            if p.ray_id == q.ray_id:
+                return abs(p.s - q.s)
+        (cp, sp), (cq, sq) = (
+            ((x.t, x.r), 0.0) if isinstance(x, bl.AnnulusPoint)
+            else (A.attached[x.ray_id], x.s)
+            for x in (p, q)
+        )
+        return sp + sq + ann_distance_coords(*cp, *cq)
+
+    for spec in ("Xcat0:8", "Ycat0:8"):
+        A = bl.get_space(spec).space
+        rids = sorted(A.attached)
+
+        def point():
+            if rng.random() < 0.5:
+                return A.pt(rng.uniform(-20.0, 20.0), radius())
+            return A.ray_pt(rng.choice(rids), rng.choice([0.0, rng.uniform(0.0, 50.0)]))
+
+        pairs = [(point(), point()) for _ in range(1500)]
+        pairs += [(A.ray_pt(rid, rng.uniform(0.0, 50.0)), A.ray_pt(rid, s))
+                  for rid in rids for s in (0.0, rng.uniform(0.0, 50.0))]
+        pairs += [(A.ray_pt(rid, 0.0), A.pt(*A.attached[rid])) for rid in rids]
+        pairs += [(A.basepoint, point()) for _ in range(100)]
+        kinds = {(type(p), type(q), getattr(p, "ray_id", 0) == getattr(q, "ray_id", 1))
+                 for p, q in pairs}
+        assert len(kinds) == 5  # annulus, mixed both ways, attached on two rays, on one
+        for p, q in pairs:
+            want, got = reference(A, p, q), A.distance(p, q)
+            assert got.hex() == want.hex(), (spec, p, q)
+
+
+@pytest.mark.parametrize("legs, message", [
+    ((AttachedLeg("g9"),), "unknown attached ray g9"),
+    ((BoundaryArcLeg(0.0, 1, 1.0), AttachedLeg("g9")), "unknown attached ray g9"),
+    ((BoundaryArcLeg(0.0, 3, None),), "direction"),
+    ((BoundaryArcLeg(0.0, 0, 2.0), AttachedLeg("g1")), "direction"),
+], ids=["unknown-attached", "unknown-attached-after-an-arc", "arc-at-speed-3",
+        "arc-standing-still"])
+def test_annulus_rays_off_their_space_are_rejected(legs, message):
+    # on Xcat0:4 these built: eval(1.0) gave the point g9+1 on an attached
+    # ray the space does not have, or the point at angle 3 on a "unit-speed"
+    # ray
+    A = bl.get_space("Xcat0:4").space
+    with pytest.raises(bl.DomainError, match=message):
+        UnitSpeedRay(A, "bad", legs)
 
 
 @pytest.mark.parametrize("base", [(math.nan, 2.0), (math.inf, 2.0), (0.0, math.inf),

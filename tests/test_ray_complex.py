@@ -470,6 +470,34 @@ def test_a_ray_without_legs_is_rejected(zoo_x8):
         UnitSpeedRay(zoo_x8.space, "empty", ())
 
 
+@pytest.mark.parametrize("edge, offset, message", [
+    ("ca3", 100, "offset 100 outside edge ca3"),
+    ("ca3", Fraction(81, 10), "offset 81/10 outside edge ca3"),
+    ("zzz", 1, "unknown edge zzz"),
+], ids=["far-past-a-segment-end", "just-past-a-segment-end", "undeclared-edge"])
+def test_raw_points_off_their_complex_are_rejected(edge, offset, message):
+    # points built without RayComplex.point; on X:4, ca3 is a segment of
+    # length 8.  These answered distance(p, o) = 95 and ray_distance(p,
+    # alpha) = (92, [3]), or raised a bare KeyError
+    z = bl.build_X(4)
+    X, alpha, o = z.space, z.boundary["alpha"].canonical, z.space.basepoint
+    p = bl.RayComplexPoint(X.space_id, edge, offset)
+    for use in (
+        lambda: X.distance(p, o),
+        lambda: X.distance(o, p),
+        lambda: ray_distance(p, alpha),
+        lambda: project(p, alpha, 100),
+        lambda: gromov_product(o, o, p, X),
+    ):
+        with pytest.raises(bl.DomainError, match=message):
+            use()
+    # the ends of the segment and raw offsets (ints too) inside it are points
+    for off in (0, 8, Fraction(79, 10), Fraction(8)):
+        raw = bl.RayComplexPoint(X.space_id, "ca3", off)
+        assert X.distance(raw, o) == X.distance(X.point("ca3", off), o)
+        assert ray_distance(raw, alpha) == ray_distance(X.point("ca3", off), alpha)
+
+
 class _Recorded(RayComplex):
     """A RayComplex that keeps its constructor arguments."""
 
