@@ -14,7 +14,8 @@ Attached rays meet the annulus only at their base point, so distances
 through them decompose through the base (wedge metric).
 Every distance, projection and product window reads seeded points
 (``AnnulusSpace._seed``) on the prepared kernel; ``ann_distance_coords`` is
-the reference.
+the reference.  The space owns its rays' float geometry: point distance,
+projection feet and escape (``_ray_distance``, ``_feet``, ``_escape``).
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, HorizonError
 from .points import (
     AnnulusPoint,
     AttachedRayPoint,
@@ -152,6 +154,148 @@ def _reverse_leg(leg):
     raise DomainError("cannot reverse unbounded leg")
 
 
+# -- rays: point distance, projection feet, escape -------------------------
+
+def _chord_distance(leg: ChordLeg, xt: Terms) -> tuple[float, float]:
+    """(distance, local argmin) from a point with kernel terms xt to a chord
+    leg.
+
+    Exact, with no search: the annulus cover is CAT(0), so s -> d(x, c(s))
+    is convex along the chord c (Bridson-Haefliger II.2.2), and it is C^1
+    across the kernel's split between its chord and tangent branches.  Its
+    minimizer is therefore an endpoint or a critical point of the active
+    branch.  On the chord branch that is the Euclidean foot of dev x, where
+    x is developed at angle t_x - t_a (the developing map (r cos t,
+    r sin t) is a local isometry of the cover, so |t_x - t_a| may exceed
+    pi).  On the tangent branch d = const + T(c) - phi(c) +- t(c), with
+    T = sqrt(r^2 - 1) and phi = arccos(1/r); writing u for the chord
+    parameter measured from u0, the foot of the perpendicular from the disk
+    center at distance p, its derivative is (u T +- p) / r^2, which
+    vanishes exactly at u = -+1.  The kernel is evaluated at these
+    candidates (0, length, the foot, u0 - 1, u0 + 1), each clamped to the
+    chord, and the least value is returned.  Only the foot depends on x:
+    the other four, and the kernel terms of the chord points there, are
+    per-leg constants computed on first use (``ChordLeg._candidates``).
+    A clamped candidate equal to an earlier one is not evaluated again: its
+    value could not win the strict comparison, so the result is the same.
+
+    The kernel runs on prepared terms (``ann_distance_terms``), so its
+    formula exists twice in this module; a test pins the two bit for bit.
+    """
+    ell = leg.length
+    if ell == 0.0:
+        return ann_distance_terms(xt, kernel_terms(*leg.a)), 0.0
+    ta, ax, ay, ux, uy, head, tail = leg._candidates
+    tx, rx = xt[0], xt[1]
+    dt = tx - ta
+    foot = (rx * math.cos(dt) - ax) * ux + (rx * math.sin(dt) - ay) * uy
+    foot = min(max(foot, 0.0), ell)
+    best = (math.inf, 0.0)
+    for s, terms in head:
+        d = ann_distance_terms(xt, terms)
+        if d < best[0]:
+            best = (d, s)
+    if foot != 0.0 and foot != ell:
+        tc, rc = leg.coords_at(foot)
+        d = ann_distance_terms(xt, kernel_terms(tc, max(rc, 1.0)))
+        if d < best[0]:
+            best = (d, foot)
+    for s, terms in tail:
+        if s != foot:
+            d = ann_distance_terms(xt, terms)
+            if d < best[0]:
+                best = (d, s)
+    return best
+
+
+def _level_edge(f, start, toward, threshold, horizon):
+    """Last parameter in direction `toward` still inside {f <= threshold}."""
+    step = max(1e-9, horizon * 1e-7)
+    cur = start
+    while cur != toward:
+        trial = min(cur + step, toward) if toward > cur else max(cur - step, toward)
+        if f(trial) <= threshold:
+            cur = trial
+            step *= 2
+        else:
+            # bisect the crossing between cur (inside) and trial (outside)
+            a, b = cur, trial
+            for _ in range(60):
+                m = 0.5 * (a + b)
+                if f(m) <= threshold:
+                    a = m
+                else:
+                    b = m
+            return a
+    return cur
+
+
+def _is_geodesic(ray) -> bool:
+    """Whether an annulus ray passes the run-time geodesic check:
+    d(ray(0), ray(L)) = L to 1e-12 relative, so the ray is a geodesic on
+    [0, L].  L is the end of the last finite leg, or one unit past the start
+    of a final unbounded r = 1 arc, so that a corner where the arc begins
+    lies inside [0, L].  Past L the ray runs up an attached ray, which meets
+    the rest of the space only at its base, or along r = 1, a local geodesic;
+    in a CAT(0) space a local geodesic is a geodesic (Bridson-Haefliger, B-H,
+    II.1.4).  Annulus escape times require it of both rays.
+    """
+    last, end = ray.legs[-1], ray.leg_offsets[-1]
+    if last.length is not None:
+        end += last.length
+    elif isinstance(last, BoundaryArcLeg):
+        end += 1.0
+    return abs(ray.space.distance(ray.eval(0.0), ray.eval(end)) - end) <= 1e-12 * end
+
+
+# A grid of more than 2^53 points is rejected: k (H / n) indexes no more.
+_MAX_GRID_POINTS = 2 ** 53
+
+
+def _last_inside_convex(f, n: int, level: float, tol: float, d0: float) -> int:
+    """Last grid index k < n with f(k) <= level < f(n), for a convex f on
+    0..n with f(0) = d0.
+
+    From d0 <= level: {f <= level} is an interval from 0, and when f(n) <=
+    level too, f at 0, n // 2 and n decides the error.  From d0 > level:
+    "f(k) <= level or f(k + 1) < f(k)" holds on a prefix of the grid (once
+    f is above the level and not falling it stays so), and the last k of
+    that prefix is the answer if f(k) <= level; if not, f falls strictly up
+    to k + 1 and stays above the level: no grid point is inside.
+    """
+    if d0 > level:
+        g = cache(f)
+        if g(n) <= level:
+            raise HorizonError("still inside the 2C-neighborhood at the horizon")
+        lo, hi = -1, n
+        while hi - lo > 1:
+            k = (lo + hi) // 2
+            if g(k) <= level or g(k + 1) < g(k):
+                lo = k
+            else:
+                hi = k
+        if lo < 0 or g(lo) > level:
+            raise DomainError("ray starts outside the 2C-neighborhood")
+        return lo
+    mid = (n + 1) // 2
+    d_mid, d_end = f(mid), f(n)
+    if d_end <= level:
+        top = max(d0, d_mid, d_end)
+        if top >= level:
+            raise HorizonError("still inside the 2C-neighborhood at the horizon")
+        if d_end > d_mid + tol:
+            raise HorizonError("distance still rising at the horizon without reaching 2C")
+        raise DomainError(f"ray never reaches distance 2C = {level} (max {top:.6g})")
+    lo, hi = (mid, n) if d_mid <= level else (0, mid)
+    while hi - lo > 1:
+        k = (lo + hi) // 2
+        if f(k) <= level:
+            lo = k
+        else:
+            hi = k
+    return lo
+
+
 # -- the space -------------------------------------------------------------
 
 class AnnulusSpace:
@@ -223,6 +367,97 @@ class AnnulusSpace:
         return min((dx + dy - xy[i * n + j]) / 2
                    for i, dx in enumerate(xo) for j, dy in enumerate(yo))
 
+    # rays
+    def _ray_distance(self, x: Point, ray) -> tuple:
+        """(distance from x to the ray, sorted minimizing parameters): the
+        least of a closed form per leg (``_chord_distance`` on a chord)."""
+        xt, wedge, on_ray = self._seed(x)
+        best = math.inf
+        hits: list = []
+        for kind, g0, data in ray._annulus_plan:
+            if kind is ChordLeg:
+                d, s = _chord_distance(data, xt)
+            elif kind is BoundaryArcLeg:
+                lo, hi, t0 = data
+                foot = min(max(xt[0], lo), hi)
+                # the terms of (foot, 1): phi = arccos(1) and T = sqrt(0) are 0
+                d, s = ann_distance_terms(xt, (foot, 1.0, 0.0, 0.0)), abs(foot - t0)
+            elif data[0] == on_ray:  # x lies on this attached leg
+                return 0.0, [g0 + wedge]
+            else:
+                d, s = ann_distance_terms(xt, data[1]), 0.0
+            d = wedge + d
+            g = g0 + s
+            if d < best - 1e-12:
+                best, hits = d, [g]
+            elif d <= best + 1e-12:
+                hits.append(g)
+        return best, sorted(set(hits))
+
+    def _feet(self, x: Point, horizon):
+        """The feet of a projection of x, as a function (ray, minimizers,
+        level) -> intervals: each minimizer g widens to the largest interval
+        around it where d(x, ray(t)) <= level, walked no further than the
+        horizon (so it may not be None), and the intervals merge within 1e-9."""
+        if horizon is None:
+            raise DomainError("an annulus projection needs a finite horizon, got None")
+
+        def feet(ray, params, level):
+            def f(t):
+                return self.distance(x, ray.eval(t))
+
+            merged: list = []
+            for lo, hi in sorted((min(_level_edge(f, g, 0.0, level, horizon), g),
+                                  max(_level_edge(f, g, horizon, level, horizon), g))
+                                 for g in params):
+                if merged and lo <= merged[-1][1] + 1e-9:
+                    merged[-1][1] = max(merged[-1][1], hi)
+                else:
+                    merged.append([lo, hi])
+            return merged
+
+        return feet
+
+    def _escape(self, alpha, beta, C, horizon, f) -> tuple:
+        """(escape time, bracket): the last crossing of 2C by f(t) = d(beta(t),
+        alpha) before the horizon H, bracketed to 1e-9.
+
+        Both rays must pass ``_is_geodesic`` (a DomainError otherwise).  The
+        annulus cover with rays attached at single points is CAT(0) (B-H
+        II.11.1), the geodesic ray alpha has a closed convex image, and the
+        distance to a closed convex set is convex along the geodesic beta
+        (B-H II.2.5).  So ``_last_inside_convex`` finds the last point of the
+        grid ts[k] = k (H / n), ts[n] = H, n = max(8, ceil(4 H / C)), with
+        f <= 2C in about log2(n) queries; a grid of more than 2^53 points is
+        a DomainError.  The crossing after that grid point is bisected.
+        """
+        if not (_is_geodesic(alpha) and _is_geodesic(beta)):
+            raise DomainError("annulus escape times need geodesic rays")
+        H, level, step = float(horizon), 2.0 * float(C), float(C) / 4.0
+        d0 = f(0.0)
+        span = H / step if step > 0.0 else math.inf
+        if not span <= _MAX_GRID_POINTS - 1:
+            raise DomainError(
+                f"an escape grid to horizon {horizon} at step C/4 = {step:.6g} needs "
+                f"more than {_MAX_GRID_POINTS} samples"
+            )
+        n = max(8, math.ceil(span))
+
+        def at(k: int) -> float:
+            return H if k == n else k * (H / n)
+
+        k = _last_inside_convex(lambda k: f(at(k)), n, level, self.TOL, d0)
+        lo, hi = at(k), at(k + 1)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if f(mid) <= level:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo < 1e-9:
+                break
+        return 0.5 * (lo + hi), (lo, hi)
+
     def geodesic_polyline(
         self, p: AnnulusPoint, q: AnnulusPoint, samples: int = 33
     ) -> tuple[AnnulusPoint, ...]:
@@ -270,6 +505,8 @@ class SpiralMap:
     target: AnnulusSpace
 
     def __post_init__(self):
+        if not (isinstance(self.source, AnnulusSpace) and isinstance(self.target, AnnulusSpace)):
+            raise DomainError("the shear map runs between annulus spaces")
         for rid, (t, r) in self.source.attached.items():
             if rid not in self.target.attached:
                 raise DomainError(f"target space lacks attached ray {rid}")

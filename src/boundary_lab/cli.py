@@ -191,8 +191,6 @@ def cmd_profile(args) -> tuple[int, dict]:
 
 def cmd_git(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
-    if isinstance(zoo.space, RayComplex):
-        raise BoundaryLabError("the far-segment suite runs on annulus spaces")
     C = args.c
     gamma = resolve_ray(zoo, args.ray)
     done, worst, _ = far_segment_suite(gamma, C, args.n, args.seed)
@@ -302,12 +300,8 @@ def cmd_oracle(args) -> tuple[int, dict]:
     from .mesh_oracle import mesh_oracle_distance
 
     zoo = spacezoo.get_space(args.space)
-    if isinstance(zoo.space, RayComplex):
-        raise BoundaryLabError("the mesh oracle runs on annulus spaces")
     p = parse_point(zoo.space, getattr(args, "from"))
     q = parse_point(zoo.space, args.to)
-    if not isinstance(p, AnnulusPoint) or not isinstance(q, AnnulusPoint):
-        raise BoundaryLabError("the mesh oracle compares annulus points")
     oracle = mesh_oracle_distance(p, q, h=args.h)
     exact = zoo.space.distance(p, q)
     rel = (oracle - exact) / exact if exact else 0.0
@@ -368,8 +362,6 @@ def cmd_continuity(args) -> tuple[int, dict]:
 def cmd_spiral(args) -> tuple[int, dict]:
     zf = spacezoo.get_space(args.from_space)
     zt = spacezoo.get_space(args.to_space)
-    if isinstance(zf.space, RayComplex) or isinstance(zt.space, RayComplex):
-        raise BoundaryLabError("the shear map runs between annulus spaces")
     m = SpiralMap(zf.space, zt.space)
     p = parse_point(zf.space if args.direction == "forward" else zt.space, args.point)
     q = m.map_point(p, args.direction)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .annulus import chord_valid, develop_pair
 from .errors import DomainError
-from .points import AnnulusPoint
+from .points import AnnulusPoint, RayComplexPoint
 
 # About 40x the largest grid that the acceptance suite or the benchmark
 # queries (3001 x 393 cells); its value table is 400 MB of float64.
@@ -147,6 +147,11 @@ def mesh_oracle_distance(p: AnnulusPoint, q: AnnulusPoint, h: float = 0.01) -> f
     ``MAX_RADIUS``.  The grid spans the pair's own bounding box, which
     contains the geodesic.
     """
+    for x in (p, q):
+        if isinstance(x, RayComplexPoint):
+            raise DomainError("the mesh oracle runs on annulus spaces")
+        if not isinstance(x, AnnulusPoint):
+            raise DomainError("the mesh oracle compares annulus points")
     if not 0 < h < math.inf:
         raise DomainError(f"the grid step h must be positive and finite, got {h}")
     pc, qc = (p.t, p.r), (q.t, q.r)

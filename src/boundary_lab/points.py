@@ -25,8 +25,8 @@ class RayComplexPoint:
     offset: Fraction
 
     def __post_init__(self):
-        if self.offset < 0:
-            raise DomainError(f"negative offset {self.offset} on edge {self.edge_id}")
+        if not 0 <= self.offset < math.inf:
+            raise DomainError(f"offset {self.offset} on {self.edge_id} must be finite and >= 0")
 
     def __repr__(self):
         return f"{self.edge_id}:{self.offset}"

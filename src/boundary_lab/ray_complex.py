@@ -26,7 +26,9 @@ leg ends and the marks it passes once (``UnitSpeedRay._stops``).  The public
 ``vertex_locs`` and ``marks_on`` are ``Fraction`` views computed on each
 read, and no query reads them; otherwise ``Fraction``s exist only at the
 point and distance API (``point``, ``distance``), once per stop of a ray,
-and once per window minimum of ``boundary._window_min``.
+and once per window minimum of ``boundary._window_min``.  The complex owns
+its rays' exact geometry: point distance, projection feet and escape
+(``_ray_distance``, ``_feet``, ``_escape``).
 
 A shortest path never travels out and back along an unbranched ray tail,
 so ray edges contribute no vertex beyond their last marked location.
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .errors import BuildError, DisconnectedError, DomainError
+from .errors import BuildError, DisconnectedError, DomainError, HorizonError
 from .points import Point, RayComplexPoint, require_same_space
 
 RationalLike = Union[int, str, Fraction]
@@ -380,6 +382,86 @@ class RayComplex:
             ray = UnitSpeedRay(self, label, (EdgeLeg(label, Fraction(0), None),))
             self._edge_rays[label] = ray
         return ray
+
+    def _ray_distance(self, x: Point, ray) -> tuple:
+        """(exact distance, sorted minimizing parameters) from x to the ray.
+
+        The candidates are the ray's stops (``UnitSpeedRay._stops``: each leg's
+        two ends and the marks inside it) and x's own offset when x lies on a
+        leg; these are enough.  Between two consecutive marks of an edge, d(x, .)
+        is the minimum of two linear functions (the routes through either mark),
+        so on any interval there it is least at an end of the interval.  On x's
+        own edge the along-edge term makes it V-shaped around x, where it is 0.
+
+        x is checked and seeded once per query (``_seed``) and every stop once
+        per ray, so a candidate costs one ``_seeded_distance``.  Candidates
+        compare by cross-multiplying; the distance is one ``Fraction``.
+        """
+        seeded = self._seed(x)
+        dist = self._seeded_distance
+        cands = []  # (numerator, denominator, global parameter)
+        for eid, lo, hi, g0, start, stops in ray._stops:
+            cands += [(*dist(seeded, stop), g) for g, stop in stops]
+            if x.edge_id == eid and lo <= x.offset and (hi is None or x.offset <= hi):
+                cands.append((0, 1, g0 + abs(x.offset - start)))
+        num, den = cands[0][:2]
+        for n, d, _ in cands:
+            if n * den < num * d:
+                num, den = n, d
+        hits = {g for n, d, g in cands if n * den == num * d}
+        return Fraction(num, den), sorted(hits)
+
+    @staticmethod
+    def _feet(x: Point, horizon):
+        """The feet of a projection of x, as a function (ray, minimizers,
+        level) -> intervals: the exact minimizers, as points."""
+        return lambda ray, params, level: [(g, g) for g in params]
+
+    def _escape_cuts(self, alpha, beta) -> list:
+        """The parameters where f(t) = d(beta(t), alpha) may bend, for edge
+        rays, sorted: beta's stops (its leg ends and the marks inside its
+        legs) and beta's parameters at the ends of alpha's legs on beta's
+        edges.  Rejects a beta whose legs do not meet."""
+        require_same_space(self.space_id, beta.basepoint)
+        for leg, g0 in zip(beta.legs[1:], beta.leg_offsets[1:]):
+            if self.distance(beta.eval(g0), self.point(leg.edge_id, leg.start)):
+                raise DomainError(f"the legs of {beta.label!r} do not meet at {g0}")
+        ends = [(e, p) for e, lo, hi, *_ in alpha._stops for p in (lo, hi) if p is not None]
+        cuts = set()
+        for eid, lo, hi, g0, start, stops in beta._stops:
+            here = [p for e, p in ends if e == eid and lo <= p and (hi is None or p <= hi)]
+            cuts.update((g for g, _ in stops), (g0 + abs(p - start) for p in here))
+        return sorted(cuts)
+
+    def _escape(self, alpha, beta, C, horizon, f) -> tuple:
+        """(escape time, (time, time)): the last t <= H with f(t) = d(beta(t),
+        alpha) = 2C, exact, as one ``Fraction``.
+
+        Between two consecutive ``_escape_cuts`` p < q, every candidate of
+        ``_ray_distance`` moves at slope +1 or -1 (a route through the mark
+        behind beta(t) or ahead of it, or along the edge to an end of an alpha
+        leg), or beta runs on alpha and f = 0.  So f is either 0 there or the
+        tent min(f(p) + t - p, f(q) + q - t), and at the last cut p <= H with
+        f(p) <= 2C < f on every later cut and at H, T = p + 2C - f(p).  The
+        cuts are read from H down, one exact f each.
+
+        Past the last cut L, f rises at slope 1 or beta runs on alpha.  When
+        f(H) <= 2C, the first is a HorizonError (a larger horizon gives an
+        answer) and the second a DomainError (beta never leaves alpha for good).
+        """
+        cuts = self._escape_cuts(alpha, beta)
+        H, level = Fraction(horizon), 2 * Fraction(C)
+        if f(H) <= level:
+            last = cuts[-1]
+            if f(last + 1) == 0:
+                raise DomainError(f"rays run together past {last}: beta never leaves for good")
+            raise HorizonError("still inside the 2C-neighborhood at the horizon")
+        for p in reversed([c for c in cuts if c < H]):
+            d = f(p)
+            if d <= level:
+                T = p + level - d
+                return T, (T, T)
+        raise DomainError("ray starts outside the 2C-neighborhood")
 
     def marks_on(self, edge_id: str) -> list[Fraction]:
         """The edge's marked parameters, sorted, as ``Fraction``s."""

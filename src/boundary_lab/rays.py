@@ -9,12 +9,12 @@ legs are all edge legs, on a ray complex, or all other legs, elsewhere,
 that an arc leg's direction is +1 or -1, and that an attached leg names a
 ray of its annulus.  An edge leg is bounded exactly when it has an ``end``,
 so these checks do no leg arithmetic.  Leg lengths and offsets are
-computed, and edge legs checked to lie inside declared edges
-(``_edge_plan``), on the ray's first evaluation.  A ray is unit-speed by
-the way its legs are parametrized, but nothing here checks that it is a
-geodesic, and rays with corners can be built.  The run-time check is
-``contraction._is_geodesic``, on annulus rays, where the escape-time search
-relies on it.
+computed, edge legs checked to lie inside declared edges (``_edge_plan``)
+and annulus legs to meet (``_annulus_plan``), on the ray's first
+evaluation.  A ray is unit-speed by the way its legs are parametrized, but
+nothing here checks that it is a geodesic, and rays with corners can be
+built.  The run-time check is ``annulus._is_geodesic``, on annulus rays,
+where the escape-time search relies on it.
 
 An edge ray is evaluated on integers only (``edge_location``): its plan
 holds every leg offset, start and end in units of 1/m, m the LCM of their
@@ -110,7 +110,7 @@ class ChordLeg:
 
     @cached_property
     def _candidates(self) -> tuple:
-        """(t_a, ax, ay, ux, uy, head, tail): what ``contraction._chord_distance``
+        """(t_a, ax, ay, ux, uy, head, tail): what ``annulus._chord_distance``
         needs of a chord of positive length that does not depend on the
         query point.  (ax, ay) is the developed start, (ux, uy) the unit
         direction.  head and tail are (parameter, kernel terms) pairs of the
@@ -175,19 +175,27 @@ class UnitSpeedRay:
 
     @cached_property
     def _annulus_plan(self) -> tuple:
-        """(kind, offset, data) per leg, compiled on the first annulus
-        projection onto the ray (``contraction._annulus_ray_distance``).
-        kind is the leg's class; data is an arc's angle interval and t0, a
-        chord leg itself, or an attached ray's id and its base's kernel
-        terms, as the space made them."""
-        plan = []
+        """(kind, offset, data) per leg of an annulus ray, compiled on first
+        use (``locate``, ``AnnulusSpace._ray_distance``).  kind is the leg's
+        class; data is an arc's angle interval and t0, a chord leg itself, or
+        an attached ray's id and its base's kernel terms, as the space made
+        them.  The one check that the legs meet: each starts where the one
+        before ends, to 1e-12 relative, and none follows an attached leg."""
+        plan, end = [], None
         for leg, g0 in zip(self.legs, self.leg_offsets):
             if isinstance(leg, BoundaryArcLeg):
                 data = (*leg.angle_interval(), leg.t0)
+                start, stop = (leg.t0, 1.0), (leg.angle_at(leg.length or 0.0), 1.0)
             elif isinstance(leg, ChordLeg):
-                data = leg
+                data, start, stop = leg, leg.a, leg.b
             else:  # an attached leg
                 data = (leg.ray_id, self.space._base_terms[leg.ray_id])
+                start, stop = self.space.attached[leg.ray_id], (math.nan, math.nan)
+            if end is not None and not all(
+                abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b)) for a, b in zip(end, start)
+            ):
+                raise DomainError(f"the legs of {self.label!r} do not meet at {g0}")
+            end = stop
             plan.append((type(leg), g0, data))
         return tuple(plan)
 
@@ -268,6 +276,7 @@ class UnitSpeedRay:
     def locate(self, t):
         """(leg, local arc length) containing global parameter t >= 0, on a
         ray of annulus legs."""
+        self._annulus_plan  # checks the legs first
         if t < 0:
             raise DomainError(f"ray parameter must be nonnegative, got {t}")
         offs = self.leg_offsets

@@ -75,15 +75,10 @@ def profile_pair_sampler(
     (x, y, (d(x, gamma), feet)): the projection of x is computed here to
     size the ball, and ``contraction_profile`` reuses it.
     """
-    is_rc = isinstance(space, RayComplex)
-    point_sampler = (
-        rc_point_sampler(space, horizon)
-        if is_rc
-        else annulus_point_sampler(space, -5.0, float(horizon), r_max)
-    )
+    if isinstance(space, RayComplex):
+        point_sampler = rc_point_sampler(space, horizon)
 
-    def sample(rng: random.Random):
-        if is_rc:
+        def sample_rc(rng: random.Random):
             x = point_sampler(rng)
             if rng.random() < 0.7:
                 # nearby proposal on the same edge: far pairs rarely pass
@@ -92,10 +87,12 @@ def profile_pair_sampler(
                 top = Fraction(horizon) if edge.length is None else edge.length
                 shift = (top * rng.randint(-DENOM, DENOM)) / (4 * DENOM)
                 off = min(max(x.offset + shift, 0), top)
-                y = space.point(x.edge_id, off)
-            else:
-                y = point_sampler(rng)
-            return x, y
+                return x, space.point(x.edge_id, off)
+            return x, point_sampler(rng)
+
+        return sample_rc
+
+    def sample(rng: random.Random):
         scale = math.exp(rng.uniform(math.log(r_min), math.log(r_max)))
         u = rng.uniform(0.0, float(horizon) * 0.8)
         anchor = gamma.eval(u)

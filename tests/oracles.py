@@ -29,7 +29,7 @@ backtrack; the engine's in-place sweep must match it bit for bit.  The
 escape sweep below is the reference for ``t_first_escape``: it evaluates
 d(beta(t), alpha) with scalar ``ray_distance`` at every point of
 ``np.linspace(0, H, n + 1)`` and bisects after the last one inside 2C.
-The escape cuts below are the reference for ``contraction._escape_cuts``:
+The escape cuts below are the reference for ``RayComplex._escape_cuts``:
 they filter every ``Fraction`` mark of beta's edges, and every end of
 alpha's legs, into each leg of beta, as the engine once did.
 """

@@ -18,6 +18,7 @@ from boundary_lab.annulus import (
     kernel_terms,
     spiral_coords,
 )
+from boundary_lab.contraction import far_segment_suite, ray_distance
 from boundary_lab.mesh_oracle import mesh_oracle_distance
 from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, UnitSpeedRay
 from oracles import reference_mesh_oracle
@@ -113,6 +114,52 @@ def test_annulus_rays_off_their_space_are_rejected(legs, message):
     A = bl.get_space("Xcat0:4").space
     with pytest.raises(bl.DomainError, match=message):
         UnitSpeedRay(A, "bad", legs)
+
+
+@pytest.mark.parametrize("legs", [
+    (BoundaryArcLeg(0.0, 1, 0.5), AttachedLeg("g3")),
+    (ChordLeg((0.0, 2.0), (0.5, 2.0)), ChordLeg((0.5, 2.1), (1.0, 3.0))),
+    (BoundaryArcLeg(0.0, 1, 0.5), BoundaryArcLeg(0.5 + 1e-9, 1, None)),
+], ids=["arc-then-far-attached", "chord-jumps-up", "arc-gap-of-1e-9"])
+def test_annulus_rays_whose_legs_do_not_meet_are_rejected(legs):
+    # the first built, jumped 9.09 from (0.5, 1) to g3's base over 0.1 of
+    # parameter, and put a point at angle 0.25 on the ray, at distance 0
+    A = bl.get_space("Xcat0:4").space
+    ray = UnitSpeedRay(A, "bad", legs)
+    for use in (lambda: ray.eval(0.25), lambda: ray.locate(0.25),
+                lambda: ray_distance(A.pt(0.25, 1.0), ray, 100.0)):
+        with pytest.raises(bl.DomainError, match="legs of 'bad' do not meet at"):
+            use()
+
+
+def test_annulus_legs_meet_to_1e_12_relative():
+    # float noise where two legs meet is not a gap, and every zoo ray meets
+    A = bl.get_space("Xcat0:4").space
+    arcs = (BoundaryArcLeg(0.0, 1, 0.3), BoundaryArcLeg(0.1 + 0.2, 1, None))
+    assert UnitSpeedRay(A, "noisy", arcs).eval(1.0) == A.pt(1.0, 1.0)
+    far = (ChordLeg((0.0, 1e6), (0.5, 1e6)), ChordLeg((0.5, 1e6 * (1 + 1e-13)), (1.0, 1e6)))
+    UnitSpeedRay(A, "far", far).eval(0.0)
+    for build in (bl.build_Xcat0, bl.build_Ycat0):
+        for n in range(1, 21):
+            for bp in build(n).boundary.values():
+                for ray in bp.representatives():
+                    ray.eval(0.0)
+
+
+def test_annulus_only_calls_reject_other_inputs_where_they_enter():
+    # each of these raised a bare AttributeError
+    X, A = bl.get_space("X:4").space, bl.get_space("Xcat0:4").space
+    with pytest.raises(bl.DomainError, match="the far-segment suite runs on annulus spaces"):
+        far_segment_suite(X.edge_ray("alpha"), 1.0, 3, 1)
+    with pytest.raises(bl.DomainError, match="the mesh oracle runs on annulus spaces"):
+        mesh_oracle_distance(X.basepoint, X.point("alpha", 1))
+    for p, q in ((A.pt(0.0, 2.0), A.ray_pt("g1", 1.0)), (A.ray_pt("g1", 1.0), A.basepoint)):
+        with pytest.raises(bl.DomainError, match="the mesh oracle compares annulus points"):
+            mesh_oracle_distance(p, q)
+    Y = bl.get_space("Ycat0:4").space
+    for source, target in ((X, Y), (A, X)):
+        with pytest.raises(bl.DomainError, match="the shear map runs between annulus spaces"):
+            SpiralMap(source, target)
 
 
 @pytest.mark.parametrize("base", [(math.nan, 2.0), (math.inf, 2.0), (0.0, math.inf),

@@ -289,6 +289,23 @@ def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     assert set(json.loads(out)) == {"error"}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["git", "--space", "X:4", "--seed", "1"],
+     "the far-segment suite runs on annulus spaces"),
+    (["oracle", "--space", "X:4", "--from", "base", "--to", "base"],
+     "the mesh oracle runs on annulus spaces"),
+    (["oracle", "--space", "Xcat0:4", "--from", "g1:1", "--to", "base"],
+     "the mesh oracle compares annulus points"),
+    (["spiral", "--from-space", "X:4", "--to-space", "Ycat0:4", "--point", "base"],
+     "the shear map runs between annulus spaces"),
+])
+def test_annulus_only_commands_say_what_they_need(capsys, argv, message):
+    # the library refuses these inputs where they enter, with the messages
+    # the commands gave when they checked the space kind themselves
+    code, out = run_cli(capsys, *argv)
+    assert code == 2 and json.loads(out) == {"error": message}
+
+
 @pytest.mark.parametrize("argv, flag, value", [
     (["converge", "--space", "X:4", "--eta", "alpha", "--sequence", "g1,g2"],
      "--radii", "-.5,2"),

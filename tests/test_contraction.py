@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 import boundary_lab as bl
-from boundary_lab import contraction, samplers
-from boundary_lab.annulus import AnnulusSpace, chord_valid, geodesic_legs, kernel_terms
-from boundary_lab.contraction import (
-    ProjectionResult,
+from boundary_lab import annulus, contraction, samplers
+from boundary_lab.annulus import (
+    AnnulusSpace,
     _chord_distance,
     _is_geodesic,
+    chord_valid,
+    geodesic_legs,
+    kernel_terms,
+)
+from boundary_lab.contraction import (
+    ProjectionResult,
     claim_check,
     contraction_profile,
     far_segment_suite,
@@ -96,6 +101,15 @@ def test_project_rejects_non_finite_horizons(zoo_x8, horizon):
     for x, ray in ((A.pt(1, 3), alpha), (X.point("g3", 0), X.edge_ray("alpha"))):
         with pytest.raises(bl.DomainError, match="horizon"):
             project(x, ray, horizon)
+
+
+def test_project_counts_a_ray_given_twice_once(zoo_x8, zoo_xcat8):
+    for zoo, x in ((zoo_x8, zoo_x8.space.point("g3", 0)),
+                   (zoo_xcat8, zoo_xcat8.space.pt(1.0, 3.0))):
+        alpha, beta = zoo.boundary["alpha"].canonical, zoo.boundary["beta"].canonical
+        once = project(x, [alpha, beta], 50.0)
+        assert project(x, [alpha, beta, alpha], 50.0) == once
+        assert len({id(ray) for ray, _, _ in once.intervals}) == len(once.intervals)
 
 
 def test_annulus_projection_needs_a_horizon(zoo_x8, monkeypatch):
@@ -299,13 +313,13 @@ def test_chord_closed_form_matches_golden_search(zoo_xcat8):
 def test_chord_evaluates_each_distinct_candidate_once(monkeypatch, zoo_xcat8):
     # counts evaluations of the prepared kernel, the one the chord runs
     calls = []
-    kernel = contraction.ann_distance_terms
+    kernel = annulus.ann_distance_terms
 
     def counting(*args):
         calls.append(args)
         return kernel(*args)
 
-    monkeypatch.setattr(contraction, "ann_distance_terms", counting)
+    monkeypatch.setattr(annulus, "ann_distance_terms", counting)
     for leg, pts in _chord_cases(zoo_xcat8, seed=13):
         for cx in pts:
             ref = five_candidate_chord_distance(leg, cx)
@@ -661,7 +675,7 @@ def test_rc_escape_cuts_leave_tents_between_them():
         pairs += [(a, b) for a in rays for b in rays]
     intervals = 0
     for alpha, beta in pairs:
-        cuts = contraction._escape_cuts(alpha, beta)
+        cuts = alpha.space._escape_cuts(alpha, beta)
         assert cuts == reference_escape_cuts(alpha, beta), (alpha, beta)
         cuts.append(cuts[-1] + 2)
 
@@ -735,7 +749,7 @@ def test_rc_escape_makes_one_query_per_cut(monkeypatch, zoo_x8):
             calls.clear()
             res = _outcome(t_first_escape, alpha, beta, 1e-300, 1e300)
             outcomes.add(res[0] if isinstance(res, tuple) else type(res.value))
-            assert len(calls) <= len(contraction._escape_cuts(alpha, beta)) + 2
+            assert 1 <= len(calls) <= len(alpha.space._escape_cuts(alpha, beta)) + 2
     assert outcomes == {Fraction, bl.DomainError}
 
 
@@ -754,7 +768,24 @@ def test_escape_checks_the_sweep_before_allocating(monkeypatch, zoo_x8, C, horiz
     monkeypatch.setattr(contraction, "ray_distance", counted)
     et = t_first_escape(alpha, g2, C, horizon)
     assert et.value == 2 + 2 * Fraction(C) and et.bracket == (et.value, et.value)
-    assert len(calls) <= len(contraction._escape_cuts(alpha, g2)) + 2
+    assert 1 <= len(calls) <= len(alpha.space._escape_cuts(alpha, g2)) + 2
+
+
+def test_annulus_escape_queries_go_through_ray_distance(monkeypatch, zoo_xcat8):
+    # every value of f(t) = d(beta(t), alpha) is one counted query: the
+    # convex grid takes about log2(n) of them and the bisection about 30
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return ray_distance(*args)
+
+    alpha = zoo_xcat8.boundary["alpha"].canonical
+    beta = zoo_xcat8.boundary["beta"].canonical
+    monkeypatch.setattr(contraction, "ray_distance", counted)
+    et = t_first_escape(alpha, beta, 1.0, 100.0)
+    assert et.value == pytest.approx(2.0, abs=1e-6)
+    assert 30 <= len(calls) <= 60 and all(args[1] is alpha for args in calls)
 
 
 def test_rc_escape_is_exact_at_any_horizon(zoo_x8):

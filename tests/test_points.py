@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,14 @@ def test_point_validation(zoo_xcat8):
         RayComplexPoint("s", "e", Fraction(-1))
     with pytest.raises(bl.DomainError):
         zoo_xcat8.space.ray_pt("g1", -0.5)
+
+
+@pytest.mark.parametrize("offset", [math.nan, math.inf, Fraction(-1)])
+def test_ray_complex_points_need_a_finite_offset_at_least_0(zoo_x8, offset):
+    # NaN and inf offsets built, and X.distance(p, X.basepoint) then raised
+    # a bare ValueError or OverflowError
+    with pytest.raises(bl.DomainError, match="must be finite and >= 0"):
+        RayComplexPoint(zoo_x8.space.space_id, "ca3", offset)
 
 
 def test_offset_bounds_checked(zoo_x8):
