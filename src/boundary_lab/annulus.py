@@ -516,6 +516,8 @@ class SpiralMap:
                 raise DomainError(f"attached ray {rid} bases do not correspond")
 
     def map_point(self, p: Point, direction: str = "forward") -> Point:
+        if direction not in ("forward", "inverse"):
+            raise DomainError(f"direction must be forward or inverse, got {direction!r}")
         src = self.source if direction == "forward" else self.target
         dst = self.target if direction == "forward" else self.source
         require_same_space(src.space_id, p)

@@ -181,6 +181,8 @@ class UnitSpeedRay:
         an attached ray's id and its base's kernel terms, as the space made
         them.  The one check that the legs meet: each starts where the one
         before ends, to 1e-12 relative, and none follows an attached leg."""
+        if isinstance(self.legs[0], EdgeLeg):
+            raise DomainError(f"locate takes an annulus ray; {self.label!r} is not one")
         plan, end = [], None
         for leg, g0 in zip(self.legs, self.leg_offsets):
             if isinstance(leg, BoundaryArcLeg):
@@ -258,6 +260,9 @@ class UnitSpeedRay:
         m * (t's denominator), not reduced.  t is an int or a ``Fraction``;
         anything else (a float) is converted exactly.  A point where two
         legs meet belongs to the earlier leg."""
+        plan = self._edge_plan
+        if plan is None:
+            raise DomainError(f"edge_location takes an edge ray; {self.label!r} is not one")
         if not isinstance(t, (int, Fraction)):
             try:
                 t = Fraction(t)
@@ -266,7 +271,7 @@ class UnitSpeedRay:
         p, q = t.numerator, t.denominator
         if p < 0:
             raise DomainError(f"ray parameter must be nonnegative, got {t}")
-        m, legs = self._edge_plan
+        m, legs = plan
         x = p * m  # t in units of 1 / (m q)
         for eid, top, off, start, direction in legs:
             if top is None or x <= top * q:
@@ -275,7 +280,7 @@ class UnitSpeedRay:
 
     def locate(self, t):
         """(leg, local arc length) containing global parameter t >= 0, on a
-        ray of annulus legs."""
+        ray of annulus legs (an edge ray is a DomainError)."""
         self._annulus_plan  # checks the legs first
         if t < 0:
             raise DomainError(f"ray parameter must be nonnegative, got {t}")

@@ -7,14 +7,18 @@ offers them (a second route in the glued complexes, a slightly offset base
 in the annulus), and recommended horizons derived from the construction
 scale (never less than twice the largest scale).  Each registered class
 carries the product horizons of its bundle, which the product entry points
-of ``boundary`` use when the caller gives none.
+of ``boundary`` use when the caller gives none.  A builder hands the
+registry one maker per label, and a class's rays and ``BoundaryPoint`` are
+made on its first read, so a command that reads no class makes none.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import InitVar, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Union
 
 from .annulus import AnnulusSpace, geodesic_legs
@@ -25,33 +29,54 @@ from .ray_complex import RAY, SEGMENT, Edge, RayComplex
 from .rays import AttachedLeg, BoundaryArcLeg, EdgeLeg, UnitSpeedRay
 
 
-class Labels(dict):
-    """Boundary points by label; an unknown label is a DomainError."""
+Makers = dict[str, Callable[[], list[UnitSpeedRay]]]
 
-    def __missing__(self, label):
-        raise DomainError(f"unknown boundary label {label!r}")
+
+class Labels(Mapping):
+    """Boundary points by label, in label order, from one zero-argument maker
+    of its rays (canonical first) per label.  A class is made on its first
+    read and kept: the product memo keys on canonical rays by identity.
+    ``len`` and ``in`` make nothing; an unknown label is a DomainError."""
+
+    def __init__(self, makers: Makers, horizons):
+        self._makers, self._horizons, self._made = makers, horizons, {}
+
+    def __getitem__(self, label) -> BoundaryPoint:
+        try:
+            return self._made[label]
+        except KeyError:
+            if label not in self._makers:
+                raise DomainError(f"unknown boundary label {label!r}") from None
+        reps = self._makers[label]()
+        bp = self._made[label] = BoundaryPoint(label, reps[0], tuple(reps[1:]), self._horizons)
+        return bp
+
+    def __contains__(self, label) -> bool:
+        return label in self._makers
+
+    def __iter__(self):
+        return iter(self._makers)
+
+    def __len__(self) -> int:
+        return len(self._makers)
 
 
 @dataclass(eq=False)
 class ZooSpace:
-    """A space with its boundary registry.  ``representatives`` maps each
-    label to its rays, canonical first; ``boundary`` holds their classes,
-    which carry the zoo's product horizons."""
+    """A space with its boundary registry.  ``makers`` maps each label to a
+    maker of its rays, canonical first; ``boundary`` makes their classes on
+    first read, and they carry the zoo's product horizons."""
 
     name: str
     space: Union[RayComplex, AnnulusSpace]
-    representatives: InitVar[dict[str, list[UnitSpeedRay]]]
+    makers: InitVar[Makers]
     scale: float
     product_horizon: float
     default_horizon: float
     boundary: Labels = field(init=False)
 
-    def __post_init__(self, representatives):
-        horizons = (self.product_horizon, self.product_min_horizon)
-        self.boundary = Labels({
-            lab: BoundaryPoint(lab, reps[0], tuple(reps[1:]), horizons)
-            for lab, reps in representatives.items()
-        })
+    def __post_init__(self, makers):
+        self.boundary = Labels(makers, (self.product_horizon, self.product_min_horizon))
 
     @property
     def space_id(self) -> str:
@@ -107,8 +132,11 @@ def _glued(name: str, n: int, first: int, cb_length, routes: tuple) -> ZooSpace:
             edges.append(Edge(eid, SEGMENT, Fraction(length)))
             gluings += [((eid, 0), (f"g{i}", 0)), ((eid, length), (ray, i))]
     rc = RayComplex(edges, gluings, ("alpha", 0))
-    reps = {"alpha": [rc.edge_ray("alpha")], "beta": [rc.edge_ray("beta")]}
-    for i, connectors in branches:
+
+    def edge(label):
+        return [rc.edge_ray(label)]
+
+    def branch(i, connectors):
         at, rays = Fraction(i), []
         for ray in routes:
             eid = connectors[ray][0]
@@ -118,8 +146,11 @@ def _glued(name: str, n: int, first: int, cb_length, routes: tuple) -> ZooSpace:
                 EdgeLeg(f"g{i}", _ZERO, None),
             )
             rays.append(UnitSpeedRay(rc, f"g{i}~{ray}" if rays else f"g{i}", legs))
-        reps[f"g{i}"] = rays
-    return ZooSpace(f"{name}:{n}", rc, reps, scale, 16 * scale, 8 * scale)
+        return rays
+
+    makers = {"alpha": partial(edge, "alpha"), "beta": partial(edge, "beta")}
+    makers.update((f"g{i}", partial(branch, i, connectors)) for i, connectors in branches)
+    return ZooSpace(f"{name}:{n}", rc, makers, scale, 16 * scale, 8 * scale)
 
 
 def build_X(n: int) -> ZooSpace:
@@ -152,23 +183,23 @@ def _annulus(name: str, n: int, base_angle) -> ZooSpace:
     space = AnnulusSpace(
         {f"g{i}": (float(base_angle(i)), float(2 ** i)) for i in range(1, n + 1)}
     )
-    reps = {}
-    for label, direction in (("alpha", +1), ("beta", -1)):
-        reps[label] = [
+
+    def arc(label, direction):
+        return [
             UnitSpeedRay(space, lab, (BoundaryArcLeg(t0, direction, None),))
             for lab, t0 in ((label, 0.0), (f"{label}~1", direction * _PERTURB))
         ]
-    for i in range(1, n + 1):
-        label = f"g{i}"
-        reps[label] = [
-            UnitSpeedRay(
-                space,
-                lab,
-                (*geodesic_legs((t0, 1.0), space.attached[label]), AttachedLeg(label)),
-            )
+
+    def attached(label):
+        base = space.attached[label]
+        return [
+            UnitSpeedRay(space, lab, (*geodesic_legs((t0, 1.0), base), AttachedLeg(label)))
             for lab, t0 in ((label, 0.0), (f"{label}~1", _PERTURB))
         ]
-    return ZooSpace(f"{name}:{n}", space, reps, scale, 32 * scale, 8 * scale)
+
+    makers = {"alpha": partial(arc, "alpha", +1), "beta": partial(arc, "beta", -1)}
+    makers.update((f"g{i}", partial(attached, f"g{i}")) for i in range(1, n + 1))
+    return ZooSpace(f"{name}:{n}", space, makers, scale, 32 * scale, 8 * scale)
 
 
 def build_Xcat0(n: int) -> ZooSpace:

@@ -162,6 +162,29 @@ def test_annulus_only_calls_reject_other_inputs_where_they_enter():
             SpiralMap(source, target)
 
 
+def test_spiral_map_rejects_a_bad_direction_on_every_point_kind():
+    # an attached-ray point used to map as if the direction were "inverse"
+    A, Y = bl.get_space("Xcat0:4").space, bl.get_space("Ycat0:4").space
+    m = SpiralMap(A, Y)
+    for p in (Y.ray_pt("g1", 2.0), Y.pt(1.0, 2.0), A.ray_pt("g1", 2.0)):
+        with pytest.raises(bl.DomainError, match="direction must be forward or inverse"):
+            m.map_point(p, "sideways")
+
+
+def test_each_ray_evaluator_rejects_the_other_ray_kind():
+    # edge_location raised a bare TypeError on an annulus ray, locate a bare
+    # AttributeError on an edge ray
+    xcat, x = bl.get_space("Xcat0:4"), bl.get_space("X:4")
+    for ray in (xcat.boundary["alpha"].canonical, xcat.boundary["g2"].canonical):
+        with pytest.raises(bl.DomainError, match=f"^edge_location takes an edge ray; "
+                                                 f"'{ray.label}' is not one$"):
+            ray.edge_location(1)
+    for ray in (x.space.edge_ray("alpha"), x.boundary["g2"].canonical):
+        with pytest.raises(bl.DomainError, match=f"^locate takes an annulus ray; "
+                                                 f"'{ray.label}' is not one$"):
+            ray.locate(1)
+
+
 @pytest.mark.parametrize("base", [(math.nan, 2.0), (math.inf, 2.0), (0.0, math.inf),
                                   (0.0, math.nan), (0.0, 0.5)])
 def test_attached_bases_must_be_finite_with_r_at_least_one(base):

@@ -1,6 +1,8 @@
 import pytest
 
 import boundary_lab as bl
+from boundary_lab import spacezoo
+from boundary_lab.cli import main
 
 
 def test_build_X_edge_count():
@@ -105,3 +107,68 @@ def test_get_space_specs(tmp_path):
     path.write_text("ray a\nseg s 2\nglue s:0 a:1\nglue s:2 a:3\nbase a:0\n")
     zt = bl.get_space(str(path))
     assert set(zt.space.edges) == {"a", "s"}
+    assert len(zt.boundary) == 0 and list(zt.boundary) == [] and zt.boundary_points() == []
+    with pytest.raises(bl.DomainError, match="^unknown boundary label 'a'$"):
+        zt.boundary["a"]
+
+
+@pytest.fixture
+def classes_made(monkeypatch):
+    """The labels of the boundary classes the zoo makes, in order."""
+    made, real = [], spacezoo.BoundaryPoint
+
+    def counted(label, *args):
+        made.append(label)
+        return real(label, *args)
+
+    monkeypatch.setattr(spacezoo, "BoundaryPoint", counted)
+    return made
+
+
+@pytest.mark.parametrize("argv, labels", [
+    (["dist", "--space", "X:16", "--from", "alpha:5", "--to", "g3:1/2"], []),
+    (["gromov", "--space", "X:16", "--x", "alpha:5", "--y", "g3:1", "--z", "base"], []),
+    (["project", "--space", "X:16", "--point", "ca3:1", "--target", "alpha,beta"], []),
+    (["project", "--space", "X:16", "--point", "ca3:1", "--target", "g5"], []),
+    (["dist", "--space", "Xcat0:8", "--from", "ann:1.5,3", "--to", "g3:2"], []),
+    (["spiral", "--from-space", "Xcat0:8", "--to-space", "Ycat0:8", "--point", "g3:2"], []),
+    (["bproduct", "--space", "X:8", "--eta", "alpha", "--zeta", "g3"], ["alpha", "g3"]),
+], ids=["dist-X", "gromov-X", "project-X-two", "project-X-one", "dist-Xcat0", "spiral",
+        "bproduct-X"])
+def test_a_cold_command_makes_only_the_classes_it_reads(argv, labels, classes_made, capsys):
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert classes_made == labels
+
+
+@pytest.mark.parametrize("build, first, n", [
+    (bl.build_X, 1, 5), (bl.build_Y, 3, 6), (bl.build_Xcat0, 1, 4), (bl.build_Ycat0, 1, 3),
+])
+def test_each_class_is_made_once_on_its_first_read(build, first, n, classes_made):
+    z = build(n)
+    order = ["alpha", "beta"] + [f"g{i}" for i in range(first, n + 1)]
+    assert len(z.boundary) == len(order)
+    assert "g3" in z.boundary and "g0" not in z.boundary and "zz" not in z.boundary
+    assert list(z.boundary) == list(z.boundary.keys()) == order
+    assert classes_made == []
+    g3 = z.boundary["g3"]
+    assert z.boundary["g3"] is g3 and classes_made == ["g3"]
+    assert [bp.label for bp in z.boundary.values()] == order
+    assert [(lab, bp.label) for lab, bp in z.boundary.items()] == list(zip(order, order))
+    assert [bp.label for bp in z.boundary_points()] == order
+    assert z.boundary["g3"] is g3 and z.boundary_points()[order.index("g3")] is g3
+    assert sorted(classes_made) == sorted(order)  # each class made once
+    with pytest.raises(bl.DomainError, match="^unknown boundary label 'zz'$"):
+        z.boundary["zz"]
+
+
+@pytest.mark.parametrize("spec", ["X:1", "X:1019", "Y:3", "Y:1019", "Xcat0:1", "Xcat0:498",
+                                  "Ycat0:1", "Ycat0:498"])
+def test_every_class_of_the_least_and_largest_spec_is_made(spec):
+    # the rays' construction checks run on a class's first read, not when its
+    # space is built: every accepted spec still makes all of its classes
+    name, n = spec.split(":")
+    z = bl.get_space(spec)
+    points = z.boundary_points()
+    assert len(points) == 2 + int(n) - (2 if name == "Y" else 0)
+    assert all(bp.canonical.space is z.space for bp in points)
