@@ -6,8 +6,9 @@ Every command prints one deterministic JSON document (or CSV with
 and 2 on usage or build errors.  --help writes its text to stderr and a
 ``help@1`` JSON stub to stdout.  Sampling commands require --seed and are
 reproducible from (argv, seed); --jobs only parallelizes trial chunks,
-the merged output is identical for any job count.  A call parses with the
-subparser of its command only (see ``build_parser``).
+the merged output is identical for any job count.  A call with a known
+command parses its arguments with that command's parser alone (see
+``build_parser`` and ``parse_args``).
 """
 
 from __future__ import annotations
@@ -131,7 +132,10 @@ def cmd_gromov(args) -> tuple[int, dict]:
 def cmd_project(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     x = parse_point(zoo.space, args.point)
-    rays = [resolve_ray(zoo, lab) for lab in args.target.split(",")]
+    labels = args.target.split(",")
+    if "" in labels:
+        raise DomainError(f"empty ray label in --target {args.target!r}")
+    rays = [resolve_ray(zoo, lab) for lab in labels]
     horizon = zoo.default_horizon if args.horizon is None else args.horizon
     res = project(x, rays, horizon, tol=args.tol)
     return 0, {
@@ -527,26 +531,48 @@ COMMANDS = {
 }
 
 
+def _add_options(p: argparse.ArgumentParser, name: str) -> None:
+    """The options of command ``name``, and its handler as ``fn``."""
+    fn, _, options = COMMANDS[name]
+    p.set_defaults(command=name, fn=fn)
+    p.add_argument("--out", help="write the JSON/CSV artifact here")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    for flag, kw in options:
+        p.add_argument(flag, **kw)
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The argument parser; given a known command name, with that command's
-    subparser only.  Without one (no argv, an unknown name, a top-level
-    --help), every command is added, so errors and help list them all."""
+    """Given a known command name, that command's parser alone, for the
+    arguments after the name.  Without one (no argv, an unknown name, a
+    top-level --help), the full parser with a subparser per command, so
+    errors and help list them all."""
+    if command in COMMANDS:
+        p = _Parser(prog=f"boundary-lab {command}")
+        _add_options(p, command)
+        return p
     ap = _Parser(
         prog="boundary-lab",
         description="exact and numerical lab for contracting rays, Gromov "
         "products, and boundary topology on two families of geodesic spaces",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, help_, options) in COMMANDS.items():
-        if command in COMMANDS and name != command:
-            continue
-        p = sub.add_parser(name, help=help_)
-        p.set_defaults(fn=fn)
-        p.add_argument("--out", help="write the JSON/CSV artifact here")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        for flag, kw in options:
-            p.add_argument(flag, **kw)
+    for name, (_, help_, _) in COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_), name)
     return ap
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """The arguments of a call, as the full parser reads them: a known
+    command's arguments are read by its parser alone, and what that parser
+    does not take is the full parser's usage error."""
+    if not argv or argv[0] not in COMMANDS:
+        return build_parser().parse_args(argv)
+    p = build_parser(argv[0])
+    args, extra = p.parse_known_args(argv[1:])
+    if extra:
+        p.print_usage(sys.stderr)
+        raise DomainError(f"boundary-lab: unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 _CSV_ROWS = {
@@ -563,7 +589,7 @@ _CSV_ROWS = {
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = parse_args(argv)
         for name, value in vars(args).items():  # float options accept nan, inf
             flag = f"--{name.replace('_', '-')}"
             if isinstance(value, float) and not math.isfinite(value):

@@ -9,8 +9,9 @@ graph edge.  Dijkstra runs on integer weights from each vertex at most once,
 when a query first needs that vertex's row; a point distance is the least
 offset-plus-row sum over the vertices bracketing the two points.
 
-Construction checks every location and, on the base vertex's row, that the
-complex is connected (``DisconnectedError``): no query is unreachable.
+Construction checks every edge and location and, by union-find over the
+vertices that the build joins along each edge, that the complex is connected
+(``DisconnectedError``): no query is unreachable.  It runs no Dijkstra.
 
 The build runs on integer marks.  ``_scale`` is the LCM of the denominators
 of every location (segment ends, gluing parameters, the basepoint; origins
@@ -18,8 +19,9 @@ are 0).  Marks are sums of edge weights from 0 and weights are differences
 of marks, so this is also the LCM of the weight denominators.  Union-find,
 vertex order, adjacency, Dijkstra and the canonical text (``describe``, and
 so ``space_id``) see the integers ``parameter * _scale``; the build makes no
-``Fraction`` beyond the basepoint's.  Gluing parameters may be given as
-ints, which the build takes as they are.  Queries run on integers too: a
+``Fraction`` beyond the basepoint's.  Segment lengths and gluing
+parameters may be given as ints, which the build takes as they are, and at
+scale 1 they stay ints throughout.  Queries run on integers too: a
 point enters, checked, as (edge, num, den) (``_seed``) and a distance leaves
 as an unreduced integer ratio (``_seeded_distance``).  An edge ray seeds its
 leg ends and the marks it passes once (``UnitSpeedRay._stops``).  The public
@@ -41,9 +43,8 @@ import heapq
 import math
 import weakref
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import BuildError, DisconnectedError, DomainError, HorizonError
 from .points import Point, RayComplexPoint, require_same_space
@@ -55,26 +56,25 @@ RAY = "ray"
 SEGMENT = "segment"
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A ray (length None) or a segment of positive rational length, int or
+    ``Fraction``; ``RayComplex`` checks it."""
+
     edge_id: str
     kind: str  # RAY or SEGMENT
-    length: Optional[Fraction]  # None for rays (infinite)
-
-    def __post_init__(self):
-        if self.kind not in (RAY, SEGMENT):
-            raise BuildError(f"unknown edge kind {self.kind!r}")
-        if self.kind == SEGMENT:
-            if self.length is None or self.length <= 0:
-                raise BuildError(
-                    f"segment {self.edge_id} needs a positive length, got {self.length}"
-                )
-        elif self.length is not None:
-            raise BuildError(f"ray {self.edge_id} cannot carry a finite length")
+    length: Optional[Rational]  # None for rays (infinite)
 
 
 Location = tuple[str, Fraction]  # (edge_id, parameter)
 IntLocation = tuple[str, int]  # (edge_id, parameter * _scale)
+
+
+def _find(a: int, parent: list[int]) -> int:
+    """The root of a in the union-find forest ``parent``, halving the path."""
+    while parent[a] != a:
+        parent[a] = parent[parent[a]]
+        a = parent[a]
+    return a
 
 
 def _frac(x: RationalLike) -> Fraction:
@@ -98,9 +98,17 @@ class RayComplex:
     ):
         self.edges: dict[str, Edge] = {}
         for e in edges:
-            if e.edge_id in self.edges:
-                raise BuildError(f"duplicate edge id {e.edge_id}")
-            self.edges[e.edge_id] = e
+            eid, kind, length = e
+            if eid in self.edges:
+                raise BuildError(f"duplicate edge id {eid}")
+            if kind == SEGMENT:
+                if length is None or length <= 0:
+                    raise BuildError(f"segment {eid} needs a positive length, got {length}")
+            elif kind != RAY:
+                raise BuildError(f"unknown edge kind {kind!r}")
+            elif length is not None:
+                raise BuildError(f"ray {eid} cannot carry a finite length")
+            self.edges[eid] = e
         if not self.edges:
             raise BuildError("a complex needs at least one edge")
 
@@ -110,8 +118,8 @@ class RayComplex:
         # shortest paths run on integer marks
         self._scale = math.lcm(
             self._basepoint_loc[1].denominator,
-            *(par.denominator for g in gluings for _, par in g),
-            *(e.length.denominator for e in self.edges.values() if e.length is not None),
+            *{par.denominator for g in gluings for _, par in g},
+            *{e.length.denominator for e in self.edges.values() if e.length is not None},
         )
         self._int_lengths = {
             eid: None if e.length is None else self._int(e.length)
@@ -123,13 +131,12 @@ class RayComplex:
                 raise BuildError("a gluing must identify at least two locations")
             int_gluings.append(self._checked(g))
         (base,) = self._checked([self._basepoint_loc])
-        self._build_vertex_graph(int_gluings, base)
-        self.lints: list[str] = self._lint(int_gluings)
+        glued = {loc for g in int_gluings for loc in g}
+        self._build_vertex_graph(int_gluings, glued, base)
+        self.lints: list[str] = self._lint(glued)
         # label -> its edge ray; weak, so that the rays' references back to
         # the complex make no cycle that keeps it alive
         self._edge_rays = weakref.WeakValueDictionary()
-        if None in self._row(self._base_vertex):
-            raise DisconnectedError("complex is not connected")
 
         self.space_id = "rc:" + hashlib.sha256(
             self.describe().encode()
@@ -138,23 +145,25 @@ class RayComplex:
     # -- construction ---------------------------------------------------
 
     def _int(self, par: Rational) -> int:
+        if type(par) is int:
+            return par * self._scale
         return par.numerator * (self._scale // par.denominator)
 
     def _checked(self, locs: Sequence[tuple[str, Rational]]) -> list[IntLocation]:
         """The locations as integer marks, each checked to lie on a declared
         edge, inside it."""
-        out = []
+        lengths, out = self._int_lengths, []
         for eid, par in locs:
-            if eid not in self.edges:
+            if eid not in lengths:
                 raise BuildError(f"location on undeclared edge {eid}")
-            k, top = self._int(par), self._int_lengths[eid]
+            k, top = self._int(par), lengths[eid]
             if k < 0 or (top is not None and k > top):
                 raise BuildError(f"parameter {par} outside edge {eid}")
             out.append((eid, k))
         return out
 
     def _build_vertex_graph(
-        self, gluings: list[list[IntLocation]], base: IntLocation
+        self, gluings: list[list[IntLocation]], glued: set, base: IntLocation
     ) -> None:
         """Vertex classes, marks and integer adjacency from integer marks.
 
@@ -167,34 +176,30 @@ class RayComplex:
         No ``Fraction`` is made: ``vertex_locs`` and ``marks_on`` are views
         computed on each read.
         """
-        locs = {(eid, 0) for eid in self._int_lengths}
+        locs = set(glued)
+        locs.update((eid, 0) for eid in self._int_lengths)
         locs.update(
             (eid, top) for eid, top in self._int_lengths.items() if top is not None
         )
-        for g in gluings:
-            locs.update(g)
         locs.add(base)
         locs = sorted(locs)
         index = {loc: i for i, loc in enumerate(locs)}
         parent = list(range(len(locs)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
         for g in gluings:
-            root = find(index[g[0]])
+            root = _find(index[g[0]], parent)
             for loc in g[1:]:
-                other = find(index[loc])
+                other = _find(index[loc], parent)
                 if other < root:
                     root, other = other, root
                 parent[other] = root
 
         # One walk in index order.  A parent never has a greater index, so
         # its vertex is known when a location is reached; an edge's marks
-        # come in order, each joined to the one before it.
+        # come in order, each joined to the one before it.  The joins also
+        # run a union-find over the vertices (``joined``); the complex is
+        # connected when they leave one piece.
+        joined: list[int] = []
+        pieces = 0
         vertex: list[int] = []
         members: list[list[IntLocation]] = []
         adjacency: list[list[tuple[int, int]]] = []
@@ -208,6 +213,8 @@ class RayComplex:
                 v = len(members)
                 members.append([(eid, k)])
                 adjacency.append([])
+                joined.append(v)
+                pieces += 1
             else:
                 v = vertex[up]
                 members[v].append((eid, k))
@@ -222,6 +229,12 @@ class RayComplex:
                 adjacency[v].append((u, w))
                 ks.append(k)
                 vs.append(v)
+                ru, rv = _find(u, joined), _find(v, joined)
+                if ru != rv:
+                    joined[ru] = rv
+                    pieces -= 1
+        if pieces > 1:
+            raise DisconnectedError("complex is not connected")
         self._base_vertex = vertex[index[base]]
         # per-vertex distance rows, filled by _row on first use
         self._rows: list[Optional[list]] = [None] * len(members)
@@ -234,9 +247,9 @@ class RayComplex:
             for members in self._members
         ]
 
-    def _lint(self, gluings: list[list[IntLocation]]) -> list[str]:
+    def _lint(self, glued: set) -> list[str]:
+        """A note per segment end that no gluing names."""
         notes = []
-        glued = {loc for g in gluings for loc in g}
         for eid, e in self.edges.items():
             if e.kind == SEGMENT:
                 for k, par in ((0, 0), (self._int_lengths[eid], e.length)):
@@ -483,9 +496,10 @@ class RayComplex:
         """
         scale = self._scale
 
-        def par(k: int) -> str:
+        def reduced(k: int) -> str:
             g = math.gcd(k, scale)
             return str(k // g) if g == scale else f"{k // g}/{scale // g}"
+        par = str if scale == 1 else reduced
         lines = ["# boundary-lab space 1"]
         for eid in sorted(self.edges):
             top = self._int_lengths[eid]

@@ -84,7 +84,7 @@ def profile_pair_sampler(
                 # nearby proposal on the same edge: far pairs rarely pass
                 # the admissibility filter, so bias toward local ones
                 edge = space.edges[x.edge_id]
-                top = Fraction(horizon) if edge.length is None else edge.length
+                top = Fraction(horizon if edge.length is None else edge.length)
                 shift = (top * rng.randint(-DENOM, DENOM)) / (4 * DENOM)
                 off = min(max(x.offset + shift, 0), top)
                 return x, space.point(x.edge_id, off)

@@ -36,7 +36,8 @@ class Labels(Mapping):
     """Boundary points by label, in label order, from one zero-argument maker
     of its rays (canonical first) per label.  A class is made on its first
     read and kept: the product memo keys on canonical rays by identity.
-    ``len`` and ``in`` make nothing; an unknown label is a DomainError."""
+    ``len`` and ``in`` make nothing.  ``[]`` of an unknown label is a
+    DomainError; ``get`` gives the default, as a ``Mapping`` does."""
 
     def __init__(self, makers: Makers, horizons):
         self._makers, self._horizons, self._made = makers, horizons, {}
@@ -53,6 +54,9 @@ class Labels(Mapping):
 
     def __contains__(self, label) -> bool:
         return label in self._makers
+
+    def get(self, label, default=None):
+        return self[label] if label in self._makers else default
 
     def __iter__(self):
         return iter(self._makers)
@@ -129,7 +133,7 @@ def _glued(name: str, n: int, first: int, cb_length, routes: tuple) -> ZooSpace:
     for i, connectors in branches:
         edges.append(Edge(f"g{i}", RAY, None))
         for ray, (eid, length) in connectors.items():
-            edges.append(Edge(eid, SEGMENT, Fraction(length)))
+            edges.append(Edge(eid, SEGMENT, length))
             gluings += [((eid, 0), (f"g{i}", 0)), ((eid, length), (ray, i))]
     rc = RayComplex(edges, gluings, ("alpha", 0))
 
@@ -142,7 +146,7 @@ def _glued(name: str, n: int, first: int, cb_length, routes: tuple) -> ZooSpace:
             eid = connectors[ray][0]
             legs = (
                 EdgeLeg(ray, _ZERO, at),
-                EdgeLeg(eid, rc.edges[eid].length, _ZERO),
+                EdgeLeg(eid, Fraction(rc.edges[eid].length), _ZERO),
                 EdgeLeg(f"g{i}", _ZERO, None),
             )
             rays.append(UnitSpeedRay(rc, f"g{i}~{ray}" if rays else f"g{i}", legs))

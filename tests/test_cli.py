@@ -279,6 +279,9 @@ BAD_INPUT = [
     ["spiral", "--from-space", "X:4", "--to-space", "Ycat0:4", "--point", "base"],
     ["dist", "--space", "X:4", "--from", "nocolon", "--to", "base"],
     ["dist", "--space", "X:4", "--from", "base", "--to", "base", "--format", "csv"],
+    # an empty label in a projection's target list
+    ["project", "--space", "X:4", "--point", "base", "--target", "alpha,,beta"],
+    ["project", "--space", "Xcat0:4", "--point", "base", "--target", ","],
 ]
 
 
@@ -287,6 +290,15 @@ def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert set(json.loads(out)) == {"error"}
+
+
+@pytest.mark.parametrize("space", ["X:4", "Xcat0:4"])
+@pytest.mark.parametrize("target", ["alpha,,beta", ",", "", "beta,"])
+def test_an_empty_target_label_is_named_on_both_space_kinds(capsys, space, target):
+    code, out = run_cli(capsys, "project", "--space", space, "--point", "base",
+                        "--target", target)
+    assert code == 2
+    assert json.loads(out) == {"error": f"empty ray label in --target {target!r}"}
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -511,9 +523,10 @@ ONE_PER_COMMAND = [
 ]
 
 
-def _parse(parser, argv):
+def _parse(parse, argv):
+    """The parsed options, sorted by name, or the usage error's message."""
     try:
-        return parser.parse_args(argv)
+        return sorted(vars(parse(argv)).items())
     except DomainError as err:
         return str(err)
 
@@ -523,36 +536,50 @@ def test_readme_examples_cover_every_command():
     assert [argv[0] for argv in ONE_PER_COMMAND] == list(COMMANDS)
 
 
+# usage errors that the command parser reads alone: an unknown option, a
+# stray positional, a missing option and a bad choice
+USAGE_ERRORS = [
+    ["dist", "--space", "X:4", "--from", "base", "--to", "base", "--bogus", "1"],
+    ["dist", "foo", "--space", "X:4", "--from", "base", "--to", "base"],
+    ["dist", "--space", "X:4", "--from", "base"],
+    ["spiral", "--from-space", "a", "--to-space", "b", "--point", "c",
+     "--direction", "up"],
+    ["dist", "--space", "X:4", "--from", "base", "--to", "base", "--format", "xml"],
+]
+
+
 @pytest.mark.parametrize(
-    "argv", readme_argvs() + BAD_INPUT + ONE_PER_COMMAND + [
-        ["dist", "--space", "X:4", "--from", "base", "--to", "base", "--bogus", "1"],
-        ["dist", "--space", "X:4", "--from", "base"],
-        ["spiral", "--from-space", "a", "--to-space", "b", "--point", "c",
-         "--direction", "up"],
-    ],
+    "argv", readme_argvs() + BAD_INPUT + ONE_PER_COMMAND + USAGE_ERRORS,
 )
 def test_one_command_parser_parses_like_the_full_parser(capsys, argv):
-    # a Namespace for a valid argv, the usage error message for a bad one
-    one = _parse(build_parser(argv[0]), argv)
-    full = _parse(build_parser(), argv)
+    # the same options for a valid argv, the same usage error message for a
+    # bad one; the command's parser reads argv[1:] alone, and what it leaves
+    # over is the full parser's "unrecognized arguments" error
+    one = _parse(cli.parse_args, argv)
+    full = _parse(build_parser().parse_args, argv)
     assert repr(one) == repr(full)  # repr: a parsed nan is not == itself
+    if isinstance(full, list):
+        alone = _parse(build_parser(argv[0]).parse_args, argv[1:])
+        assert repr(alone) == repr(full)
     if argv in readme_argvs() + ONE_PER_COMMAND:
-        assert isinstance(one, argparse.Namespace)
+        assert isinstance(one, list)
 
 
 def test_one_command_parser_registers_no_other_command():
-    for name in COMMANDS:
-        (sub,) = [
-            act for act in build_parser(name)._actions
-            if isinstance(act, argparse._SubParsersAction)
-        ]
-        assert list(sub.choices) == [name]
-        assert [act.dest for act in sub._choices_actions] == [name]
     (sub,) = [
         act for act in build_parser()._actions
         if isinstance(act, argparse._SubParsersAction)
     ]
     assert list(sub.choices) == list(COMMANDS)
+    for name in COMMANDS:
+        one = build_parser(name)
+        assert one.prog == sub.choices[name].prog == f"boundary-lab {name}"
+        assert not any(isinstance(act, argparse._SubParsersAction) for act in one._actions)
+        # the same options, in the same order, with the same handler
+        assert [act.option_strings for act in one._actions] == [
+            act.option_strings for act in sub.choices[name]._actions
+        ]
+        assert one.get_default("fn") is sub.choices[name].get_default("fn")
 
 
 COMMAND_LIST = ", ".join(f"'{name}'" for name in COMMANDS)
@@ -566,6 +593,11 @@ COMMAND_LIST = ", ".join(f"'{name}'" for name in COMMANDS)
      "boundary-lab: unrecognized arguments: --bogus 1"),
     (["dist", "--space", "X:4", "--from", "base"],
      "boundary-lab dist: the following arguments are required: --to"),
+    (["dist", "foo", "--space", "X:4", "--from", "base", "--to", "base"],
+     "boundary-lab: unrecognized arguments: foo"),
+    (["dist", "--space", "X:4", "--from", "base", "--to", "base", "--format", "xml"],
+     "boundary-lab dist: argument --format: invalid choice: 'xml' "
+     "(choose from 'json', 'csv')"),
 ])
 def test_usage_errors_print_the_full_parser_messages(capsys, argv, error):
     code = main(argv)

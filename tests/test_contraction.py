@@ -27,7 +27,7 @@ from boundary_lab.contraction import (
     t_first_escape,
 )
 from boundary_lab.rays import BoundaryArcLeg, ChordLeg, EdgeLeg, UnitSpeedRay
-from boundary_lab.samplers import profile_pair_sampler, rc_point_sampler
+from boundary_lab.samplers import DENOM, profile_pair_sampler, rc_point_sampler
 from boundary_lab.suite import alpha_extremal_pairs, class_constants
 from oracles import (
     chord_candidates,
@@ -165,6 +165,26 @@ def test_rc_samplers_reject_non_finite_horizons(zoo_x8, horizon):
         rc_point_sampler(X, horizon)
     with pytest.raises(bl.DomainError, match="horizon"):
         profile_pair_sampler(X, X.edge_ray("alpha"), horizon)
+
+
+def test_nearby_rc_proposals_stay_exact_on_int_lengths():
+    # zoo segment lengths are ints; a nearby proposal moves x by an exact
+    # multiple of length / (4 DENOM), also where the length needs more bits
+    # than a float has (cb_i of Y:60 is 2^i - 2i)
+    Y = bl.build_Y(60).space
+    sample = profile_pair_sampler(Y, Y.edge_ray("beta"), horizon=2 ** 62)
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(1500):
+        x, y = sample(rng)
+        length = Y.edges[x.edge_id].length
+        if y.edge_id != x.edge_id or length is None or length < 2 ** 53:
+            continue
+        assert type(length) is int
+        if 0 < y.offset < length:
+            assert ((y.offset - x.offset) * 4 * DENOM / length).denominator == 1
+            checked += 1
+    assert checked >= 20
 
 
 @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])

@@ -597,6 +597,105 @@ def test_build_errors_match_the_fraction_reference():
             assert str(err.value) == message
 
 
+def test_edge_build_errors():
+    # an Edge is checked where its complex is built, once per edge
+    a = Edge("a", RAY, None)
+    cases = [
+        (Edge("l", "loop", None), "unknown edge kind 'loop'"),
+        (Edge("l", "loop", 2), "unknown edge kind 'loop'"),
+        (Edge("s", SEGMENT, None), "segment s needs a positive length, got None"),
+        (Edge("s", SEGMENT, 0), "segment s needs a positive length, got 0"),
+        (Edge("s", SEGMENT, Fraction(-1, 2)), "segment s needs a positive length, got -1/2"),
+        (Edge("r", RAY, 3), "ray r cannot carry a finite length"),
+        (Edge("r", RAY, Fraction(1, 3)), "ray r cannot carry a finite length"),
+    ]
+    for edge, message in cases:
+        with pytest.raises(bl.BuildError) as err:
+            RayComplex([a, edge], [(("a", 0), (edge.edge_id, 0))], ("a", 0))
+        assert str(err.value) == message
+
+
+def test_int_and_fraction_lengths_build_the_same_complex():
+    for n in (1, 5, 9):
+        z = bl.build_X(n).space
+        edges = [Edge(eid, kind, None if length is None else Fraction(length))
+                 for eid, kind, length in z.edges.values()]
+        assert any(type(e.length) is int for e in z.edges.values())
+        glue = [members for members in z.vertex_locs if len(members) > 1]
+        rc = RayComplex(edges, glue, z._basepoint_loc)
+        assert rc.describe() == z.describe() and rc.space_id == z.space_id
+
+
+def _maybe_disconnected_complexes():
+    """Seeded complexes of 2-6 edges in which an edge may be left unglued or
+    glued only to edges that are, so that segment and ray islands occur,
+    with the basepoint on any edge; then a segment island and an unglued
+    ray, named."""
+    rng = random.Random(31)
+    for _ in range(80):
+        edges = [Edge("e0", RAY, None)]
+        gluings = []
+
+        def location(es):
+            e = rng.choice(es)
+            top = e.length if e.length is not None else Fraction(6)
+            return e.edge_id, top * Fraction(rng.randint(0, 6), 6)
+
+        for k in range(1, rng.randint(2, 6)):
+            if rng.random() < 0.6:
+                edge = Edge(f"e{k}", SEGMENT, Fraction(rng.randint(1, 9), rng.choice([1, 3])))
+            else:
+                edge = Edge(f"e{k}", RAY, None)
+            if rng.random() < 0.7:
+                gluings.append(((edge.edge_id, 0), location(edges)))
+            edges.append(edge)
+            if edge.length is not None and rng.random() < 0.3:
+                gluings.append(((edge.edge_id, edge.length), location(edges)))
+        yield edges, gluings, location(edges)
+    a, b = Edge("a", RAY, None), Edge("b", RAY, None)
+    s, t = Edge("s", SEGMENT, Fraction(2)), Edge("t", SEGMENT, 3)
+    yield [a, b, s, t], [(("a", 0), ("b", 0)), (("s", 2), ("t", 0))], ("a", 1)
+    yield [a, s, b], [(("a", 0), ("s", 0))], ("s", 1)
+
+
+def test_connectivity_verdict_matches_the_reference():
+    # the build's union-find over the vertices it joins along each edge
+    # gives the verdict of the reference's walk from the basepoint
+    verdicts = []
+    for edges, gluings, base in _maybe_disconnected_complexes():
+        try:
+            fraction_vertex_graph(edges, gluings, base)
+            want = None
+        except bl.BuildError as err:
+            want = str(err)
+        try:
+            RayComplex(edges, gluings, base)
+            got = None
+        except bl.DisconnectedError as err:
+            got = str(err)
+        assert got == want
+        verdicts.append(got)
+    assert verdicts[-2:] == ["complex is not connected"] * 2
+    assert 10 <= verdicts.count(None) <= len(verdicts) - 10
+
+
+def test_a_build_runs_no_dijkstra(monkeypatch):
+    runs = []
+    original = RayComplex.vertex_distances
+
+    def counted(self, source):
+        runs.append(source)
+        return original(self, source)
+
+    monkeypatch.setattr(RayComplex, "vertex_distances", counted)
+    spaces = [bl.build_X(16).space, bl.build_Y(16).space]
+    x_space = Path(bl.__file__).parent / "spaces" / "X.space"
+    spaces.append(dsl.compile_space(dsl.parse_space(x_space.read_text())))
+    assert [len(rc.edges) for rc in spaces] == [50, 44, 50]
+    assert runs == []
+    assert all(row is None for rc in spaces for row in rc._rows)
+
+
 def test_integer_window_min_matches_gromov_products():
     # the window minimum is formed from integer doubled products over one
     # common denominator; it must be the least gromov_product of the window,

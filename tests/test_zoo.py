@@ -162,6 +162,21 @@ def test_each_class_is_made_once_on_its_first_read(build, first, n, classes_made
         z.boundary["zz"]
 
 
+@pytest.mark.parametrize("build", [bl.build_X, bl.build_Xcat0])
+def test_get_of_an_unknown_label_gives_the_default(build, classes_made):
+    # the Mapping contract: get gives its default where [] has no item, and
+    # makes no class; [] still names the label
+    z = build(4)
+    default = object()
+    assert z.boundary.get("nope", default) is default
+    assert z.boundary.get("nope") is None and z.boundary.get("") is None
+    assert classes_made == []
+    assert z.boundary.get("g3", default) is z.boundary["g3"]
+    assert classes_made == ["g3"]
+    with pytest.raises(bl.DomainError, match="^unknown boundary label 'nope'$"):
+        z.boundary["nope"]
+
+
 @pytest.mark.parametrize("spec", ["X:1", "X:1019", "Y:3", "Y:1019", "Xcat0:1", "Xcat0:498",
                                   "Ycat0:1", "Ycat0:498"])
 def test_every_class_of_the_least_and_largest_spec_is_made(spec):
