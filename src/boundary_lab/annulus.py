@@ -12,9 +12,11 @@ boundary case, so the kernel is continuous.
 
 Attached rays meet the annulus only at their base point, so distances
 through them decompose through the base (wedge metric).
-Every distance, projection and product window reads seeded points
-(``AnnulusSpace._seed``) on the prepared kernel; ``ann_distance_coords`` is
-the reference.  The space owns its rays' float geometry: point distance,
+Every distance, projection, product window and claim product reads seeded
+points (``AnnulusSpace._seed``) on the prepared kernel; a ray's point is
+seeded from its leg (``_seed_at``) with no point object made, and
+``_products`` forms a window's products.  ``ann_distance_coords`` is the
+reference.  The space owns its rays' float geometry: point distance,
 projection feet and escape (``_ray_distance``, ``_feet``, ``_escape``).
 """
 
@@ -34,6 +36,7 @@ from .points import (
     AttachedRayPoint,
     Point,
     check_annulus_coords,
+    check_arc_length,
     require_same_space,
 )
 from .rays import BoundaryArcLeg, ChordLeg
@@ -338,7 +341,8 @@ class AnnulusSpace:
     def _seed(self, p: Point) -> tuple:
         """The one check of a caller's point, as (kernel terms, wedge
         length, attached ray id or None); an attached point reads its base's."""
-        require_same_space(self.space_id, p)
+        if p.space_id != self.space_id:
+            raise DomainError(f"point {p!r} belongs to space {p.space_id}, not {self.space_id}")
         if isinstance(p, AnnulusPoint):
             return kernel_terms(p.t, p.r), 0.0, None
         if isinstance(p, AttachedRayPoint):
@@ -348,7 +352,17 @@ class AnnulusSpace:
         raise DomainError(f"not a point of this space: {p!r}")
 
     def _seed_at(self, ray, s) -> tuple:
-        return self._seed(ray.eval(s))
+        """``_seed(ray.eval(s))``, bit for bit and with the same errors, from
+        the ray's leg (``UnitSpeedRay._annulus_at``): no point is made.  A
+        ray of another space object goes through ``eval``."""
+        if ray.space is not self:
+            return self._seed(ray.eval(s))
+        rid, a, b = ray._annulus_at(s)
+        if rid is None:
+            check_annulus_coords("annulus point", a, b)
+            return kernel_terms(a, b), 0.0, None
+        check_arc_length(a)
+        return self._base_terms[rid], a, rid
 
     @staticmethod
     def _seeded_distance(a: tuple, b: tuple) -> float:
@@ -361,11 +375,17 @@ class AnnulusSpace:
         return self._seeded_distance(self._seed(p), self._seed(q))
 
     @staticmethod
-    def _least_product(xo: list, yo: list, xy: list) -> float:
-        """A window's least product, in ``gromov_product``'s operand order."""
+    def _products(xo: list, yo: list, xy: list) -> list:
+        """A window's products (dx + dy - dxy) / 2, row-major like ``xy``,
+        in ``gromov_product``'s operand order: bit for bit its values."""
         n = len(yo)
-        return min((dx + dy - xy[i * n + j]) / 2
-                   for i, dx in enumerate(xo) for j, dy in enumerate(yo))
+        return [(dx + dy - xy[i * n + j]) / 2
+                for i, dx in enumerate(xo) for j, dy in enumerate(yo)]
+
+    @classmethod
+    def _least_product(cls, xo: list, yo: list, xy: list) -> float:
+        """A window's least product."""
+        return min(cls._products(xo, yo, xy))
 
     # rays
     def _ray_distance(self, x: Point, ray) -> tuple:
@@ -403,8 +423,10 @@ class AnnulusSpace:
             raise DomainError("an annulus projection needs a finite horizon, got None")
 
         def feet(ray, params, level):
+            sx, dist, at = self._seed(x), self._seeded_distance, self._seed_at
+
             def f(t):
-                return self.distance(x, ray.eval(t))
+                return dist(sx, at(ray, t))
 
             merged: list = []
             for lo, hi in sorted((min(_level_edge(f, g, 0.0, level, horizon), g),
@@ -422,7 +444,8 @@ class AnnulusSpace:
         """(escape time, bracket): the last crossing of 2C by f(t) = d(beta(t),
         alpha) before the horizon H, bracketed to 1e-9.
 
-        Both rays must pass ``_is_geodesic`` (a DomainError otherwise).  The
+        Both rays must pass ``_is_geodesic``, which each ray runs once and
+        keeps (``UnitSpeedRay._geodesic``); a DomainError otherwise.  The
         annulus cover with rays attached at single points is CAT(0) (B-H
         II.11.1), the geodesic ray alpha has a closed convex image, and the
         distance to a closed convex set is convex along the geodesic beta
@@ -431,7 +454,7 @@ class AnnulusSpace:
         f <= 2C in about log2(n) queries; a grid of more than 2^53 points is
         a DomainError.  The crossing after that grid point is bisected.
         """
-        if not (_is_geodesic(alpha) and _is_geodesic(beta)):
+        if not (alpha._geodesic and beta._geodesic):
             raise DomainError("annulus escape times need geodesic rays")
         H, level, step = float(horizon), 2.0 * float(C), float(C) / 4.0
         d0 = f(0.0)

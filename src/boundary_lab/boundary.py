@@ -6,7 +6,9 @@ canonical representatives: E(S) is the minimum finite-scale product over a
 3 x 3 grid in [S, 2S]^2, and S, the int 2^k on both space kinds, doubles
 until the last two increments fall within the space's tolerance (``TOL``:
 0 on ray complexes, 1e-6 on the annulus).  One window body reads each
-space's seeded points (``_seed_at``, ``_seeded_distance``, ``_least_product``).
+space's seeded points (``_seed_at``, ``_seeded_distance``, ``_least_product``);
+on the annulus the least product is the ``min`` of the window's products
+(``_products``), which ``contraction.claim_check`` reads as well.
 On ray complexes the products are eventually constant, so the doubling
 terminates with the exact value.  There a window's nine products are
 formed as integers over one common denominator, and windows are queried

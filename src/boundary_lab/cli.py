@@ -97,7 +97,12 @@ def parse_point(space, text: str) -> Point:
     return space.ray_pt(name, s)
 
 
-def resolve_ray(zoo, label: str):
+def resolve_ray(zoo, label: str, option: str):
+    """The ray a command's ``option`` names: an edge ray on a ray complex,
+    a class's canonical ray on the annulus.  An empty label is named here,
+    on both space kinds."""
+    if not label:
+        raise DomainError(f"empty ray label in {option}")
     if isinstance(zoo.space, RayComplex):
         return zoo.space.edge_ray(label)
     return zoo.boundary[label].canonical
@@ -135,7 +140,7 @@ def cmd_project(args) -> tuple[int, dict]:
     labels = args.target.split(",")
     if "" in labels:
         raise DomainError(f"empty ray label in --target {args.target!r}")
-    rays = [resolve_ray(zoo, lab) for lab in labels]
+    rays = [resolve_ray(zoo, lab, "--target") for lab in labels]
     horizon = zoo.default_horizon if args.horizon is None else args.horizon
     res = project(x, rays, horizon, tol=args.tol)
     return 0, {
@@ -152,7 +157,7 @@ def cmd_project(args) -> tuple[int, dict]:
 def _profile_chunk(payload):
     zoo_spec, label, n, horizon, seed, chunk = payload
     zoo = spacezoo.get_space(zoo_spec)
-    gamma = resolve_ray(zoo, label)
+    gamma = resolve_ray(zoo, label, "--ray")
     sampler = profile_pair_sampler(zoo.space, gamma, horizon=horizon / 4)
     return contraction_profile(
         gamma, zoo.space, sampler, n, horizon, seed=seed * 7919 + chunk
@@ -196,7 +201,7 @@ def cmd_profile(args) -> tuple[int, dict]:
 def cmd_git(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
     C = args.c
-    gamma = resolve_ray(zoo, args.ray)
+    gamma = resolve_ray(zoo, args.ray, "--ray")
     done, worst, _ = far_segment_suite(gamma, C, args.n, args.seed)
     passed = done == args.n and worst <= 4 * C
     return (0 if passed else 1), {
@@ -212,8 +217,8 @@ def cmd_git(args) -> tuple[int, dict]:
 
 def cmd_escape(args) -> tuple[int, dict]:
     zoo = spacezoo.get_space(args.space)
-    alpha = resolve_ray(zoo, args.alpha)
-    beta = resolve_ray(zoo, args.beta)
+    alpha = resolve_ray(zoo, args.alpha, "--alpha")
+    beta = resolve_ray(zoo, args.beta, "--beta")
     horizon = zoo.default_horizon if args.horizon is None else args.horizon
     et = t_first_escape(alpha, beta, args.c, horizon)
     return 0, {

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 from .annulus import ann_distance_arrays, ann_distance_coords  # noqa: F401
 from .boundary import shared_products
 from .errors import DomainError, HorizonError
-from .metric import gromov_product
+from .metric import gromov_product  # noqa: F401  (bench/spans.py patches this name)
 from .points import Point
 from .rays import UnitSpeedRay
 
@@ -418,11 +418,16 @@ def claim_check(
 ) -> ClaimReport:
     """Escape times and finite-scale products for two boundary classes,
     checked against the 12C/13C/13C/50C/62C residual bounds.  The products
-    are taken at (f T, f' T) for f, f' in 4, 6, 8 and each escape time T."""
+    are taken at (f T, f' T) for f, f' in 4, 6, 8 and each escape time T,
+    as ``metric.gromov_product(x, y, o)`` gives them, on seeded points: o
+    is seeded once per call and each of the six points of a pair once
+    (``space._seed_at``), with their distances d(x, o), d(y, o) and d(x, y)
+    in that operand order (``space._seeded_distance``), and the space forms
+    the nine products (dx + dy - dxy) / 2 (``space._products``): floats bit
+    for bit on the annulus, exact on a ray complex."""
     if len(reps_eta) < 2 or len(reps_zeta) < 2:
         raise DomainError("need at least two representatives per class")
     space = reps_eta[0].space
-    o = space.basepoint
     C = float(C_eta)
 
     T = {
@@ -430,19 +435,19 @@ def claim_check(
         for i, a in enumerate(reps_eta) for j, b in enumerate(reps_zeta)
     }
 
+    o, dist = space._seed(space.basepoint), space._seeded_distance
     products: dict[tuple[int, int], list[float]] = {}
     r2 = 0.0
     scales = (4.0, 6.0, 8.0)
     for (i, j), t_ij in T.items():
-        a, b = reps_eta[i], reps_zeta[j]
-        vals = []
-        for fs in scales:
-            for ft in scales:
-                gp = float(
-                    gromov_product(a.eval(fs * t_ij), b.eval(ft * t_ij), o, space)
-                )
-                vals.append(gp)
-                r2 = max(r2, abs(gp - t_ij))
+        xs = [space._seed_at(reps_eta[i], f * t_ij) for f in scales]
+        ys = [space._seed_at(reps_zeta[j], f * t_ij) for f in scales]
+        xy = [dist(x, y) for x in xs for y in ys]
+        vals = [float(gp) for gp in space._products(
+            [dist(x, o) for x in xs], [dist(y, o) for y in ys], xy
+        )]
+        for gp in vals:
+            r2 = max(r2, abs(gp - t_ij))
         products[(i, j)] = vals
 
     # the spread of T as eta's representative changes, then zeta's

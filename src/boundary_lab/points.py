@@ -60,8 +60,7 @@ class AttachedRayPoint:
     s: float
 
     def __post_init__(self):
-        if not 0.0 <= self.s < math.inf:
-            raise DomainError(f"attached-ray point needs finite s >= 0, got s={self.s}")
+        check_arc_length(self.s)
 
     def __repr__(self):
         return f"{self.ray_id}+{self.s:.6g}"
@@ -76,6 +75,13 @@ def check_annulus_coords(subject: str, t: float, r: float) -> None:
     endpoints all pass through here."""
     if not (-math.inf < t < math.inf and 1.0 <= r < math.inf):
         raise DomainError(f"{subject} needs finite t, r >= 1: {t}, {r}")
+
+
+def check_arc_length(s: float) -> None:
+    """Reject an arc length up an attached ray other than finite s >= 0:
+    attached-ray points and seeded ray points pass through here."""
+    if not 0.0 <= s < math.inf:
+        raise DomainError(f"attached-ray point needs finite s >= 0, got s={s}")
 
 
 def require_same_space(space_id: str, *points: Point) -> None:

@@ -369,15 +369,26 @@ class RayComplex:
         return Fraction(*self._seeded_distance(self._seed(p), self._seed(q)))
 
     @staticmethod
-    def _least_product(xo: list, yo: list, xy: list) -> Fraction:
-        """A window's least product, from integer doubled products over one
-        common denominator (``xy`` row-major): its one ``Fraction``."""
+    def _doubled(xo: list, yo: list, xy: list) -> tuple[list, int]:
+        """A window's doubled products dx + dy - dxy, row-major like ``xy``,
+        as integer numerators over one common denominator: (numerators, den)."""
         den = math.lcm(*(d for _, d in xo + yo + xy))
         xo, yo, xy = ([m * (den // d) for m, d in r] for r in (xo, yo, xy))
         n = len(yo)
-        doubled = min(dx + dy - xy[i * n + j]
-                      for i, dx in enumerate(xo) for j, dy in enumerate(yo))
-        return Fraction(doubled, 2 * den)
+        return [dx + dy - xy[i * n + j]
+                for i, dx in enumerate(xo) for j, dy in enumerate(yo)], den
+
+    @classmethod
+    def _least_product(cls, xo: list, yo: list, xy: list) -> Fraction:
+        """A window's least product, compared on the integers: its one ``Fraction``."""
+        doubled, den = cls._doubled(xo, yo, xy)
+        return Fraction(min(doubled), 2 * den)
+
+    @classmethod
+    def _products(cls, xo: list, yo: list, xy: list) -> list:
+        """A window's products, row-major like ``xy``, as exact ``Fraction``s."""
+        doubled, den = cls._doubled(xo, yo, xy)
+        return [Fraction(d, 2 * den) for d in doubled]
 
     # -- rays -------------------------------------------------------------
 

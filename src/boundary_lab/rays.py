@@ -11,10 +11,14 @@ ray of its annulus.  An edge leg is bounded exactly when it has an ``end``,
 so these checks do no leg arithmetic.  Leg lengths and offsets are
 computed, edge legs checked to lie inside declared edges (``_edge_plan``)
 and annulus legs to meet (``_annulus_plan``), on the ray's first
-evaluation.  A ray is unit-speed by the way its legs are parametrized, but
-nothing here checks that it is a geodesic, and rays with corners can be
-built.  The run-time check is ``annulus._is_geodesic``, on annulus rays,
-where the escape-time search relies on it.
+evaluation; ``locate`` then walks a table of leg ends (``_locate_table``).
+One leg dispatch (``_annulus_at``) serves ``eval`` and
+``AnnulusSpace._seed_at``, which seeds a ray's point without making it.
+A ray is unit-speed by the way its legs are parametrized, but nothing here
+checks that it is a geodesic, and rays with corners can be built.  The
+run-time check is ``annulus._is_geodesic``, on annulus rays, where the
+escape-time search relies on it; each ray runs it once and keeps the
+answer (``_geodesic``).
 
 An edge ray is evaluated on integers only (``edge_location``): its plan
 holds every leg offset, start and end in units of 1/m, m the LCM of their
@@ -278,34 +282,62 @@ class UnitSpeedRay:
                 return eid, start * q + direction * (x - off * q), m * q
         raise DomainError(f"parameter {t} beyond end of finite ray")
 
+    @cached_property
+    def _locate_table(self) -> tuple:
+        """(ends, last leg, its offset) of an annulus ray, for ``locate``:
+        ends holds (end, leg, offset) of each leg but the last, the end
+        being the offset plus the length.  Compiled on first use, after the
+        legs' check (``_annulus_plan``)."""
+        self._annulus_plan
+        legs, offs = self.legs, self.leg_offsets
+        ends = tuple((off + leg.length, leg, off) for leg, off in zip(legs[:-1], offs[:-1]))
+        return ends, legs[-1], offs[-1]
+
     def locate(self, t):
         """(leg, local arc length) containing global parameter t >= 0, on a
         ray of annulus legs (an edge ray is a DomainError)."""
-        self._annulus_plan  # checks the legs first
+        ends, last, g0 = self._locate_table
         if t < 0:
             raise DomainError(f"ray parameter must be nonnegative, got {t}")
-        offs = self.leg_offsets
-        for leg, off in zip(self.legs[:-1], offs[:-1]):
-            if t <= off + leg.length:
+        for end, leg, off in ends:
+            if t <= end:
                 return leg, t - off
-        last = self.legs[-1]
-        s = t - offs[-1]
+        s = t - g0
         if last.length is not None and s > last.length:
             raise DomainError(f"parameter {t} beyond end of finite ray")
         return last, s
+
+    def _annulus_at(self, t) -> tuple:
+        """(None, angle, radius) of the point at global parameter t of an
+        annulus ray, or (attached ray id, s, None) up an attached ray,
+        unchecked: the one leg dispatch of ``eval`` and
+        ``AnnulusSpace._seed_at``, which check the coordinates."""
+        leg, s = self.locate(t)
+        s = float(s)
+        if isinstance(leg, BoundaryArcLeg):
+            return None, leg.angle_at(s), 1.0
+        if isinstance(leg, ChordLeg):
+            tt, rr = leg.coords_at(s)
+            return None, tt, max(rr, 1.0)
+        return leg.ray_id, s, None
 
     def eval(self, t) -> Point:
         sid = self.space.space_id
         if self._edge_plan is not None:
             eid, num, den = self.edge_location(t)
             return RayComplexPoint(sid, eid, Fraction(num, den))
-        leg, s = self.locate(t)
-        if isinstance(leg, BoundaryArcLeg):
-            return AnnulusPoint(sid, leg.angle_at(float(s)), 1.0)
-        if isinstance(leg, ChordLeg):
-            tt, rr = leg.coords_at(float(s))
-            return AnnulusPoint(sid, tt, max(rr, 1.0))
-        return AttachedRayPoint(sid, leg.ray_id, float(s))
+        rid, a, b = self._annulus_at(t)
+        if rid is None:
+            return AnnulusPoint(sid, a, b)
+        return AttachedRayPoint(sid, rid, a)
+
+    @cached_property
+    def _geodesic(self) -> bool:
+        """``annulus._is_geodesic`` of this annulus ray, run on first use and
+        kept, like the plan: every escape time asks it of both its rays."""
+        from .annulus import _is_geodesic  # annulus imports this module
+
+        return _is_geodesic(self)
 
     @property
     def basepoint(self) -> Point:

@@ -31,7 +31,11 @@ d(beta(t), alpha) with scalar ``ray_distance`` at every point of
 ``np.linspace(0, H, n + 1)`` and bisects after the last one inside 2C.
 The escape cuts below are the reference for ``RayComplex._escape_cuts``:
 they filter every ``Fraction`` mark of beta's edges, and every end of
-alpha's legs, into each leg of beta, as the engine once did.
+alpha's legs, into each leg of beta, as the engine once did.  The claim
+check below is the reference for ``claim_check``'s products: it evaluates
+every grid point afresh and takes one ``metric.gromov_product`` per point,
+so the engine's seeded points must reproduce it, bit for bit on the
+annulus and exactly on ray complexes.
 """
 
 import math
@@ -41,7 +45,14 @@ from fractions import Fraction
 import numpy as np
 
 from boundary_lab.annulus import ann_distance_coords
-from boundary_lab.contraction import EscapeTime, ray_distance
+from boundary_lab.boundary import boundary_gromov_product
+from boundary_lab.contraction import (
+    RESIDUAL_BOUNDS,
+    ClaimReport,
+    EscapeTime,
+    ray_distance,
+    t_first_escape,
+)
 from boundary_lab.errors import BuildError, DomainError, HorizonError
 from boundary_lab.mesh_oracle import (
     _piece_length,
@@ -509,3 +520,46 @@ def reference_escape_cuts(alpha, beta):
         if hi is not None:
             cuts.add(g0 + leg.length)
     return sorted(cuts)
+
+
+def reference_claim_check(reps_eta, reps_zeta, C_eta, C_zeta, horizon):
+    """(report, products) of the claim check: escape times from
+    ``t_first_escape``, and each pair's nine products at (f T, f' T), f and
+    f' in 4, 6, 8, from ``gromov_product`` on points made by ``eval``, as
+    a list per pair in escape-time order (unconverted: ``Fraction``s on a
+    ray complex)."""
+    space = reps_eta[0].space
+    o = space.basepoint
+    C = float(C_eta)
+    T = {
+        (i, j): float(t_first_escape(a, b, C_eta, horizon).value)
+        for i, a in enumerate(reps_eta) for j, b in enumerate(reps_zeta)
+    }
+    products = []
+    r2 = 0.0
+    for (i, j), t_ij in T.items():
+        a, b = reps_eta[i], reps_zeta[j]
+        vals = []
+        for fs in (4.0, 6.0, 8.0):
+            for ft in (4.0, 6.0, 8.0):
+                gp = gromov_product(a.eval(fs * t_ij), b.eval(ft * t_ij), o, space)
+                vals.append(gp)
+                r2 = max(r2, abs(float(gp) - t_ij))
+        products.append(vals)
+    r3 = max(abs(T[i, j] - T[k, j]) for i, j in T for k in range(len(reps_eta)))
+    r4 = max(abs(T[i, j] - T[i, k]) for i, j in T for k in range(len(reps_zeta)))
+    flat = [float(v) for vals in products for v in vals]
+    est = boundary_gromov_product(
+        reps_eta[0], reps_zeta[0], max_horizon=16 * float(horizon)
+    )
+    r5 = max(abs(t - est.value) for t in T.values())
+    residuals = dict(zip(RESIDUAL_BOUNDS, (r2, r3, r4, max(flat) - min(flat), r5)))
+    violations = tuple(
+        (name, residuals[name], k * C)
+        for name, k in RESIDUAL_BOUNDS.items() if residuals[name] > k * C
+    )
+    report = ClaimReport(
+        C, {f"{i},{j}": v for (i, j), v in T.items()}, *residuals.values(),
+        est.value, violations,
+    )
+    return report, products

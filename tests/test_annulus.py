@@ -127,9 +127,64 @@ def test_annulus_rays_whose_legs_do_not_meet_are_rejected(legs):
     A = bl.get_space("Xcat0:4").space
     ray = UnitSpeedRay(A, "bad", legs)
     for use in (lambda: ray.eval(0.25), lambda: ray.locate(0.25),
+                lambda: A._seed_at(ray, 0.25),
                 lambda: ray_distance(A.pt(0.25, 1.0), ray, 100.0)):
         with pytest.raises(bl.DomainError, match="legs of 'bad' do not meet at"):
             use()
+
+
+def _seed_bits(seed):
+    """A seeded annulus point with its floats as hex text: == compares bits."""
+    terms, wedge, rid = seed
+    return [x.hex() for x in (*terms, wedge)], rid
+
+
+@pytest.mark.parametrize("spec", ["Xcat0:8", "Ycat0:8"])
+def test_seeding_a_ray_point_matches_seeding_its_eval(spec):
+    # _seed_at seeds from the ray's leg and makes no point: bit for bit
+    # _seed(ray.eval(s)) on arc, chord and attached legs and at their
+    # junctions, and through eval for a ray of another space object
+    zoo = bl.get_space(spec)
+    A, twin = zoo.space, getattr(bl, f"build_{spec.split(':')[0]}")(8).space
+    rng = random.Random(5)
+    kinds = set()
+    for bp in zoo.boundary.values():
+        for ray in bp.representatives():
+            params = [0, Fraction(3, 2), 7]
+            for off, leg in zip(ray.leg_offsets, ray.legs):
+                kinds.add(type(leg))
+                params += [off, math.nextafter(off, math.inf), math.nextafter(off, -1.0)]
+                span = 50.0 if leg.length is None else leg.length
+                params += [off + rng.uniform(0.0, span) for _ in range(20)]
+            for s in params:
+                if s < 0:
+                    continue
+                want = _seed_bits(A._seed(ray.eval(s)))
+                assert _seed_bits(A._seed_at(ray, s)) == want, (ray, s)
+                assert _seed_bits(twin._seed_at(ray, s)) == want, (ray, s)
+    assert kinds == {BoundaryArcLeg, ChordLeg, AttachedLeg}
+
+
+def test_seeding_a_ray_point_rejects_what_eval_rejects():
+    zoo = bl.get_space("Xcat0:8")
+    A = zoo.space
+    alpha, g3 = zoo.boundary["alpha"].canonical, zoo.boundary["g3"].canonical
+    arc = UnitSpeedRay(A, "arc", (BoundaryArcLeg(0.0, 1, 2.0),))
+    chord = UnitSpeedRay(A, "chord", (ChordLeg((0.0, 2.0), (0.5, 3.0)),))
+    other = bl.get_space("Ycat0:8").boundary["alpha"].canonical
+    cases = [
+        (alpha, -1.0), (g3, -1e-300), (g3, Fraction(-1, 3)),  # negative
+        (arc, 2.5), (chord, 4.0), (arc, math.inf),  # past a finite ray's end
+        (alpha, math.inf), (alpha, math.nan), (chord, math.nan),  # not finite
+        (g3, math.inf), (g3, math.nan),  # up an attached ray
+        (other, 1.0),  # a ray of another space
+    ]
+    for ray, s in cases:
+        with pytest.raises(bl.DomainError) as want:
+            A._seed(ray.eval(s))
+        with pytest.raises(bl.DomainError) as got:
+            A._seed_at(ray, s)
+        assert str(got.value) == str(want.value), (ray, s)
 
 
 def test_annulus_legs_meet_to_1e_12_relative():

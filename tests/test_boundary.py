@@ -406,11 +406,12 @@ def test_annulus_windows_reuse_their_shared_point_bit_for_bit(spec):
 ])
 def test_k_windows_evaluate_each_ray_3_plus_2_k_minus_1_times(spec, eta, zeta, monkeypatch):
     # ray-complex windows evaluate through the integer edge_location, which
-    # eval shares; annulus windows through eval
+    # eval shares; annulus windows seed from the ray's legs through locate,
+    # which eval shares too
     z = bl.get_space(spec)
     a, b = z.boundary[eta].canonical, z.boundary[zeta].canonical
     evals = {id(a): 0, id(b): 0}
-    name = "edge_location" if isinstance(z.space, bl.RayComplex) else "eval"
+    name = "edge_location" if isinstance(z.space, bl.RayComplex) else "locate"
     original = getattr(UnitSpeedRay, name)
 
     def counted(self, t):

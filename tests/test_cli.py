@@ -196,6 +196,18 @@ NONPOSITIVE = [
 ]
 
 
+# an empty label in a command's one-ray options, on both space kinds
+EMPTY_RAY_LABELS = [
+    ([cmd, "--space", space, *args], option)
+    for space in ("X:4", "Xcat0:4")
+    for cmd, args, option in [
+        ("escape", ["--alpha", "", "--beta", "g2", "--c", "1"], "--alpha"),
+        ("escape", ["--alpha", "g1", "--beta", "", "--c", "1"], "--beta"),
+        ("profile", ["--ray", "", "--n", "2", "--seed", "1"], "--ray"),
+        ("git", ["--ray", "", "--seed", "1"], "--ray"),
+    ]
+]
+
 BAD_INPUT = [
     ["dist", "--space", "X:abc", "--from", "base", "--to", "base"],
     ["dist", "--space", "Xcat0:4", "--from", "alpha:xyz", "--to", "base"],
@@ -282,7 +294,7 @@ BAD_INPUT = [
     # an empty label in a projection's target list
     ["project", "--space", "X:4", "--point", "base", "--target", "alpha,,beta"],
     ["project", "--space", "Xcat0:4", "--point", "base", "--target", ","],
-]
+] + [argv for argv, _ in EMPTY_RAY_LABELS]
 
 
 @pytest.mark.parametrize("argv", BAD_INPUT)
@@ -299,6 +311,13 @@ def test_an_empty_target_label_is_named_on_both_space_kinds(capsys, space, targe
                         "--target", target)
     assert code == 2
     assert json.loads(out) == {"error": f"empty ray label in --target {target!r}"}
+
+
+@pytest.mark.parametrize("argv, option", EMPTY_RAY_LABELS)
+def test_an_empty_ray_label_names_its_option(capsys, argv, option):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(out) == {"error": f"empty ray label in {option}"}
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -34,6 +34,7 @@ from oracles import (
     five_candidate_chord_distance,
     golden_chord_distance,
     reference_annulus_ray_distance,
+    reference_claim_check,
     reference_escape_cuts,
     sweep_escape,
 )
@@ -919,6 +920,78 @@ def test_claim_needs_two_reps(zoo_xcat12):
     alpha = zoo_xcat12.boundary["alpha"]
     with pytest.raises(bl.DomainError):
         claim_check([alpha.canonical], alpha.representatives(), 1.0, 1.0, 100.0)
+
+
+def _bits(x):
+    """x with every float replaced by its hex text, so that == compares bits."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    return x
+
+
+def _claim_cases(spec):
+    """(eta, zeta, C_eta, C_zeta) of claim checks on a zoo space: the
+    sampled class constants on the annulus, fixed ones on a ray complex."""
+    zoo = bl.get_space(spec)
+    if isinstance(zoo.space, bl.RayComplex):
+        labels = ["g1", "g2", "g4", "g7"]
+        return [(e, f, C, C) for e in labels for f in labels if e != f for C in (1.0, 3.0)]
+    table = class_constants(zoo, seed=7)
+    labels = ["alpha", "beta", "g1", "g3", "g8"]
+    return [(e, f, table[e], table[f]) for e in labels for f in labels if e != f]
+
+
+@pytest.mark.parametrize("spec", ["Xcat0:8", "Ycat0:8", "X:8"])
+def test_claim_check_matches_its_point_reference(spec, monkeypatch):
+    # the products come from seeded points (space._products): the same
+    # escape times, residuals, products and boundary product as one
+    # gromov_product per grid point, bit for bit on the annulus
+    zoo = bl.get_space(spec)
+    space = zoo.space
+    seen = []
+
+    def products(xo, yo, xy):
+        seen.append(type(space)._products(xo, yo, xy))
+        return seen[-1]
+
+    monkeypatch.setattr(space, "_products", products, raising=False)
+    checked = 0
+    for eta, zeta, c_eta, c_zeta in _claim_cases(spec):
+        args = (zoo.boundary[eta].representatives(), zoo.boundary[zeta].representatives(),
+                c_eta, c_zeta, 50.0 * c_eta + 100.0)
+        seen.clear()
+        want = _outcome(reference_claim_check, *args)
+        got = _outcome(claim_check, *args)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want, (eta, zeta)  # the same error
+            continue
+        report, want_products = want
+        assert _bits(got.__dict__) == _bits(report.__dict__), (eta, zeta)
+        assert _bits(seen) == _bits(want_products), (eta, zeta)
+        checked += 1
+    assert checked >= 16
+
+
+def test_claim_check_runs_the_geodesic_check_once_per_ray(monkeypatch):
+    zoo = bl.build_Xcat0(8)  # a fresh build: its rays have run no check yet
+    calls = []
+
+    def counted(ray):
+        calls.append(ray.label)
+        return _is_geodesic(ray)
+
+    monkeypatch.setattr(annulus, "_is_geodesic", counted)
+    table = class_constants(zoo, seed=7)
+    for eta, zeta in (("alpha", "g3"), ("g3", "alpha"), ("alpha", "g8")):
+        claim_check(zoo.boundary[eta].representatives(),
+                    zoo.boundary[zeta].representatives(),
+                    table[eta], table[zeta], 50.0 * table[eta] + 100.0)
+    # six rays, every one of them in 2 x 2 escapes per claim check
+    assert sorted(calls) == ["alpha", "alpha~1", "g3", "g3~1", "g8", "g8~1"]
 
 
 def test_basis_single_point_boundary_vacuous(zoo_xcat12):
