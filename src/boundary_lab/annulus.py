@@ -36,7 +36,6 @@ from .points import (
     AttachedRayPoint,
     Point,
     check_annulus_coords,
-    check_arc_length,
     require_same_space,
 )
 from .rays import BoundaryArcLeg, ChordLeg
@@ -64,11 +63,16 @@ def ann_distance_coords(t1: float, r1: float, t2: float, r2: float) -> float:
 
 
 def kernel_terms(t: float, r: float) -> Terms:
-    """Prepared kernel terms (t, r, phi, T) of cover coordinates, r >= 1:
-    the tangent angle phi = arccos(1/r) and the tangent length
-    T = sqrt(r^2 - 1), computed as ``ann_distance_coords`` computes them,
-    once per seeded point (``AnnulusSpace._seed``) or attached base."""
-    return t, r, math.acos(min(1.0, 1.0 / r)), math.sqrt(max(r * r - 1.0, 0.0))
+    """Prepared kernel terms (t, r, phi, T) of cover coordinates: the
+    tangent angle phi = arccos(1/r) and the tangent length T = sqrt(r^2 - 1),
+    once per seeded point (``AnnulusSpace._seed``) or attached base.
+
+    r >= 1 is required and not checked: every caller passes checked
+    coordinates or clamps with ``max(rc, 1.0)``.  For r >= 1 the rounded
+    1/r is at most 1 and the rounded r*r at least 1, so the clamps of
+    ``ann_distance_coords`` (``min(1, 1/r)``, ``max(r*r - 1, 0)``) change
+    nothing and are left out; the terms equal its values bit for bit."""
+    return t, r, math.acos(1.0 / r), math.sqrt(r * r - 1.0)
 
 
 def ann_distance_terms(p: Terms, q: Terms) -> float:
@@ -343,7 +347,7 @@ class AnnulusSpace:
         length, attached ray id or None); an attached point reads its base's."""
         if p.space_id != self.space_id:
             raise DomainError(f"point {p!r} belongs to space {p.space_id}, not {self.space_id}")
-        if isinstance(p, AnnulusPoint):
+        if type(p) is AnnulusPoint:
             return kernel_terms(p.t, p.r), 0.0, None
         if isinstance(p, AttachedRayPoint):
             if p.ray_id not in self.attached:
@@ -353,15 +357,13 @@ class AnnulusSpace:
 
     def _seed_at(self, ray, s) -> tuple:
         """``_seed(ray.eval(s))``, bit for bit and with the same errors, from
-        the ray's leg (``UnitSpeedRay._annulus_at``): no point is made.  A
-        ray of another space object goes through ``eval``."""
+        the ray's leg (``UnitSpeedRay._checked_annulus_at``): no point is
+        made.  A ray of another space object goes through ``eval``."""
         if ray.space is not self:
             return self._seed(ray.eval(s))
-        rid, a, b = ray._annulus_at(s)
+        rid, a, b = ray._checked_annulus_at(s)
         if rid is None:
-            check_annulus_coords("annulus point", a, b)
             return kernel_terms(a, b), 0.0, None
-        check_arc_length(a)
         return self._base_terms[rid], a, rid
 
     @staticmethod
@@ -389,8 +391,9 @@ class AnnulusSpace:
 
     # rays
     def _ray_distance(self, x: Point, ray) -> tuple:
-        """(distance from x to the ray, sorted minimizing parameters): the
-        least of a closed form per leg (``_chord_distance`` on a chord)."""
+        """(distance from x to the ray, sorted minimizing parameters, each
+        once): the least of a closed form per leg (``_chord_distance`` on a
+        chord).  A lone minimizer is returned as it is."""
         xt, wedge, on_ray = self._seed(x)
         best = math.inf
         hits: list = []
@@ -412,7 +415,7 @@ class AnnulusSpace:
                 best, hits = d, [g]
             elif d <= best + 1e-12:
                 hits.append(g)
-        return best, sorted(set(hits))
+        return best, hits if len(hits) == 1 else sorted(set(hits))
 
     def _feet(self, x: Point, horizon):
         """The feet of a projection of x, as a function (ray, minimizers,

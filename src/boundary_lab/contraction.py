@@ -35,7 +35,8 @@ from .rays import UnitSpeedRay
 def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
     """(distance from x to the ray, global argmin parameters), computed by
     the ray's space (``_ray_distance``): exact in ray complexes, closed form
-    in the annulus.
+    in the annulus.  On both space kinds the minimizers come back as a
+    list, sorted and without repeats.
     Raises DomainError when x is not a point of the ray's space, and
     HorizonError when every minimizer sits at or beyond the horizon.
     """
@@ -46,12 +47,13 @@ def ray_distance(x: Point, ray: UnitSpeedRay, horizon=None):
 
 def _check_horizon(params, horizon) -> None:
     """Raise DomainError for a NaN or infinite horizon, and HorizonError
-    when every minimizer sits at or beyond the horizon (None: no horizon)."""
+    when every minimizer sits at or beyond the horizon (None: no horizon):
+    when the least of the nonempty ``params`` does."""
     if horizon is None:
         return
     if not -math.inf < horizon < math.inf:
         raise DomainError(f"the horizon must be finite, got {horizon}")
-    if all(p >= horizon for p in params):
+    if min(params) >= horizon:
         raise HorizonError(
             f"projection minimizer at parameter {min(params)} >= horizon {horizon}"
         )
@@ -234,7 +236,9 @@ def contraction_profile(
     constructed witness pairs can be injected through ``extra_pairs``.
     A sampler that has already projected x onto gamma may return
     (x, y, (d(x, gamma), feet)) instead of (x, y); the profile then applies
-    the horizon test to those feet rather than projecting x again.
+    the horizon test to those feet rather than projecting x again.  The
+    feet must be sorted, as ``ray_distance`` gives them: a pair's diameter
+    is read from the ends of its two sorted minimizer lists.
     """
     if n < 1:
         raise DomainError("n must be >= 1")
@@ -264,8 +268,7 @@ def contraction_profile(
                 raise DomainError("injected witness pair is not admissible")
             continue
         dyg, py = ray_distance(y, gamma, horizon)
-        params = list(px) + list(py)
-        diam = max(params) - min(params)
+        diam = max(px[-1], py[-1]) - min(px[0], py[0])
         profile.record(dxg, diam, (x, y, diam))
         recorded += 1
     profile.classify()

@@ -24,11 +24,10 @@ parameters may be given as ints, which the build takes as they are, and at
 scale 1 they stay ints throughout.  Queries run on integers too: a
 point enters, checked, as (edge, num, den) (``_seed``) and a distance leaves
 as an unreduced integer ratio (``_seeded_distance``).  An edge ray seeds its
-leg ends and the marks it passes once (``UnitSpeedRay._stops``).  The public
-``vertex_locs`` and ``marks_on`` are ``Fraction`` views computed on each
-read, and no query reads them; otherwise ``Fraction``s exist only at the
-point and distance API (``point``, ``distance``), once per stop of a ray,
-and once per window minimum of ``boundary._window_min``.  The complex owns
+leg ends and the marks it passes once (``UnitSpeedRay._stops``).
+``Fraction``s exist only at the point and distance API (``point``,
+``distance``), once per stop of a ray, and once per window minimum of
+``boundary._window_min``.  The complex owns
 its rays' exact geometry: point distance, projection feet and escape
 (``_ray_distance``, ``_feet``, ``_escape``).
 
@@ -173,8 +172,6 @@ class RayComplex:
         roots in index order numbers the vertices in the order of their
         least members, and each vertex's members come out sorted: scaling
         is monotone, so this is the order of the parameters themselves.
-        No ``Fraction`` is made: ``vertex_locs`` and ``marks_on`` are views
-        computed on each read.
         """
         locs = set(glued)
         locs.update((eid, 0) for eid in self._int_lengths)
@@ -238,14 +235,6 @@ class RayComplex:
         self._base_vertex = vertex[index[base]]
         # per-vertex distance rows, filled by _row on first use
         self._rows: list[Optional[list]] = [None] * len(members)
-
-    @property
-    def vertex_locs(self) -> list[tuple[Location, ...]]:
-        """Each vertex's locations, sorted, with ``Fraction`` parameters."""
-        return [
-            tuple((eid, Fraction(k, self._scale)) for eid, k in members)
-            for members in self._members
-        ]
 
     def _lint(self, glued: set) -> list[str]:
         """A note per segment end that no gluing names."""
@@ -486,10 +475,6 @@ class RayComplex:
                 T = p + level - d
                 return T, (T, T)
         raise DomainError("ray starts outside the 2C-neighborhood")
-
-    def marks_on(self, edge_id: str) -> list[Fraction]:
-        """The edge's marked parameters, sorted, as ``Fraction``s."""
-        return [Fraction(k, self._scale) for k in self._int_marks[edge_id]]
 
     def last_mark(self, edge_id: str) -> Fraction:
         """The edge's greatest marked parameter: a ray edge's hair starts there."""

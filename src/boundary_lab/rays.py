@@ -12,8 +12,9 @@ so these checks do no leg arithmetic.  Leg lengths and offsets are
 computed, edge legs checked to lie inside declared edges (``_edge_plan``)
 and annulus legs to meet (``_annulus_plan``), on the ray's first
 evaluation; ``locate`` then walks a table of leg ends (``_locate_table``).
-One leg dispatch (``_annulus_at``) serves ``eval`` and
-``AnnulusSpace._seed_at``, which seeds a ray's point without making it.
+One leg dispatch (``_annulus_at``) serves ``eval`` and, with ``eval``'s
+checks (``_checked_annulus_at``), ``AnnulusSpace._seed_at``, which seeds a
+ray's point without making it, and the annulus pair sampler's anchors.
 A ray is unit-speed by the way its legs are parametrized, but nothing here
 checks that it is a geodesic, and rays with corners can be built.  The
 run-time check is ``annulus._is_geodesic``, on annulus rays, where the
@@ -43,6 +44,7 @@ from .points import (
     Point,
     RayComplexPoint,
     check_annulus_coords,
+    check_arc_length,
 )
 from .ray_complex import RayComplex
 
@@ -311,7 +313,7 @@ class UnitSpeedRay:
         """(None, angle, radius) of the point at global parameter t of an
         annulus ray, or (attached ray id, s, None) up an attached ray,
         unchecked: the one leg dispatch of ``eval`` and
-        ``AnnulusSpace._seed_at``, which check the coordinates."""
+        ``_checked_annulus_at``, which check the coordinates."""
         leg, s = self.locate(t)
         s = float(s)
         if isinstance(leg, BoundaryArcLeg):
@@ -320,6 +322,18 @@ class UnitSpeedRay:
             tt, rr = leg.coords_at(s)
             return None, tt, max(rr, 1.0)
         return leg.ray_id, s, None
+
+    def _checked_annulus_at(self, t) -> tuple:
+        """``_annulus_at`` with the checks ``eval``'s point makes, and the
+        same errors, but no point: the one checked read of an annulus
+        ray's point (``AnnulusSpace._seed_at``, the annulus pair sampler's
+        anchors)."""
+        rid, a, b = self._annulus_at(t)
+        if rid is None:
+            check_annulus_coords("annulus point", a, b)
+        else:
+            check_arc_length(a)
+        return rid, a, b
 
     def eval(self, t) -> Point:
         sid = self.space.space_id

@@ -44,8 +44,11 @@ def rc_point_sampler(space: RayComplex, horizon) -> Callable:
 def annulus_point_sampler(
     space: AnnulusSpace, t_lo: float, t_hi: float, r_max: float
 ) -> Callable:
-    """Uniform angle, log-uniform radius; with probability 0.15 a point on
-    an attached ray instead, at arc length uniform in [0, 20]."""
+    """Uniform angle, log-uniform radius up to r_max (finite, >= 1); with
+    probability 0.15 a point on an attached ray instead, at arc length
+    uniform in [0, 20]."""
+    if not 1.0 <= r_max < math.inf:
+        raise DomainError(f"r_max must be finite and >= 1, got {r_max}")
     ray_ids = sorted(space.attached)
 
     def sample(rng: random.Random) -> Point:
@@ -73,7 +76,11 @@ def profile_pair_sampler(
     filtered by the profiler, so this only has to be a decent proposal
     distribution, not an exact one.  Annulus proposals come as
     (x, y, (d(x, gamma), feet)): the projection of x is computed here to
-    size the ball, and ``contraction_profile`` reuses it.
+    size the ball, and ``contraction_profile`` reuses it.  Their anchors
+    gamma(u), u uniform in [0, 0.8 horizon], are read from gamma's legs
+    with ``eval``'s checks and no point made (``_checked_annulus_at``).
+    An annulus sampler needs a finite horizon >= 0 and 0 < r_min <= r_max
+    < inf, checked when it is built.
     """
     if isinstance(space, RayComplex):
         point_sampler = rc_point_sampler(space, horizon)
@@ -92,15 +99,20 @@ def profile_pair_sampler(
 
         return sample_rc
 
+    if not 0 <= horizon < math.inf:
+        raise DomainError(f"the horizon must be finite and >= 0, got {horizon}")
+    if not 0 < r_min <= r_max < math.inf:
+        raise DomainError(
+            f"the offset scales need 0 < r_min <= r_max < inf, got {r_min}, {r_max}"
+        )
+    log_lo, log_hi, u_hi = math.log(r_min), math.log(r_max), float(horizon) * 0.8
+
     def sample(rng: random.Random):
-        scale = math.exp(rng.uniform(math.log(r_min), math.log(r_max)))
-        u = rng.uniform(0.0, float(horizon) * 0.8)
-        anchor = gamma.eval(u)
-        if not hasattr(anchor, "r"):  # attached-ray anchor: hang off the base
-            base = space.attached[anchor.ray_id]
-            anchor_t, anchor_r = base
-        else:
-            anchor_t, anchor_r = anchor.t, anchor.r
+        scale = math.exp(rng.uniform(log_lo, log_hi))
+        u = rng.uniform(0.0, u_hi)
+        rid, anchor_t, anchor_r = gamma._checked_annulus_at(u)
+        if rid is not None:  # attached-ray anchor: hang off the base
+            anchor_t, anchor_r = space.attached[rid]
         style = rng.random()
         if style < 0.5:
             x = space.pt(anchor_t, anchor_r + scale)

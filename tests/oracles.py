@@ -3,10 +3,10 @@
 The vertex-graph builder below is the reference for the engine's
 integer-keyed construction: it checks the locations, runs union-find and
 prints the canonical text on ``(edge, Fraction)`` locations, as the engine
-once did, so the engine's build errors, ``Fraction`` views, lints and
-``describe`` must match it.  The route enumerator below builds its
-own ``Fraction`` graph from the engine's public vertex classes and marks
-and finds shortest paths by exhaustive depth-first search over simple
+once did, so the engine's build errors, lints and ``describe``, and the
+``Fraction`` views of its vertex classes and marks (``vertex_locs``,
+``marks_on``, below), must match it.  The route enumerator below builds its
+own ``Fraction`` graph from those views and finds shortest paths by exhaustive depth-first search over simple
 vertex routes, so on small complexes it certifies the Dijkstra engine
 exactly.  The golden-section search below is the reference for the
 closed-form chord projection of the annulus, and the five-candidate loop
@@ -35,7 +35,11 @@ alpha's legs, into each leg of beta, as the engine once did.  The claim
 check below is the reference for ``claim_check``'s products: it evaluates
 every grid point afresh and takes one ``metric.gromov_product`` per point,
 so the engine's seeded points must reproduce it, bit for bit on the
-annulus and exactly on ray complexes.
+annulus and exactly on ray complexes.  The pair sampler below is the
+reference for ``profile_pair_sampler``'s annulus proposals: it makes each
+anchor as a point (``gamma.eval``) and reads its coordinates back, and it
+takes the logs of the offset scales on every proposal, so the sampler's
+anchors read from the ray's legs must reproduce its stream bit for bit.
 """
 
 import math
@@ -53,7 +57,7 @@ from boundary_lab.contraction import (
     ray_distance,
     t_first_escape,
 )
-from boundary_lab.errors import BuildError, DomainError, HorizonError
+from boundary_lab.errors import BoundaryLabError, BuildError, DomainError, HorizonError
 from boundary_lab.mesh_oracle import (
     _piece_length,
     _shortcut,
@@ -170,13 +174,29 @@ def fraction_vertex_graph(edges, gluings, basepoint):
     return classes, marks, scale, "\n".join(lines) + "\n", lints
 
 
+def vertex_locs(space):
+    """Each vertex's locations of a ray complex, sorted, with ``Fraction``
+    parameters: a view of its integer classes (``_members``)."""
+    return [
+        tuple((eid, Fraction(k, space._scale)) for eid, k in members)
+        for members in space._members
+    ]
+
+
+def marks_on(space, edge_id):
+    """The marked parameters of an edge of a ray complex, sorted, as
+    ``Fraction``s: a view of its integer marks (``_int_marks``)."""
+    return [Fraction(k, space._scale) for k in space._int_marks[edge_id]]
+
+
 def _fraction_graph(space):
     """Adjacency lists {vertex: [(vertex, Fraction weight)]} between
     consecutive marks, from the public vertex classes and marks only."""
-    vertex_at = {loc: v for v, locs in enumerate(space.vertex_locs) for loc in locs}
-    graph = {v: [] for v in range(len(space.vertex_locs))}
+    classes = vertex_locs(space)
+    vertex_at = {loc: v for v, locs in enumerate(classes) for loc in locs}
+    graph = {v: [] for v in range(len(classes))}
     for eid in space.edges:
-        marks = space.marks_on(eid)
+        marks = marks_on(space, eid)
         for a, b in zip(marks, marks[1:]):
             u, v = vertex_at[(eid, a)], vertex_at[(eid, b)]
             graph[u].append((v, b - a))
@@ -187,7 +207,7 @@ def _fraction_graph(space):
 def _brackets(space, vertex_at, p):
     if (p.edge_id, p.offset) in vertex_at:
         return [(vertex_at[(p.edge_id, p.offset)], Fraction(0))]
-    marks = space.marks_on(p.edge_id)
+    marks = marks_on(space, p.edge_id)
     i = bisect_left(marks, p.offset)
     out = []
     if i > 0:
@@ -323,7 +343,7 @@ def reference_rc_ray_distance(x, ray):
         cands = {leg.start}
         if leg.end is not None:
             cands.add(leg.end)
-        for m in space.marks_on(leg.edge_id):
+        for m in marks_on(space, leg.edge_id):
             if m >= lo and (hi is None or m <= hi):
                 cands.add(m)
         if x.edge_id == leg.edge_id and x.offset >= lo and (hi is None or x.offset <= hi):
@@ -514,7 +534,7 @@ def reference_escape_cuts(alpha, beta):
     for leg, g0 in zip(beta.legs, beta.leg_offsets):
         lo, hi = (leg.start, None) if leg.end is None else sorted((leg.start, leg.end))
         on_edge = [p for e, p in ends if e == leg.edge_id and p is not None]
-        for p in (*space.marks_on(leg.edge_id), *on_edge):
+        for p in (*marks_on(space, leg.edge_id), *on_edge):
             if lo <= p and (hi is None or p <= hi):
                 cuts.add(g0 + abs(p - leg.start))
         if hi is not None:
@@ -563,3 +583,40 @@ def reference_claim_check(reps_eta, reps_zeta, C_eta, C_zeta, horizon):
         est.value, violations,
     )
     return report, products
+
+
+def reference_profile_pair_sampler(space, gamma, horizon, r_min=0.05, r_max=64.0):
+    """The annulus proposal (x, y, (d(x, gamma), feet)) of
+    ``profile_pair_sampler``, or None, with the anchor gamma(u) made by
+    ``eval``: an attached-ray anchor hangs off its base."""
+
+    def sample(rng):
+        scale = math.exp(rng.uniform(math.log(r_min), math.log(r_max)))
+        u = rng.uniform(0.0, float(horizon) * 0.8)
+        anchor = gamma.eval(u)
+        if not hasattr(anchor, "r"):
+            anchor_t, anchor_r = space.attached[anchor.ray_id]
+        else:
+            anchor_t, anchor_r = anchor.t, anchor.r
+        style = rng.random()
+        if style < 0.5:
+            x = space.pt(anchor_t, anchor_r + scale)
+        elif style < 0.8:
+            x = space.pt(anchor_t + scale / max(anchor_r, 1.0), anchor_r)
+        else:
+            x = space.pt(anchor_t - scale / max(anchor_r, 1.0), max(1.0, anchor_r))
+        try:
+            dxg, feet = ray_distance(x, gamma, None)
+        except BoundaryLabError:
+            return None
+        if dxg <= 0:
+            return None
+        rho = rng.uniform(0.0, float(dxg))
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        y = space.pt(
+            x.t + rho * math.cos(ang) / max(x.r, 1.0),
+            max(1.0, x.r + rho * math.sin(ang)),
+        )
+        return x, y, (dxg, feet)
+
+    return sample

@@ -21,7 +21,7 @@ from boundary_lab.annulus import (
 from boundary_lab.contraction import far_segment_suite, ray_distance
 from boundary_lab.mesh_oracle import mesh_oracle_distance
 from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, UnitSpeedRay
-from oracles import reference_mesh_oracle
+from oracles import marks_on, reference_mesh_oracle
 
 
 # frozen closed-form values, cross-checked against the mesh oracle
@@ -41,6 +41,21 @@ def test_kernel_examples():
 def test_kernel_rejects_inner_radius():
     with pytest.raises(bl.DomainError):
         ann_distance_coords(0.0, 0.5, 1.0, 2.0)
+
+
+def test_kernel_terms_equal_the_clamped_form_bit_for_bit():
+    # for r >= 1 the rounded 1/r is <= 1 and the rounded r*r >= 1, so the
+    # clamps min(1, 1/r) and max(r*r - 1, 0) that kernel_terms leaves out
+    # are exact no-ops
+    rng = random.Random(8)
+    radii = [1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-12, mesh_oracle.MAX_RADIUS]
+    radii += [2.0 ** k for k in range(61)]
+    top = math.log(mesh_oracle.MAX_RADIUS)
+    radii += [math.exp(rng.uniform(0.0, top)) for _ in range(5000)]
+    for r in radii:
+        t = rng.uniform(-20.0, 20.0)
+        want = (t, r, math.acos(min(1.0, 1.0 / r)), math.sqrt(max(r * r - 1.0, 0.0)))
+        assert [v.hex() for v in kernel_terms(t, r)] == [v.hex() for v in want]
 
 
 def test_prepared_kernel_matches_kernel_bit_for_bit():
@@ -483,7 +498,7 @@ def _shared_pairs(src, dst, n, seed):
     """Every pair of marks on the edges shared by src and dst, then n seeded
     pairs at dyadic offsets (k/64) on them, out to 2^18 on rays."""
     shared = sorted(set(src.edges) & set(dst.edges))
-    marks = [src.point(e, m) for e in shared for m in src.marks_on(e)]
+    marks = [src.point(e, m) for e in shared for m in marks_on(src, e)]
     rng = random.Random(seed)
 
     def one():

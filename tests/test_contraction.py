@@ -26,7 +26,7 @@ from boundary_lab.contraction import (
     ray_distance,
     t_first_escape,
 )
-from boundary_lab.rays import BoundaryArcLeg, ChordLeg, EdgeLeg, UnitSpeedRay
+from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, EdgeLeg, UnitSpeedRay
 from boundary_lab.samplers import DENOM, profile_pair_sampler, rc_point_sampler
 from boundary_lab.suite import alpha_extremal_pairs, class_constants
 from oracles import (
@@ -36,7 +36,9 @@ from oracles import (
     reference_annulus_ray_distance,
     reference_claim_check,
     reference_escape_cuts,
+    reference_profile_pair_sampler,
     sweep_escape,
+    vertex_locs,
 )
 from test_ray_complex import _rational_complexes
 
@@ -166,6 +168,97 @@ def test_rc_samplers_reject_non_finite_horizons(zoo_x8, horizon):
         rc_point_sampler(X, horizon)
     with pytest.raises(bl.DomainError, match="horizon"):
         profile_pair_sampler(X, X.edge_ray("alpha"), horizon)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"r_min": 0.0}, "r_min"),
+    ({"r_max": -1.0}, "r_min"),
+    ({"r_min": math.nan}, "r_min"),
+    ({"r_max": math.inf}, "r_min"),
+    ({"r_min": 8.0, "r_max": 4.0}, "r_min"),
+    ({"horizon": math.nan}, "the horizon must be finite"),
+    ({"horizon": math.inf}, "the horizon must be finite"),
+    ({"horizon": -1.0}, "the horizon must be finite"),
+])
+def test_annulus_pair_sampler_rejects_bad_inputs_when_built(zoo_xcat8, kwargs, message):
+    # a bare ValueError from math.log, or a point's message on the first draw
+    g5 = zoo_xcat8.boundary["g5"].canonical
+    with pytest.raises(bl.DomainError, match=message):
+        profile_pair_sampler(zoo_xcat8.space, g5, **{"horizon": 100.0, **kwargs})
+
+
+@pytest.mark.parametrize("r_max", [math.nan, math.inf, 0.5, -1.0])
+def test_annulus_point_sampler_rejects_bad_radii_when_built(zoo_xcat8, r_max):
+    with pytest.raises(bl.DomainError, match="r_max"):
+        samplers.annulus_point_sampler(zoo_xcat8.space, -20.0, 20.0, r_max)
+
+
+def _hex_proposal(pair):
+    if pair is None:
+        return None
+    x, y, (dxg, feet) = pair
+    return (x.t.hex(), x.r.hex(), y.t.hex(), y.r.hex(), dxg.hex(),
+            [g.hex() for g in feet])
+
+
+def test_annulus_proposals_match_the_point_based_reference(zoo_xcat8, monkeypatch):
+    # anchors on arc, chord and attached legs: 0.8 H reaches twice as far
+    # as the last leg's start
+    kinds = set()
+    annulus_at = UnitSpeedRay._annulus_at
+
+    def recording(ray, t):
+        kinds.add(type(ray.locate(t)[0]))
+        return annulus_at(ray, t)
+
+    monkeypatch.setattr(UnitSpeedRay, "_annulus_at", recording)
+    for zoo in (zoo_xcat8, bl.build_Ycat0(12)):
+        space = zoo.space
+        for bp in zoo.boundary.values():
+            for rep in bp.representatives():
+                horizon = 2.5 * float(rep.leg_offsets[-1]) + 10.0
+                new = profile_pair_sampler(space, rep, horizon, r_min=0.02, r_max=512.0)
+                ref = reference_profile_pair_sampler(
+                    space, rep, horizon, r_min=0.02, r_max=512.0
+                )
+                for seed in range(3):
+                    rng_new, rng_ref = random.Random(seed), random.Random(seed)
+                    for _ in range(200):
+                        got = _hex_proposal(new(rng_new))
+                        assert got == _hex_proposal(ref(rng_ref))
+                    assert rng_new.getstate() == rng_ref.getstate()
+    assert kinds == {BoundaryArcLeg, ChordLeg, AttachedLeg}
+
+
+def test_check_horizon_matches_the_all_form():
+    # min(params) >= horizon in place of all(p >= horizon for p in params),
+    # on unsorted lists, ties and exact parameters
+    def all_form(params, horizon):
+        if all(p >= horizon for p in params):
+            raise bl.HorizonError(
+                f"projection minimizer at parameter {min(params)} >= horizon {horizon}"
+            )
+
+    def outcome(check, params, horizon):
+        try:
+            check(params, horizon)
+        except bl.HorizonError as err:
+            return str(err)
+        return None
+
+    rng = random.Random(6)
+    cases = [([3.0], 3.0), ([3.0, 3.0], 3.0), ([5.0, 2.0, 5.0], 2.0),
+             ([5.0, 2.0, 5.0], 2.5), ([Fraction(7, 2), 4], Fraction(7, 2)),
+             ([Fraction(7, 2), 3], Fraction(7, 2)), ([-0.0, 0.0], 0.0)]
+    for _ in range(2000):
+        params = [rng.choice((1.0, 2.5, 4.0)) + rng.randint(0, 3) for _ in range(rng.randint(1, 5))]
+        cases.append((params, rng.choice(params + [0.5, 3.0, 9.0])))
+    raised = 0
+    for params, horizon in cases:
+        want = outcome(all_form, params, horizon)
+        assert outcome(contraction._check_horizon, params, horizon) == want
+        raised += want is not None
+    assert 0 < raised < len(cases)
 
 
 def test_nearby_rc_proposals_stay_exact_on_int_lengths():
@@ -673,7 +766,7 @@ def _tent_rays(rc):
     start, from inside e1 back to that gluing and out along e0."""
     rays = [UnitSpeedRay(rc, f"{eid}+1/7", (EdgeLeg(eid, Fraction(1, 7), None),))
             for eid, e in rc.edges.items() if e.kind == "ray"]
-    for locs in rc.vertex_locs:
+    for locs in vertex_locs(rc):
         at = dict(locs)
         if at.get("e1") == 0 and "e0" in at:
             back = EdgeLeg("e1", rc.edges["e1"].length * Fraction(5, 7), Fraction(0))

@@ -27,8 +27,10 @@ from boundary_lab.rays import (
 from oracles import (
     brute_rc_distance,
     fraction_vertex_graph,
+    marks_on,
     reference_edge_point,
     reference_rc_ray_distance,
+    vertex_locs,
 )
 
 
@@ -132,7 +134,7 @@ def _test_points(rng, rc):
     the last mark."""
     pts = []
     for eid, edge in rc.edges.items():
-        marks = rc.marks_on(eid)
+        marks = marks_on(rc, eid)
         pts += [rc.point(eid, m) for m in marks]
         for lo, hi in zip(marks, marks[1:]):
             pts.append(rc.point(eid, lo + (hi - lo) * Fraction(rng.randint(1, 6), 7)))
@@ -153,7 +155,7 @@ def _rational_complexes():
 
 def test_distance_matches_oracle_on_rational_complexes():
     for rc, pts, random_pairs in _rational_complexes():
-        marks = [m for eid in rc.edges for m in rc.marks_on(eid)]
+        marks = [m for eid in rc.edges for m in marks_on(rc, eid)]
         assert math.lcm(*(m.denominator for m in marks)) > 1
         pairs = [(p, q) for p in pts for q in pts if p.edge_id == q.edge_id]
         pairs += random_pairs
@@ -169,7 +171,7 @@ def _dyadic_points(rc):
     pts = []
     quarters = itertools.cycle((Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)))
     for eid, edge in rc.edges.items():
-        marks = rc.marks_on(eid)
+        marks = marks_on(rc, eid)
         pts += [rc.point(eid, m) for m in marks]
         for lo, hi in zip(marks, marks[1:]):
             pts.append(rc.point(eid, lo + (hi - lo) * next(quarters)))
@@ -355,7 +357,7 @@ def test_projection_matches_the_per_candidate_reference_on_rational_complexes():
     for rc, pts, _ in _rational_complexes():
         rays = [rc.edge_ray(eid) for eid, e in rc.edges.items() if e.kind == RAY]
         off_mark = _off_mark_rays(rc)
-        assert all(leg.start not in rc.marks_on(leg.edge_id)
+        assert all(leg.start not in marks_on(rc, leg.edge_id)
                    for ray in off_mark for leg in ray.legs)
         for ray in rays + off_mark:
             for x in pts:
@@ -391,7 +393,7 @@ def _hair_start(ray):
     leg, space = ray.legs[-1], ray.space
     if leg.end is not None or space.edges[leg.edge_id].kind != RAY:
         return None
-    return ray.leg_offsets[-1] + max(0, space.marks_on(leg.edge_id)[-1] - leg.start)
+    return ray.leg_offsets[-1] + max(0, marks_on(space, leg.edge_id)[-1] - leg.start)
 
 
 def test_settles_at_matches_the_fraction_marks():
@@ -561,11 +563,11 @@ def test_integer_build_matches_fraction_build(monkeypatch):
         assert rc.space_id == "rc:" + digest
         assert rc.lints == lints
         assert rc._scale == scale
-        assert rc.vertex_locs == classes
-        assert all(type(par) is Fraction for locs in rc.vertex_locs for _, par in locs)
+        assert vertex_locs(rc) == classes
+        assert all(type(par) is Fraction for locs in vertex_locs(rc) for _, par in locs)
         for eid in rc.edges:
-            assert rc.marks_on(eid) == marks[eid]
-            assert all(type(m) is Fraction for m in rc.marks_on(eid))
+            assert marks_on(rc, eid) == marks[eid]
+            assert all(type(m) is Fraction for m in marks_on(rc, eid))
         scales.add(scale)
     assert all(any(s % d == 0 for s in scales) for d in (2, 3, 5, 7))
     assert 7 in scales  # a basepoint alone sets the scale
@@ -621,7 +623,7 @@ def test_int_and_fraction_lengths_build_the_same_complex():
         edges = [Edge(eid, kind, None if length is None else Fraction(length))
                  for eid, kind, length in z.edges.values()]
         assert any(type(e.length) is int for e in z.edges.values())
-        glue = [members for members in z.vertex_locs if len(members) > 1]
+        glue = [members for members in vertex_locs(z) if len(members) > 1]
         rc = RayComplex(edges, glue, z._basepoint_loc)
         assert rc.describe() == z.describe() and rc.space_id == z.space_id
 
@@ -736,7 +738,7 @@ def test_products_compute_each_vertex_row_once(monkeypatch):
             z.boundary[eta], z.boundary[zeta], max_horizon=mh, min_horizon=mnh
         )
         assert est.converged and est.value == (0.0 if zeta == "beta" else float(zeta[1:]))
-    assert len(z.space.vertex_locs) == 49
+    assert len(vertex_locs(z.space)) == 49
     assert 1 <= len(runs) <= 49
     assert len(set(runs)) == len(runs)
 
@@ -850,10 +852,11 @@ def test_free_endpoint_lint():
 def test_vertex_graph_symmetry(zoo_x8):
     X = zoo_x8.space
     rng = random.Random(5)
-    n = len(X.vertex_locs)
+    classes = vertex_locs(X)
+    n = len(classes)
     for _ in range(30):
         u, v = rng.randrange(n), rng.randrange(n)
-        pu, pv = X.point(*X.vertex_locs[u][0]), X.point(*X.vertex_locs[v][0])
+        pu, pv = X.point(*classes[u][0]), X.point(*classes[v][0])
         assert X.distance(pu, pv) == X.distance(pv, pu)
         assert (X.distance(pu, pv) == 0) == (u == v)
 
