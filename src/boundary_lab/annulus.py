@@ -38,9 +38,8 @@ from .points import (
     check_annulus_coords,
     require_same_space,
 )
-from .rays import BoundaryArcLeg, ChordLeg
+from .rays import BoundaryArcLeg, ChordLeg, Coords, develop_pair
 
-Coords = tuple[float, float]
 Terms = tuple[float, float, float, float]
 
 
@@ -99,15 +98,6 @@ def ann_distance_arrays(t1, r1, t2, r2):
     )
     chord = np.hypot(r1 - r2, 2.0 * np.sqrt(r1 * r2) * np.sin(0.5 * delta))
     return np.where(delta >= phi1 + phi2, tangent, chord)
-
-
-def develop_pair(a: Coords, b: Coords) -> tuple[float, float, float, float]:
-    """Cartesian development of two cover points with `a` on the x-axis.
-
-    Only meaningful when |t_a - t_b| < pi.
-    """
-    dt = b[0] - a[0]
-    return a[1], 0.0, b[1] * math.cos(dt), b[1] * math.sin(dt)
 
 
 def segment_origin_distance(a: Coords, b: Coords) -> float:
@@ -245,13 +235,12 @@ def _is_geodesic(ray) -> bool:
     lies inside [0, L].  Past L the ray runs up an attached ray, which meets
     the rest of the space only at its base, or along r = 1, a local geodesic;
     in a CAT(0) space a local geodesic is a geodesic (Bridson-Haefliger, B-H,
-    II.1.4).  Annulus escape times require it of both rays.
+    II.1.4).  Annulus escape times require it of both rays; L is read from
+    the last entry of the ray's plan (``UnitSpeedRay._annulus_plan``).
     """
-    last, end = ray.legs[-1], ray.leg_offsets[-1]
-    if last.length is not None:
-        end += last.length
-    elif isinstance(last, BoundaryArcLeg):
-        end += 1.0
+    kind, g0, end, _, _ = ray._annulus_plan[-1]
+    if end == math.inf:
+        end = g0 + 1.0 if kind is BoundaryArcLeg else g0
     return abs(ray.space.distance(ray.eval(0.0), ray.eval(end)) - end) <= 1e-12 * end
 
 
@@ -397,9 +386,9 @@ class AnnulusSpace:
         xt, wedge, on_ray = self._seed(x)
         best = math.inf
         hits: list = []
-        for kind, g0, data in ray._annulus_plan:
+        for kind, g0, _, leg, data in ray._annulus_plan:
             if kind is ChordLeg:
-                d, s = _chord_distance(data, xt)
+                d, s = _chord_distance(leg, xt)
             elif kind is BoundaryArcLeg:
                 lo, hi, t0 = data
                 foot = min(max(xt[0], lo), hi)

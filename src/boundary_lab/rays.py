@@ -9,9 +9,10 @@ legs are all edge legs, on a ray complex, or all other legs, elsewhere,
 that an arc leg's direction is +1 or -1, and that an attached leg names a
 ray of its annulus.  An edge leg is bounded exactly when it has an ``end``,
 so these checks do no leg arithmetic.  Leg lengths and offsets are
-computed, edge legs checked to lie inside declared edges (``_edge_plan``)
-and annulus legs to meet (``_annulus_plan``), on the ray's first
-evaluation; ``locate`` then walks a table of leg ends (``_locate_table``).
+computed, edge legs checked to lie inside declared edges (``_edge_plan``),
+and annulus legs to meet and chords to clear the open disk
+(``_annulus_plan``, the one table that ``locate``, ``_is_geodesic`` and
+``AnnulusSpace._ray_distance`` read), on the ray's first evaluation.
 One leg dispatch (``_annulus_at``) serves ``eval`` and, with ``eval``'s
 checks (``_checked_annulus_at``), ``AnnulusSpace._seed_at``, which seeds a
 ray's point without making it, and the annulus pair sampler's anchors.
@@ -48,6 +49,8 @@ from .points import (
 )
 from .ray_complex import RayComplex
 
+Coords = tuple[float, float]
+
 
 @dataclass(frozen=True)
 class EdgeLeg:
@@ -82,12 +85,20 @@ class BoundaryArcLeg:
         return (min(self.t0, t1), max(self.t0, t1))
 
 
+def develop_pair(a: Coords, b: Coords) -> tuple[float, float, float, float]:
+    """Cartesian development (ax, ay, bx, by) of two cover points with `a`
+    on the positive x-axis; only meaningful when |t_a - t_b| < pi."""
+    dt = b[0] - a[0]
+    return a[1], 0.0, b[1] * math.cos(dt), b[1] * math.sin(dt)
+
+
 @dataclass(frozen=True)
 class ChordLeg:
-    """Straight segment between cover points (t, r); must avoid the open disk."""
+    """Straight segment between cover points (t, r); must avoid the open
+    disk, which a ray checks when it compiles its plan (``_annulus_plan``)."""
 
-    a: tuple[float, float]
-    b: tuple[float, float]
+    a: Coords
+    b: Coords
 
     def __post_init__(self):
         for t, r in (self.a, self.b):
@@ -97,10 +108,7 @@ class ChordLeg:
 
     @cached_property
     def _developed(self) -> tuple[float, float, float, float]:
-        """Cartesian endpoints (ax, ay, bx, by), developed with `a` on the
-        positive x-axis; valid because |dt| < pi."""
-        dt = self.b[0] - self.a[0]
-        return self.a[1], 0.0, self.b[1] * math.cos(dt), self.b[1] * math.sin(dt)
+        return develop_pair(self.a, self.b)
 
     @cached_property
     def length(self) -> float:
@@ -181,12 +189,17 @@ class UnitSpeedRay:
 
     @cached_property
     def _annulus_plan(self) -> tuple:
-        """(kind, offset, data) per leg of an annulus ray, compiled on first
-        use (``locate``, ``AnnulusSpace._ray_distance``).  kind is the leg's
-        class; data is an arc's angle interval and t0, a chord leg itself, or
-        an attached ray's id and its base's kernel terms, as the space made
-        them.  The one check that the legs meet: each starts where the one
-        before ends, to 1e-12 relative, and none follows an attached leg."""
+        """The one table of an annulus ray, compiled on first use: per leg,
+        (kind, offset, end, leg, data).  kind is the leg's class, end the
+        offset plus the length (``math.inf`` on an unbounded final leg), and
+        data what ``AnnulusSpace._ray_distance`` reads: an arc's angle
+        interval and t0, an attached ray's id and its base's kernel terms,
+        as the space made them, or None on a chord.  The one check that the
+        legs meet: each starts where the one before ends, to 1e-12 relative,
+        and none follows an attached leg; and that each chord clears the
+        open disk (``annulus.chord_valid``)."""
+        from .annulus import chord_valid  # annulus imports this module
+
         if isinstance(self.legs[0], EdgeLeg):
             raise DomainError(f"locate takes an annulus ray; {self.label!r} is not one")
         plan, end = [], None
@@ -195,7 +208,11 @@ class UnitSpeedRay:
                 data = (*leg.angle_interval(), leg.t0)
                 start, stop = (leg.t0, 1.0), (leg.angle_at(leg.length or 0.0), 1.0)
             elif isinstance(leg, ChordLeg):
-                data, start, stop = leg, leg.a, leg.b
+                if not chord_valid(leg.a, leg.b):
+                    raise DomainError(
+                        f"the chord of {self.label!r} at {g0} enters the open disk"
+                    )
+                data, start, stop = None, leg.a, leg.b
             else:  # an attached leg
                 data = (leg.ray_id, self.space._base_terms[leg.ray_id])
                 start, stop = self.space.attached[leg.ray_id], (math.nan, math.nan)
@@ -204,7 +221,8 @@ class UnitSpeedRay:
             ):
                 raise DomainError(f"the legs of {self.label!r} do not meet at {g0}")
             end = stop
-            plan.append((type(leg), g0, data))
+            top = math.inf if leg.length is None else g0 + leg.length
+            plan.append((type(leg), g0, top, leg, data))
         return tuple(plan)
 
     @cached_property
@@ -284,30 +302,20 @@ class UnitSpeedRay:
                 return eid, start * q + direction * (x - off * q), m * q
         raise DomainError(f"parameter {t} beyond end of finite ray")
 
-    @cached_property
-    def _locate_table(self) -> tuple:
-        """(ends, last leg, its offset) of an annulus ray, for ``locate``:
-        ends holds (end, leg, offset) of each leg but the last, the end
-        being the offset plus the length.  Compiled on first use, after the
-        legs' check (``_annulus_plan``)."""
-        self._annulus_plan
-        legs, offs = self.legs, self.leg_offsets
-        ends = tuple((off + leg.length, leg, off) for leg, off in zip(legs[:-1], offs[:-1]))
-        return ends, legs[-1], offs[-1]
-
     def locate(self, t):
         """(leg, local arc length) containing global parameter t >= 0, on a
-        ray of annulus legs (an edge ray is a DomainError)."""
-        ends, last, g0 = self._locate_table
+        ray of annulus legs (an edge ray is a DomainError): the first leg of
+        the plan that ends at or after t.  A NaN falls through to the last
+        leg, whose point check names it."""
+        plan = self._annulus_plan
         if t < 0:
             raise DomainError(f"ray parameter must be nonnegative, got {t}")
-        for end, leg, off in ends:
+        for _, off, end, leg, _ in plan:
             if t <= end:
                 return leg, t - off
-        s = t - g0
-        if last.length is not None and s > last.length:
-            raise DomainError(f"parameter {t} beyond end of finite ray")
-        return last, s
+        if t != t:
+            return leg, t - off
+        raise DomainError(f"parameter {t} beyond end of finite ray")
 
     def _annulus_at(self, t) -> tuple:
         """(None, angle, radius) of the point at global parameter t of an

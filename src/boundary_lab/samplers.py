@@ -24,10 +24,11 @@ DENOM = 16  # dyadic denominator for rational sampling
 
 
 def rc_point_sampler(space: RayComplex, horizon) -> Callable:
-    """Uniform edge choice, dyadic-rational parameter."""
+    """Uniform edge choice, dyadic-rational parameter up to a horizon that
+    is finite and >= 0, checked when the sampler is built."""
     edge_ids = sorted(space.edges)
-    if not -math.inf < horizon < math.inf:
-        raise DomainError(f"the horizon must be finite, got {horizon}")
+    if not 0 <= horizon < math.inf:
+        raise DomainError(f"the horizon must be finite and >= 0, got {horizon}")
     hor = Fraction(horizon)
 
     def sample(rng: random.Random) -> Point:
@@ -44,9 +45,12 @@ def rc_point_sampler(space: RayComplex, horizon) -> Callable:
 def annulus_point_sampler(
     space: AnnulusSpace, t_lo: float, t_hi: float, r_max: float
 ) -> Callable:
-    """Uniform angle, log-uniform radius up to r_max (finite, >= 1); with
+    """Uniform angle in [t_lo, t_hi] (both finite), log-uniform radius up
+    to r_max (finite, >= 1), checked when the sampler is built; with
     probability 0.15 a point on an attached ray instead, at arc length
     uniform in [0, 20]."""
+    if not (-math.inf < t_lo < math.inf and -math.inf < t_hi < math.inf):
+        raise DomainError(f"the angle range must be finite, got {t_lo}, {t_hi}")
     if not 1.0 <= r_max < math.inf:
         raise DomainError(f"r_max must be finite and >= 1, got {r_max}")
     ray_ids = sorted(space.attached)
@@ -79,8 +83,8 @@ def profile_pair_sampler(
     size the ball, and ``contraction_profile`` reuses it.  Their anchors
     gamma(u), u uniform in [0, 0.8 horizon], are read from gamma's legs
     with ``eval``'s checks and no point made (``_checked_annulus_at``).
-    An annulus sampler needs a finite horizon >= 0 and 0 < r_min <= r_max
-    < inf, checked when it is built.
+    Every sampler needs a finite horizon >= 0, and an annulus sampler
+    0 < r_min <= r_max < inf, checked when it is built.
     """
     if isinstance(space, RayComplex):
         point_sampler = rc_point_sampler(space, horizon)

@@ -40,6 +40,10 @@ reference for ``profile_pair_sampler``'s annulus proposals: it makes each
 anchor as a point (``gamma.eval``) and reads its coordinates back, and it
 takes the logs of the offset scales on every proposal, so the sampler's
 anchors read from the ray's legs must reproduce its stream bit for bit.
+The leg walk and the development at the end are the references for an
+annulus ray's one table (``UnitSpeedRay.locate``) and for ``develop_pair``:
+the walk tests each leg but the last against its offset plus length and
+the last against its length, as the engine once did.
 """
 
 import math
@@ -620,3 +624,25 @@ def reference_profile_pair_sampler(space, gamma, horizon, r_min=0.05, r_max=64.0
         return x, y, (dxg, feet)
 
     return sample
+
+
+def reference_locate(ray, t):
+    """(leg, local arc length) at global parameter t of an annulus ray: a
+    walk over each leg but the last, which ends at offset + length, then
+    the last leg, which ends where t - offset exceeds its length."""
+    legs, offs = ray.legs, ray.leg_offsets
+    if t < 0:
+        raise DomainError(f"ray parameter must be nonnegative, got {t}")
+    for leg, off in zip(legs[:-1], offs[:-1]):
+        if t <= off + leg.length:
+            return leg, t - off
+    s = t - offs[-1]
+    if legs[-1].length is not None and s > legs[-1].length:
+        raise DomainError(f"parameter {t} beyond end of finite ray")
+    return legs[-1], s
+
+
+def reference_develop_pair(a, b):
+    """Cartesian development of two cover points with `a` on the x-axis."""
+    dt = b[0] - a[0]
+    return a[1], 0.0, b[1] * math.cos(dt), b[1] * math.sin(dt)

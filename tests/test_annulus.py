@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import boundary_lab as bl
-from boundary_lab import mesh_oracle
+from boundary_lab import mesh_oracle, rays
 from boundary_lab.annulus import (
     AnnulusSpace,
     SpiralMap,
@@ -15,13 +15,19 @@ from boundary_lab.annulus import (
     ann_distance_coords,
     ann_distance_terms,
     chord_valid,
+    develop_pair,
     kernel_terms,
     spiral_coords,
 )
 from boundary_lab.contraction import far_segment_suite, ray_distance
 from boundary_lab.mesh_oracle import mesh_oracle_distance
 from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, UnitSpeedRay
-from oracles import marks_on, reference_mesh_oracle
+from oracles import (
+    marks_on,
+    reference_develop_pair,
+    reference_locate,
+    reference_mesh_oracle,
+)
 
 
 # frozen closed-form values, cross-checked against the mesh oracle
@@ -146,6 +152,98 @@ def test_annulus_rays_whose_legs_do_not_meet_are_rejected(legs):
                 lambda: ray_distance(A.pt(0.25, 1.0), ray, 100.0)):
         with pytest.raises(bl.DomainError, match="legs of 'bad' do not meet at"):
             use()
+
+
+@pytest.mark.parametrize("legs, at", [
+    ((ChordLeg((0.0, 2.0), (2.5, 2.0)),), "0"),
+    ((BoundaryArcLeg(0.0, 1, 0.5), ChordLeg((0.5, 1.0), (1.0, 1.0))), "0.5"),
+], ids=["through-the-disk", "arc-then-dipping-chord"])
+def test_chord_legs_that_enter_the_open_disk_are_rejected(legs, at):
+    # the first was accepted: eval(L/2) was clamped onto r = 1 at (1.25, 1),
+    # the ray's distance to that point read 2.2e-16, and only an escape,
+    # through the geodesic check, rejected the ray
+    A = AnnulusSpace()
+    ray = UnitSpeedRay(A, "thru", legs)
+    for use in (lambda: ray.eval(0.0), lambda: ray.locate(0.0),
+                lambda: A._seed_at(ray, 0.0), lambda: ray._geodesic,
+                lambda: ray_distance(A.pt(1.25, 1.0), ray, 100.0)):
+        with pytest.raises(bl.DomainError,
+                           match=f"^the chord of 'thru' at {at} enters the open disk$"):
+            use()
+
+
+def test_every_zoo_chord_clears_the_open_disk():
+    # the least disk-center distance of these chords is exactly 1.0
+    chords = 0
+    for build in (bl.build_Xcat0, bl.build_Ycat0):
+        for n in (1, 2, 4, 8, 12, 16, 32, 64):
+            for bp in build(n).boundary.values():
+                for ray in bp.representatives():
+                    chords += sum(kind is ChordLeg for kind, *_ in ray._annulus_plan)
+    assert chords == 556
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+@pytest.mark.parametrize("build", [bl.build_Xcat0, bl.build_Ycat0])
+def test_locate_matches_the_leg_walk(build, n):
+    # the same leg by identity and the same local length bit for bit, at 0,
+    # at every leg end and one ulp either side, and at seeded parameters up
+    # to the zoo's product horizon
+    zoo = build(n)
+    rng = random.Random(n)
+    for bp in zoo.boundary.values():
+        for ray in bp.representatives():
+            params = [0.0]
+            for off, leg in zip(ray.leg_offsets, ray.legs):
+                if leg.length is not None:
+                    end = off + leg.length
+                    params += [math.nextafter(end, -math.inf), end,
+                               math.nextafter(end, math.inf)]
+            params += [rng.uniform(0.0, zoo.product_horizon) for _ in range(200)]
+            for t in params:
+                leg, s = ray.locate(t)
+                want_leg, want_s = reference_locate(ray, t)
+                assert leg is want_leg and float(s).hex() == float(want_s).hex(), (ray, t)
+
+
+def test_a_finite_final_leg_ends_at_its_offset_plus_length():
+    # as every other leg does; the leg walk tested t - offset <= length on
+    # the last leg, which on the arc-then-chord ray still took the ulp after
+    # 0.1 + 0.30000000000000004 = 0.4
+    A = AnnulusSpace()
+    finite = [
+        (ChordLeg((0.0, 2.0), (0.5, 3.0)),),
+        (BoundaryArcLeg(0.0, 1, 0.1), ChordLeg((0.1, 1.0), (0.1, 1.3))),
+    ]
+    for legs in finite:
+        ray = UnitSpeedRay(A, "finite", legs)
+        end = ray.leg_offsets[-1] + legs[-1].length
+        t = end
+        for _ in range(4):
+            t = math.nextafter(t, -math.inf)
+        for _ in range(9):
+            if t <= end:
+                leg, s = ray.locate(t)
+                assert leg is legs[-1] and s == t - ray.leg_offsets[-1]
+            else:
+                with pytest.raises(bl.DomainError, match="beyond end of finite ray"):
+                    ray.locate(t)
+            t = math.nextafter(t, math.inf)
+    past = math.nextafter(0.4, math.inf)
+    assert reference_locate(UnitSpeedRay(A, "finite", finite[1]), past)[0] is finite[1][1]
+
+
+def test_develop_pair_is_the_one_chord_development():
+    # one definition in rays, importable from annulus, bit for bit the copy
+    # annulus used to keep, and what a chord leg develops
+    assert develop_pair is rays.develop_pair
+    rng = random.Random(3)
+    for _ in range(2000):
+        a = (rng.uniform(-50.0, 50.0), math.exp(rng.uniform(0.0, math.log(1e6))))
+        b = (a[0] + rng.uniform(-3.14, 3.14), math.exp(rng.uniform(0.0, math.log(1e6))))
+        want = [x.hex() for x in reference_develop_pair(a, b)]
+        assert [x.hex() for x in develop_pair(a, b)] == want
+        assert [x.hex() for x in ChordLeg(a, b)._developed] == want
 
 
 def _seed_bits(seed):

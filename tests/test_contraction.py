@@ -170,6 +170,28 @@ def test_rc_samplers_reject_non_finite_horizons(zoo_x8, horizon):
         profile_pair_sampler(X, X.edge_ray("alpha"), horizon)
 
 
+@pytest.mark.parametrize("horizon", [-1, -0.5, Fraction(-1, 16)])
+def test_rc_samplers_reject_negative_horizons_when_built(horizon):
+    # they were built, and every draw failed with a point's message
+    # (offset -1 outside edge g4)
+    X = bl.get_space("X:4").space
+    for make in (lambda: rc_point_sampler(X, horizon),
+                 lambda: profile_pair_sampler(X, X.edge_ray("alpha"), horizon)):
+        with pytest.raises(bl.DomainError,
+                           match="^the horizon must be finite and >= 0, got "):
+            make()
+
+
+@pytest.mark.parametrize("t_lo, t_hi", [
+    (math.nan, 1.0), (-20.0, math.nan), (-math.inf, 20.0), (-20.0, math.inf),
+])
+def test_annulus_point_sampler_rejects_non_finite_angles_when_built(zoo_xcat8, t_lo, t_hi):
+    # a NaN angle was built, and a draw failed with a point's message or,
+    # when it picked an attached ray, succeeded
+    with pytest.raises(bl.DomainError, match="^the angle range must be finite, got "):
+        samplers.annulus_point_sampler(zoo_xcat8.space, t_lo, t_hi, 50.0)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"r_min": 0.0}, "r_min"),
     ({"r_max": -1.0}, "r_min"),
