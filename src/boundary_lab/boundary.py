@@ -12,11 +12,11 @@ on the annulus the least product is the ``min`` of the window's products
 On ray complexes the products are eventually constant, so the doubling
 terminates with the exact value.  There a window's nine products are
 formed as integers over one common denominator, and windows are queried
-only until the value is certified final: when each ray's final leg is an
-unbounded ``EdgeLeg`` on a ``RAY`` edge, on two different edges, the rays run
-from s* = leg offset + max(0, last mark - leg start) on hairs, and every
-window with S >= max(s*) has the same minimum, which the later windows
-repeat.  Schedules, minima, status and value are those of the full walk.
+only until the value is certified final: when each ray's plan records a
+hair (``UnitSpeedRay._edge_plan``), on two different edges, the rays run on
+those hairs from s* = leg offset + max(0, last mark - leg start) on, and
+every window with S >= max(s*) has the same minimum, which the later
+windows repeat.  Schedules, minima, status and value are those of the full walk.
 The schedule runs up to ``max_horizon`` and stability counts only past
 ``min_horizon``.  A class registered by a ``spacezoo.ZooSpace`` carries that
 zoo's ``(product_horizon, product_min_horizon)`` as ``horizons``, and every
@@ -48,8 +48,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import DomainError
 from .metric import gromov_product  # noqa: F401  (bench/spans.py patches this name)
-from .ray_complex import RAY
-from .rays import EdgeLeg, UnitSpeedRay
+from .rays import UnitSpeedRay
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,7 +178,7 @@ def _doubling_schedule(a, b, max_horizon, min_horizon):
     """
     space = a.space
     o = space.basepoint
-    settles_at = _settles_at(space, a, b)
+    settles_at = _settles_at(a, b)
     S = 1
     schedule = []
     minima = []
@@ -204,25 +203,15 @@ def _doubling_schedule(a, b, max_horizon, min_horizon):
         S = 2 * S
 
 
-def _settles_at(space, a, b):
+def _settles_at(a, b):
     """S* = max(s_a*, s_b*) when both rays end on hairs of different edges,
-    else None.  A ray is on its hair from s* on when its final leg is an
-    unbounded ``EdgeLeg`` on a ``RAY`` edge: a hair is the part of a ray
-    edge past its last mark, attached to the rest of the complex only at
-    that mark.  Annulus rays have no edge legs, so never settle."""
-    hairs = []
-    for ray in (a, b):
-        leg = ray.legs[-1]
-        if not (
-            isinstance(leg, EdgeLeg)
-            and leg.end is None
-            and space.edges[leg.edge_id].kind == RAY
-        ):
-            return None
-        s_star = ray.leg_offsets[-1] + max(0, space.last_mark(leg.edge_id) - leg.start)
-        hairs.append((leg.edge_id, s_star))
-    (edge_a, s_a), (edge_b, s_b) = hairs
-    return None if edge_a == edge_b else max(s_a, s_b)
+    else None: each ray's plan holds its hair, attached to the rest of the
+    complex only at its edge's last mark, and the s* from which the ray runs
+    on it (``UnitSpeedRay._edge_plan``).  Annulus rays have no edge plan."""
+    ha, hb = (ray._edge_plan and ray._edge_plan[2] for ray in (a, b))
+    if ha is None or hb is None or ha[0] == hb[0]:
+        return None
+    return max(ha[1], hb[1])
 
 
 def _window_min(space, a, b, params, o, carry=None):

@@ -18,7 +18,6 @@ import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -178,6 +177,8 @@ def cmd_profile(args) -> tuple[int, dict]:
         idx += 1
     workers = min(args.jobs, len(chunks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only --jobs needs it
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_profile_chunk, chunks))
     else:

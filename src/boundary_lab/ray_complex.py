@@ -24,7 +24,8 @@ parameters may be given as ints, which the build takes as they are, and at
 scale 1 they stay ints throughout.  Queries run on integers too: a
 point enters, checked, as (edge, num, den) (``_seed``) and a distance leaves
 as an unreduced integer ratio (``_seeded_distance``).  An edge ray seeds its
-leg ends and the marks it passes once (``UnitSpeedRay._stops``).
+leg ends and the marks it passes once (``UnitSpeedRay._stops``) and its leg
+junctions once, to check that they meet (``_same_point``).
 ``Fraction``s exist only at the point and distance API (``point``,
 ``distance``), once per stop of a ray, and once per window minimum of
 ``boundary._window_min``.  The complex owns
@@ -300,6 +301,14 @@ class RayComplex:
             seeds.append((verts[i], marks[i] * den - x))
         return edge_id, num, den, seeds
 
+    def _same_point(self, p: tuple, q: tuple) -> bool:
+        """Whether p and q, each (edge_id, num, den), are one point: the same
+        parameter of one edge, or marks of one vertex (``_seeds``, no Dijkstra)."""
+        if p[0] == q[0] and p[1] * q[2] == q[1] * p[2]:
+            return True
+        ps, qs = self._seeds(*p)[3], self._seeds(*q)[3]
+        return ps[0][1] == 0 and ps == qs
+
     # -- shortest paths ---------------------------------------------------
 
     def vertex_distances(self, source: int) -> list:
@@ -434,11 +443,8 @@ class RayComplex:
         """The parameters where f(t) = d(beta(t), alpha) may bend, for edge
         rays, sorted: beta's stops (its leg ends and the marks inside its
         legs) and beta's parameters at the ends of alpha's legs on beta's
-        edges.  Rejects a beta whose legs do not meet."""
+        edges.  Each ray's plan has checked that its legs meet."""
         require_same_space(self.space_id, beta.basepoint)
-        for leg, g0 in zip(beta.legs[1:], beta.leg_offsets[1:]):
-            if self.distance(beta.eval(g0), self.point(leg.edge_id, leg.start)):
-                raise DomainError(f"the legs of {beta.label!r} do not meet at {g0}")
         ends = [(e, p) for e, lo, hi, *_ in alpha._stops for p in (lo, hi) if p is not None]
         cuts = set()
         for eid, lo, hi, g0, start, stops in beta._stops:
@@ -475,10 +481,6 @@ class RayComplex:
                 T = p + level - d
                 return T, (T, T)
         raise DomainError("ray starts outside the 2C-neighborhood")
-
-    def last_mark(self, edge_id: str) -> Fraction:
-        """The edge's greatest marked parameter: a ray edge's hair starts there."""
-        return Fraction(self._int_marks[edge_id][-1], self._scale)
 
     # -- canonical form -----------------------------------------------------
 

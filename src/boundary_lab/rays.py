@@ -9,10 +9,11 @@ legs are all edge legs, on a ray complex, or all other legs, elsewhere,
 that an arc leg's direction is +1 or -1, and that an attached leg names a
 ray of its annulus.  An edge leg is bounded exactly when it has an ``end``,
 so these checks do no leg arithmetic.  Leg lengths and offsets are
-computed, edge legs checked to lie inside declared edges (``_edge_plan``),
-and annulus legs to meet and chords to clear the open disk
-(``_annulus_plan``, the one table that ``locate``, ``_is_geodesic`` and
-``AnnulusSpace._ray_distance`` read), on the ray's first evaluation.
+computed, edge legs checked to lie inside declared edges and to meet
+(``_edge_plan``, with the ray's hair), annulus legs to meet and chords to
+clear the open disk (``_annulus_plan``, the one table that ``locate``,
+``_is_geodesic`` and ``AnnulusSpace._ray_distance`` read), on first use:
+no other module reads a ray's legs.
 One leg dispatch (``_annulus_at``) serves ``eval`` and, with ``eval``'s
 checks (``_checked_annulus_at``), ``AnnulusSpace._seed_at``, which seeds a
 ray's point without making it, and the annulus pair sampler's anchors.
@@ -227,12 +228,15 @@ class UnitSpeedRay:
 
     @cached_property
     def _edge_plan(self) -> Optional[tuple]:
-        """(m, legs) for a ray of edge legs, else None.  m is the LCM of the
-        denominators of the leg offsets, starts and ends; each leg is
+        """(m, legs, hair) for a ray of edge legs, else None.  m is the LCM
+        of the denominators of the leg offsets, starts and ends; each leg is
         (edge_id, top, offset, start, direction) with top the global
         parameter of its end (None: unbounded), all in units of 1/m, and
-        direction +1 or -1 along the edge.  The one check of the legs: each
-        lies inside a declared edge, and is unbounded only on a ray edge."""
+        direction +1 or -1 along the edge.  hair (None if the ray ends) is
+        (edge_id, s*): the ray runs past the edge's last mark from s* =
+        offset + max(0, last mark - start) on.  The one check of the legs:
+        each lies inside a declared edge, is unbounded only on a ray edge,
+        and starts where the one before ends (``RayComplex._same_point``)."""
         if not isinstance(self.legs[0], EdgeLeg):
             return None
         for leg in self.legs:
@@ -254,7 +258,12 @@ class UnitSpeedRay:
             top = None if leg.end is None else int((off + leg.length) * m)
             direction = -1 if leg.end is not None and leg.end < leg.start else 1
             plan.append((leg.edge_id, top, int(off * m), int(leg.start * m), direction))
-        return m, tuple(plan)
+        for (eid, top, g0, a, way), (nid, _, g1, b, _) in zip(plan, plan[1:]):
+            if not self.space._same_point((eid, a + way * (top - g0), m), (nid, b, m)):
+                raise DomainError(f"the legs of {self.label!r} do not meet at {Fraction(g1, m)}")
+        last = Fraction(self.space._int_marks[leg.edge_id][-1], self.space._scale)
+        hair = None if leg.end is not None else (leg.edge_id, off + max(0, last - leg.start))
+        return m, tuple(plan), hair
 
     @cached_property
     def _stops(self) -> tuple:
@@ -295,7 +304,7 @@ class UnitSpeedRay:
         p, q = t.numerator, t.denominator
         if p < 0:
             raise DomainError(f"ray parameter must be nonnegative, got {t}")
-        m, legs = plan
+        m, legs, _ = plan
         x = p * m  # t in units of 1 / (m q)
         for eid, top, off, start, direction in legs:
             if top is None or x <= top * q:

@@ -1,7 +1,10 @@
 import argparse
+import concurrent.futures
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -428,7 +431,8 @@ class _FakePool:
 def test_profile_worker_count(capsys, monkeypatch, jobs, n, cpus, workers):
     sizes, chunks = [], []
     monkeypatch.setattr(
-        cli, "ProcessPoolExecutor", lambda max_workers: _FakePool(sizes, max_workers)
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: _FakePool(sizes, max_workers),
     )
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(
@@ -441,6 +445,19 @@ def test_profile_worker_count(capsys, monkeypatch, jobs, n, cpus, workers):
     assert code == 0
     assert sizes == ([] if workers is None else [workers])
     assert sum(c[2] for c in chunks) == n
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a fresh interpreter: only a --jobs run that starts a pool imports it
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, boundary_lab.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 def test_csv_output_and_artifact(capsys, tmp_path):

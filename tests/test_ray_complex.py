@@ -14,7 +14,7 @@ import pytest
 import boundary_lab as bl
 from boundary_lab import boundary, dsl, spacezoo
 from boundary_lab.boundary import boundary_gromov_product
-from boundary_lab.contraction import project, ray_distance
+from boundary_lab.contraction import contraction_profile, project, ray_distance
 from boundary_lab.metric import gromov_product
 from boundary_lab.ray_complex import RAY, SEGMENT, Edge, RayComplex
 from boundary_lab.rays import (
@@ -181,16 +181,16 @@ def _dyadic_points(rc):
 
 
 def _off_mark_rays(rc):
-    """Rays whose legs start and end off the marks: from inside segment e1,
-    backwards, onto a ray edge from 1/7 on; and that last leg alone."""
-    top = rc.edges["e1"].length
+    """Rays whose legs start and end off the marks, on each ray edge: from
+    5/7 back to 1/7, then out from 1/7, meeting off the marks; and that
+    last leg alone."""
     rays = []
     for eid, edge in rc.edges.items():
         if edge.kind == RAY:
             tail = EdgeLeg(eid, Fraction(1, 7), None)
             rays.append(UnitSpeedRay(rc, f"{eid}+1/7", (tail,)))
-            back = EdgeLeg("e1", top * Fraction(5, 7), top * Fraction(1, 7))
-            rays.append(UnitSpeedRay(rc, f"e1-{eid}", (back, tail)))
+            back = EdgeLeg(eid, Fraction(5, 7), Fraction(1, 7))
+            rays.append(UnitSpeedRay(rc, f"{eid}-back", (back, tail)))
     return rays
 
 
@@ -231,8 +231,8 @@ def test_edge_location_matches_the_fraction_reference_on_the_zoo(spec):
 
 
 def test_edge_location_matches_the_fraction_reference_on_rational_complexes():
-    # the edge rays, plus rays whose legs start and end in sevenths of thirds
-    # and fifths, one of them running backwards along e1
+    # the edge rays, plus rays whose legs start and end in sevenths, some of
+    # them running backwards along a ray edge
     for rc, _, _ in _rational_complexes():
         rays = [rc.edge_ray(eid) for eid, e in rc.edges.items() if e.kind == RAY]
         for ray in rays + _off_mark_rays(rc):
@@ -377,6 +377,7 @@ def test_a_second_projection_onto_a_ray_builds_none_of_its_stops_again(monkeypat
 
     z = bl.build_X(8)
     X, ray = z.space, z.boundary["g3"].canonical
+    ray.eval(0)  # compiles the plan, whose junction check seeds the junctions
     monkeypatch.setattr(RayComplex, "_seeds", counted)
     assert project(X.point("alpha", 2), ray, 300).distance == 0
     stops = sum(len(leg[-1]) for leg in ray._stops)
@@ -411,10 +412,56 @@ def test_settles_at_matches_the_fraction_marks():
                 starts = (_hair_start(a), _hair_start(b))
                 if None not in starts and a.legs[-1].edge_id != b.legs[-1].edge_id:
                     want = max(starts)
-                got = boundary._settles_at(a.space, a, b)
+                got = boundary._settles_at(a, b)
                 assert got == want and type(got) is type(want), (a.label, b.label)
                 settled += got is not None
     assert settled > 1000
+
+
+def test_legs_that_do_not_meet_are_refused_on_first_use(zoo_x8):
+    # alpha runs to 1 and g3 starts at its own origin, 10 away: the plan's
+    # junction check refuses the ray wherever it is first used, with the
+    # same message as an annulus ray's
+    X, g3 = zoo_x8.space, zoo_x8.boundary["g3"]
+    o = X.basepoint
+    uses = [
+        lambda bad: bad.eval(0),
+        lambda bad: ray_distance(o, bad),
+        lambda bad: project(X.point("alpha", 2), bad, 300),
+        lambda bad: boundary_gromov_product(bad, g3, max_horizon=64),
+        lambda bad: boundary_gromov_product(g3, bad, max_horizon=64),
+        lambda bad: contraction_profile(bad, X, lambda rng: (o, o), 1, 300),
+    ]
+    for use in uses:
+        bad = UnitSpeedRay(X, "bad", (EdgeLeg("alpha", 0, 1), EdgeLeg("g3", 0, None)))
+        with pytest.raises(bl.DomainError, match="^the legs of 'bad' do not meet at 1$"):
+            use(bad)
+
+
+def test_legs_meet_at_one_vertex_or_one_point_off_the_marks(zoo_x8):
+    # the zoo's three-leg rays meet through gluings, the off-mark rays at a
+    # point of one edge; a jump along one edge, or to the same place on a
+    # parallel edge (whose seeds are the same), is refused
+    three_legs = [ray for bp in zoo_x8.boundary.values()
+                  for ray in bp.representatives() if len(ray.legs) == 3]
+    off_mark = [ray for rc, _, _ in _rational_complexes() for ray in _off_mark_rays(rc)]
+    assert len(three_legs) > 10 and any(len(ray.legs) == 2 for ray in off_mark)
+    for ray in three_legs + off_mark:
+        assert ray._edge_plan is not None
+    X = zoo_x8.space
+    parallel = RayComplex(
+        [Edge("r", RAY, None), Edge("s1", SEGMENT, 2), Edge("s2", SEGMENT, 2)],
+        [(("r", 0), ("s1", 0), ("s2", 0)), (("s1", 2), ("s2", 2))],
+        ("r", 0),
+    )
+    jumps = [
+        (X, (EdgeLeg("alpha", 0, 1), EdgeLeg("alpha", 2, None)), "1"),
+        (X, (EdgeLeg("alpha", 0, 3), EdgeLeg("ca3", 0, 8), EdgeLeg("g3", 0, None)), "3"),
+        (parallel, (EdgeLeg("s1", 0, 1), EdgeLeg("s2", 1, 2)), "1"),
+    ]
+    for space, legs, at in jumps:
+        with pytest.raises(bl.DomainError, match=f"^the legs of 'jump' do not meet at {at}$"):
+            UnitSpeedRay(space, "jump", legs).eval(0)
 
 
 def test_projection_from_a_segment_onto_rays_through_its_gluing():
