@@ -72,27 +72,42 @@ PINS = {
 }
 
 
+def check_run(path: Path, counts: dict | None, digest: str | None) -> list:
+    """The pins that do not hold in one smoke output; ``counts`` and
+    ``digest`` are None for a run that pins only ``correct``."""
+    name, failures = path.name, []
+    lines = path.read_text().splitlines()
+    if not lines:
+        raise ValueError("the file is empty")
+    result = json.loads(lines[-1])
+    print(name, "correct" if result.get("correct") is True else "NOT correct")
+    if result.get("correct") is not True:
+        failures.append(f"{name}: correct is {result.get('correct')!r}")
+    if counts is None:
+        return failures
+    record = json.loads(lines[-2])["record"]
+    got = {metric: result["metrics"][metric]["value"] for metric in counts}
+    print(name, "work counts", got)
+    print(name, "digest", record["digest"])
+    failures += [f"{name}: {metric} is {got[metric]}, pinned at {want}"
+                 for metric, want in counts.items() if got[metric] != want]
+    if record["digest"] != digest:
+        failures.append(f"{name}: digest is {record['digest']}, pinned at {digest}")
+    return failures
+
+
 def check(where: Path) -> list:
-    """The pins that do not hold in the smoke runs under ``where``."""
+    """The pins that do not hold in the smoke runs under ``where``.  A run
+    whose output is missing, empty or not the two JSON lines it should be
+    is one failure that names the file; the other runs are still checked."""
     failures = []
     for workload, (counts, digest) in PINS.items():
-        for name, pinned in ((f"bench-{workload}.out", True),
-                             (f"bench-{workload}-seed2.out", False)):
-            lines = (where / name).read_text().splitlines()
-            result = json.loads(lines[-1])
-            print(name, "correct" if result.get("correct") is True else "NOT correct")
-            if result.get("correct") is not True:
-                failures.append(f"{name}: correct is {result.get('correct')!r}")
-            if not pinned:
-                continue
-            record = json.loads(lines[-2])["record"]
-            got = {metric: result["metrics"][metric]["value"] for metric in counts}
-            print(name, "work counts", got)
-            print(name, "digest", record["digest"])
-            failures += [f"{name}: {metric} is {got[metric]}, pinned at {want}"
-                         for metric, want in counts.items() if got[metric] != want]
-            if record["digest"] != digest:
-                failures.append(f"{name}: digest is {record['digest']}, pinned at {digest}")
+        for name, pins in ((f"bench-{workload}.out", (counts, digest)),
+                           (f"bench-{workload}-seed2.out", (None, None))):
+            try:
+                failures += check_run(where / name, *pins)
+            except (OSError, ValueError, LookupError) as err:
+                failures.append(f"{name}: cannot read it ({type(err).__name__}: {err})")
     return failures
 
 

@@ -12,6 +12,9 @@ boundary case, so the kernel is continuous.
 
 Attached rays meet the annulus only at their base point, so distances
 through them decompose through the base (wedge metric).
+The legs of annulus rays (arcs on r = 1, chords and attached tails, each
+with its point at arc length ``at``) live here with the chord geometry;
+``rays`` assembles them into rays and this module imports nothing of it.
 Every distance, projection, product window and claim product reads seeded
 points (``AnnulusSpace._seed``) on the prepared kernel; a ray's point is
 seeded from its leg (``_seed_at``) with no point object made, and
@@ -25,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,8 +41,8 @@ from .points import (
     check_annulus_coords,
     require_same_space,
 )
-from .rays import BoundaryArcLeg, ChordLeg, Coords, develop_pair
 
+Coords = tuple[float, float]
 Terms = tuple[float, float, float, float]
 
 
@@ -98,6 +101,112 @@ def ann_distance_arrays(t1, r1, t2, r2):
     )
     chord = np.hypot(r1 - r2, 2.0 * np.sqrt(r1 * r2) * np.sin(0.5 * delta))
     return np.where(delta >= phi1 + phi2, tangent, chord)
+
+
+# -- legs: arcs, chords and attached rays -----------------------------------
+
+def develop_pair(a: Coords, b: Coords) -> tuple[float, float, float, float]:
+    """Cartesian development (ax, ay, bx, by) of two cover points with `a`
+    on the positive x-axis; only meaningful when |t_a - t_b| < pi."""
+    dt = b[0] - a[0]
+    return a[1], 0.0, b[1] * math.cos(dt), b[1] * math.sin(dt)
+
+
+def chord_length(a: Coords, b: Coords) -> float:
+    """Length of the straight segment ab of the development."""
+    ax, ay, bx, by = develop_pair(a, b)
+    return math.hypot(bx - ax, by - ay)
+
+
+@dataclass(frozen=True)
+class BoundaryArcLeg:
+    """Arc along the boundary circle r = 1, from angle t0, signed direction."""
+
+    t0: float
+    direction: int  # +1 or -1
+    length: Optional[float]  # None: unbounded
+
+    def angle_at(self, s: float) -> float:
+        return self.t0 + self.direction * s
+
+    def angle_interval(self) -> tuple[float, float]:
+        if self.length is None:
+            if self.direction > 0:
+                return (self.t0, math.inf)
+            return (-math.inf, self.t0)
+        t1 = self.angle_at(self.length)
+        return (min(self.t0, t1), max(self.t0, t1))
+
+    def at(self, s: float) -> tuple:
+        """(None, angle, radius) at local arc length s, unchecked."""
+        return None, self.angle_at(s), 1.0
+
+
+@dataclass(frozen=True)
+class ChordLeg:
+    """Straight segment between cover points (t, r); must avoid the open
+    disk, which a ray checks when it compiles its plan (``_annulus_plan``)."""
+
+    a: Coords
+    b: Coords
+
+    def __post_init__(self):
+        for t, r in (self.a, self.b):
+            check_annulus_coords("chord endpoints", t, r)
+        if abs(self.b[0] - self.a[0]) >= math.pi:
+            raise DomainError("chord legs must span less than a half turn")
+
+    @cached_property
+    def _developed(self) -> tuple[float, float, float, float]:
+        return develop_pair(self.a, self.b)
+
+    @cached_property
+    def length(self) -> float:
+        return chord_length(self.a, self.b)
+
+    def coords_at(self, s: float) -> tuple[float, float]:
+        ax, ay, bx, by = self._developed
+        ell = self.length
+        f = 0.0 if ell == 0 else s / ell
+        x, y = ax + f * (bx - ax), ay + f * (by - ay)
+        return self.a[0] + math.atan2(y, x), math.hypot(x, y)
+
+    def at(self, s: float) -> tuple:
+        """(None, angle, radius) at local arc length s, r clamped to >= 1."""
+        tt, rr = self.coords_at(s)
+        return None, tt, max(rr, 1.0)
+
+    @cached_property
+    def _candidates(self) -> tuple:
+        """(t_a, ax, ay, ux, uy, head, tail): what ``_chord_distance``
+        needs of a chord of positive length that does not depend on the
+        query point.  (ax, ay) is the developed start, (ux, uy) the unit
+        direction.  head and tail are (parameter, kernel terms) pairs of the
+        fixed candidates, each clamped to [0, length]: head holds 0 and the
+        length, tail u0 - 1 and u0 + 1 (u0 the foot of the disk center)
+        without repeats of earlier ones."""
+        ell = self.length
+        ax, ay, bx, by = self._developed
+        ux, uy = (bx - ax) / ell, (by - ay) / ell
+        u0 = -(ax * ux + ay * uy)
+        fixed: list = []
+        for c in (0.0, ell, u0 - 1.0, u0 + 1.0):
+            s = min(max(c, 0.0), ell)
+            if all(s != f for f, _ in fixed):
+                fixed.append((s, kernel_terms(*self.at(s)[1:])))
+        return self.a[0], ax, ay, ux, uy, tuple(fixed[:2]), tuple(fixed[2:])
+
+
+@dataclass(frozen=True)
+class AttachedLeg:
+    """Tail running up an attached ray from its base (s = 0)."""
+
+    ray_id: str
+    length: Optional[float] = None  # None in practice
+
+    def at(self, s: float) -> tuple:
+        """(attached ray id, s, None): the point s up the attached ray."""
+        return self.ray_id, s, None
 
 
 def segment_origin_distance(a: Coords, b: Coords) -> float:
@@ -193,8 +302,7 @@ def _chord_distance(leg: ChordLeg, xt: Terms) -> tuple[float, float]:
         if d < best[0]:
             best = (d, s)
     if foot != 0.0 and foot != ell:
-        tc, rc = leg.coords_at(foot)
-        d = ann_distance_terms(xt, kernel_terms(tc, max(rc, 1.0)))
+        d = ann_distance_terms(xt, kernel_terms(*leg.at(foot)[1:]))
         if d < best[0]:
             best = (d, foot)
     for s, terms in tail:
@@ -482,13 +590,8 @@ class AnnulusSpace:
         pts = [p]
         for leg in legs:
             n = max(2, samples // max(1, len(legs)))
-            for k in range(1, n + 1):
-                s = leg.length * k / n
-                if isinstance(leg, ChordLeg):
-                    tt, rr = leg.coords_at(s)
-                    pts.append(AnnulusPoint(self.space_id, tt, max(1.0, rr)))
-                else:
-                    pts.append(AnnulusPoint(self.space_id, leg.angle_at(s), 1.0))
+            pts += (AnnulusPoint(self.space_id, *leg.at(leg.length * k / n)[1:])
+                    for k in range(1, n + 1))
         if not legs:
             pts.append(q)
         return tuple(pts)

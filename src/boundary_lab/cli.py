@@ -40,9 +40,8 @@ from .contraction import (
 )
 from .dsl import compile_space, parse_space, serialize_space
 from .errors import BoundaryLabError, DomainError, SpaceParseError
-from .mesh_oracle import MAX_RADIUS
 from .metric import gromov_product
-from .points import AnnulusPoint, Point
+from .points import MAX_RADIUS, AnnulusPoint, Point
 from .ray_complex import RayComplex
 from .reports import write_csv, write_json
 from .samplers import profile_pair_sampler

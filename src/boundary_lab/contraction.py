@@ -138,7 +138,11 @@ class ContractionProfile:
     classification: str = "inconclusive"
     constant: Optional[float] = None
     growth_per_doubling: Optional[float] = None
-    stabilized: bool = False
+
+    @property
+    def stabilized(self) -> bool:
+        """Whether the classification settled: bounded or sublinear."""
+        return self.classification in ("bounded", "sublinear")
 
     def record(self, radius, diam, witness) -> None:
         if radius <= 0:
@@ -176,7 +180,6 @@ class ContractionProfile:
         env = self.envelope()
         if len(env) < 4:
             self.classification = "inconclusive"
-            self.stabilized = False
             return self.classification
         values = [float(v) for _, v in env]
         incr = [b - a for a, b in zip(values, values[1:])]
@@ -188,7 +191,6 @@ class ContractionProfile:
         if peak <= 1e-12 or trail <= self.BOUNDED_DECAY * peak + 1e-12:
             self.classification = "bounded"
             self.constant = float(values[-1])
-            self.stabilized = True
             return self.classification
         ratios = [v / (2.0 ** k) for k, v in env]
         if ratios[-1] < ratios[-2] < ratios[-3]:
@@ -197,10 +199,8 @@ class ContractionProfile:
             vs = [v for _, v in env[-4:]]
             if ks[-1] != ks[0]:
                 self.growth_per_doubling = float(vs[-1] - vs[0]) / (ks[-1] - ks[0])
-            self.stabilized = True
             return self.classification
         self.classification = "violated"
-        self.stabilized = False
         return self.classification
 
     def to_rows(self) -> list[dict]:

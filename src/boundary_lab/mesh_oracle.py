@@ -29,9 +29,10 @@ greedy backtrack reads single cells as Python floats.
 
 A query is rejected before anything is allocated when its grid would
 have more than ``MAX_CELLS`` cells or a top row radius above
-``MAX_RADIUS``: the squared radii in the chord weights would overflow, and
-from a step h of about 710 the radius ``exp(h * (n_rows - 1))`` itself is
-not finite.  Within these limits no value is NaN.
+``points.MAX_RADIUS``, the bound of every annulus point: the squared radii
+in the chord weights would overflow, and from a step h of about 710 the
+radius ``exp(h * (n_rows - 1))`` itself is not finite.  Within these
+limits no value is NaN.
 """
 
 from __future__ import annotations
@@ -42,20 +43,13 @@ from typing import Optional
 
 import numpy as np
 
-from .annulus import chord_valid, develop_pair
+from .annulus import chord_length, chord_valid
 from .errors import DomainError
-from .points import AnnulusPoint, RayComplexPoint
+from .points import MAX_RADIUS, AnnulusPoint, RayComplexPoint
 
 # About 40x the largest grid that the acceptance suite or the benchmark
 # queries (3001 x 393 cells); its value table is 400 MB of float64.
 MAX_CELLS = 50_000_000
-# The chord weights square the row radii, which overflows from about 1.3e154.
-MAX_RADIUS = 1e150
-
-
-def _chord_len(a: tuple[float, float], b: tuple[float, float]) -> float:
-    ax, ay, bx, by = develop_pair(a, b)
-    return math.hypot(bx - ax, by - ay)
 
 
 @dataclass(frozen=True)
@@ -94,7 +88,7 @@ def _piece_length(a, b) -> Optional[float]:
     if a[1] == 1.0 and b[1] == 1.0:
         return abs(a[0] - b[0])
     if chord_valid(a, b):
-        return _chord_len(a, b)
+        return chord_length(a, b)
     return None
 
 

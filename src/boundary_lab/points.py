@@ -15,6 +15,8 @@ from typing import Union
 
 from .errors import DomainError
 
+MAX_RADIUS = 1e150  # of annulus |t| and r: r * r overflows from about 1.3e154
+
 
 @dataclass(frozen=True)
 class RayComplexPoint:
@@ -34,7 +36,7 @@ class RayComplexPoint:
 
 @dataclass(frozen=True)
 class AnnulusPoint:
-    """A location (t, r) on the unrolled plane-minus-disk: finite, r >= 1.
+    """A location (t, r) on the unrolled plane-minus-disk: |t|, r <= MAX_RADIUS, r >= 1.
 
     The angle coordinate t takes any real value: the space is the universal
     cover, no mod-2pi reduction is ever applied.
@@ -70,11 +72,11 @@ Point = Union[RayComplexPoint, AnnulusPoint, AttachedRayPoint]
 
 
 def check_annulus_coords(subject: str, t: float, r: float) -> None:
-    """Reject annulus coordinates other than finite t and 1 <= r < inf; the
-    message names ``subject``.  Annulus points, attached bases and chord
-    endpoints all pass through here."""
-    if not (-math.inf < t < math.inf and 1.0 <= r < math.inf):
-        raise DomainError(f"{subject} needs finite t, r >= 1: {t}, {r}")
+    """Reject annulus coordinates other than |t| <= MAX_RADIUS and 1 <= r <=
+    MAX_RADIUS (so NaN and infinities too); the message names ``subject``.
+    Annulus points, attached bases and chord endpoints all pass through here."""
+    if not (-MAX_RADIUS <= t <= MAX_RADIUS and 1.0 <= r <= MAX_RADIUS):
+        raise DomainError(f"{subject} needs |t|, r <= MAX_RADIUS and r >= 1: {t}, {r}")
 
 
 def check_arc_length(s: float) -> None:

@@ -1,9 +1,9 @@
 """Unit-speed rays assembled from legs.
 
-A ray is a concatenation of legs, each of which knows how to evaluate a
-point at a given arc length.  Legs come in four kinds: an interval on a
-ray-complex edge, an arc along the r = 1 boundary circle, a straight
-disk-avoiding chord between two cover points, and an attached ray.
+A ray is a concatenation of legs.  Legs come in four kinds: an interval on
+a ray-complex edge (``EdgeLeg``), and the annulus legs, which live with
+their geometry in ``annulus``: an arc along the r = 1 boundary circle, a
+straight disk-avoiding chord between two cover points, and an attached ray.
 Construction checks only that every leg but the last is bounded, that the
 legs are all edge legs, on a ray complex, or all other legs, elsewhere,
 that an arc leg's direction is +1 or -1, and that an attached leg names a
@@ -14,9 +14,10 @@ computed, edge legs checked to lie inside declared edges and to meet
 clear the open disk (``_annulus_plan``, the one table that ``locate``,
 ``_is_geodesic`` and ``AnnulusSpace._ray_distance`` read), on first use:
 no other module reads a ray's legs.
-One leg dispatch (``_annulus_at``) serves ``eval`` and, with ``eval``'s
-checks (``_checked_annulus_at``), ``AnnulusSpace._seed_at``, which seeds a
-ray's point without making it, and the annulus pair sampler's anchors.
+Each annulus leg gives its own point at arc length (``at``), which
+``_annulus_at`` reads off the leg ``locate`` finds for ``eval`` and, with
+``eval``'s checks (``_checked_annulus_at``), ``AnnulusSpace._seed_at``,
+which seeds a ray's point without making it, and the pair sampler's anchors.
 A ray is unit-speed by the way its legs are parametrized, but nothing here
 checks that it is a geodesic, and rays with corners can be built.  The
 run-time check is ``annulus._is_geodesic``, on annulus rays, where the
@@ -39,6 +40,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Union
 
+from .annulus import AttachedLeg, BoundaryArcLeg, ChordLeg, _is_geodesic, chord_valid
 from .errors import DomainError
 from .points import (
     AnnulusPoint,
@@ -49,8 +51,6 @@ from .points import (
     check_arc_length,
 )
 from .ray_complex import RayComplex
-
-Coords = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -64,95 +64,6 @@ class EdgeLeg:
     @cached_property
     def length(self) -> Optional[Fraction]:
         return None if self.end is None else abs(self.end - self.start)
-
-
-@dataclass(frozen=True)
-class BoundaryArcLeg:
-    """Arc along the boundary circle r = 1, from angle t0, signed direction."""
-
-    t0: float
-    direction: int  # +1 or -1
-    length: Optional[float]  # None: unbounded
-
-    def angle_at(self, s: float) -> float:
-        return self.t0 + self.direction * s
-
-    def angle_interval(self) -> tuple[float, float]:
-        if self.length is None:
-            if self.direction > 0:
-                return (self.t0, math.inf)
-            return (-math.inf, self.t0)
-        t1 = self.angle_at(self.length)
-        return (min(self.t0, t1), max(self.t0, t1))
-
-
-def develop_pair(a: Coords, b: Coords) -> tuple[float, float, float, float]:
-    """Cartesian development (ax, ay, bx, by) of two cover points with `a`
-    on the positive x-axis; only meaningful when |t_a - t_b| < pi."""
-    dt = b[0] - a[0]
-    return a[1], 0.0, b[1] * math.cos(dt), b[1] * math.sin(dt)
-
-
-@dataclass(frozen=True)
-class ChordLeg:
-    """Straight segment between cover points (t, r); must avoid the open
-    disk, which a ray checks when it compiles its plan (``_annulus_plan``)."""
-
-    a: Coords
-    b: Coords
-
-    def __post_init__(self):
-        for t, r in (self.a, self.b):
-            check_annulus_coords("chord endpoints", t, r)
-        if abs(self.b[0] - self.a[0]) >= math.pi:
-            raise DomainError("chord legs must span less than a half turn")
-
-    @cached_property
-    def _developed(self) -> tuple[float, float, float, float]:
-        return develop_pair(self.a, self.b)
-
-    @cached_property
-    def length(self) -> float:
-        ax, ay, bx, by = self._developed
-        return math.hypot(bx - ax, by - ay)
-
-    def coords_at(self, s: float) -> tuple[float, float]:
-        ax, ay, bx, by = self._developed
-        ell = self.length
-        f = 0.0 if ell == 0 else s / ell
-        x, y = ax + f * (bx - ax), ay + f * (by - ay)
-        return self.a[0] + math.atan2(y, x), math.hypot(x, y)
-
-    @cached_property
-    def _candidates(self) -> tuple:
-        """(t_a, ax, ay, ux, uy, head, tail): what ``annulus._chord_distance``
-        needs of a chord of positive length that does not depend on the
-        query point.  (ax, ay) is the developed start, (ux, uy) the unit
-        direction.  head and tail are (parameter, kernel terms) pairs of the
-        fixed candidates, each clamped to [0, length]: head holds 0 and the
-        length, tail u0 - 1 and u0 + 1 (u0 the foot of the disk center)
-        without repeats of earlier ones."""
-        from .annulus import kernel_terms  # annulus imports this module
-
-        ell = self.length
-        ax, ay, bx, by = self._developed
-        ux, uy = (bx - ax) / ell, (by - ay) / ell
-        u0 = -(ax * ux + ay * uy)
-        fixed: list = []
-        for c in (0.0, ell, u0 - 1.0, u0 + 1.0):
-            s = min(max(c, 0.0), ell)
-            if all(s != f for f, _ in fixed):
-                tc, rc = self.coords_at(s)
-                fixed.append((s, kernel_terms(tc, max(rc, 1.0))))
-        return self.a[0], ax, ay, ux, uy, tuple(fixed[:2]), tuple(fixed[2:])
-
-
-@dataclass(frozen=True)
-class AttachedLeg:
-    """Tail running up an attached ray from its base (s = 0)."""
-
-    ray_id: str
-    length: Optional[float] = None  # None in practice
 
 
 Leg = Union[EdgeLeg, BoundaryArcLeg, ChordLeg, AttachedLeg]
@@ -199,8 +110,6 @@ class UnitSpeedRay:
         legs meet: each starts where the one before ends, to 1e-12 relative,
         and none follows an attached leg; and that each chord clears the
         open disk (``annulus.chord_valid``)."""
-        from .annulus import chord_valid  # annulus imports this module
-
         if isinstance(self.legs[0], EdgeLeg):
             raise DomainError(f"locate takes an annulus ray; {self.label!r} is not one")
         plan, end = [], None
@@ -329,16 +238,10 @@ class UnitSpeedRay:
     def _annulus_at(self, t) -> tuple:
         """(None, angle, radius) of the point at global parameter t of an
         annulus ray, or (attached ray id, s, None) up an attached ray,
-        unchecked: the one leg dispatch of ``eval`` and
+        unchecked: the located leg's ``at``, for ``eval`` and
         ``_checked_annulus_at``, which check the coordinates."""
         leg, s = self.locate(t)
-        s = float(s)
-        if isinstance(leg, BoundaryArcLeg):
-            return None, leg.angle_at(s), 1.0
-        if isinstance(leg, ChordLeg):
-            tt, rr = leg.coords_at(s)
-            return None, tt, max(rr, 1.0)
-        return leg.ray_id, s, None
+        return leg.at(float(s))
 
     def _checked_annulus_at(self, t) -> tuple:
         """``_annulus_at`` with the checks ``eval``'s point makes, and the
@@ -366,8 +269,6 @@ class UnitSpeedRay:
     def _geodesic(self) -> bool:
         """``annulus._is_geodesic`` of this annulus ray, run on first use and
         kept, like the plan: every escape time asks it of both its rays."""
-        from .annulus import _is_geodesic  # annulus imports this module
-
         return _is_geodesic(self)
 
     @property

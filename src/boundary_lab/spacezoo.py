@@ -21,12 +21,12 @@ from fractions import Fraction
 from functools import partial
 from typing import Union
 
-from .annulus import AnnulusSpace, geodesic_legs
+from .annulus import AnnulusSpace, AttachedLeg, BoundaryArcLeg, geodesic_legs
 from .boundary import BoundaryPoint
 from .errors import DomainError
-from .mesh_oracle import MAX_RADIUS
+from .points import MAX_RADIUS
 from .ray_complex import RAY, SEGMENT, Edge, RayComplex
-from .rays import AttachedLeg, BoundaryArcLeg, EdgeLeg, UnitSpeedRay
+from .rays import EdgeLeg, UnitSpeedRay
 
 
 Makers = dict[str, Callable[[], list[UnitSpeedRay]]]

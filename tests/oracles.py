@@ -52,7 +52,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from boundary_lab.annulus import ann_distance_coords
+from boundary_lab.annulus import AttachedLeg, BoundaryArcLeg, ChordLeg, ann_distance_coords
 from boundary_lab.boundary import boundary_gromov_product
 from boundary_lab.contraction import (
     RESIDUAL_BOUNDS,
@@ -71,7 +71,7 @@ from boundary_lab.mesh_oracle import (
 from boundary_lab.metric import gromov_product
 from boundary_lab.points import AttachedRayPoint, RayComplexPoint
 from boundary_lab.ray_complex import RayComplex
-from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, EdgeLeg
+from boundary_lab.rays import EdgeLeg
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 

@@ -1,7 +1,9 @@
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,10 +12,14 @@ import boundary_lab as bl
 from boundary_lab import mesh_oracle, rays
 from boundary_lab.annulus import (
     AnnulusSpace,
+    AttachedLeg,
+    BoundaryArcLeg,
+    ChordLeg,
     SpiralMap,
     ann_distance_arrays,
     ann_distance_coords,
     ann_distance_terms,
+    chord_length,
     chord_valid,
     develop_pair,
     kernel_terms,
@@ -21,7 +27,7 @@ from boundary_lab.annulus import (
 )
 from boundary_lab.contraction import far_segment_suite, ray_distance
 from boundary_lab.mesh_oracle import mesh_oracle_distance
-from boundary_lab.rays import AttachedLeg, BoundaryArcLeg, ChordLeg, UnitSpeedRay
+from boundary_lab.rays import UnitSpeedRay
 from oracles import (
     marks_on,
     reference_develop_pair,
@@ -234,16 +240,49 @@ def test_a_finite_final_leg_ends_at_its_offset_plus_length():
 
 
 def test_develop_pair_is_the_one_chord_development():
-    # one definition in rays, importable from annulus, bit for bit the copy
-    # annulus used to keep, and what a chord leg develops
-    assert develop_pair is rays.develop_pair
+    # one definition in annulus, beside the chord legs, and none in rays;
+    # bit for bit the copy annulus used to keep, and what a chord leg
+    # develops; chord_length, the one chord length, is the hypot of it
+    assert develop_pair.__module__ == ChordLeg.__module__ == "boundary_lab.annulus"
+    assert not hasattr(rays, "develop_pair")
     rng = random.Random(3)
     for _ in range(2000):
         a = (rng.uniform(-50.0, 50.0), math.exp(rng.uniform(0.0, math.log(1e6))))
         b = (a[0] + rng.uniform(-3.14, 3.14), math.exp(rng.uniform(0.0, math.log(1e6))))
-        want = [x.hex() for x in reference_develop_pair(a, b)]
+        ref = reference_develop_pair(a, b)
+        want = [x.hex() for x in ref]
         assert [x.hex() for x in develop_pair(a, b)] == want
         assert [x.hex() for x in ChordLeg(a, b)._developed] == want
+        ax, ay, bx, by = ref
+        assert chord_length(a, b).hex() == math.hypot(bx - ax, by - ay).hex()
+
+
+def _imports(path):
+    """(module, inside a function) of every import statement in a file; a
+    ``from . import x`` names x."""
+    found = []
+
+    def walk(node, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((alias.name, in_function) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module] if child.module else [a.name for a in child.names]
+                found.extend((name, in_function) for name in names)
+            walk(child, in_function or isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+    walk(ast.parse(path.read_text()), False)
+    return found
+
+
+def test_annulus_imports_nothing_from_rays_and_rays_imports_at_module_level():
+    # the annulus legs live in annulus, so the pair has no import cycle:
+    # annulus reaches rays nowhere, and rays imports everything at the top
+    src = Path(bl.__file__).parent
+    assert [name for name, _ in _imports(src / "annulus.py")
+            if name.split(".")[-1] == "rays"] == []
+    assert [name for name, inside in _imports(src / "rays.py") if inside] == []
 
 
 def _seed_bits(seed):

@@ -307,6 +307,22 @@ def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     assert set(json.loads(out)) == {"error"}
 
 
+# Xcat0:498 and Ycat0:498 build, but their default horizons (32 * 2^n for
+# products, 8 * 2^n for profiles) pass MAX_RADIUS: a search that walks an
+# r = 1 arc past t = 1e150 is refused with the annulus point's message
+@pytest.mark.parametrize("space", ["Xcat0:498", "Ycat0:498"])
+@pytest.mark.parametrize("args", [
+    ["bproduct", "--eta", "alpha", "--zeta", "beta"],
+    ["bproduct", "--eta", "alpha", "--zeta", "g3"],
+    ["profile", "--ray", "alpha", "--n", "10", "--seed", "1"],
+])
+def test_queries_past_max_radius_on_the_largest_annulus_spaces_exit_2(capsys, space, args):
+    code, out = run_cli(capsys, args[0], "--space", space, *args[1:])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error.startswith("annulus point needs |t|, r <= MAX_RADIUS and r >= 1: "), error
+
+
 @pytest.mark.parametrize("space", ["X:4", "Xcat0:4"])
 @pytest.mark.parametrize("target", ["alpha,,beta", ",", "", "beta,"])
 def test_an_empty_target_label_is_named_on_both_space_kinds(capsys, space, target):

@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 import boundary_lab as bl
 from boundary_lab.contraction import ContractionProfile, project
-from boundary_lab.points import AnnulusPoint, RayComplexPoint
+from boundary_lab.points import MAX_RADIUS, AnnulusPoint, RayComplexPoint
 
 
 def test_point_validation(zoo_xcat8):
@@ -23,6 +24,45 @@ def test_ray_complex_points_need_a_finite_offset_at_least_0(zoo_x8, offset):
     # a bare ValueError or OverflowError
     with pytest.raises(bl.DomainError, match="must be finite and >= 0"):
         RayComplexPoint(zoo_x8.space.space_id, "ca3", offset)
+
+
+@pytest.mark.parametrize("p, q", [((0.0, 1e200), (0.0, 1e199)),
+                                  ((0.0, 1e200), (1e-10, 1e200)),
+                                  ((1e151, 2.0), (0.0, 2.0))])
+def test_annulus_coordinates_above_max_radius_are_refused(p, q):
+    # the first pair's distance was nan and the second's inf: the kernel
+    # squares radii, which overflows from about 1.3e154
+    S = bl.AnnulusSpace()
+    with pytest.raises(bl.DomainError, match="MAX_RADIUS"):
+        S.distance(S.pt(*p), S.pt(*q))
+
+
+def test_annulus_distances_within_max_radius_are_finite():
+    # r log-uniform up to 1e155: a pair with a radius above MAX_RADIUS is
+    # refused, and every other distance is finite and at least |r1 - r2|
+    S, rng, refused = bl.AnnulusSpace(), random.Random(34), 0
+    for _ in range(20000):
+        (t1, r1), (t2, r2) = (
+            (rng.uniform(-4.0, 4.0), math.exp(rng.uniform(0.0, math.log(1e155))))
+            for _ in range(2)
+        )
+        if max(r1, r2) > MAX_RADIUS:
+            with pytest.raises(bl.DomainError, match="MAX_RADIUS"):
+                S.distance(S.pt(t1, r1), S.pt(t2, r2))
+            refused += 1
+            continue
+        d = S.distance(S.pt(t1, r1), S.pt(t2, r2))
+        assert math.isfinite(d) and d >= abs(r1 - r2), (t1, r1, t2, r2, d)
+    assert 1000 < refused < 2000
+
+
+@pytest.mark.parametrize("spec", ["Xcat0:498", "Ycat0:498"])
+def test_the_largest_annulus_zoo_spaces_stay_within_max_radius(spec):
+    # their bases reach 2^498 < MAX_RADIUS: every ray's legs compile and
+    # the ray runs a geodesic
+    for bp in bl.get_space(spec).boundary_points():
+        for ray in bp.representatives():
+            assert ray._geodesic, ray.label
 
 
 def test_offset_bounds_checked(zoo_x8):

@@ -13,17 +13,12 @@ import pytest
 
 import boundary_lab as bl
 from boundary_lab import boundary, dsl, spacezoo
+from boundary_lab.annulus import AttachedLeg, BoundaryArcLeg, ChordLeg
 from boundary_lab.boundary import boundary_gromov_product
 from boundary_lab.contraction import contraction_profile, project, ray_distance
 from boundary_lab.metric import gromov_product
 from boundary_lab.ray_complex import RAY, SEGMENT, Edge, RayComplex
-from boundary_lab.rays import (
-    AttachedLeg,
-    BoundaryArcLeg,
-    ChordLeg,
-    EdgeLeg,
-    UnitSpeedRay,
-)
+from boundary_lab.rays import EdgeLeg, UnitSpeedRay
 from oracles import (
     brute_rc_distance,
     fraction_vertex_graph,
