@@ -35,7 +35,8 @@ PINS = {
     }, "3cd69a926181dd0e"),
     # Every CLI output carries its space_id, the hash of describe(): a
     # drift in the canonical text, the hash or the build's vertex order
-    # moves the digest.
+    # moves the digest.  The edge projections and products pin the
+    # ray-complex paths of its `project` and `bproduct` commands.
     "cli-cold": ({
         "cli.command_calls": 154,
         "spacezoo.build_calls": 160,
@@ -44,6 +45,8 @@ PINS = {
         "ray_complex.distance_calls": 106,
         "contraction.escape_calls": 18,
         "contraction.escape_refine_queries": 700,
+        "contraction.ray_distance.edge.calls": 24,
+        "boundary.product_calls": 16,
     }, "44584676a6814006"),
     # A projection change that moves the profile or escape search path
     # fails here, and so do claim products that fall back from seeded

@@ -23,14 +23,16 @@ so ``space_id``) see the integers ``parameter * _scale``; the build makes no
 parameters may be given as ints, which the build takes as they are, and at
 scale 1 they stay ints throughout.  Queries run on integers too: a
 point enters, checked, as (edge, num, den) (``_seed``) and a distance leaves
-as an unreduced integer ratio (``_seeded_distance``).  An edge ray seeds its
-leg ends and the marks it passes once (``UnitSpeedRay._stops``) and its leg
-junctions once, to check that they meet (``_same_point``).
-``Fraction``s exist only at the point and distance API (``point``,
-``distance``), once per stop of a ray, and once per window minimum of
-``boundary._window_min``.  The complex owns
-its rays' exact geometry: point distance, projection feet and escape
-(``_ray_distance``, ``_feet``, ``_escape``).
+as an unreduced integer ratio (``_seeded_distance``, the one copy of the
+integer distance formula).  An edge ray seeds its leg ends and the marks it
+passes once (``UnitSpeedRay._stops``) and its leg junctions once, to check
+that they meet (``_same_point``).  ``Fraction``s exist only at the point and
+distance API (``point``, ``distance``), once per stop when a ray's stop
+table is built, once per projection (the distance ``_ray_distance``
+returns, and x's parameter when x lies on the ray), and once per window
+minimum of ``boundary._window_min``, whose products share one denominator
+(``_doubled``).  The complex owns its rays' exact geometry: point distance,
+projection feet and escape (``_ray_distance``, ``_feet``, ``_escape``).
 
 A shortest path never travels out and back along an unbranched ray tail,
 so ray edges contribute no vertex beyond their last marked location.
@@ -341,21 +343,22 @@ class RayComplex:
         """d(p, q) for two seeded points (``_seed``), unchecked, as an
         unreduced integer ratio: the least offset-plus-row sum over the
         vertices bracketing p and q, or the along-edge distance when they
-        share an edge.
+        share an edge.  The one copy of the integer distance formula.
 
         Candidates are compared as numerators over the common denominator
-        dp * dq * _scale, which is the denominator returned.  Callers that
-        keep seeded points work each point's out once: a product window
+        dp * dq * _scale, which is the denominator returned.  The rows of
+        p's seeds (at most two) are read from ``_rows``, and Dijkstra runs
+        from a seed of p only when its row is missing (``_row``).  Callers
+        that keep seeded points work each point's out once: a product window
         (``boundary._window_min``), and a projection, which seeds its point
-        once and each stop of a ray once per ray (``UnitSpeedRay._stops``).
+        once and reads each ray's seeded stops (``UnitSpeedRay._stops``).
         """
         p_edge, p_num, dp, p_seeds = p
         q_edge, q_num, dq, q_seeds = q
-        best: Optional[int] = None
-        if p_edge == q_edge:
-            best = abs(p_num * dq - q_num * dp) * self._scale
+        best = abs(p_num * dq - q_num * dp) * self._scale if p_edge == q_edge else None
+        rows = self._rows
         for u, a in p_seeds:
-            dist = self._row(u)
+            dist = rows[u] or self._row(u)  # a row is never empty
             for v, b in q_seeds:
                 cand = a * dq + dist[v] * dp * dq + b * dp
                 if best is None or cand < best:
@@ -369,12 +372,12 @@ class RayComplex:
     @staticmethod
     def _doubled(xo: list, yo: list, xy: list) -> tuple[list, int]:
         """A window's doubled products dx + dy - dxy, row-major like ``xy``,
-        as integer numerators over one common denominator: (numerators, den)."""
-        den = math.lcm(*(d for _, d in xo + yo + xy))
-        xo, yo, xy = ([m * (den // d) for m, d in r] for r in (xo, yo, xy))
-        n = len(yo)
-        return [dx + dy - xy[i * n + j]
-                for i, dx in enumerate(xo) for j, dy in enumerate(yo)], den
+        as integer numerators over one common denominator, the LCM of the
+        set of their denominators: (numerators, den)."""
+        den = math.lcm(*{d for _, d in xo + yo + xy})
+        yo = [m * (den // d) for m, d in yo]
+        sums = [m * (den // d) + dy for m, d in xo for dy in yo]
+        return [s - m * (den // d) for s, (m, d) in zip(sums, xy)], den
 
     @classmethod
     def _least_product(cls, xo: list, yo: list, xy: list) -> Fraction:
@@ -416,22 +419,30 @@ class RayComplex:
         own edge the along-edge term makes it V-shaped around x, where it is 0.
 
         x is checked and seeded once per query (``_seed``) and every stop once
-        per ray, so a candidate costs one ``_seeded_distance``.  Candidates
-        compare by cross-multiplying; the distance is one ``Fraction``.
+        per ray, so a candidate costs one ``_seeded_distance``, which reads
+        the rows of x's seeds from ``_rows``.  One pass over the stops keeps
+        the least distance, compared by cross-multiplying, and the parameters
+        that reach it; the distance is one ``Fraction``.
         """
         seeded = self._seed(x)
         dist = self._seeded_distance
-        cands = []  # (numerator, denominator, global parameter)
+        num, den, hits = None, 1, []
         for eid, lo, hi, g0, start, stops in ray._stops:
-            cands += [(*dist(seeded, stop), g) for g, stop in stops]
+            for g, stop in stops:
+                n, d = dist(seeded, stop)
+                if num is None or n * den < num * d:
+                    num, den, hits = n, d, [g]
+                elif n * den == num * d:
+                    hits.append(g)
+            # x on this leg is a candidate at distance 0 (every leg has a
+            # stop at lo, so num is set)
             if x.edge_id == eid and lo <= x.offset and (hi is None or x.offset <= hi):
-                cands.append((0, 1, g0 + abs(x.offset - start)))
-        num, den = cands[0][:2]
-        for n, d, _ in cands:
-            if n * den < num * d:
-                num, den = n, d
-        hits = {g for n, d, g in cands if n * den == num * d}
-        return Fraction(num, den), sorted(hits)
+                g = g0 + abs(x.offset - start)
+                if num > 0:
+                    num, den, hits = 0, 1, [g]
+                else:
+                    hits.append(g)
+        return Fraction(num, den), sorted(set(hits))
 
     @staticmethod
     def _feet(x: Point, horizon):

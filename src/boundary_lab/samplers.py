@@ -3,7 +3,11 @@
 Every sampler is a closure over its space taking a ``random.Random``; all
 randomness flows through that generator, so runs are deterministic given
 (seed, parameters).  Rational parameters are drawn on a dyadic grid so the
-exact engines stay exact.
+exact engines stay exact: a ray-complex point is an integer mark k on its
+edge, at parameter k / DENOM, drawn from a table of each edge's step count
+built with the sampler, and a nearby proposal's offset is one integer
+numerator over 4 * DENOM * (the denominator of the edge's top).  A point
+costs one ``Fraction``.
 """
 
 from __future__ import annotations
@@ -16,28 +20,48 @@ from typing import Callable
 from .annulus import AnnulusSpace
 from .contraction import ray_distance
 from .errors import BoundaryLabError, DomainError
-from .points import Point
+from .points import Point, RayComplexPoint
 from .ray_complex import RayComplex
 from .rays import UnitSpeedRay
 
 DENOM = 16  # dyadic denominator for rational sampling
 
 
-def rc_point_sampler(space: RayComplex, horizon) -> Callable:
-    """Uniform edge choice, dyadic-rational parameter up to a horizon that
-    is finite and >= 0, checked when the sampler is built."""
-    edge_ids = sorted(space.edges)
+def _rc_draw(space: RayComplex, horizon) -> Callable:
+    """rng -> (point, k, top numerator, top denominator): a uniform edge,
+    then a uniform integer mark 0 <= k <= steps, the point at k / DENOM.
+    The table built here holds, per edge in id order, steps (the whole
+    1 / DENOM steps in min(length, horizon)) and the edge's top (its length,
+    or the horizon on a ray) as an integer ratio.  The horizon must be
+    finite and >= 0, checked here.  k <= steps keeps the point on its edge,
+    so it is made without ``RayComplex.point``'s checks."""
     if not 0 <= horizon < math.inf:
         raise DomainError(f"the horizon must be finite and >= 0, got {horizon}")
-    hor = Fraction(horizon)
+    hor, sid = Fraction(horizon), space.space_id
+    table = []
+    for eid in sorted(space.edges):
+        top = space.edges[eid].length
+        top = hor if top is None else top
+        reach = min(top, hor)
+        steps = reach.numerator * DENOM // reach.denominator
+        table.append((eid, steps, top.numerator, top.denominator))
+    n = len(table)
+
+    def draw(rng: random.Random) -> tuple:
+        eid, steps, top_num, top_den = table[rng.randrange(n)]
+        k = rng.randint(0, steps)
+        return RayComplexPoint(sid, eid, Fraction(k, DENOM)), k, top_num, top_den
+
+    return draw
+
+
+def rc_point_sampler(space: RayComplex, horizon) -> Callable:
+    """Uniform edge choice, dyadic-rational parameter k / DENOM up to a
+    horizon that is finite and >= 0, checked when the sampler is built."""
+    draw = _rc_draw(space, horizon)
 
     def sample(rng: random.Random) -> Point:
-        eid = edge_ids[rng.randrange(len(edge_ids))]
-        edge = space.edges[eid]
-        top = hor if edge.length is None else min(edge.length, hor)
-        steps = int(top * DENOM)
-        off = Fraction(rng.randint(0, max(steps, 0)), DENOM)
-        return space.point(eid, min(off, top))
+        return draw(rng)[0]
 
     return sample
 
@@ -87,19 +111,19 @@ def profile_pair_sampler(
     0 < r_min <= r_max < inf, checked when it is built.
     """
     if isinstance(space, RayComplex):
-        point_sampler = rc_point_sampler(space, horizon)
+        draw, sid = _rc_draw(space, horizon), space.space_id
 
         def sample_rc(rng: random.Random):
-            x = point_sampler(rng)
+            x, k, top_num, top_den = draw(rng)
             if rng.random() < 0.7:
                 # nearby proposal on the same edge: far pairs rarely pass
-                # the admissibility filter, so bias toward local ones
-                edge = space.edges[x.edge_id]
-                top = Fraction(horizon if edge.length is None else edge.length)
-                shift = (top * rng.randint(-DENOM, DENOM)) / (4 * DENOM)
-                off = min(max(x.offset + shift, 0), top)
-                return x, space.point(x.edge_id, off)
-            return x, point_sampler(rng)
+                # the admissibility filter, so bias toward local ones.  x
+                # moves by j / (4 DENOM) of the edge's top, clamped into
+                # [0, top], on numerators over 4 DENOM top_den
+                num = 4 * k * top_den + top_num * rng.randint(-DENOM, DENOM)
+                num = min(max(num, 0), 4 * DENOM * top_num)
+                return x, RayComplexPoint(sid, x.edge_id, Fraction(num, 4 * DENOM * top_den))
+            return x, draw(rng)[0]
 
         return sample_rc
 

@@ -101,12 +101,13 @@ _ZERO = Fraction(0)
 
 def _scale(name: str, n: int, horizon_factor: int, max_radius=None) -> float:
     """2^n, the construction scale of ``name:n``, once n is small enough:
-    the product horizon horizon_factor * 2^n must be a finite float, and
-    the radii 2^i (i <= n), when bounded, at most ``max_radius``.  Checked
-    before anything is built."""
+    the product horizon horizon_factor * 2^n must be a finite float and,
+    when bounded, at most ``max_radius``, and so must every smaller horizon
+    and the radii 2^i (i <= n).  Checked before anything is built."""
     n_max, why = 1024 - horizon_factor.bit_length(), "its horizons overflow"
-    if max_radius is not None and int(math.log2(max_radius)) < n_max:
-        n_max, why = int(math.log2(max_radius)), f"its radii exceed {max_radius:g}"
+    bound = n_max if max_radius is None else int(math.log2(max_radius / horizon_factor))
+    if bound < n_max:
+        n_max, why = bound, f"its product horizon {horizon_factor} * 2^n exceeds {max_radius:g}"
     if n > n_max:
         raise DomainError(f"{name}:{n} is too large ({why}); use n <= {n_max}")
     return float(1 << n)

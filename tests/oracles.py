@@ -40,6 +40,11 @@ reference for ``profile_pair_sampler``'s annulus proposals: it makes each
 anchor as a point (``gamma.eval``) and reads its coordinates back, and it
 takes the logs of the offset scales on every proposal, so the sampler's
 anchors read from the ray's legs must reproduce its stream bit for bit.
+The ray-complex samplers below are the references for ``rc_point_sampler``
+and ``profile_pair_sampler``'s ray-complex proposals: they draw each offset
+as ``Fraction`` arithmetic on the edge's top and make each point with
+``RayComplex.point``, as the engine once did, so the integer marks must
+reproduce their draws by ``repr`` and leave the generator in the same state.
 The leg walk and the development at the end are the references for an
 annulus ray's one table (``UnitSpeedRay.locate``) and for ``develop_pair``:
 the walk tests each leg but the last against its offset plus length and
@@ -72,6 +77,7 @@ from boundary_lab.metric import gromov_product
 from boundary_lab.points import AttachedRayPoint, RayComplexPoint
 from boundary_lab.ray_complex import RayComplex
 from boundary_lab.rays import EdgeLeg
+from boundary_lab.samplers import DENOM
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -622,6 +628,47 @@ def reference_profile_pair_sampler(space, gamma, horizon, r_min=0.05, r_max=64.0
             max(1.0, x.r + rho * math.sin(ang)),
         )
         return x, y, (dxg, feet)
+
+    return sample
+
+
+def reference_rc_point_sampler(space, horizon):
+    """``rc_point_sampler`` on ``Fraction``s: per draw, a uniform edge, its
+    top min(length, horizon), and a dyadic offset k / DENOM with k uniform
+    in [0, int(top * DENOM)], clamped to the top, made by ``space.point``."""
+    edge_ids = sorted(space.edges)
+    if not 0 <= horizon < math.inf:
+        raise DomainError(f"the horizon must be finite and >= 0, got {horizon}")
+    hor = Fraction(horizon)
+
+    def sample(rng):
+        eid = edge_ids[rng.randrange(len(edge_ids))]
+        edge = space.edges[eid]
+        top = hor if edge.length is None else min(edge.length, hor)
+        steps = int(top * DENOM)
+        off = Fraction(rng.randint(0, max(steps, 0)), DENOM)
+        return space.point(eid, min(off, top))
+
+    return sample
+
+
+def reference_rc_pair_sampler(space, horizon):
+    """``profile_pair_sampler``'s ray-complex proposals on ``Fraction``s: x
+    from the reference point sampler, then with probability 0.7 y on x's
+    edge, shifted by j / (4 DENOM) of the edge's length (the horizon on a
+    ray), j uniform in [-DENOM, DENOM], and clamped into the edge; else a
+    second point of the sampler."""
+    point_sampler = reference_rc_point_sampler(space, horizon)
+
+    def sample(rng):
+        x = point_sampler(rng)
+        if rng.random() < 0.7:
+            edge = space.edges[x.edge_id]
+            top = Fraction(horizon if edge.length is None else edge.length)
+            shift = (top * rng.randint(-DENOM, DENOM)) / (4 * DENOM)
+            off = min(max(x.offset + shift, 0), top)
+            return x, space.point(x.edge_id, off)
+        return x, point_sampler(rng)
 
     return sample
 

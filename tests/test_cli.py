@@ -307,20 +307,25 @@ def test_bad_input_is_rejected_with_exit_2(capsys, argv):
     assert set(json.loads(out)) == {"error"}
 
 
-# Xcat0:498 and Ycat0:498 build, but their default horizons (32 * 2^n for
-# products, 8 * 2^n for profiles) pass MAX_RADIUS: a search that walks an
-# r = 1 arc past t = 1e150 is refused with the annulus point's message
-@pytest.mark.parametrize("space", ["Xcat0:498", "Ycat0:498"])
+# Xcat0:n and Ycat0:n stop at n = 493, where their product horizon 32 * 2^n
+# is still within MAX_RADIUS: the queries there answer, and at n = 494 they
+# are refused when the space is built, not once a search walks an r = 1 arc
+# past t = 1e150
+@pytest.mark.parametrize("family", ["Xcat0", "Ycat0"])
 @pytest.mark.parametrize("args", [
     ["bproduct", "--eta", "alpha", "--zeta", "beta"],
     ["bproduct", "--eta", "alpha", "--zeta", "g3"],
     ["profile", "--ray", "alpha", "--n", "10", "--seed", "1"],
 ])
-def test_queries_past_max_radius_on_the_largest_annulus_spaces_exit_2(capsys, space, args):
-    code, out = run_cli(capsys, args[0], "--space", space, *args[1:])
+def test_queries_on_the_largest_annulus_spaces_answer_and_one_size_up_exit_2(
+    capsys, family, args
+):
+    code, out = run_cli(capsys, args[0], "--space", f"{family}:493", *args[1:])
+    assert code == 0, out
+    code, out = run_cli(capsys, args[0], "--space", f"{family}:494", *args[1:])
     assert code == 2
-    error = json.loads(out)["error"]
-    assert error.startswith("annulus point needs |t|, r <= MAX_RADIUS and r >= 1: "), error
+    assert json.loads(out) == {"error": f"{family}:494 is too large (its product horizon"
+                               " 32 * 2^n exceeds 1e+150); use n <= 493"}
 
 
 @pytest.mark.parametrize("space", ["X:4", "Xcat0:4"])

@@ -40,6 +40,8 @@ from oracles import (
     reference_claim_check,
     reference_escape_cuts,
     reference_profile_pair_sampler,
+    reference_rc_pair_sampler,
+    reference_rc_point_sampler,
     sweep_escape,
     vertex_locs,
 )
@@ -284,6 +286,35 @@ def test_check_horizon_matches_the_all_form():
         assert outcome(contraction._check_horizon, params, horizon) == want
         raised += want is not None
     assert 0 < raised < len(cases)
+
+
+def _rc_draws(draw):
+    if isinstance(draw, tuple):
+        return tuple(_rc_draws(p) for p in draw)
+    return repr((type(draw), draw.space_id, draw.edge_id, draw.offset))
+
+
+@pytest.mark.parametrize("spec, horizons", [
+    ("X:14", [2 ** 14, 300.5, 0.1, Fraction(1001, 3), 0]),
+    ("Y:16", [2 ** 16, 1e-3, Fraction(7, 2), 0, 0.0]),
+    # cb_i of Y:60 is 2^i - 2i, longer than a float's 53 bits
+    ("Y:60", [2 ** 62, 2.0 ** 61 + 2.0 ** 9, Fraction(2 ** 61 + 1, 3), 0]),
+])
+def test_rc_samplers_draw_the_fraction_reference_stream(spec, horizons):
+    # integer marks in place of Fraction offsets: the same points by repr,
+    # from the same rng calls
+    space = bl.get_space(spec).space
+    alpha = space.edge_ray("alpha")
+    for horizon in horizons:
+        for new, ref in ((rc_point_sampler(space, horizon),
+                          reference_rc_point_sampler(space, horizon)),
+                         (profile_pair_sampler(space, alpha, horizon),
+                          reference_rc_pair_sampler(space, horizon))):
+            for seed in range(3):
+                rng_new, rng_ref = random.Random(seed), random.Random(seed)
+                for _ in range(300):
+                    assert _rc_draws(new(rng_new)) == _rc_draws(ref(rng_ref))
+                assert rng_new.getstate() == rng_ref.getstate()
 
 
 def test_nearby_rc_proposals_stay_exact_on_int_lengths():

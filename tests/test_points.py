@@ -56,13 +56,18 @@ def test_annulus_distances_within_max_radius_are_finite():
     assert 1000 < refused < 2000
 
 
-@pytest.mark.parametrize("spec", ["Xcat0:498", "Ycat0:498"])
-def test_the_largest_annulus_zoo_spaces_stay_within_max_radius(spec):
-    # their bases reach 2^498 < MAX_RADIUS: every ray's legs compile and
-    # the ray runs a geodesic
-    for bp in bl.get_space(spec).boundary_points():
+@pytest.mark.parametrize("family", ["Xcat0", "Ycat0"])
+def test_the_largest_annulus_zoo_spaces_stay_within_max_radius(family):
+    # their product horizon 32 * 2^493 = 2^498 and their bases, up to
+    # 2^493, are below MAX_RADIUS: every ray's legs compile and the ray
+    # runs a geodesic.  One size up is refused when it is built.
+    z = bl.get_space(f"{family}:493")
+    assert z.product_horizon == 2.0 ** 498 <= MAX_RADIUS
+    for bp in z.boundary_points():
         for ray in bp.representatives():
             assert ray._geodesic, ray.label
+    with pytest.raises(bl.DomainError, match=r"product horizon 32 \* 2\^n exceeds"):
+        bl.get_space(f"{family}:494")
 
 
 def test_offset_bounds_checked(zoo_x8):

@@ -177,8 +177,8 @@ def test_get_of_an_unknown_label_gives_the_default(build, classes_made):
         z.boundary["nope"]
 
 
-@pytest.mark.parametrize("spec", ["X:1", "X:1019", "Y:3", "Y:1019", "Xcat0:1", "Xcat0:498",
-                                  "Ycat0:1", "Ycat0:498"])
+@pytest.mark.parametrize("spec", ["X:1", "X:1019", "Y:3", "Y:1019", "Xcat0:1", "Xcat0:493",
+                                  "Ycat0:1", "Ycat0:493"])
 def test_every_class_of_the_least_and_largest_spec_is_made(spec):
     # the rays' construction checks run on a class's first read, not when its
     # space is built: every accepted spec still makes all of its classes
@@ -187,3 +187,17 @@ def test_every_class_of_the_least_and_largest_spec_is_made(spec):
     points = z.boundary_points()
     assert len(points) == 2 + int(n) - (2 if name == "Y" else 0)
     assert all(bp.canonical.space is z.space for bp in points)
+
+
+@pytest.mark.parametrize("spec, why", [
+    pytest.param(spec, why, id=spec) for spec, why in [
+        ("X:1020", "its horizons overflow); use n <= 1019"),
+        ("Y:1020", "its horizons overflow); use n <= 1019"),
+        ("Xcat0:494", "its product horizon 32 * 2^n exceeds 1e+150); use n <= 493"),
+        ("Ycat0:494", "its product horizon 32 * 2^n exceeds 1e+150); use n <= 493"),
+    ]
+])
+def test_one_size_past_the_largest_spec_is_refused_when_built(spec, why):
+    with pytest.raises(bl.DomainError) as err:
+        bl.get_space(spec)
+    assert str(err.value) == f"{spec} is too large ({why}"
