@@ -420,6 +420,8 @@ class AnnulusSpace:
                 raise DomainError("attached-ray bases must be distinct")
             seen.add((t, r))
         self._base_terms = {rid: kernel_terms(*c) for rid, c in self.attached.items()}
+        # boundary product estimates, kept for the space's lifetime (boundary.py)
+        self._product_table = {}
         digest = hashlib.sha256(
             repr(sorted(self.attached.items())).encode()
         ).hexdigest()[:12]

@@ -28,20 +28,23 @@ contraction constant is known the 50C bound is attached as the error bar
 instead, and the self-product is +infinity by convention (so eta always
 belongs to U(eta, r)).
 
-Queries that ask for the same product many times (convergence tables, the
-basis check) run inside ``shared_products()``: there every finite estimate
-is memoized, keyed by the ordered pair of canonical rays (by identity) plus
-the resolved ``max_horizon`` and ``min_horizon`` (given or carried) and
-``c_eta``, and a repeat returns the same frozen estimate.
-The memo is dropped when the query returns, so a query costs the same
-whatever ran before it; outside a query every call estimates afresh.
+Each space keeps one product table for its lifetime, as it keeps its
+Dijkstra rows: every finite estimate is entered there, keyed by the ordered
+pair of canonical rays (each held by a ``weakref.ref``) plus the resolved
+``max_horizon`` and ``min_horizon`` (given or carried) and ``c_eta``, and a
+repeat returns the same frozen estimate.  So the queries built on products
+(convergence tables, the Hausdorff witness, continuity certificates, basis
+checks) and the direct estimates on one space walk each product once.
+``(a, b)`` and ``(b, a)`` are entries of their own.  The weak keys make no
+cycle through the rays' references back to the space, which refcounting
+frees as before; an entry of a ray that is gone never matches again, since
+a dead reference equals only itself.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -123,42 +126,19 @@ def boundary_gromov_product(
     error_bar = None if c_eta is None else 50.0 * float(c_eta)
     if a is b or label_a == label_b:
         return BoundaryProductEstimate(math.inf, (), (), "converged", error_bar)
-    memo = _memo.get()
-    key = (a, b, max_horizon, min_horizon, c_eta)
-    if memo is not None and key in memo:
-        return memo[key]
+    table = a.space._product_table
+    key = (weakref.ref(a), weakref.ref(b), max_horizon, min_horizon, c_eta)
+    if key in table:
+        return table[key]
     status, schedule, minima = _doubling_schedule(a, b, max_horizon, min_horizon)
-    est = BoundaryProductEstimate(
+    est = table[key] = BoundaryProductEstimate(
         float(minima[-1]),
         tuple(float(s) for s in schedule),
         tuple(float(m) for m in minima),
         status,
         error_bar,
     )
-    if memo is not None:
-        memo[key] = est
     return est
-
-
-# the memo of the open shared_products() block, if any
-_memo: ContextVar[Optional[dict]] = ContextVar("product_memo", default=None)
-
-
-@contextmanager
-def shared_products():
-    """Estimate each (ordered pair, arguments) at most once inside the block.
-
-    A nested block joins the outermost one, whose exit drops the memo.  Also
-    usable as a decorator, ``@shared_products()``.
-    """
-    if _memo.get() is not None:
-        yield
-        return
-    token = _memo.set({})
-    try:
-        yield
-    finally:
-        _memo.reset(token)
 
 
 def _doubling_schedule(a, b, max_horizon, min_horizon):
@@ -306,7 +286,6 @@ class ConvergenceReport:
     converges: bool  # at every tested radius
 
 
-@shared_products()
 def converges_in_gp(
     sequence: Sequence[BoundaryPoint],
     eta: BoundaryPoint,

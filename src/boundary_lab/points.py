@@ -16,6 +16,7 @@ from typing import Union
 from .errors import DomainError
 
 MAX_RADIUS = 1e150  # of annulus |t| and r: r * r overflows from about 1.3e154
+_EXACT = (int, Fraction)  # offset types that are always finite
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,12 @@ class RayComplexPoint:
     offset: Fraction
 
     def __post_init__(self):
-        if not 0 <= self.offset < math.inf:
+        offset = self.offset
+        # an int or Fraction is finite and has its numerator's sign; only
+        # another type (a float) needs the comparison with math.inf
+        if not (
+            offset.numerator >= 0 if type(offset) in _EXACT else 0 <= offset < math.inf
+        ):
             raise DomainError(f"offset {self.offset} on {self.edge_id} must be finite and >= 0")
 
     def __repr__(self):

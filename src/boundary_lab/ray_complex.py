@@ -139,6 +139,8 @@ class RayComplex:
         # label -> its edge ray; weak, so that the rays' references back to
         # the complex make no cycle that keeps it alive
         self._edge_rays = weakref.WeakValueDictionary()
+        # boundary product estimates, kept as the rows are (boundary.py)
+        self._product_table = {}
 
         self.space_id = "rc:" + hashlib.sha256(
             self.describe().encode()

@@ -35,7 +35,8 @@ Makers = dict[str, Callable[[], list[UnitSpeedRay]]]
 class Labels(Mapping):
     """Boundary points by label, in label order, from one zero-argument maker
     of its rays (canonical first) per label.  A class is made on its first
-    read and kept: the product memo keys on canonical rays by identity.
+    read and kept: each space's product table keys on canonical rays by
+    identity.
     ``len`` and ``in`` make nothing.  ``[]`` of an unknown label is a
     DomainError; ``get`` gives the default, as a ``Mapping`` does."""
 

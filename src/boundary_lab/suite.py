@@ -4,7 +4,10 @@ Each criterion is a check taking a shared context (built spaces, seed,
 cached constants) and returning (passed, details); ``@criterion`` times it,
 applies its wall-clock gate and registers it, so that calling it gives a
 CriterionResult.  ``run_suite`` executes the requested subset in the order
-of definition and reports one line per criterion.  The pytest
+of definition and reports one line per criterion.  Criteria that share a
+space (``SuiteContext.zoo``) share its product table: a convergence table,
+witness, certificate or basis check reads the products that earlier
+criteria estimated on that space.  The pytest
 acceptance module drives exactly these functions, so the CLI and the test
 suite cannot drift apart.
 """
@@ -29,7 +32,6 @@ from .boundary import (
     boundary_map_continuity_test,
     converges_in_gp,
     hausdorff_violation_witness,
-    shared_products,
     u_set_membership,
 )
 from .contraction import (
@@ -333,7 +335,6 @@ def criterion_claim_residuals(ctx: SuiteContext):
 
 
 @criterion("basis-condition", "refinement radii give nested product neighborhoods")
-@shared_products()
 def criterion_basis_condition(ctx: SuiteContext):
     failures = []
     for name in ("Xcat0:12", "Ycat0:12"):

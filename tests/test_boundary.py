@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,6 @@ from boundary_lab.boundary import (
     boundary_map_continuity_test,
     converges_in_gp,
     hausdorff_violation_witness,
-    shared_products,
     u_set_membership,
 )
 from boundary_lab.contraction import ray_distance
@@ -47,48 +48,101 @@ def test_products_in_Y(zoo_y16):
         assert ea.value == 0.0 and eb.value == float(i)
 
 
-def test_product_symmetry_and_monotone_consistency(zoo_x16):
-    z = zoo_x16
+def _count_schedules(monkeypatch):
+    """The labels of the ray pairs whose doubling schedules are walked from
+    now on (labels, not rays: a ray would keep its space alive)."""
+    walked = []
+    original = boundary._doubling_schedule
+
+    def counted(a, b, *rest):
+        walked.append((a.label, b.label))
+        return original(a, b, *rest)
+
+    monkeypatch.setattr(boundary, "_doubling_schedule", counted)
+    return walked
+
+
+def test_product_symmetry_and_monotone_consistency(monkeypatch):
+    # a space of its own, whose product table no other test has filled
+    z = bl.build_X(16)
     mh, mn = z.product_horizon, z.product_min_horizon
-    ab = boundary_gromov_product(
-        z.boundary["alpha"], z.boundary["g7"], max_horizon=mh, min_horizon=mn
-    )
-    ba = boundary_gromov_product(
-        z.boundary["g7"], z.boundary["alpha"], max_horizon=mh, min_horizon=mn
-    )
+    alpha, g7 = z.boundary["alpha"], z.boundary["g7"]
+    walked = _count_schedules(monkeypatch)
+    ab = boundary_gromov_product(alpha, g7, max_horizon=mh, min_horizon=mn)
+    ba = boundary_gromov_product(g7, alpha, max_horizon=mh, min_horizon=mn)
     assert ab.value == ba.value
     # converged value equals the final two window minima
     assert ab.window_minima[-1] == ab.window_minima[-2] == ab.value
-    # outside a query every call estimates afresh
-    again = boundary_gromov_product(
-        z.boundary["alpha"], z.boundary["g7"], max_horizon=mh, min_horizon=mn
+    # the reversed pair is an entry of its own
+    assert ba is not ab and walked == [("alpha", "g7"), ("g7", "alpha")]
+    # a repeat on the space, also with the horizons the classes carry,
+    # returns the same estimate and walks nothing
+    assert boundary_gromov_product(alpha, g7, max_horizon=mh, min_horizon=mn) is ab
+    assert boundary_gromov_product(alpha, g7) is ab
+    assert boundary_gromov_product(g7, alpha) is ba
+    assert len(walked) == 2
+    # a wider horizon and another c_eta are entries of their own
+    wider = boundary_gromov_product(alpha, g7, max_horizon=2 * mh, min_horizon=mn)
+    barred = boundary_gromov_product(
+        alpha, g7, max_horizon=mh, min_horizon=mn, c_eta=1.0
     )
-    assert again is not ab and again.value == ab.value
-    # inside one, a repeat returns the same estimate; the reversed pair and
-    # other arguments are entries of their own; the memo ends with the block
-    with shared_products():
-        first = boundary_gromov_product(
-            z.boundary["alpha"], z.boundary["g7"], max_horizon=mh, min_horizon=mn
-        )
-        with shared_products():
-            nested = boundary_gromov_product(
-                z.boundary["alpha"], z.boundary["g7"], max_horizon=mh,
-                min_horizon=mn,
-            )
-        reversed_ = boundary_gromov_product(
-            z.boundary["g7"], z.boundary["alpha"], max_horizon=mh, min_horizon=mn
-        )
-        wider = boundary_gromov_product(
-            z.boundary["alpha"], z.boundary["g7"], max_horizon=2 * mh,
-            min_horizon=mn,
-        )
-    assert nested is first and first is not ab and first.value == ab.value
-    assert reversed_ is not first and abs(reversed_.value - first.value) <= 1e-9
-    assert wider is not first and wider.value == first.value
-    after = boundary_gromov_product(
-        z.boundary["alpha"], z.boundary["g7"], max_horizon=mh, min_horizon=mn
+    assert len(walked) == 4
+    assert wider is not ab and wider.value == ab.value
+    assert barred is not ab and barred.value == ab.value and barred.error_bar == 50.0
+    assert boundary_gromov_product(alpha, g7, max_horizon=2 * mh, min_horizon=mn) is wider
+    assert boundary_gromov_product(alpha, g7, c_eta=1.0) is barred
+    assert len(walked) == 4 and len(z.space._product_table) == 4
+    # a fresh build computes again, and gets the same estimate
+    fresh = bl.build_X(16)
+    first = boundary_gromov_product(
+        fresh.boundary["alpha"], fresh.boundary["g7"], max_horizon=mh, min_horizon=mn
     )
-    assert after is not first and after.value == first.value
+    assert first is not ab and first == ab and len(walked) == 5
+
+
+def test_a_space_keeps_its_products_for_its_lifetime(monkeypatch):
+    walked = _count_schedules(monkeypatch)
+    # the table holds its rays weakly, so that their references back to the
+    # space make no cycle: a dropped space is freed by refcount alone
+    gc.disable()
+    try:
+        for build in (bl.build_X, bl.build_Xcat0):
+            zoo = build(4)
+            ref = weakref.ref(zoo.space)
+            for eta, zeta in (("alpha", "g2"), ("g2", "alpha")):
+                boundary_gromov_product(zoo.boundary[eta], zoo.boundary[zeta])
+            assert len(zoo.space._product_table) == 2
+            del zoo
+            assert ref() is None
+    finally:
+        gc.enable()
+    # a ray dropped and made again, even at the address of the old one,
+    # never meets the old one's entry: each made ray is walked afresh
+    z = bl.build_X(4)
+    alpha = z.boundary["alpha"]
+    legs = {i: z.boundary[f"g{i}"].canonical.legs for i in range(1, 5)}
+    addresses = []
+    walked.clear()
+    for _ in range(5):
+        for i in range(1, 5):
+            ray = UnitSpeedRay(z.space, "copy", legs[i])
+            addresses.append(id(ray))
+            assert boundary_gromov_product(alpha, ray).value == i
+            del ray
+    assert len(set(addresses)) < len(addresses)
+    assert len(walked) == 20 and len(z.space._product_table) == 20
+    # on a fresh X:16 the Hausdorff witness reads the 32 products alpha.g_i
+    # and beta.g_i estimated before it, and walks no schedule of its own
+    z = bl.build_X(16)
+    alpha, beta = z.boundary["alpha"], z.boundary["beta"]
+    seq = [z.boundary[f"g{i}"] for i in range(1, 17)]
+    walked.clear()
+    for eta in (alpha, beta):
+        for term in seq:
+            boundary_gromov_product(eta, term)
+    assert len(walked) == 32
+    assert hausdorff_violation_witness([alpha, beta], seq, [1, 2, 4, 8]) == (alpha, beta)
+    assert len(walked) == 32
 
 
 def test_self_product_is_infinite(zoo_x16):
@@ -289,14 +343,7 @@ def test_radii_must_be_finite(zoo_xcat8, monkeypatch):
     # a NaN radius made membership "boundary-inconclusive" and gave a
     # convergence row with no first index; it is refused where it enters,
     # before any product is estimated
-    estimated = []
-    original = boundary._doubling_schedule
-
-    def counted(*args):
-        estimated.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(boundary, "_doubling_schedule", counted)
+    estimated = _count_schedules(monkeypatch)
     for z in (bl.build_X(4), zoo_xcat8):
         seq = [z.boundary[f"g{i}"] for i in range(1, 5)]
         alpha = z.boundary["alpha"]
@@ -350,10 +397,11 @@ def test_finality_skip_equals_the_full_walk(spec):
         ), (eta, zeta)
 
 
-def test_finality_skips_the_plateau_of_alpha_g_on_X16(zoo_x16, monkeypatch):
+def test_finality_skips_the_plateau_of_alpha_g_on_X16(monkeypatch):
     # g_i runs on its hair from s* = i + 2^i, alpha from its last mark, 16;
     # the windows up to the first S >= i + 2^i are queried, 171 of 304
-    z = zoo_x16
+    # (on a space of its own: a shared one may hold these products already)
+    z = bl.build_X(16)
     horizons = _count_windows(monkeypatch)
     for i in range(1, 17):
         est = boundary_gromov_product(
@@ -365,9 +413,11 @@ def test_finality_skips_the_plateau_of_alpha_g_on_X16(zoo_x16, monkeypatch):
     assert len(horizons) == 171
 
 
-def test_finality_needs_two_distinct_hairs(zoo_x8, zoo_xcat8, monkeypatch):
+def test_finality_needs_two_distinct_hairs(monkeypatch):
     # a class's canonical rep and its ~beta auxiliary end on the same hair,
     # and annulus rays end on no hair at all: every window is queried
+    # (on spaces of their own: a shared one may hold these products already)
+    zoo_x8, zoo_xcat8 = bl.build_X(8), bl.build_Xcat0(8)
     g3 = zoo_x8.boundary["g3"]
     cases = [
         (zoo_x8, g3.canonical, g3.auxiliaries[0]),

@@ -18,12 +18,23 @@ def test_point_validation(zoo_xcat8):
         zoo_xcat8.space.ray_pt("g1", -0.5)
 
 
-@pytest.mark.parametrize("offset", [math.nan, math.inf, Fraction(-1)])
+@pytest.mark.parametrize("offset", [
+    math.nan, math.inf, Fraction(-1), -math.inf, -0.5, -1, Fraction(-1, 10 ** 400),
+])
 def test_ray_complex_points_need_a_finite_offset_at_least_0(zoo_x8, offset):
     # NaN and inf offsets built, and X.distance(p, X.basepoint) then raised
-    # a bare ValueError or OverflowError
-    with pytest.raises(bl.DomainError, match="must be finite and >= 0"):
+    # a bare ValueError or OverflowError; an int or Fraction is checked on
+    # its sign alone, a float against math.inf too, with one message
+    with pytest.raises(bl.DomainError) as err:
         RayComplexPoint(zoo_x8.space.space_id, "ca3", offset)
+    assert str(err.value) == f"offset {offset} on ca3 must be finite and >= 0"
+
+
+@pytest.mark.parametrize("offset", [
+    0, 0.0, Fraction(0), 3, 2.5, Fraction(7, 2), Fraction(10 ** 400, 3),
+])
+def test_ray_complex_points_take_finite_offsets_at_least_0(offset):
+    assert RayComplexPoint("s", "e", offset).offset == offset
 
 
 @pytest.mark.parametrize("p, q", [((0.0, 1e200), (0.0, 1e199)),
