@@ -29,22 +29,24 @@ instead, and the self-product is +infinity by convention (so eta always
 belongs to U(eta, r)).
 
 Each space keeps one product table for its lifetime, as it keeps its
-Dijkstra rows: every finite estimate is entered there, keyed by the ordered
-pair of canonical rays (each held by a ``weakref.ref``) plus the resolved
-``max_horizon`` and ``min_horizon`` (given or carried) and ``c_eta``, and a
-repeat returns the same frozen estimate.  So the queries built on products
-(convergence tables, the Hausdorff witness, continuity certificates, basis
-checks) and the direct estimates on one space walk each product once.
-``(a, b)`` and ``(b, a)`` are entries of their own.  The weak keys make no
-cycle through the rays' references back to the space, which refcounting
-frees as before; an entry of a ray that is gone never matches again, since
-a dead reference equals only itself.
+Dijkstra rows.  Inside ``shared_products()``, which the queries that ask for
+many products open (convergence tables, so the Hausdorff witness;
+continuity certificates; basis checks; the suite's criteria), an estimate
+is read from that table or entered in it, keyed by the ordered pair of
+canonical rays plus the resolved ``max_horizon``, ``min_horizon`` and
+``c_eta``; a repeat returns the same frozen estimate.  The rays are held by
+``weakref.ref``, so they make no cycle that keeps the space alive, and the
+entry of a ray that is gone matches nothing.  Outside such a block a call
+estimates afresh and enters nothing, so a direct product costs the same
+whatever ran before it.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -126,19 +128,38 @@ def boundary_gromov_product(
     error_bar = None if c_eta is None else 50.0 * float(c_eta)
     if a is b or label_a == label_b:
         return BoundaryProductEstimate(math.inf, (), (), "converged", error_bar)
-    table = a.space._product_table
-    key = (weakref.ref(a), weakref.ref(b), max_horizon, min_horizon, c_eta)
-    if key in table:
-        return table[key]
+    table = a.space._product_table if _sharing.get() else None
+    if table is not None:
+        key = (weakref.ref(a), weakref.ref(b), max_horizon, min_horizon, c_eta)
+        if key in table:
+            return table[key]
     status, schedule, minima = _doubling_schedule(a, b, max_horizon, min_horizon)
-    est = table[key] = BoundaryProductEstimate(
+    est = BoundaryProductEstimate(
         float(minima[-1]),
         tuple(float(s) for s in schedule),
         tuple(float(m) for m in minima),
         status,
         error_bar,
     )
+    if table is not None:
+        table[key] = est
     return est
+
+
+# True inside a shared_products() block
+_sharing: ContextVar[bool] = ContextVar("shared_products", default=False)
+
+
+@contextmanager
+def shared_products():
+    """Inside the block, each product is read from its space's product
+    table, or estimated and entered there.  Also usable as a decorator,
+    ``@shared_products()``."""
+    token = _sharing.set(True)
+    try:
+        yield
+    finally:
+        _sharing.reset(token)
 
 
 def _doubling_schedule(a, b, max_horizon, min_horizon):
@@ -286,6 +307,7 @@ class ConvergenceReport:
     converges: bool  # at every tested radius
 
 
+@shared_products()
 def converges_in_gp(
     sequence: Sequence[BoundaryPoint],
     eta: BoundaryPoint,
@@ -360,6 +382,7 @@ class ContinuityCertificate:
 UPSTREAM_SCHEDULE = (1.0, 2.0, 4.0)
 
 
+@shared_products()
 def boundary_map_continuity_test(
     correspondence: Optional[dict],
     bundle_from,

@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 # ann_distance_arrays and ann_distance_coords are unused here: bench/spans.py
 # patches these names
 from .annulus import ann_distance_arrays, ann_distance_coords  # noqa: F401
+from .boundary import shared_products
 from .errors import DomainError, HorizonError
 from .metric import gromov_product  # noqa: F401  (bench/spans.py patches this name)
 from .points import Point
@@ -492,6 +493,7 @@ class BasisReport:
         return not self.violations
 
 
+@shared_products()
 def neighborhood_basis_check(
     eta,
     r: float,

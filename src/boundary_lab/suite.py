@@ -4,10 +4,10 @@ Each criterion is a check taking a shared context (built spaces, seed,
 cached constants) and returning (passed, details); ``@criterion`` times it,
 applies its wall-clock gate and registers it, so that calling it gives a
 CriterionResult.  ``run_suite`` executes the requested subset in the order
-of definition and reports one line per criterion.  Criteria that share a
-space (``SuiteContext.zoo``) share its product table: a convergence table,
-witness, certificate or basis check reads the products that earlier
-criteria estimated on that space.  The pytest
+of definition and reports one line per criterion.  Each criterion runs
+inside ``shared_products()``, so criteria that share a space
+(``SuiteContext.zoo``) share its product table: a product that an earlier
+criterion estimated on that space is read, not walked again.  The pytest
 acceptance module drives exactly these functions, so the CLI and the test
 suite cannot drift apart.
 """
@@ -32,6 +32,7 @@ from .boundary import (
     boundary_map_continuity_test,
     converges_in_gp,
     hausdorff_violation_witness,
+    shared_products,
     u_set_membership,
 )
 from .contraction import (
@@ -141,7 +142,8 @@ def criterion(key: str, title: str, gate_s: Optional[float] = None):
         @functools.wraps(check)
         def run(ctx: SuiteContext) -> CriterionResult:
             t0 = time.perf_counter()
-            passed, details = check(ctx)
+            with shared_products():
+                passed, details = check(ctx)
             elapsed = time.perf_counter() - t0
             ok = bool(passed) and (gate_s is None or elapsed < gate_s)
             return CriterionResult(key, title, ok, elapsed, details)

@@ -14,6 +14,7 @@ from boundary_lab.boundary import (
     boundary_map_continuity_test,
     converges_in_gp,
     hausdorff_violation_witness,
+    shared_products,
     u_set_membership,
 )
 from boundary_lab.contraction import ray_distance
@@ -73,31 +74,45 @@ def test_product_symmetry_and_monotone_consistency(monkeypatch):
     assert ab.value == ba.value
     # converged value equals the final two window minima
     assert ab.window_minima[-1] == ab.window_minima[-2] == ab.value
-    # the reversed pair is an entry of its own
-    assert ba is not ab and walked == [("alpha", "g7"), ("g7", "alpha")]
-    # a repeat on the space, also with the horizons the classes carry,
-    # returns the same estimate and walks nothing
-    assert boundary_gromov_product(alpha, g7, max_horizon=mh, min_horizon=mn) is ab
-    assert boundary_gromov_product(alpha, g7) is ab
-    assert boundary_gromov_product(g7, alpha) is ba
-    assert len(walked) == 2
-    # a wider horizon and another c_eta are entries of their own
-    wider = boundary_gromov_product(alpha, g7, max_horizon=2 * mh, min_horizon=mn)
-    barred = boundary_gromov_product(
-        alpha, g7, max_horizon=mh, min_horizon=mn, c_eta=1.0
-    )
-    assert len(walked) == 4
-    assert wider is not ab and wider.value == ab.value
-    assert barred is not ab and barred.value == ab.value and barred.error_bar == 50.0
-    assert boundary_gromov_product(alpha, g7, max_horizon=2 * mh, min_horizon=mn) is wider
-    assert boundary_gromov_product(alpha, g7, c_eta=1.0) is barred
-    assert len(walked) == 4 and len(z.space._product_table) == 4
+    # outside shared_products() every call estimates afresh and enters nothing
+    again = boundary_gromov_product(alpha, g7, max_horizon=mh, min_horizon=mn)
+    assert again is not ab and again == ab
+    assert len(walked) == 3 and not z.space._product_table
+    # inside, the first call enters its estimate in the space's table and a
+    # repeat, also with the horizons the classes carry, returns it and walks
+    # nothing; the reversed pair is an entry of its own
+    with shared_products():
+        first = boundary_gromov_product(alpha, g7, max_horizon=mh, min_horizon=mn)
+        assert first is not ab and first == ab and len(walked) == 4
+        assert boundary_gromov_product(alpha, g7) is first
+        with shared_products():
+            assert boundary_gromov_product(alpha, g7, max_horizon=mh) is first
+        reversed_ = boundary_gromov_product(g7, alpha)
+        assert reversed_ is not first and reversed_ == ba and len(walked) == 5
+    # the table lives with the space, not with the block
+    with shared_products():
+        assert boundary_gromov_product(alpha, g7) is first
+        assert boundary_gromov_product(g7, alpha) is reversed_
+        assert len(walked) == 5
+        # a wider horizon and another c_eta are entries of their own
+        wider = boundary_gromov_product(alpha, g7, max_horizon=2 * mh, min_horizon=mn)
+        barred = boundary_gromov_product(
+            alpha, g7, max_horizon=mh, min_horizon=mn, c_eta=1.0
+        )
+        assert len(walked) == 7
+        assert wider is not first and wider.value == first.value
+        assert barred is not first and barred.value == first.value
+        assert barred.error_bar == 50.0
+        assert boundary_gromov_product(alpha, g7, max_horizon=2 * mh) is wider
+        assert boundary_gromov_product(alpha, g7, c_eta=1.0) is barred
+    assert len(walked) == 7 and len(z.space._product_table) == 4
+    # after the block a call estimates afresh again
+    assert boundary_gromov_product(alpha, g7) is not first and len(walked) == 8
     # a fresh build computes again, and gets the same estimate
     fresh = bl.build_X(16)
-    first = boundary_gromov_product(
-        fresh.boundary["alpha"], fresh.boundary["g7"], max_horizon=mh, min_horizon=mn
-    )
-    assert first is not ab and first == ab and len(walked) == 5
+    with shared_products():
+        other = boundary_gromov_product(fresh.boundary["alpha"], fresh.boundary["g7"])
+    assert other is not first and other == first and len(walked) == 9
 
 
 def test_a_space_keeps_its_products_for_its_lifetime(monkeypatch):
@@ -109,8 +124,9 @@ def test_a_space_keeps_its_products_for_its_lifetime(monkeypatch):
         for build in (bl.build_X, bl.build_Xcat0):
             zoo = build(4)
             ref = weakref.ref(zoo.space)
-            for eta, zeta in (("alpha", "g2"), ("g2", "alpha")):
-                boundary_gromov_product(zoo.boundary[eta], zoo.boundary[zeta])
+            with shared_products():
+                for eta, zeta in (("alpha", "g2"), ("g2", "alpha")):
+                    boundary_gromov_product(zoo.boundary[eta], zoo.boundary[zeta])
             assert len(zoo.space._product_table) == 2
             del zoo
             assert ref() is None
@@ -123,26 +139,50 @@ def test_a_space_keeps_its_products_for_its_lifetime(monkeypatch):
     legs = {i: z.boundary[f"g{i}"].canonical.legs for i in range(1, 5)}
     addresses = []
     walked.clear()
-    for _ in range(5):
-        for i in range(1, 5):
-            ray = UnitSpeedRay(z.space, "copy", legs[i])
-            addresses.append(id(ray))
-            assert boundary_gromov_product(alpha, ray).value == i
-            del ray
+    with shared_products():
+        for _ in range(5):
+            for i in range(1, 5):
+                ray = UnitSpeedRay(z.space, "copy", legs[i])
+                addresses.append(id(ray))
+                assert boundary_gromov_product(alpha, ray).value == i
+                del ray
     assert len(set(addresses)) < len(addresses)
     assert len(walked) == 20 and len(z.space._product_table) == 20
     # on a fresh X:16 the Hausdorff witness reads the 32 products alpha.g_i
-    # and beta.g_i estimated before it, and walks no schedule of its own
+    # and beta.g_i that an earlier block estimated, and walks no schedule of
+    # its own; a convergence table and a certificate after it walk none
+    # either, while a direct product walks afresh
     z = bl.build_X(16)
     alpha, beta = z.boundary["alpha"], z.boundary["beta"]
     seq = [z.boundary[f"g{i}"] for i in range(1, 17)]
     walked.clear()
-    for eta in (alpha, beta):
-        for term in seq:
-            boundary_gromov_product(eta, term)
+    with shared_products():
+        for eta in (alpha, beta):
+            for term in seq:
+                boundary_gromov_product(eta, term)
     assert len(walked) == 32
     assert hausdorff_violation_witness([alpha, beta], seq, [1, 2, 4, 8]) == (alpha, beta)
+    assert converges_in_gp(seq, alpha, [1.5, 3]).converges
+    labels = [f"g{i}" for i in range(3, 17)]
+    cert = boundary_map_continuity_test(None, z, z, labels, "alpha", 1.0)
+    assert cert.verdict == "continuous-at-tested-data"
     assert len(walked) == 32
+    assert boundary_gromov_product(alpha, seq[6]).value == 7 and len(walked) == 33
+
+
+def test_products_outside_a_query_cost_the_same_whatever_ran_before(monkeypatch):
+    # a direct product or membership walks its schedule even when a query
+    # on its space estimated the same product before it
+    z = bl.build_X(8)
+    alpha = z.boundary["alpha"]
+    seq = [z.boundary[f"g{i}"] for i in range(1, 9)]
+    walked = _count_schedules(monkeypatch)
+    converges_in_gp(seq, alpha, [1, 2])
+    assert len(walked) == 8
+    for term in seq:
+        boundary_gromov_product(alpha, term)
+        u_set_membership(term, alpha, 1)
+    assert len(walked) == 24 and len(z.space._product_table) == 8
 
 
 def test_self_product_is_infinite(zoo_x16):
